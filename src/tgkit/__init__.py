@@ -15,7 +15,7 @@ from .coord_engine import (CoordinateMetric, EikonalResiduals,
                            twisting_ode_residual, twisting_phi)
 from .errors import (AlgebraFileError, BadParams, DegeneratePlane,
                      DimensionMismatch, IdealResidualExceeded, IrregularCurve,
-                     JacobiViolation, MetricDegenerate, NonUnitVector,
+                     JacobiViolation, MetricDegenerate, NonFiniteInput, NonUnitVector,
                      NotHelixOrderTwo, NotPositiveDefinite, NotRecognized,
                      NotTotallyGeodesic, TgkitError, UnknownName)
 from .lie_core import (ConnectionTable, CurvatureData, LieAlgebra,
@@ -39,7 +39,7 @@ __all__ = [
     "NotPositiveDefinite", "DegeneratePlane", "NonUnitVector",
     "NotHelixOrderTwo", "IdealResidualExceeded", "NotRecognized",
     "NotTotallyGeodesic", "MetricDegenerate", "IrregularCurve",
-    "UnknownName", "BadParams", "AlgebraFileError",
+    "UnknownName", "BadParams", "AlgebraFileError", "NonFiniteInput",
     "LieAlgebra", "MetricLieAlgebra", "Subspace", "ConnectionTable",
     "CurvatureData", "bracket", "jacobi_residual", "levi_civita",
     "curvature_tensor", "curvature_operator_eigen", "sectional",

@@ -319,7 +319,7 @@ def _cmd_classify(args, tol, grid):
 
 def _cmd_search(args, tol, grid):
     M, names, desc = _load_algebra(args)
-    config = SearchConfig(seed=args.seed)
+    config = SearchConfig(seed=args.seed, residual_threshold=tol.search_residual)
     desc = dict(desc, seed=args.seed)
     res = search_tg_hyperplanes(M, config, tol)
     result = {"count": len(res.normals),
@@ -398,7 +398,8 @@ def _verify_nonhomo(tol, grid):
 def _verify_heisenberg(tol, grid):
     M = catalog.heisenberg()
     rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
-    res = search_tg_hyperplanes(M, SearchConfig(seed=0), tol)
+    res = search_tg_hyperplanes(
+        M, SearchConfig(seed=0, residual_threshold=tol.search_residual), tol)
     rows.append(_row("no_certified_hyperplanes", float(len(res.normals)),
                      0.0, ok=len(res.normals) == 0))
     return rows

@@ -9,6 +9,7 @@ curves, and pointwise curvature for cross-engine comparisons.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 import numpy as np
@@ -17,6 +18,10 @@ from .config import DEFAULT, Tolerances
 from .errors import (BadParams, DegeneratePlane, DimensionMismatch,
                      IrregularCurve, MetricDegenerate, TgkitError)
 from .tg_analysis import FrenetData
+
+# Largest step count geodesic_integrate accepts: the trajectory is held in
+# memory, (2n + 1) floats per step.
+MAX_RK4_STEPS = 10**6
 
 
 # ------------------------------------------------------------- scalar fields
@@ -161,8 +166,13 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     s0 = float(np.sqrt(v0 @ g0 @ v0))
     if s0 <= 0.0:
         raise BadParams("initial velocity has zero length")
+    if not (math.isfinite(tmax) and math.isfinite(h)):
+        raise BadParams("tmax and step must be finite")
     if tmax <= 0 or h <= 0:
         raise BadParams("tmax and step must be positive")
+    if not tmax / h < MAX_RK4_STEPS + 0.5:
+        raise BadParams(f"tmax / step = {tmax / h:.3e} RK4 steps exceeds the limit "
+                        f"of {MAX_RK4_STEPS}")
     nsteps = max(1, round(tmax / h))
     h = tmax / nsteps
 

@@ -21,6 +21,10 @@ class NotPositiveDefinite(TgkitError):
         super().__init__(f"matrix not positive definite (smallest eigenvalue {self.min_eig:.3e})")
 
 
+class NonFiniteInput(TgkitError):
+    """A structure constant or gram entry is NaN or infinite."""
+
+
 class DegeneratePlane(TgkitError):
     pass
 

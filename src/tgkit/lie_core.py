@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
-                     NotPositiveDefinite, TgkitError)
+                     NonFiniteInput, NotPositiveDefinite, TgkitError)
 
 
 def _as_tensor(c):
@@ -43,6 +43,8 @@ class LieAlgebra:
         n = c.shape[0]
         if not 2 <= n <= 8:
             raise DimensionMismatch(f"dimension {n} outside supported range [2, 8]")
+        if not np.isfinite(c).all():
+            raise NonFiniteInput("structure constants contain NaN or inf")
         anti = np.abs(c + np.transpose(c, (1, 0, 2))).max()
         if anti > 1e-12:
             raise TgkitError(f"structure constants not antisymmetric (residual {anti:.3e})")
@@ -81,6 +83,8 @@ class MetricLieAlgebra:
         gram = np.asarray(gram, dtype=float)
         if gram.shape != (n, n):
             raise DimensionMismatch(f"gram must be {n}x{n}, got {gram.shape}")
+        if not np.isfinite(gram).all():
+            raise NonFiniteInput("gram matrix contains NaN or inf")
         if np.abs(gram - gram.T).max() > 1e-12:
             raise TgkitError("gram matrix not symmetric")
         eigs = np.linalg.eigvalsh(gram)
@@ -280,15 +284,26 @@ def wedge_coords(x, y):
     return np.array([x[i] * y[j] - x[j] * y[i] for i, j in _pairs(n)])
 
 
+def rowdot(a, b):
+    """Dot products along the last axis, broadcast over leading axes.
+
+    Goes through matmul so that every row of C-ordered input equals the
+    1-D `a @ b` (and sqrt(rowdot(a, a)) the 1-D `np.linalg.norm(a)`) bit
+    for bit; an einsum or a sum of products rounds differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def complement_onb(T):
     """Orthonormal basis of T^perp (orthonormal-frame coordinates).
 
     Householder reflection; deterministic and exactly orthogonal to T up
-    to round-off.
+    to round-off.  T may carry leading batch axes; the basis vectors are
+    the columns of the trailing n x (n-1) matrix.
     """
     T = np.asarray(T, float)
-    n = T.shape[0]
-    s = 1.0 if T[0] >= 0 else -1.0
-    v = T + s * np.linalg.norm(T) * np.eye(n)[0]
-    H = np.eye(n) - 2.0 * np.outer(v, v) / (v @ v)
-    return H[:, 1:]
+    n = T.shape[-1]
+    s = np.where(T[..., :1] >= 0, 1.0, -1.0)
+    v = T + s * np.sqrt(rowdot(T, T))[..., None] * np.eye(n)[0]
+    H = np.eye(n) - 2.0 * (v[..., :, None] * v[..., None, :]) / rowdot(v, v)[..., None, None]
+    return H[..., 1:]

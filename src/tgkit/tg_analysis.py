@@ -18,7 +18,7 @@ from .errors import (DimensionMismatch, IdealResidualExceeded, JacobiViolation,
                      NonUnitVector, NotHelixOrderTwo, NotRecognized,
                      NotTotallyGeodesic, TgkitError)
 from .lie_core import (LieAlgebra, MetricLieAlgebra, Subspace, complement_onb,
-                       curvature_tensor, levi_civita, wedge_coords)
+                       curvature_tensor, levi_civita, rowdot, wedge_coords)
 
 
 # ---------------------------------------------------------------- subspaces
@@ -127,75 +127,141 @@ class SearchResult:
 
 
 def _search_objective(G):
+    """f(t) = |P M(t) P|^2 with M(t) = G.t and P = I - t t^T, and its gradient.
+
+    t may carry leading batch axes (one start per row); each row of a
+    C-ordered stack evaluates bit for bit as a lone 1-D t does.
+    """
+    eye = np.eye(G.shape[0])
+
     def f_grad(t):
-        Mm = np.einsum('ijk,k->ij', G, t)
-        P = np.eye(len(t)) - np.outer(t, t)
+        Mm = np.einsum('ijk,...k->...ij', G, t)
+        Mt = np.swapaxes(Mm, -1, -2)
+        P = eye - t[..., :, None] * t[..., None, :]
         PMP = P @ Mm @ P
-        f = float(np.sum(PMP * PMP))
-        g3 = np.einsum('ij,ijk->k', PMP, G)
-        grad = 2.0 * (g3 - PMP @ Mm.T @ t - P @ Mm.T @ P @ Mm @ t)
+        f = np.sum(PMP * PMP, axis=(-2, -1))
+        g3 = np.einsum('...ij,ijk->...k', PMP, G)
+        tc = t[..., :, None]
+        grad = 2.0 * (g3 - (PMP @ Mt @ tc)[..., 0] - (P @ Mt @ P @ Mm @ tc)[..., 0])
         return f, grad
     return f_grad
 
 
-def _descend(f_grad, t, max_iter):
+def _unit_rows(x):
+    return x / np.sqrt(rowdot(x, x))[..., None]
+
+
+# Armijo step lengths: halve from 1 while alpha > 1e-12 (all exact)
+_ALPHAS = 0.5 ** np.arange(64)
+_ALPHAS = _ALPHAS[_ALPHAS > 1e-12]
+
+
+def _batch_descend(f_grad, t, max_iter):
+    """Projected gradient descent on the sphere for every row of t at once.
+
+    Each start takes the first alpha of _ALPHAS that passes Armijo
+    (sufficient decrease 1e-4) and retires when none does, when its
+    projected gradient vanishes, or after max_iter steps.  The backtracking
+    starts try _ALPHAS in blocks of doubling length (1; 1/2, 1/4; 1/8 ..
+    1/64; ...), one objective call per block, so a start that backtracks k
+    times costs about log2(k) calls rather than k; the first passing alpha
+    is the one a one-at-a-time loop would take.
+    """
+    t = t.copy()
+    n = t.shape[1]
     f, g = f_grad(t)
+    live = np.arange(len(t))
     for _ in range(max_iter):
-        rg = g - (g @ t) * t
-        gn = float(rg @ rg)
-        if gn < 1e-28:
+        tl, gl = t[live], g[live]
+        rg = gl - rowdot(gl, tl)[:, None] * tl
+        gn = rowdot(rg, rg)
+        go = ~(gn < 1e-28)
+        live, tl, rg, gn = live[go], tl[go], rg[go], gn[go]
+        if not len(live):
             break
-        alpha = 1.0
-        while alpha > 1e-12:
-            cand = t - alpha * rg
-            cand = cand / np.linalg.norm(cand)
+        moved = np.zeros(len(live), bool)
+        trying = np.arange(len(live))      # positions in live still backtracking
+        lo = 0
+        while len(trying) and lo < len(_ALPHAS):
+            a = _ALPHAS[lo:2 * lo + 1]
+            cand = _unit_rows((tl[trying, None] - a[:, None] * rg[trying, None]).reshape(-1, n))
             fc, gc = f_grad(cand)
-            if fc <= f - 1e-4 * alpha * gn:
-                t, f, g = cand, fc, gc
-                break
-            alpha *= 0.5
-        else:
-            break
-    return t, f
+            ok = fc.reshape(-1, len(a)) <= (f[live[trying], None]
+                                            - 1e-4 * a * gn[trying, None])
+            passed = ok.any(axis=1)
+            hit = np.flatnonzero(passed)
+            pick = hit * len(a) + ok[hit].argmax(axis=1)
+            won = live[trying[hit]]
+            t[won], f[won], g[won] = cand[pick], fc[pick], gc[pick]
+            moved[trying[hit]] = True
+            trying = trying[~passed]
+            lo += len(a)
+        live = live[moved]
+    return t
 
 
-def _newton_polish(f_grad, t, iters):
-    n = len(t)
+def _solve_rows(A, b):
+    # one LAPACK call for the stack; a singular row comes back NaN
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+def _batch_newton(f_grad, t, iters):
+    """Newton steps on the sphere for every row of t at once.
+
+    The chart at t is xi -> (t + Q xi)/|t + Q xi| with Q = complement_onb(t);
+    the Hessian is the central difference (h = 1e-6) of the chart gradient,
+    symmetrized and regularized by 1e-12 times its largest entry.  A start
+    stops when its chart gradient or Hessian vanishes, its solve is
+    singular, or a step would raise f.  The 2(n-1)+1 chart points of all
+    live starts, and f at the starts themselves, go through one objective
+    call per step.
+    """
+    t = t.copy()
+    n = t.shape[1]
+    h = 1e-6
+    live = np.arange(len(t))
     for _ in range(iters):
-        Q = complement_onb(t)
-
-        def chart_grad(xi):
-            u = t + Q @ xi
-            nu = np.linalg.norm(u)
-            tt = u / nu
-            _, g = f_grad(tt)
-            return Q.T @ (g - (g @ tt) * tt) / nu
-
-        g0 = chart_grad(np.zeros(n - 1))
-        if float(g0 @ g0) < 1e-32:
+        if not len(live):
             break
-        h = 1e-6
-        H = np.empty((n - 1, n - 1))
-        for j in range(n - 1):
-            e = np.zeros(n - 1)
-            e[j] = h
-            H[:, j] = (chart_grad(e) - chart_grad(-e)) / (2 * h)
-        H = 0.5 * (H + H.T)
-        scale = np.abs(H).max()
-        if scale < 1e-14:
+        tl = t[live]
+        L = len(live)
+        Q = complement_onb(tl)                             # L x n x (n-1)
+        QT = np.swapaxes(Q, 1, 2)
+        # chart points at xi = 0, +h e_j, -h e_j; C order, because numpy
+        # picks its kernels (so the rounding) by memory layout
+        u = np.ascontiguousarray(
+            tl[:, None, :] + np.concatenate([np.zeros((L, 1, n)), h * QT, -h * QT], axis=1))
+        nu = np.sqrt(rowdot(u, u))
+        tt = u / nu[..., None]
+        fa, ga = f_grad(np.concatenate([tt.reshape(-1, n), tl]))
+        f_old = fa[-L:]
+        gp = ga[:-L].reshape(tt.shape)
+        gp = gp - rowdot(gp, tt)[..., None] * tt
+        cg = (QT[:, None] @ gp[..., None])[..., 0] / nu[..., None]
+        g0 = cg[:, 0]
+        H = np.swapaxes(cg[:, 1:n] - cg[:, n:], 1, 2) / (2 * h)
+        H = 0.5 * (H + np.swapaxes(H, 1, 2))
+        scale = np.abs(H).max(axis=(1, 2))
+        go = ~(rowdot(g0, g0) < 1e-32) & ~(scale < 1e-14)
+        live, tl, Q, f_old = live[go], tl[go], Q[go], f_old[go]
+        if not len(live):
             break
-        try:
-            delta = np.linalg.solve(H + 1e-12 * scale * np.eye(n - 1), -g0)
-        except np.linalg.LinAlgError:
-            break
-        cand = t + Q @ delta
-        cand = cand / np.linalg.norm(cand)
-        f_old, _ = f_grad(t)
+        A = H[go] + 1e-12 * scale[go, None, None] * np.eye(n - 1)
+        delta = _solve_rows(A, -g0[go])
+        cand = _unit_rows(tl + (Q @ delta[..., None])[..., 0])
         f_new, _ = f_grad(cand)
-        if f_new <= f_old:
-            t = cand
-        else:
-            break
+        ok = f_new <= f_old          # False on a singular (NaN) row
+        live = live[ok]
+        t[live] = cand[ok]
     return t
 
 
@@ -208,7 +274,10 @@ def _sign_normalize(v, eps=1e-8):
 
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None,
                           tol: Tolerances = None) -> SearchResult:
-    """Multistart projected descent for unit normals of TG hyperplanes.
+    """Seeded multistart projected descent for unit normals of TG hyperplanes.
+
+    All config.n_starts starts descend and polish together as one array;
+    each is then certified on its own by hyperplane_tg_residual.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input
@@ -220,13 +289,12 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None,
     G = levi_civita(M, tol).coefficients
     f_grad = _search_objective(G)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
+    starts = np.array([np.random.Generator(np.random.PCG64(s)).standard_normal(n)
+                       for s in seeds]).reshape(-1, n)
+    ts = _batch_descend(f_grad, _unit_rows(starts), config.max_iter)
+    ts = _batch_newton(f_grad, ts, config.newton_iter)
     found = []
-    for s in seeds:
-        rng = np.random.Generator(np.random.PCG64(s))
-        t = rng.standard_normal(n)
-        t /= np.linalg.norm(t)
-        t, f = _descend(f_grad, t, config.max_iter)
-        t = _newton_polish(f_grad, t, config.newton_iter)
+    for t in ts:
         x = M.from_onb(t)
         x = x / M.norm(x)
         try:

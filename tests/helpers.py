@@ -116,3 +116,66 @@ def direct_sum(c1, c2):
     c[:n1, :n1, :n1] = c1
     c[n1:, n1:, n1:] = c2
     return c
+
+
+def descend_one(f_grad, t, max_iter):
+    """Projected Armijo descent of one start on the sphere, as a plain loop."""
+    f, g = f_grad(t)
+    for _ in range(max_iter):
+        rg = g - (g @ t) * t
+        gn = float(rg @ rg)
+        if gn < 1e-28:
+            break
+        alpha = 1.0
+        while alpha > 1e-12:
+            cand = t - alpha * rg
+            cand = cand / np.linalg.norm(cand)
+            fc, gc = f_grad(cand)
+            if fc <= f - 1e-4 * alpha * gn:
+                t, f, g = cand, fc, gc
+                break
+            alpha *= 0.5
+        else:
+            break
+    return t
+
+
+def newton_one(f_grad, t, iters, complement_onb):
+    """Finite-difference Newton polish of one start, as a plain loop."""
+    n = len(t)
+    for _ in range(iters):
+        Q = complement_onb(t)
+
+        def chart_grad(xi):
+            u = t + Q @ xi
+            nu = np.linalg.norm(u)
+            tt = u / nu
+            _, g = f_grad(tt)
+            return Q.T @ (g - (g @ tt) * tt) / nu
+
+        g0 = chart_grad(np.zeros(n - 1))
+        if float(g0 @ g0) < 1e-32:
+            break
+        h = 1e-6
+        H = np.empty((n - 1, n - 1))
+        for j in range(n - 1):
+            e = np.zeros(n - 1)
+            e[j] = h
+            H[:, j] = (chart_grad(e) - chart_grad(-e)) / (2 * h)
+        H = 0.5 * (H + H.T)
+        scale = np.abs(H).max()
+        if scale < 1e-14:
+            break
+        try:
+            delta = np.linalg.solve(H + 1e-12 * scale * np.eye(n - 1), -g0)
+        except np.linalg.LinAlgError:
+            break
+        cand = t + Q @ delta
+        cand = cand / np.linalg.norm(cand)
+        f_old, _ = f_grad(t)
+        f_new, _ = f_grad(cand)
+        if f_new <= f_old:
+            t = cand
+        else:
+            break
+    return t

@@ -198,6 +198,15 @@ def test_tol_override_reflected(capsys):
     assert rep["tolerances_used"]["tg_residual"] == 1e-3
 
 
+def test_search_residual_override_honoured(capsys):
+    # both sl2 normals certify near 1e-16, far above the override
+    code, rep = _json_out(capsys, ["search", "--builtin", "sl2:1,1",
+                                   "--tol", "search_residual=1e-40"])
+    assert code == 0
+    assert rep["tolerances_used"]["search_residual"] == 1e-40
+    assert rep["result"]["count"] == 0
+
+
 # -------------------------------------------------------------- error paths
 
 def test_input_errors_exit_1(capsys):
@@ -235,6 +244,31 @@ def test_algebra_file_errors_exit_1(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     assert run(["info", "--algebra", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+def test_non_finite_algebra_file_exits_1(tmp_path, capsys):
+    for key, data in (
+            ("structure constants", {"dim": 2, "brackets": [
+                {"i": 0, "j": 1, "coeffs": [float("nan"), 0]}]}),
+            ("gram", {"dim": 2, "brackets": [], "gram": [[1, 0], [0, float("inf")]]})):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))
+        assert run(["info", "--algebra", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tgkit: error:")
+        assert key in captured.err and "NaN or inf" in captured.err
+
+
+def test_geodesic_unbounded_work_exits_1(capsys):
+    # refused before any trajectory array is allocated
+    base = ["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0", "--v0", "0.1,0"]
+    for extra, msg in ((["--tmax", "1e9", "--step", "1e-9"], "exceeds the limit"),
+                       (["--tmax", "nan"], "must be finite"),
+                       (["--tmax", "1", "--step", "inf"], "must be finite")):
+        assert run(base + extra) == 1, extra
+        err = capsys.readouterr().err
+        assert err.startswith("tgkit: error:") and msg in err, extra
 
 
 def test_algebra_file_happy_path(tmp_path, capsys):

@@ -1,11 +1,14 @@
 import numpy as np
 
-from helpers import random_orthogonal, rotate_constants
+from helpers import (descend_one, direct_sum, newton_one, random_orthogonal,
+                     rotate_constants)
 
 from tgkit import catalog
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
-from tgkit.tg_analysis import (SearchConfig, _search_objective,
-                               hyperplane_tg_residual, search_tg_hyperplanes)
+from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, complement_onb, levi_civita
+from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_descend,
+                               _batch_newton, _search_objective, _solve_rows,
+                               classify_case, hyperplane_tg_residual,
+                               search_tg_hyperplanes)
 
 
 def test_sl2_finds_both_borel_normals():
@@ -104,3 +107,61 @@ def test_objective_gradient_matches_finite_differences():
                 fp, _ = f_grad(t + e)
                 fm, _ = f_grad(t - e)
                 assert abs((fp - fm) / (2 * h) - g[k]) < 1e-6 * max(1.0, abs(g[k]))
+
+
+def test_objective_batched_matches_row_by_row():
+    # the search evaluates all starts as one (K, n) stack
+    rng = np.random.default_rng(37)
+    for M in (catalog.sl2(1, 2), catalog.nonhomo(), catalog.heisenberg()):
+        f_grad = _search_objective(levi_civita(M).coefficients)
+        T = rng.normal(size=(16, M.dim))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        F, Gr = f_grad(T)
+        assert F.shape == (16,) and Gr.shape == (16, M.dim)
+        for t, f, g in zip(T, F, Gr):
+            f1, g1 = f_grad(t)
+            assert abs(f1 - f) <= 1e-14
+            assert np.abs(g1 - g).max() <= 1e-14
+
+
+def test_direct_sum_census_sl2_plus_line():
+    # sl2(1,1) + R: the product factor's normal E4 (case (a)) and the two
+    # Borel normals of the sl2 factor (case (c))
+    c = direct_sum(catalog.sl2(1.0, 1.0).algebra.structure_constants,
+                   np.zeros((1, 1, 1)))
+    M = MetricLieAlgebra(LieAlgebra(c))
+    got = search_tg_hyperplanes(M)
+    assert len(got) == 3
+    want = [np.eye(4)[3], np.array([1.0, 2.0, 0.0, 0.0]) / np.sqrt(5.0), np.eye(4)[0]]
+    tags = [CaseTag.GEODESIC_NORMAL, CaseTag.HELIX_ORDER_TWO, CaseTag.HELIX_ORDER_TWO]
+    for x, r, w, tag in zip(got.normals, got.residuals, want, tags):
+        assert np.abs(x - w).max() < 1e-9
+        assert r < 1e-10
+        assert classify_case(M, x).case_tag is tag
+    assert not got.continuum
+
+
+def test_batched_search_matches_one_start_at_a_time():
+    # same operations in the same order, so equal to the last bit; the
+    # rotated nonhomo has dense 4-dim connection coefficients
+    rng = np.random.default_rng(41)
+    c = catalog.nonhomo().algebra.structure_constants
+    rotated = MetricLieAlgebra(LieAlgebra(rotate_constants(c, random_orthogonal(rng, 4))))
+    for M in (catalog.sl2(1, 2), rotated, catalog.heisenberg()):
+        f_grad = _search_objective(levi_civita(M).coefficients)
+        T = rng.normal(size=(8, M.dim))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        D = _batch_descend(f_grad, T, 200)
+        N = _batch_newton(f_grad, D, 6)
+        for t, d, p in zip(T, D, N):
+            d1 = descend_one(f_grad, t, 200)
+            assert np.array_equal(d1, d)
+            assert np.array_equal(newton_one(f_grad, d1, 6, complement_onb), p)
+
+
+def test_singular_newton_solve_stops_only_its_row():
+    A = np.stack([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)])
+    x = _solve_rows(A, np.ones((3, 2)))
+    assert np.array_equal(x[0], [1.0, 1.0])
+    assert np.isnan(x[1]).all()
+    assert np.array_equal(x[2], [0.5, 0.5])
