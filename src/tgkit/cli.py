@@ -66,8 +66,9 @@ _FILE_KEYS = {"dim", "basis", "brackets", "gram"}
 _BRACKET_KEYS = {"i", "j", "coeffs"}
 
 
-def parse_algebra_file(data) -> tuple:
-    """Validated (MetricLieAlgebra, basis_names) from a parsed JSON object."""
+def parse_algebra_file(data, tol: Tolerances = DEFAULT) -> tuple:
+    """Validated (MetricLieAlgebra, basis_names) from a parsed JSON object,
+    admitted under `tol`."""
     if not isinstance(data, dict):
         raise AlgebraFileError("top level must be a JSON object")
     unknown = set(data) - _FILE_KEYS
@@ -115,7 +116,7 @@ def parse_algebra_file(data) -> tuple:
         gram = np.asarray(gram, float)
         if gram.shape != (dim, dim):
             raise AlgebraFileError(f"gram must be {dim}x{dim}")
-    M = MetricLieAlgebra(LieAlgebra(c), gram)
+    M = MetricLieAlgebra(LieAlgebra(c, tol), gram, tol)
     return M, basis
 
 
@@ -158,6 +159,8 @@ def _parse_vector(text, dim=None):
         v = np.array([float(t) for t in text.split(",")])
     except ValueError:
         raise BadParams(f"cannot parse vector {text!r}")
+    if not np.isfinite(v).all():
+        raise BadParams(f"vector {text!r} has NaN or inf entries")
     if dim is not None and len(v) != dim:
         raise BadParams(f"vector {text!r} has length {len(v)}, expected {dim}")
     return v
@@ -178,7 +181,12 @@ def _parse_subspace(text, dim):
     return Subspace(dim, np.stack(cols, axis=1))
 
 
-def _load_algebra(args):
+def _admit(M, tol):
+    """The catalog algebra M admitted again, under the run's tolerances."""
+    return MetricLieAlgebra(LieAlgebra(M.algebra.structure_constants, tol), M.gram, tol)
+
+
+def _load_algebra(args, tol):
     """(MetricLieAlgebra, basis names, canonical input description)."""
     if args.algebra:
         with open(args.algebra, "r", encoding="utf-8") as fh:
@@ -186,13 +194,13 @@ def _load_algebra(args):
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise AlgebraFileError(f"invalid JSON: {exc}")
-        M, names = parse_algebra_file(data)
+        M, names = parse_algebra_file(data, tol)
         return M, names, {"algebra_file": data}
     name, params = parse_builtin(args.builtin)
     obj = catalog.catalog_lookup(name, params)
     if not isinstance(obj, MetricLieAlgebra):
         raise BadParams(f"builtin {name!r} is a chart, not an algebra")
-    return obj, [f"e{i}" for i in range(obj.dim)], \
+    return _admit(obj, tol), [f"e{i}" for i in range(obj.dim)], \
         {"builtin": name, "params": params}
 
 
@@ -217,7 +225,7 @@ def _cmd_info(args, tol, grid):
             result = {"kind": "chart", "dim": obj.dim,
                       "exact_partials": obj.partials_at is not None}
             return result, {}, None, 0, {"builtin": name, "params": params}
-    M, names, desc = _load_algebra(args)
+    M, names, desc = _load_algebra(args, tol)
     jac = jacobi_residual(M.algebra)
     Q = M.onb_change
     onb_res = float(np.abs(Q.T @ M.gram @ Q - np.eye(M.dim)).max())
@@ -235,8 +243,8 @@ def _cmd_info(args, tol, grid):
 
 
 def _cmd_curvature(args, tol, grid):
-    M, names, desc = _load_algebra(args)
-    data = curvature_tensor(M, tol)
+    M, names, desc = _load_algebra(args, tol)
+    data = curvature_tensor(M)
     result = {"pairs": [list(p) for p in data.pairs],
               "eigenvalues": data.eigenvalues.tolist(),
               "operator": data.operator_matrix.tolist(),
@@ -245,11 +253,11 @@ def _cmd_curvature(args, tol, grid):
 
 
 def _cmd_tg_check(args, tol, grid):
-    M, names, desc = _load_algebra(args)
+    M, names, desc = _load_algebra(args, tol)
     if args.subspace:
         S = _parse_subspace(args.subspace, M.dim)
         desc = dict(desc, subspace=args.subspace)
-        check = tg_subspace_check(M, S, tol)
+        check = tg_subspace_check(M, S)
         witness = None
         if check.witness is not None:
             witness = {"kind": check.witness.kind, "i": check.witness.i,
@@ -263,7 +271,7 @@ def _cmd_tg_check(args, tol, grid):
         raise BadParams("tg-check needs --subspace or --normal")
     T = _unit_normal(M, args.normal)
     desc = dict(desc, normal=args.normal)
-    res = hyperplane_tg_residual(M, T, tol)
+    res = hyperplane_tg_residual(M, T)
     ok = res < tol.tg_residual
     result = {"ok": ok, "residual": res, "witness": None,
               "subspace_dim": M.dim - 1}
@@ -280,12 +288,12 @@ def _frenet_payload(fr):
 
 
 def _cmd_frenet(args, tol, grid):
-    M, names, desc = _load_algebra(args)
+    M, names, desc = _load_algebra(args, tol)
     if not args.normal:
         raise BadParams("frenet needs --normal")
     T = _unit_normal(M, args.normal)
     desc = dict(desc, normal=args.normal)
-    fr = frenet_orbit(M, T, tol=tol)
+    fr = frenet_orbit(M, T)
     residuals = {}
     if fr.truncation_residual is not None:
         residuals["truncation_residual"] = fr.truncation_residual
@@ -293,16 +301,16 @@ def _cmd_frenet(args, tol, grid):
 
 
 def _cmd_classify(args, tol, grid):
-    M, names, desc = _load_algebra(args)
+    M, names, desc = _load_algebra(args, tol)
     if not args.normal:
         raise BadParams("classify needs --normal")
     T = _unit_normal(M, args.normal)
     desc = dict(desc, normal=args.normal)
     try:
-        report = classify_case(M, T, tol)
+        report = classify_case(M, T)
     except NotTotallyGeodesic as exc:
         result = {"error": str(exc), "ok": False}
-        return result, {"tg_residual": exc.residual}, None, 2, desc
+        return result, {exc.label: exc.residual}, None, 2, desc
     result = {"case_tag": report.case_tag.value,
               "frenet": _frenet_payload(report.frenet),
               "eigenvalue_lambda": report.eigenvalue_lambda,
@@ -318,10 +326,10 @@ def _cmd_classify(args, tol, grid):
 
 
 def _cmd_search(args, tol, grid):
-    M, names, desc = _load_algebra(args)
+    M, names, desc = _load_algebra(args, tol)
     config = SearchConfig(seed=args.seed, residual_threshold=tol.search_residual)
     desc = dict(desc, seed=args.seed)
-    res = search_tg_hyperplanes(M, config, tol)
+    res = search_tg_hyperplanes(M, config)
     result = {"count": len(res.normals),
               "normals": [v.tolist() for v in res.normals],
               "residuals": list(res.residuals),
@@ -360,18 +368,18 @@ def _row(check, residual, tolerance, ok=None):
 def _verify_sl2(params, tol, grid):
     a = float(params.get("a", 1.0))
     b = float(params.get("b", 1.0))
-    M = catalog.sl2(a, b)
+    M = _admit(catalog.sl2(a, b), tol)
     rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
-    conn = levi_civita(M, tol)
+    conn = levi_civita(M)
     rows.append(_row("torsion", conn.torsion_residual, tol.torsion))
     rows.append(_row("metric_compat", conn.compat_residual, tol.metric_compat))
     T = np.array([1.0, 0.0, 0.0])
-    rows.append(_row("tg_hyperplane", hyperplane_tg_residual(M, T, tol),
+    rows.append(_row("tg_hyperplane", hyperplane_tg_residual(M, T),
                      tol.tg_residual))
-    fr = frenet_orbit(M, T, tol=tol)
+    fr = frenet_orbit(M, T)
     err = max(abs(fr.curvatures[0] - 2 * b), abs(fr.curvatures[1] - 2 * a))
     rows.append(_row("frenet_curvatures", err, 1e-9))
-    w = helix_witness(M, T, tol)
+    w = helix_witness(M, T)
     rows.append(_row("helix_table", w.residuals["bracket_table_residual"],
                      tol.bracket_table))
     rows.append(_row("recognized_params",
@@ -381,12 +389,12 @@ def _verify_sl2(params, tol, grid):
 
 
 def _verify_nonhomo(tol, grid):
-    M = catalog.nonhomo()
+    M = _admit(catalog.nonhomo(), tol)
     T = np.array([0.0, 0.0, 0.0, 1.0])
     rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi),
-            _row("tg_hyperplane", hyperplane_tg_residual(M, T, tol),
+            _row("tg_hyperplane", hyperplane_tg_residual(M, T),
                  tol.tg_residual)]
-    report = classify_case(M, T, tol)
+    report = classify_case(M, T)
     rows.append(_row("case_circle", abs(report.frenet.curvatures[0] - 2.0),
                      1e-9, ok=report.case_tag.value == "CircleNormal"
                      and abs(report.frenet.curvatures[0] - 2.0) <= 1e-9))
@@ -396,10 +404,10 @@ def _verify_nonhomo(tol, grid):
 
 
 def _verify_heisenberg(tol, grid):
-    M = catalog.heisenberg()
+    M = _admit(catalog.heisenberg(), tol)
     rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
     res = search_tg_hyperplanes(
-        M, SearchConfig(seed=0, residual_threshold=tol.search_residual), tol)
+        M, SearchConfig(seed=0, residual_threshold=tol.search_residual))
     rows.append(_row("no_certified_hyperplanes", float(len(res.normals)),
                      0.0, ok=len(res.normals) == 0))
     return rows
@@ -407,14 +415,14 @@ def _verify_heisenberg(tol, grid):
 
 def _verify_abelian(params, tol, grid):
     n = int(params.get("n", 3))
-    M = catalog.abelian(n)
-    data = curvature_tensor(M, tol)
+    M = _admit(catalog.abelian(n), tol)
+    data = curvature_tensor(M)
     rows = [_row("flat_curvature", float(np.abs(data.components).max()), 1e-12)]
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(5):
         T = rng.standard_normal(n)
-        worst = max(worst, hyperplane_tg_residual(M, T / np.linalg.norm(T), tol))
+        worst = max(worst, hyperplane_tg_residual(M, T / np.linalg.norm(T)))
     rows.append(_row("all_hyperplanes_tg", worst, tol.tg_residual))
     return rows
 
@@ -476,7 +484,7 @@ def _verify_twisted(params, tol, grid):
             worst = max(worst, sff.max_norm)
     rows.append(_row("leaf_sff", worst, tol.sff_leaf))
     cart = catalog.twisted_h2_cartesian(kappa)
-    alg = catalog.sl2(kappa / 2.0, 0.5)
+    alg = _admit(catalog.sl2(kappa / 2.0, 0.5), tol)
     # at the anchor with t = 0 the chart frame lines up with the algebra
     # frame; along t it rotates at rate kappa, so only t = 0 matches planes
     x = np.zeros(3)
@@ -488,7 +496,7 @@ def _verify_twisted(params, tol, grid):
         # chart planes (t,x), (t,y), (x,y) meet the algebra as
         # (E1,E3), (E1,E2), (E2,E3)
         amap = {0: 0, 1: 2, 2: 1}
-        Ka = sectional(alg, np.eye(3)[amap[i]], np.eye(3)[amap[j]], tol)
+        Ka = sectional(alg, np.eye(3)[amap[i]], np.eye(3)[amap[j]])
         worst = max(worst, abs(Kc - Ka))
     rows.append(_row("anchor_sectional_vs_algebra", worst, tol.cross_engine))
     return rows

@@ -14,7 +14,6 @@ class Tolerances:
     jacobi: float = 1e-9                # Lie algebra admission
     onb: float = 1e-12                  # Q^T G Q = I check
     spd_min_eig: float = 0.0            # gram eigenvalues must exceed this
-    subspace_rank: float = 1e-10        # smallest singular value of a basis
 
     # connection / curvature identities
     torsion: float = 1e-12
@@ -46,17 +45,13 @@ class Tolerances:
 
     # coordinate engine
     fd_vs_exact: float = 1e-6
-    speed_drift: float = 1e-6           # per unit time
     speed_reject: float = 1e-4
     ode_residual: float = 1e-10
     eikonal: float = 1e-12
     leaf_frenet: float = 1e-3
     leaf_k3: float = 1e-4
     sff_leaf: float = 1e-7
-    sff_flat: float = 1e-8
     cross_engine: float = 1e-6
-    geodesic_axis: float = 1e-8
-    anchor_exclusion: float = 1e-3      # disc around the polar center
 
     def replace(self, **kw) -> "Tolerances":
         return dataclasses.replace(self, **kw)

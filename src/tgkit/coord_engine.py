@@ -17,11 +17,25 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import (BadParams, DegeneratePlane, DimensionMismatch,
                      IrregularCurve, MetricDegenerate, TgkitError)
+from .lie_core import gram_schmidt
 from .tg_analysis import FrenetData
 
 # Largest step count geodesic_integrate accepts: the trajectory is held in
 # memory, (2n + 1) floats per step.
 MAX_RK4_STEPS = 10**6
+
+
+def _richardson(f, x, step):
+    """d f / d x^k stacked over k: central differences with one Richardson
+    level, h_k = step * max(1, |x^k|), (4 D(h_k / 2) - D(h_k)) / 3."""
+    rows = []
+    for k, h in enumerate(step * np.maximum(1.0, np.abs(x))):
+        e = np.zeros(len(x))
+        e[k] = h
+        d1 = (f(x + e) - f(x - e)) / (2 * h)
+        d2 = (f(x + e / 2) - f(x - e / 2)) / h
+        rows.append((4 * d2 - d1) / 3)
+    return np.array(rows, dtype=float)
 
 
 # ------------------------------------------------------------- scalar fields
@@ -46,36 +60,17 @@ class ScalarField:
     def value(self, x):
         return float(self.fn(np.asarray(x, float)))
 
-    def _steps(self, x):
-        return self.fd_step * np.maximum(1.0, np.abs(x))
-
     def gradient(self, x):
         x = np.asarray(x, float)
         if self._grad is not None:
             return np.asarray(self._grad(x), float)
-        h = self._steps(x)
-        g = np.empty(len(x))
-        for k in range(len(x)):
-            e = np.zeros(len(x))
-            e[k] = h[k]
-            d1 = (self.fn(x + e) - self.fn(x - e)) / (2 * h[k])
-            d2 = (self.fn(x + e / 2) - self.fn(x - e / 2)) / h[k]
-            g[k] = (4 * d2 - d1) / 3
-        return g
+        return _richardson(self.fn, x, self.fd_step)
 
     def hessian(self, x):
         x = np.asarray(x, float)
         if self._hess is not None:
             return np.asarray(self._hess(x), float)
-        h = self._steps(x)
-        n = len(x)
-        H = np.empty((n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h[k]
-            d1 = (self.gradient(x + e) - self.gradient(x - e)) / (2 * h[k])
-            d2 = (self.gradient(x + e / 2) - self.gradient(x - e / 2)) / h[k]
-            H[k] = (4 * d2 - d1) / 3
+        H = _richardson(self.gradient, x, self.fd_step)
         return 0.5 * (H + H.T)
 
 
@@ -117,18 +112,7 @@ class CoordinateMetric:
             if self.partials_at is None:
                 raise TgkitError("no exact partials available")
             return np.asarray(self.partials_at(x), float)
-        n = self.dim
-        dg = np.empty((n, n, n))
-        for k in range(n):
-            h = self.fd_step * max(1.0, abs(x[k]))
-            e = np.zeros(n)
-            e[k] = h
-            d1 = (np.asarray(self.gram_at(x + e), float)
-                  - np.asarray(self.gram_at(x - e), float)) / (2 * h)
-            d2 = (np.asarray(self.gram_at(x + e / 2), float)
-                  - np.asarray(self.gram_at(x - e / 2), float)) / h
-            dg[k] = (4 * d2 - d1) / 3
-        return dg
+        return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, self.fd_step)
 
 
 def christoffel(CM: CoordinateMetric, x, exact=None):
@@ -267,12 +251,7 @@ def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x,
     Tmat = np.stack(tang, axis=1)
     sff = Tmat.T @ hess @ Tmat / gradnorm
     # orthonormalize the tangent frame in g for the reported max norm
-    Q = Tmat.copy()
-    for j in range(Q.shape[1]):
-        v = Q[:, j]
-        for i in range(j):
-            v = v - (Q[:, i] @ g @ v) * Q[:, i]
-        Q[:, j] = v / np.sqrt(v @ g @ v)
+    Q = gram_schmidt(Tmat.copy(), g)
     sff_onb = Q.T @ (hess / gradnorm) @ Q
     return SffResult(sff, float(np.abs(sff_onb).max()))
 
@@ -444,15 +423,7 @@ def eikonal_residuals(spec: TwistedProductSpec, u_points) -> EikonalResiduals:
 def riemann_at(CM: CoordinateMetric, x, step=1e-3):
     """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at x (FD of Christoffel)."""
     x = np.asarray(x, float)
-    n = CM.dim
-    dG = np.empty((n, n, n, n))
-    for k in range(n):
-        h = step * max(1.0, abs(x[k]))
-        e = np.zeros(n)
-        e[k] = h
-        d1 = (christoffel(CM, x + e) - christoffel(CM, x - e)) / (2 * h)
-        d2 = (christoffel(CM, x + e / 2) - christoffel(CM, x - e / 2)) / h
-        dG[k] = (4 * d2 - d1) / 3
+    dG = _richardson(lambda y: christoffel(CM, y), x, step)
     G = christoffel(CM, x)
     # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
     Rup = (np.einsum('iljk->lijk', dG[:, :, :, :])

@@ -51,9 +51,13 @@ class NotRecognized(TgkitError):
 
 
 class NotTotallyGeodesic(TgkitError):
-    def __init__(self, residual):
+    """A normal fails a TG gate; `label` names the residual that failed."""
+
+    def __init__(self, residual, label="tg_residual"):
         self.residual = float(residual)
-        super().__init__(f"hyperplane residual {self.residual:.3e} exceeds certification tolerance")
+        self.label = label
+        name = "hyperplane residual" if label == "tg_residual" else label
+        super().__init__(f"{name} {self.residual:.3e} exceeds certification tolerance")
 
 
 class MetricDegenerate(TgkitError):

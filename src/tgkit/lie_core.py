@@ -15,12 +15,15 @@ makes diagonal entries the sectional curvatures of coordinate planes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
                      NonFiniteInput, NotPositiveDefinite, TgkitError)
+
+SUBSPACE_RANK = 1e-10      # smallest singular value of a Subspace basis
 
 
 def _as_tensor(c):
@@ -73,7 +76,8 @@ class MetricLieAlgebra:
     """Lie algebra plus inner product, with a cached orthonormal frame.
 
     onb_change has the orthonormal basis vectors as columns (in input
-    coordinates); onb_change^T gram onb_change = I.
+    coordinates); onb_change^T gram onb_change = I.  Every gate reads `tol`;
+    `connection` and `curvature` are computed and gated once, on first use.
     """
 
     def __init__(self, algebra: LieAlgebra, gram=None, tol: Tolerances = DEFAULT):
@@ -103,12 +107,7 @@ class MetricLieAlgebra:
         # Cholesky gives Q = L^{-T}; one modified Gram-Schmidt pass in the
         # gram inner product polishes conditioning.
         L = np.linalg.cholesky(gram)
-        Q = np.linalg.inv(L.T)
-        for j in range(Q.shape[1]):
-            v = Q[:, j]
-            for i in range(j):
-                v = v - (Q[:, i] @ gram @ v) * Q[:, i]
-            Q[:, j] = v / np.sqrt(v @ gram @ v)
+        Q = gram_schmidt(np.linalg.inv(L.T), gram)
         res = np.abs(Q.T @ gram @ Q - np.eye(Q.shape[0])).max()
         if res > tol.onb:
             raise TgkitError(f"orthonormalization failed (residual {res:.3e})")
@@ -120,6 +119,60 @@ class MetricLieAlgebra:
         cp = 0.5 * (cp - np.transpose(cp, (1, 0, 2)))
         cp.setflags(write=False)
         return cp
+
+    @functools.cached_property
+    def connection(self) -> ConnectionTable:
+        """Koszul formula in the orthonormal frame.
+
+        G[i][j][k] = (c[ijk] - c[jki] + c[kij]) / 2 on the orthonormal
+        structure constants.
+        """
+        c = self.onb_constants
+        G = 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
+        compat = float(np.abs(G + np.transpose(G, (0, 2, 1))).max())
+        torsion = float(np.abs(G - np.transpose(G, (1, 0, 2)) - c).max())
+        if not compat <= self.tol.metric_compat:
+            raise TgkitError(f"metric compatibility violated ({compat:.3e})")
+        if not torsion <= self.tol.torsion:
+            raise TgkitError(f"torsion-free identity violated ({torsion:.3e})")
+        G.setflags(write=False)
+        return ConnectionTable(G, torsion, compat)
+
+    @functools.cached_property
+    def curvature(self) -> CurvatureData:
+        """Curvature tensor and curvature operator in the orthonormal frame."""
+        tol = self.tol
+        c = self.onb_constants
+        G = self.connection.coefficients
+        R = (np.einsum('jkm,iml->ijkl', G, G)
+             - np.einsum('ikm,jml->ijkl', G, G)
+             - np.einsum('ijm,mkl->ijkl', c, G))
+        sym1 = np.abs(R + np.transpose(R, (1, 0, 2, 3))).max()
+        sym2 = np.abs(R + np.transpose(R, (0, 1, 3, 2))).max()
+        sym3 = np.abs(R - np.transpose(R, (2, 3, 0, 1))).max()
+        bianchi = np.abs(R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))).max()
+        worst = max(sym1, sym2, sym3)
+        if not worst <= tol.r_symmetry:
+            raise TgkitError(f"curvature symmetry violated ({worst:.3e})")
+        if not bianchi <= tol.bianchi:
+            raise TgkitError(f"first Bianchi identity violated ({bianchi:.3e})")
+        prs = _pairs(self.dim)
+        m = len(prs)
+        op = np.empty((m, m))
+        for p, (i, j) in enumerate(prs):
+            for q, (k, l) in enumerate(prs):
+                op[p, q] = R[i, j, l, k]
+        asym = np.abs(op - op.T).max()
+        if not asym <= tol.operator_symmetric:
+            raise TgkitError(f"curvature operator not symmetric ({asym:.3e})")
+        op = 0.5 * (op + op.T)
+        vals, vecs = np.linalg.eigh(op)
+        rec = np.abs(vecs @ np.diag(vals) @ vecs.T - op).max()
+        if not rec <= tol.operator_reconstruct:
+            raise TgkitError(f"eigendecomposition reconstruction off ({rec:.3e})")
+        R.setflags(write=False)
+        op.setflags(write=False)
+        return CurvatureData(R, op, vals, vecs, tuple(prs))
 
     @property
     def dim(self):
@@ -137,6 +190,16 @@ class MetricLieAlgebra:
 
     def from_onb(self, x):
         return self.onb_change @ np.asarray(x, float)
+
+
+def gram_schmidt(Q, gram):
+    """Modified Gram-Schmidt on the columns of Q in the gram inner product, in place."""
+    for j in range(Q.shape[1]):
+        v = Q[:, j]
+        for i in range(j):
+            v = v - (Q[:, i] @ gram @ v) * Q[:, i]
+        Q[:, j] = v / np.sqrt(v @ gram @ v)
+    return Q
 
 
 def bracket(M, x, y):
@@ -163,7 +226,7 @@ class Subspace:
             raise DimensionMismatch(f"basis has {B.shape[1]} columns")
         if B.shape[1]:      # zero columns encode the trivial subspace
             sv = np.linalg.svd(B, compute_uv=False)
-            if sv[-1] <= DEFAULT.subspace_rank:
+            if sv[-1] <= SUBSPACE_RANK:
                 raise DimensionMismatch(
                     f"basis columns nearly dependent (smallest singular value {sv[-1]:.3e})")
         B.setflags(write=False)
@@ -188,23 +251,9 @@ class ConnectionTable:
     compat_residual: float
 
 
-def levi_civita(M: MetricLieAlgebra, tol: Tolerances = None) -> ConnectionTable:
-    """Koszul formula in the orthonormal frame.
-
-    G[i][j][k] = (c[ijk] - c[jki] + c[kij]) / 2 on the orthonormal
-    structure constants.
-    """
-    tol = tol or M.tol
-    c = M.onb_constants
-    G = 0.5 * (c - np.transpose(c, (2, 0, 1)) + np.transpose(c, (1, 2, 0)))
-    compat = float(np.abs(G + np.transpose(G, (0, 2, 1))).max())
-    torsion = float(np.abs(G - np.transpose(G, (1, 0, 2)) - c).max())
-    if compat > tol.metric_compat:
-        raise TgkitError(f"metric compatibility violated ({compat:.3e})")
-    if torsion > tol.torsion:
-        raise TgkitError(f"torsion-free identity violated ({torsion:.3e})")
-    G.setflags(write=False)
-    return ConnectionTable(G, torsion, compat)
+def levi_civita(M: MetricLieAlgebra) -> ConnectionTable:
+    """The connection of M, computed and gated once (MetricLieAlgebra.connection)."""
+    return M.connection
 
 
 def _pairs(n):
@@ -220,39 +269,9 @@ class CurvatureData:
     pairs: tuple
 
 
-def curvature_tensor(M: MetricLieAlgebra, tol: Tolerances = None) -> CurvatureData:
-    tol = tol or M.tol
-    c = M.onb_constants
-    G = levi_civita(M, tol).coefficients
-    R = (np.einsum('jkm,iml->ijkl', G, G)
-         - np.einsum('ikm,jml->ijkl', G, G)
-         - np.einsum('ijm,mkl->ijkl', c, G))
-    sym1 = np.abs(R + np.transpose(R, (1, 0, 2, 3))).max()
-    sym2 = np.abs(R + np.transpose(R, (0, 1, 3, 2))).max()
-    sym3 = np.abs(R - np.transpose(R, (2, 3, 0, 1))).max()
-    bianchi = np.abs(R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))).max()
-    worst = max(sym1, sym2, sym3)
-    if worst > tol.r_symmetry:
-        raise TgkitError(f"curvature symmetry violated ({worst:.3e})")
-    if bianchi > tol.bianchi:
-        raise TgkitError(f"first Bianchi identity violated ({bianchi:.3e})")
-    prs = _pairs(M.dim)
-    m = len(prs)
-    op = np.empty((m, m))
-    for p, (i, j) in enumerate(prs):
-        for q, (k, l) in enumerate(prs):
-            op[p, q] = R[i, j, l, k]
-    asym = np.abs(op - op.T).max()
-    if asym > tol.operator_symmetric:
-        raise TgkitError(f"curvature operator not symmetric ({asym:.3e})")
-    op = 0.5 * (op + op.T)
-    vals, vecs = np.linalg.eigh(op)
-    rec = np.abs(vecs @ np.diag(vals) @ vecs.T - op).max()
-    if rec > tol.operator_reconstruct:
-        raise TgkitError(f"eigendecomposition reconstruction off ({rec:.3e})")
-    R.setflags(write=False)
-    op.setflags(write=False)
-    return CurvatureData(R, op, vals, vecs, tuple(prs))
+def curvature_tensor(M: MetricLieAlgebra) -> CurvatureData:
+    """The curvature of M, computed and gated once (MetricLieAlgebra.curvature)."""
+    return M.curvature
 
 
 def curvature_operator_eigen(M: MetricLieAlgebra):
@@ -260,16 +279,15 @@ def curvature_operator_eigen(M: MetricLieAlgebra):
     return cd.eigenvalues, cd.eigenvectors
 
 
-def sectional(M: MetricLieAlgebra, x, y, tol: Tolerances = None) -> float:
+def sectional(M: MetricLieAlgebra, x, y) -> float:
     """K(x, y) for the plane spanned by input-basis vectors x, y."""
-    tol = tol or M.tol
     gx = M.inner(x, x)
     gy = M.inner(y, y)
     gxy = M.inner(x, y)
     den = gx * gy - gxy * gxy
-    if den <= tol.degenerate_plane:
+    if not den > M.tol.degenerate_plane:
         raise DegeneratePlane(f"Gram determinant {den:.3e}")
-    R = curvature_tensor(M, tol).components
+    R = curvature_tensor(M).components
     xo = M.to_onb(x)
     yo = M.to_onb(y)
     num = np.einsum('ijkl,i,j,k,l->', R, xo, yo, yo, xo)

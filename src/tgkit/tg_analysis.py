@@ -51,15 +51,14 @@ def _subspace_onb(M: MetricLieAlgebra, S: Subspace):
     return Q
 
 
-def tg_subspace_check(M: MetricLieAlgebra, S: Subspace, tol: Tolerances = None) -> SubspaceCheck:
+def tg_subspace_check(M: MetricLieAlgebra, S: Subspace) -> SubspaceCheck:
     """Is S a totally geodesic subalgebra?  ([S,S] in S and nabla_S S in S.)"""
-    tol = tol or M.tol
     if S.ambient_dim != M.dim:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
     U = _subspace_onb(M, S)
     P = np.eye(M.dim) - U @ U.T      # projector onto S^perp, frame coords
     c = M.onb_constants
-    G = levi_civita(M, tol).coefficients
+    G = levi_civita(M).coefficients
     best = 0.0
     witness = None
     m = U.shape[1]
@@ -77,26 +76,25 @@ def tg_subspace_check(M: MetricLieAlgebra, S: Subspace, tol: Tolerances = None) 
             r = float(np.linalg.norm(perp))
             if r > best:
                 best, witness = r, SubspaceWitness('connection', i, j, M.from_onb(perp))
-    return SubspaceCheck(best < tol.tg_residual, best, witness)
+    return SubspaceCheck(best < M.tol.tg_residual, best, witness)
 
 
-def _unit_onb(M: MetricLieAlgebra, T, tol: Tolerances):
+def _unit_onb(M: MetricLieAlgebra, T):
     T = np.asarray(T, float)
     nrm = M.norm(T)
-    if abs(nrm - 1.0) > tol.unit_norm:
+    if not abs(nrm - 1.0) <= M.tol.unit_norm:
         raise NonUnitVector(f"|T| = {nrm!r}, expected 1")
     return M.to_onb(T)
 
 
-def hyperplane_tg_residual(M: MetricLieAlgebra, T, tol: Tolerances = None) -> float:
+def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
     """max |<nabla_X Y, T>| over an orthonormal basis X, Y of T^perp.
 
     Zero iff the left-invariant distribution T^perp is integrable with
     totally geodesic leaves.
     """
-    tol = tol or M.tol
-    t = _unit_onb(M, T, tol)
-    G = levi_civita(M, tol).coefficients
+    t = _unit_onb(M, T)
+    G = levi_civita(M).coefficients
     Q = complement_onb(t)
     Mmat = np.einsum('ijk,k->ij', G, t)
     return float(np.abs(Q.T @ Mmat @ Q).max())
@@ -272,8 +270,7 @@ def _sign_normalize(v, eps=1e-8):
     return v + 0.0
 
 
-def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None,
-                          tol: Tolerances = None) -> SearchResult:
+def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
     """Seeded multistart projected descent for unit normals of TG hyperplanes.
 
     All config.n_starts starts descend and polish together as one array;
@@ -283,10 +280,10 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None,
     deduplicated, lexicographically sorted, and expressed in the input
     basis.
     """
-    tol = tol or M.tol
+    tol = M.tol
     config = config or SearchConfig()
     n = M.dim
-    G = levi_civita(M, tol).coefficients
+    G = levi_civita(M).coefficients
     f_grad = _search_objective(G)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
     starts = np.array([np.random.Generator(np.random.PCG64(s)).standard_normal(n)
@@ -298,7 +295,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None,
         x = M.from_onb(t)
         x = x / M.norm(x)
         try:
-            r = hyperplane_tg_residual(M, x, tol)
+            r = hyperplane_tg_residual(M, x)
         except NonUnitVector:     # pragma: no cover - normalization above
             continue
         if r < config.residual_threshold:
@@ -332,21 +329,20 @@ class FrenetData:
     error_bars: dict | None = None
 
 
-def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None,
-                 tol: Tolerances = None) -> FrenetData:
+def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
     """Frenet apparatus of the one-parameter orbit of T.
 
     eps_1 = T; w_s = nabla_{eps_1} eps_s + k_{s-1} eps_{s-1};
     k_s = |w_s|; stops at k_s < eps_k or s = p_max.
     """
-    tol = tol or M.tol
-    t = _unit_onb(M, T, tol)
+    tol = M.tol
+    t = _unit_onb(M, T)
     n = M.dim
     if p_max is None:
         p_max = n - 1
     if not 1 <= p_max <= n - 1:
         raise DimensionMismatch(f"p_max must be in [1, {n - 1}]")
-    G = levi_civita(M, tol).coefficients
+    G = levi_civita(M).coefficients
     frame = [t]
     ks = []
     trunc = float('nan')
@@ -396,6 +392,12 @@ class HelixWitness:
     residuals: dict
 
 
+def _quotient_constants(B, c):
+    # structure constants of span(B) modulo its complement, in the basis
+    # given by the orthonormal columns of B (frame coordinates)
+    return np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)
+
+
 def _quotient_table_residual(q, k1, k2):
     # expected: [T,N1] = k2 N2 - k1 T ; [T,N2] = -k2 N1 ; [N1,N2] = -k1 N2
     target = np.zeros((3, 3, 3))
@@ -406,16 +408,16 @@ def _quotient_table_residual(q, k1, k2):
     return float(np.abs(q - target).max())
 
 
-def helix_witness(M: MetricLieAlgebra, T, tol: Tolerances = None) -> HelixWitness:
+def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     """Certificate for an order-two helix orbit: span, ideal, quotient table.
 
     Raises NotHelixOrderTwo unless the orbit's Frenet order is exactly 2,
     and IdealResidualExceeded when the orthogonal complement of the helix
     span fails to be an ideal (which falsifies the TG hypothesis for T).
     """
-    tol = tol or M.tol
+    tol = M.tol
     n = M.dim
-    fd = frenet_orbit(M, T, p_max=min(3, n - 1), tol=tol)
+    fd = frenet_orbit(M, T, p_max=min(3, n - 1))
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
@@ -431,7 +433,7 @@ def helix_witness(M: MetricLieAlgebra, T, tol: Tolerances = None) -> HelixWitnes
         ideal_res = float(np.abs(lam_comp).max())
     if ideal_res > tol.ideal:
         raise IdealResidualExceeded(ideal_res)
-    q = np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)            # quotient constants
+    q = _quotient_constants(B, c)
     table_res = _quotient_table_residual(q, k1, k2)
     rec = _recognize(q, np.eye(3), tol, seed=0)
     witness = HelixWitness(
@@ -483,15 +485,14 @@ def _recognize(constants, gram, tol, seed):
     if (ev < 0).sum() != 1:
         raise NotRecognized("Killing signature is not (+,+,-)")
     M = MetricLieAlgebra(L, gram, tol)
-    result = search_tg_hyperplanes(M, SearchConfig(n_starts=32, seed=seed), tol)
+    result = search_tg_hyperplanes(M, SearchConfig(n_starts=32, seed=seed))
     for T in result.normals:
-        fd = frenet_orbit(M, T, p_max=2, tol=tol)
+        fd = frenet_orbit(M, T, p_max=2)
         if fd.order != 2:
             continue
         k1, k2 = fd.curvatures
         B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)
-        q = np.einsum('ip,jq,ijk,km->pqm', B, B, M.onb_constants, B)
-        res = _quotient_table_residual(q, k1, k2)
+        res = _quotient_table_residual(_quotient_constants(B, M.onb_constants), k1, k2)
         if res <= tol.sl2_match:
             return Sl2Recognition(k2 / 2.0, k1 / 2.0, res, tuple(fd.frame))
     raise NotRecognized("no orthonormal frame matches the bracket table")
@@ -524,7 +525,7 @@ class CharacterSpace:
     derived_dim: int           # n - rank of span{[e_i,e_j]}
 
 
-def character_space(L: LieAlgebra, tol: Tolerances = DEFAULT) -> CharacterSpace:
+def character_space(L: LieAlgebra) -> CharacterSpace:
     c = L.structure_constants
     n = L.dim
     rows = c.reshape(n * n, n)
@@ -538,11 +539,10 @@ def character_space(L: LieAlgebra, tol: Tolerances = DEFAULT) -> CharacterSpace:
     return CharacterSpace(functionals, n - rank)
 
 
-def codazzi_residual(M: MetricLieAlgebra, T, tol: Tolerances = None) -> float:
+def codazzi_residual(M: MetricLieAlgebra, T) -> float:
     """max |<R(X,Y)Z, T>| over orthonormal X, Y, Z spanning T^perp."""
-    tol = tol or M.tol
-    t = _unit_onb(M, T, tol)
-    R = curvature_tensor(M, tol).components
+    t = _unit_onb(M, T)
+    R = curvature_tensor(M).components
     Q = complement_onb(t)
     proj = np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)
     return float(np.abs(proj).max())
@@ -558,10 +558,11 @@ class ClassificationReport:
     residuals: dict
 
 
-def _wedge_eigen_lambda(M, t_onb, tol):
+def _wedge_eigen_lambda(M, t_onb):
     # every T^X must live in one eigenspace of the curvature operator,
     # with a single eigenvalue shared across X
-    cd = curvature_tensor(M, tol)
+    tol = M.tol
+    cd = curvature_tensor(M)
     Q = complement_onb(t_onb)
     lam = None
     worst = 0.0
@@ -577,12 +578,11 @@ def _wedge_eigen_lambda(M, t_onb, tol):
     return (lam if worst <= tol.eigen_membership else None), worst
 
 
-def jacobi_adapted_wedge_residual(M: MetricLieAlgebra, T, tol: Tolerances = None) -> float:
+def jacobi_adapted_wedge_residual(M: MetricLieAlgebra, T) -> float:
     """After diagonalizing the Jacobi operator on T^perp, the wedges of T
     with that eigenbasis must be eigenvectors of the curvature operator."""
-    tol = tol or M.tol
-    t = _unit_onb(M, T, tol)
-    cd = curvature_tensor(M, tol)
+    t = _unit_onb(M, T)
+    cd = curvature_tensor(M)
     R = cd.components
     Q = complement_onb(t)
     J = np.einsum('ia,ijkl,j,k,lb->ab', Q, R, t, t, Q)
@@ -597,11 +597,9 @@ def jacobi_adapted_wedge_residual(M: MetricLieAlgebra, T, tol: Tolerances = None
     return worst
 
 
-def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None,
-                              tol: Tolerances = None) -> float:
+def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
     """Residual of <T,[X,T]> = k1 <N1, X> over the basis (0 when k1 = 0)."""
-    tol = tol or M.tol
-    fd = fd or frenet_orbit(M, T, tol=tol)
+    fd = fd or frenet_orbit(M, T)
     T = np.asarray(T, float)
     k1 = fd.curvatures[0] if fd.order >= 1 else 0.0
     n1 = fd.frame[1] if fd.order >= 1 else np.zeros(M.dim)
@@ -614,11 +612,9 @@ def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None,
     return worst
 
 
-def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None,
-                           tol: Tolerances = None) -> float:
+def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
     """Residual of N2 = k2^{-1} [T, N1] + k2^{-1} k1 T for order-2 orbits."""
-    tol = tol or M.tol
-    fd = fd or frenet_orbit(M, T, tol=tol)
+    fd = fd or frenet_orbit(M, T)
     if fd.order < 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures[:2]
@@ -627,24 +623,29 @@ def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None,
     return M.norm(v)
 
 
-def classify_case(M: MetricLieAlgebra, T, tol: Tolerances = None) -> ClassificationReport:
+def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
     """Trichotomy for a certified TG hyperplane normal.
 
     GeodesicNormal / CircleNormal / HelixOrderTwo by the Frenet order of
-    the normal orbit; HigherOrder flags a falsified prediction.
+    the normal orbit; HigherOrder flags a falsified prediction.  Raises
+    NotTotallyGeodesic when the TG residual or the Codazzi residual fails
+    its tolerance.
     """
-    tol = tol or M.tol
-    res = hyperplane_tg_residual(M, T, tol)
-    if res >= tol.tg_residual:
+    tol = M.tol
+    res = hyperplane_tg_residual(M, T)
+    if not res < tol.tg_residual:
         raise NotTotallyGeodesic(res)
-    fd = frenet_orbit(M, T, tol=tol)
-    residuals = {'tg_residual': res, 'codazzi_residual': codazzi_residual(M, T, tol)}
+    cod = codazzi_residual(M, T)
+    if not cod <= tol.codazzi:
+        raise NotTotallyGeodesic(cod, 'codazzi_residual')
+    fd = frenet_orbit(M, T)
+    residuals = {'tg_residual': res, 'codazzi_residual': cod}
     witness = None
     hint = None
     lam = None
     if fd.order == 0:
         tag = CaseTag.GEODESIC_NORMAL
-        lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)), tol)
+        lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)))
         residuals['eigen_membership'] = memb
     elif fd.order == 1:
         tag = CaseTag.CIRCLE_NORMAL
@@ -654,7 +655,7 @@ def classify_case(M: MetricLieAlgebra, T, tol: Tolerances = None) -> Classificat
             np.abs(np.einsum('k,ijk->ij', hint, c)).max())
     elif fd.order == 2:
         tag = CaseTag.HELIX_ORDER_TWO
-        witness = helix_witness(M, T, tol)
+        witness = helix_witness(M, T)
         residuals.update(witness.residuals)
     else:
         tag = CaseTag.HIGHER_ORDER

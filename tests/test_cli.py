@@ -260,6 +260,55 @@ def test_non_finite_algebra_file_exits_1(tmp_path, capsys):
         assert key in captured.err and "NaN or inf" in captured.err
 
 
+def test_non_finite_vectors_exit_1(capsys):
+    for argv in (["classify", "--builtin", "sl2", "--normal", "1,nan,0"],
+                 ["tg-check", "--builtin", "sl2", "--subspace", "nan,1,0;0,0,1"],
+                 ["frenet", "--builtin", "sl2", "--normal", "inf,0,0"]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("tgkit: error:") and "NaN or inf" in err, argv
+
+
+def test_removed_tolerance_names_exit_1(capsys):
+    for name in ("speed_drift", "sff_flat", "geodesic_axis", "anchor_exclusion",
+                 "subspace_rank"):
+        assert run(["info", "--builtin", "sl2", "--tol", f"{name}=1"]) == 1, name
+        assert "unknown tolerance names" in capsys.readouterr().err
+
+
+def test_classify_codazzi_gate_exits_2(capsys):
+    code, rep = _json_out(capsys, ["classify", "--builtin", "nonhomo",
+                                   "--normal", "0,4e-10,0,1"])
+    assert code == 2
+    assert rep["result"]["ok"] is False
+    assert set(rep["residuals"]) == {"codazzi_residual"}
+    assert rep["residuals"]["codazzi_residual"] > rep["tolerances_used"]["codazzi"]
+
+
+def _perturbed_sl2_file(tmp_path, eps):
+    # sl2(1,1) with an E1 component eps in [E1,E2]: Jacobi residual 2 eps
+    path = tmp_path / f"sl2_{eps}.json"
+    path.write_text(json.dumps({
+        "dim": 3,
+        "brackets": [{"i": 0, "j": 1, "coeffs": [eps, 0, 2]},
+                     {"i": 0, "j": 2, "coeffs": [2, -2, 0]},
+                     {"i": 1, "j": 2, "coeffs": [0, -2, 0]}]}))
+    return str(path)
+
+
+def test_admission_honours_tolerance_overrides(tmp_path, capsys):
+    near = _perturbed_sl2_file(tmp_path, 1.5e-11)
+    assert run(["info", "--algebra", near]) == 0
+    assert run(["info", "--algebra", near, "--tol", "jacobi=1e-13"]) == 1
+    far = _perturbed_sl2_file(tmp_path, 1.5e-9)
+    assert run(["info", "--algebra", far]) == 1
+    assert run(["info", "--algebra", far, "--tol", "jacobi=1e-8"]) == 0
+    for argv in (["info", "--builtin", "sl2"], ["verify", "sl2"]):
+        assert run(argv + ["--tol", "spd_min_eig=2"]) == 1, argv
+        assert "not positive definite" in capsys.readouterr().err
+    capsys.readouterr()
+
+
 def test_geodesic_unbounded_work_exits_1(capsys):
     # refused before any trajectory array is allocated
     base = ["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0", "--v0", "0.1,0"]

@@ -5,6 +5,7 @@ from helpers import (koszul_loops, curvature_loops, operator_loops,
                      jacobi_loops, sl2_rep_constants, random_spd)
 
 from tgkit import catalog
+from tgkit.config import DEFAULT
 from tgkit.errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
                           NotPositiveDefinite, TgkitError)
 from tgkit.lie_core import (ConnectionTable, LieAlgebra, MetricLieAlgebra,
@@ -314,3 +315,24 @@ def test_subspace_gates():
     assert s2.validate_orthonormal(np.eye(4)) < 1e-15
     with pytest.raises(TgkitError):
         s2.validate_orthonormal(np.diag([4.0, 1.0, 1.0, 1.0]))
+
+
+# --------------------------------------------------------- cached geometry
+
+def test_connection_and_curvature_are_built_once_per_algebra():
+    M = catalog.sl2(1.0, 2.0)
+    assert levi_civita(M) is M.connection
+    assert levi_civita(M) is levi_civita(M)
+    assert curvature_tensor(M) is M.curvature
+    assert curvature_tensor(M) is curvature_tensor(M)
+    assert M.curvature.components.flags.writeable is False
+
+
+def test_cached_geometry_gates_with_the_algebra_tolerances():
+    # a gate that fails is not cached: every read raises again
+    L = LieAlgebra(catalog.sl2(1.0, 2.0).algebra.structure_constants)
+    M = MetricLieAlgebra(L, None, DEFAULT.replace(r_symmetry=-1.0))
+    for _ in range(2):
+        with pytest.raises(TgkitError, match="curvature symmetry"):
+            curvature_tensor(M)
+    assert levi_civita(M) is M.connection

@@ -6,15 +6,15 @@ from helpers import direct_sum, random_orthogonal, rotate_constants
 from tgkit import catalog
 from tgkit.errors import (DimensionMismatch, IdealResidualExceeded,
                           NonUnitVector, NotHelixOrderTwo, NotRecognized,
-                          NotTotallyGeodesic)
+                          NotTotallyGeodesic, TgkitError)
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace
 from tgkit.tg_analysis import (CaseTag, character_space, classify_case,
                                codazzi_residual, frenet_orbit, helix_witness,
                                hyperplane_tg_residual,
                                jacobi_adapted_wedge_residual,
                                normal_curvature_identity,
-                               second_normal_identity, sl2_recognize,
-                               tg_subspace_check)
+                               search_tg_hyperplanes, second_normal_identity,
+                               sl2_recognize, tg_subspace_check)
 
 GRID = [(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
 
@@ -278,6 +278,28 @@ def test_classify_helix_order_two():
 def test_classify_requires_certification():
     with pytest.raises(NotTotallyGeodesic):
         classify_case(catalog.nonhomo(), E4[:, 1])
+
+
+def test_classify_rejects_non_finite_normal():
+    with pytest.raises(TgkitError):
+        classify_case(catalog.sl2(1, 1), np.array([1.0, np.nan, 0.0]))
+
+
+def test_classify_gates_the_codazzi_residual():
+    # tg residual 4e-10 passes tg_residual = 1e-9; Codazzi 1.2e-9 fails codazzi = 1e-9
+    T = np.array([0.0, 4e-10, 0.0, 1.0])
+    with pytest.raises(NotTotallyGeodesic) as e:
+        classify_case(catalog.nonhomo(), T / np.linalg.norm(T))
+    assert e.value.label == "codazzi_residual"
+    assert e.value.residual > 1e-9
+
+
+def test_search_and_classify_reuse_the_cached_connection():
+    M = catalog.sl2(1.0, 2.0)
+    G = M.connection.coefficients
+    for T in search_tg_hyperplanes(M).normals:
+        classify_case(M, T)
+    assert M.connection.coefficients is G
 
 
 # ------------------------------------------------------- character space
