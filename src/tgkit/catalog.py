@@ -145,6 +145,13 @@ def twisted_h2(kappa=1.0) -> TwistedProductSpec:
 # ---- cartesian chart of the twisted build (regular across the polar axis)
 
 _CART_TERMS = 12
+# per term m: the float values the series divides by and multiplies with,
+# (2m+1)!, (2m+2)!, (2m+4)!, 2^(2m+1), 2^(2m+3), 2m, 2^(2m+2) m, 2^(2m+4) m
+_CART_SERIES = tuple(
+    (float(factorial(2 * m + 1)), float(factorial(2 * m + 2)),
+     float(factorial(2 * m + 4)), 2.0 ** (2 * m + 1), 2.0 ** (2 * m + 3),
+     float(2 * m), 2.0 ** (2 * m + 2) * m, 2.0 ** (2 * m + 4) * m)
+    for m in range(_CART_TERMS))
 
 
 def _cart_coeffs(u):
@@ -155,20 +162,18 @@ def _cart_coeffs(u):
     closed forms above; both branches agree to machine precision there.
     """
     if u < 0.25:
+        u = float(u)    # same rounding as a numpy scalar, less call overhead
         S = S1 = a = b = A = B = 0.0
         up = 1.0        # u^m
         um = 0.0        # u^{m-1}, only consumed for m >= 1
-        for m in range(_CART_TERMS):
-            f1 = factorial(2 * m + 1)
-            f2 = factorial(2 * m + 2)
-            f4 = factorial(2 * m + 4)
+        for f1, f2, f4, p1, p3, m2, p2m, p4m in _CART_SERIES:
             S += up / f1
-            a += 2.0 ** (2 * m + 1) * up / f2
-            b -= 2.0 ** (2 * m + 3) * up / f4
-            if m >= 1:
-                S1 += 2 * m * um / f1
-                A += 2.0 ** (2 * m + 2) * m * um / f2
-                B -= 2.0 ** (2 * m + 4) * m * um / f4
+            a += p1 * up / f2
+            b -= p3 * up / f4
+            if m2:      # m >= 1
+                S1 += m2 * um / f1
+                A += p2m * um / f2
+                B -= p4m * um / f4
             um = up
             up *= u
         return S, S1, a, b, A, B

@@ -197,7 +197,11 @@ def _load_algebra(args, tol):
         M, names = parse_algebra_file(data, tol)
         return M, names, {"algebra_file": data}
     name, params = parse_builtin(args.builtin)
-    obj = catalog.catalog_lookup(name, params)
+    return _builtin_algebra(catalog.catalog_lookup(name, params), name, params, tol)
+
+
+def _builtin_algebra(obj, name, params, tol):
+    """_load_algebra's triple for the looked-up builtin obj."""
     if not isinstance(obj, MetricLieAlgebra):
         raise BadParams(f"builtin {name!r} is a chart, not an algebra")
     return _admit(obj, tol), [f"e{i}" for i in range(obj.dim)], \
@@ -225,7 +229,9 @@ def _cmd_info(args, tol, grid):
             result = {"kind": "chart", "dim": obj.dim,
                       "exact_partials": obj.partials_at is not None}
             return result, {}, None, 0, {"builtin": name, "params": params}
-    M, names, desc = _load_algebra(args, tol)
+        M, names, desc = _builtin_algebra(obj, name, params, tol)
+    else:
+        M, names, desc = _load_algebra(args, tol)
     jac = jacobi_residual(M.algebra)
     Q = M.onb_change
     onb_res = float(np.abs(Q.T @ M.gram @ Q - np.eye(M.dim)).max())

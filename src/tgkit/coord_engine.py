@@ -20,9 +20,12 @@ from .errors import (BadParams, DegeneratePlane, DimensionMismatch,
 from .lie_core import gram_schmidt
 from .tg_analysis import FrenetData
 
-# Largest step count geodesic_integrate accepts: the trajectory is held in
-# memory, (2n + 1) floats per step.
+# Largest step count geodesic_integrate accepts: the trajectory and its
+# grams are held in memory, (2n + 1 + n^2) floats per step.
 MAX_RK4_STEPS = 10**6
+# RK4 steps whose stage grams geodesic_integrate gates in one pass; bounds
+# the pending stage buffer at 4 * _GATE_STEPS grams.
+_GATE_STEPS = 64
 
 
 def _richardson(f, x, step):
@@ -93,16 +96,7 @@ class CoordinateMetric:
         x = np.asarray(x, float)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"point has shape {x.shape}, metric dim {self.dim}")
-        g = np.asarray(self.gram_at(x), float)
-        if g.shape != (self.dim, self.dim) or not np.isfinite(g).all():
-            raise MetricDegenerate(f"gram not finite at {x.tolist()}")
-        if np.abs(g - g.T).max() > 1e-12:
-            raise MetricDegenerate(f"gram not symmetric at {x.tolist()}")
-        try:
-            np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            raise MetricDegenerate(f"gram not positive definite at {x.tolist()}")
-        return g
+        return _gate_grams(x[None], _eval_gram(self, x)[None])[0]
 
     def partials(self, x, exact=None):
         """dg[k][i][j]; exact=None auto-selects, True/False forces a path."""
@@ -115,11 +109,56 @@ class CoordinateMetric:
         return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, self.fd_step)
 
 
-def christoffel(CM: CoordinateMetric, x, exact=None):
-    """Gamma[k][i][j] = Gamma^k_{ij}, symmetric in (i, j)."""
-    g = CM.gram(x)
+def _eval_gram(CM, x):
+    """gram_at(x) as a float array, not gated; a wrong shape counts as not finite."""
+    g = np.asarray(CM.gram_at(x), float)
+    if g.shape != (CM.dim, CM.dim):
+        raise MetricDegenerate(f"gram not finite at {x.tolist()}")
+    return g
+
+
+def _gate_grams(points, grams):
+    """The (N, n, n) stack grams, evaluated at points, once each gram is
+    finite, symmetric within 1e-12 and positive definite.
+
+    One vectorised pass over the stack; if it fails, the first failing point
+    raises MetricDegenerate naming the first check that point fails.
+    """
+    if (np.isfinite(grams).all()
+            and np.abs(grams - np.swapaxes(grams, 1, 2)).max(initial=0.0) <= 1e-12):
+        try:
+            np.linalg.cholesky(grams)
+            return grams
+        except np.linalg.LinAlgError:
+            pass
+    for x, g in zip(points, grams):
+        if not np.isfinite(g).all():
+            raise MetricDegenerate(f"gram not finite at {x.tolist()}")
+        if not np.abs(g - g.T).max() <= 1e-12:
+            raise MetricDegenerate(f"gram not symmetric at {x.tolist()}")
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            raise MetricDegenerate(f"gram not positive definite at {x.tolist()}")
+    return grams
+
+
+def _grams(CM, points):
+    """Gated grams at the rows of points.  An error while evaluating one
+    gates those before it first, so the earliest degenerate gram wins."""
+    out = np.empty((len(points), CM.dim, CM.dim))
+    for i, x in enumerate(points):
+        try:
+            out[i] = _eval_gram(CM, x)
+        except Exception:
+            _gate_grams(points[:i], out[:i])
+            raise
+    return _gate_grams(points, out)
+
+
+def _christoffel_from(g, dg):
+    """Gamma[k][i][j] from the gram g and its partials dg[k][i][j] at one point."""
     gi = np.linalg.inv(g)
-    dg = CM.partials(x, exact=exact)
     # W[i][j][l] = d_i g_jl + d_j g_il - d_l g_ij
     W = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
     # note: indices of W as written are (i, j, l) via dg[k,i,j] = d_k g_ij:
@@ -128,6 +167,11 @@ def christoffel(CM: CoordinateMetric, x, exact=None):
     #   transpose(1,2,0) -> d_l g_ij
     G = 0.5 * np.einsum('kl,ijl->kij', gi, W)
     return 0.5 * (G + np.transpose(G, (0, 2, 1)))
+
+
+def christoffel(CM: CoordinateMetric, x, exact=None):
+    """Gamma[k][i][j] = Gamma^k_{ij}, symmetric in (i, j)."""
+    return _christoffel_from(CM.gram(x), CM.partials(x, exact=exact))
 
 
 # ----------------------------------------------------------------- geodesics
@@ -141,9 +185,22 @@ class GeodesicTrajectory:
     speed_drift: float     # max relative speed change per unit time
 
 
+def _spray(g, dg, v):
+    """-Gamma^k_ij v^i v^j from the gram g and its partials dg at one point:
+    the solution a of g a = -((d_v g) v - 1/2 dg(v, v))."""
+    A = dg @ v          # A[k][i] = d_k g_ij v^j
+    return -np.linalg.solve(g, v @ A - 0.5 * (A @ v))
+
+
 def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
                        tol: Tolerances = DEFAULT) -> GeodesicTrajectory:
-    """Fixed-step RK4 on the geodesic equation."""
+    """Fixed-step RK4 on the geodesic equation.
+
+    A stage makes one gram_at call, one partials call and one _spray solve.
+    The stage grams are gated together, _GATE_STEPS steps at a time; a stage
+    that raises gates the pending ones first, so a degenerate gram raises
+    MetricDegenerate at its point before any later error.
+    """
     x0 = np.asarray(x0, float)
     v0 = np.asarray(v0, float)
     g0 = CM.gram(x0)
@@ -159,30 +216,50 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
                         f"of {MAX_RK4_STEPS}")
     nsteps = max(1, round(tmax / h))
     h = tmax / nsteps
+    n = CM.dim
+    stage_x = np.empty((4 * _GATE_STEPS, n))
+    stage_g = np.empty((4 * _GATE_STEPS, n, n))
+    pending = 0
 
     def accel(x, v):
-        G = christoffel(CM, x)
-        return -np.einsum('kij,i,j->k', G, v, v)
+        nonlocal pending
+        g = _eval_gram(CM, x)
+        stage_x[pending] = x
+        stage_g[pending] = g
+        pending += 1
+        return _spray(g, CM.partials(x), v)
 
     times = np.empty(nsteps + 1)
-    points = np.empty((nsteps + 1, CM.dim))
-    vels = np.empty((nsteps + 1, CM.dim))
+    points = np.empty((nsteps + 1, n))
+    vels = np.empty((nsteps + 1, n))
+    grams = np.empty((nsteps + 1, n, n))    # point i is step i's first stage
     times[0], points[0], vels[0] = 0.0, x0, v0
     x, v = x0.copy(), v0.copy()
     for i in range(nsteps):
-        k1x, k1v = v, accel(x, v)
-        k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        try:
+            k1v = accel(x, v)
+            k2x = v + 0.5 * h * k1v
+            k2v = accel(x + 0.5 * h * v, k2x)
+            k3x = v + 0.5 * h * k2v
+            k3v = accel(x + 0.5 * h * k2x, k3x)
+            k4x = v + h * k3v
+            k4v = accel(x + h * k3x, k4x)
+        except Exception:
+            _gate_grams(stage_x[:pending], stage_g[:pending])
+            raise
+        x = x + (h / 6.0) * (v + 2 * k2x + 2 * k3x + k4x)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         times[i + 1] = (i + 1) * h
         points[i + 1] = x
         vels[i + 1] = v
+        if pending == len(stage_g) or i == nsteps - 1:
+            gated = _gate_grams(stage_x[:pending], stage_g[:pending])
+            grams[i + 1 - pending // 4:i + 1] = gated[::4]
+            pending = 0
     if not (np.isfinite(points).all() and np.isfinite(vels).all()):
         raise TgkitError(f"geodesic integration diverged (step {h:.3e})")
-    speeds = np.sqrt(np.einsum('ni,nij,nj->n',
-                               vels, np.stack([CM.gram(p) for p in points]), vels))
+    grams[-1] = CM.gram(points[-1])
+    speeds = np.sqrt(np.einsum('ni,nij,nj->n', vels, grams, vels))
     rel = np.abs(speeds - s0) / s0
     with np.errstate(divide='ignore'):
         rates = rel[1:] / np.maximum(times[1:], h)
@@ -472,8 +549,8 @@ def _frenet_pipeline(CM, times, points, tol):
     h = times[1] - times[0]
     vel = _fd4(points, h)
     pts = points[2:-2]
-    grams = np.stack([CM.gram(p) for p in pts])
-    gammas = np.stack([christoffel(CM, p) for p in pts])
+    grams = _grams(CM, pts)
+    gammas = np.stack([_christoffel_from(g, CM.partials(p)) for p, g in zip(pts, grams)])
     speed = np.sqrt(np.einsum('ni,nij,nj->n', vel, grams, vel))
     if speed.min() <= 1e-8:
         raise IrregularCurve(f"speed drops to {speed.min():.3e}")
@@ -527,8 +604,7 @@ def frenet_numeric(CM: CoordinateMetric, times, points,
         raise IrregularCurve("sampling must be uniform and increasing")
     if arclength_reparametrize:
         vel = np.gradient(points, times, axis=0)
-        sp = np.sqrt(np.einsum('ni,nij,nj->n', vel,
-                               np.stack([CM.gram(p) for p in points]), vel))
+        sp = np.sqrt(np.einsum('ni,nij,nj->n', vel, _grams(CM, points), vel))
         s = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * steps)])
         new_s = np.linspace(0.0, s[-1], len(times))
         points = _hermite_resample(s, points, new_s)

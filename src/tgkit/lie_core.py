@@ -109,7 +109,7 @@ class MetricLieAlgebra:
         L = np.linalg.cholesky(gram)
         Q = gram_schmidt(np.linalg.inv(L.T), gram)
         res = np.abs(Q.T @ gram @ Q - np.eye(Q.shape[0])).max()
-        if res > tol.onb:
+        if not res <= tol.onb:
             raise TgkitError(f"orthonormalization failed (residual {res:.3e})")
         return Q
 
@@ -238,7 +238,7 @@ class Subspace:
 
     def validate_orthonormal(self, gram, tol: Tolerances = DEFAULT):
         res = np.abs(self.basis.T @ gram @ self.basis - np.eye(self.dim)).max()
-        if res > tol.onb:
+        if not res <= tol.onb:
             raise TgkitError(f"subspace basis not orthonormal (residual {res:.3e})")
         return res
 

@@ -362,14 +362,14 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
     # guarantees; check both anyway
     F = np.stack(frame, axis=1)
     onb_res = np.abs(F.T @ F - np.eye(len(frame))).max()
-    if onb_res > 1e-10:                     # pragma: no cover - unreachable
+    if not onb_res <= 1e-10:                # pragma: no cover - unreachable
         raise TgkitError(f"Frenet frame lost orthonormality ({onb_res:.3e})")
     for s in range(1, len(ks) + 1):
         w = np.einsum('ijk,i,j->k', G, frame[0], frame[s - 1])
         if s >= 2:
             w = w + ks[s - 2] * frame[s - 2]
         res = np.linalg.norm(w - ks[s - 1] * frame[s])
-        if res > tol.frenet_recursion:      # pragma: no cover - unreachable
+        if not res <= tol.frenet_recursion:
             raise TgkitError(f"Frenet recursion residual {res:.3e}")
     return FrenetData(len(ks), tuple(ks),
                       tuple(M.from_onb(v) for v in frame),
@@ -431,7 +431,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
         br = np.einsum('pqk,qu->puk', c, I_basis)             # [e_p, u] for u in I
         lam_comp = np.einsum('puk,km->pum', br, B)            # Lambda components
         ideal_res = float(np.abs(lam_comp).max())
-    if ideal_res > tol.ideal:
+    if not ideal_res <= tol.ideal:
         raise IdealResidualExceeded(ideal_res)
     q = _quotient_constants(B, c)
     table_res = _quotient_table_residual(q, k1, k2)
@@ -452,7 +452,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
                    'bracket_table_residual': table_res,
                    'sl2_residual': rec.residual},
     )
-    if table_res > tol.bracket_table:
+    if not table_res <= tol.bracket_table:
         raise NotRecognized(f"quotient bracket table residual {table_res:.3e}")
     return witness
 

@@ -179,3 +179,67 @@ def newton_one(f_grad, t, iters, complement_onb):
         else:
             break
     return t
+
+
+def geodesic_per_stage(CM, x0, v0, tmax, h):
+    """RK4 on the geodesic equation with a gated christoffel call per stage.
+
+    The per-stage loop geodesic_integrate used before its stages were
+    batched: every stage gram is gated on the spot and the acceleration is
+    -Gamma(v, v) through the inverse gram.  Returns (points, velocities,
+    speed drift).
+    """
+    from tgkit.coord_engine import christoffel
+    x0 = np.asarray(x0, float)
+    v0 = np.asarray(v0, float)
+    g0 = CM.gram(x0)
+    s0 = float(np.sqrt(v0 @ g0 @ v0))
+    nsteps = max(1, round(tmax / h))
+    h = tmax / nsteps
+
+    def accel(x, v):
+        G = christoffel(CM, x)
+        return -np.einsum('kij,i,j->k', G, v, v)
+
+    times = np.arange(nsteps + 1) * h
+    points = [x0]
+    vels = [v0]
+    x, v = x0.copy(), v0.copy()
+    for _ in range(nsteps):
+        k1x, k1v = v, accel(x, v)
+        k2x, k2v = v + 0.5 * h * k1v, accel(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+        k3x, k3v = v + 0.5 * h * k2v, accel(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+        k4x, k4v = v + h * k3v, accel(x + h * k3x, v + h * k3v)
+        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        points.append(x)
+        vels.append(v)
+    points = np.array(points)
+    vels = np.array(vels)
+    speeds = np.array([np.sqrt(w @ CM.gram(p) @ w) for p, w in zip(points, vels)])
+    rel = np.abs(speeds - s0) / s0
+    drift = float((rel[1:] / np.maximum(times[1:], h)).max())
+    return points, vels, drift
+
+
+def cart_coeffs_series(u, terms=12):
+    """Series branch of catalog._cart_coeffs with the factorials and powers
+    of two computed inside the loop."""
+    from math import factorial
+    S = S1 = a = b = A = B = 0.0
+    up = 1.0
+    um = 0.0
+    for m in range(terms):
+        f1 = factorial(2 * m + 1)
+        f2 = factorial(2 * m + 2)
+        f4 = factorial(2 * m + 4)
+        S += up / f1
+        a += 2.0 ** (2 * m + 1) * up / f2
+        b -= 2.0 ** (2 * m + 3) * up / f4
+        if m >= 1:
+            S1 += 2 * m * um / f1
+            A += 2.0 ** (2 * m + 2) * m * um / f2
+            B -= 2.0 ** (2 * m + 4) * m * um / f4
+        um = up
+        up *= u
+    return S, S1, a, b, A, B

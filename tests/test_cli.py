@@ -123,6 +123,21 @@ def test_info_command(capsys):
     assert "chart" in capsys.readouterr().out
 
 
+def test_info_builds_a_builtin_algebra_once_before_admission(monkeypatch, capsys):
+    from tgkit import lie_core
+    calls = []
+    init = lie_core.MetricLieAlgebra.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(lie_core.MetricLieAlgebra, "__init__", counting_init)
+    assert run(["info", "--builtin", "sl2"]) == 0
+    # the catalog build, then the admission under the run's tolerances
+    assert len(calls) == 2
+
+
 def test_search_deterministic_output(capsys):
     code, rep = _json_out(capsys, ["search", "--builtin", "sl2"])
     first = canonical_json(rep)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import geodesic_per_stage
+
 from tgkit import catalog
 from tgkit.coord_engine import (CoordinateMetric, LevelSetHypersurface,
-                                ScalarField, christoffel,
+                                ScalarField, _gate_grams, christoffel,
                                 export_trajectory_csv, frenet_numeric,
                                 geodesic_integrate, riemann_at,
                                 second_fundamental_form, sectional_at,
@@ -139,6 +141,97 @@ def test_geodesic_gates():
     with np.errstate(over='ignore', invalid='ignore'):
         with pytest.raises(TgkitError):
             geodesic_integrate(HYP, np.array([2.0, 1.0]), np.array([0.0, 1.0]), 3.0, 1.0)
+
+
+# per-stage oracle: five catalog charts, each start well inside the chart
+ORACLE_STARTS = {
+    "hyperbolic2": (HYP, [1.0, 0.5], [0.3, -0.2]),
+    "twisted-h2-polar": (catalog.catalog_lookup("twisted-h2", {"kappa": 1.5}),
+                         [0.4, 1.1, 2.0], [0.2, -0.3, 0.25]),
+    "twisted-h2-cartesian": (catalog.catalog_lookup("twisted-h2", {"kappa": 1.5},
+                                                    kind="cartesian"),
+                             [0.4, 0.3, -0.2], [0.2, -0.3, 0.25]),
+    "nonhomo": (NH, [0.1, -0.2, 0.3, 0.05], [0.3, 0.1, -0.2, 0.15]),
+    "euclidean": (EUC3, [0.1, 0.2, 0.3], [0.3, -0.4, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_STARTS))
+def test_geodesic_matches_per_stage_oracle(name):
+    # 250 steps: three full gate blocks and a partial one
+    CM, x0, v0 = ORACLE_STARTS[name]
+    tr = geodesic_integrate(CM, x0, v0, 1.0, 4e-3)
+    points, vels, drift = geodesic_per_stage(CM, x0, v0, 1.0, 4e-3)
+    assert np.abs(tr.points - points).max() <= 1e-12
+    assert np.abs(tr.velocities - vels).max() <= 1e-12
+    assert abs(tr.speed_drift - drift) <= 1e-12
+
+
+def _turning_metric(threshold, bad, raise_beyond=None):
+    """Flat plane until x^0 passes threshold, the gram `bad` past it; gram_at
+    raises TgkitError past raise_beyond."""
+    def gram_at(x):
+        if raise_beyond is not None and x[0] > raise_beyond:
+            raise TgkitError(f"chart ends at {x.tolist()}")
+        return np.eye(2) if x[0] <= threshold else np.array(bad)
+    return CoordinateMetric(2, gram_at, lambda x: np.zeros((2, 2, 2)))
+
+
+BAD_GRAMS = {"indefinite": [[1.0, 0.0], [0.0, -1.0]],
+             "singular": [[0.0, 0.0], [0.0, 0.0]],
+             "asymmetric": [[1.0, 0.5], [0.4, 1.0]],
+             "nan": [[1.0, 0.0], [0.0, np.nan]]}
+
+
+def _degenerate_point(exc):
+    return float(str(exc).split("[")[1].split(",")[0])
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GRAMS))
+@pytest.mark.parametrize("threshold", [0.22, 7.02])
+def test_geodesic_degenerate_stage_raises_as_per_stage_oracle(bad, threshold):
+    # along x = (t, 0) with h = 0.1 the first point past the threshold is a
+    # step's second stage point, x_i + h/2 (in the second gate block for 7.02)
+    CM = _turning_metric(threshold, BAD_GRAMS[bad])
+    x0, v0 = [0.0, 0.0], [1.0, 0.0]
+    with np.errstate(invalid='ignore'):
+        with pytest.raises(MetricDegenerate) as want:
+            geodesic_per_stage(CM, x0, v0, 10.0, 0.1)
+        with pytest.raises(MetricDegenerate) as got:
+            geodesic_integrate(CM, x0, v0, 10.0, 0.1)
+    assert str(got.value) == str(want.value)
+    assert abs(_degenerate_point(got.value) - (threshold + 0.03)) < 1e-9
+
+
+@pytest.mark.parametrize("threshold", [0.22, 7.02])
+def test_degenerate_stage_wins_over_a_later_error(threshold):
+    # the gram turns indefinite at x^0 = threshold + 0.03, gram_at raises
+    # from threshold + 0.05 on, two stages later
+    CM = _turning_metric(threshold, BAD_GRAMS["indefinite"], raise_beyond=threshold + 0.05)
+    x0, v0 = [0.0, 0.0], [1.0, 0.0]
+    with pytest.raises(MetricDegenerate) as want:
+        geodesic_per_stage(CM, x0, v0, 10.0, 0.1)
+    with pytest.raises(MetricDegenerate) as got:
+        geodesic_integrate(CM, x0, v0, 10.0, 0.1)
+    assert str(got.value) == str(want.value)
+    assert "positive definite" in str(got.value)
+
+
+def test_gram_stack_gate_raises_at_first_failing_point():
+    points = np.arange(6.0)[:, None] * np.ones(2)
+    grams = np.stack([np.eye(2)] * 6)
+    grams[2] = BAD_GRAMS["asymmetric"]
+    grams[3] = BAD_GRAMS["indefinite"]
+    grams[4] = BAD_GRAMS["nan"]
+    for first in (2, 3, 4):
+        one = CoordinateMetric(2, lambda x, g=grams[first]: g)
+        with pytest.raises(MetricDegenerate) as want:
+            one.gram(points[first])
+        with pytest.raises(MetricDegenerate) as got:
+            _gate_grams(points, grams)
+        assert str(got.value) == str(want.value)
+        grams[first] = np.eye(2)
+    assert _gate_grams(points, grams) is grams
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -327,3 +420,35 @@ def test_numeric_frenet_gates():
     pts = np.stack([ts, ts], axis=1)
     with pytest.raises(IrregularCurve):
         frenet_numeric(EUC2, ts, pts)
+
+
+def test_frenet_evaluates_each_sample_gram_once():
+    calls = []
+
+    def gram_at(x):
+        calls.append(x)
+        return np.eye(2)
+
+    CM = CoordinateMetric(2, gram_at, lambda x: np.zeros((2, 2, 2)))
+    ts = np.linspace(0.0, 2 * np.pi, 256)
+    pts = np.stack([2 * np.cos(ts), 2 * np.sin(ts)], axis=1)
+    fd = frenet_numeric(CM, ts, pts)
+    assert abs(fd.curvatures[0] - 0.5) < 1e-5
+    # full and half sampling, each without the two samples at either end
+    assert len(calls) == (256 - 4) + (128 - 4)
+    calls.clear()
+    frenet_numeric(CM, ts, pts, arclength_reparametrize=True)
+    assert len(calls) == 256 + (256 - 4) + (128 - 4)
+
+
+def test_frenet_degenerate_sample_raises_at_first_one():
+    CM = _turning_metric(1.5, BAD_GRAMS["indefinite"])
+    ts = np.linspace(0.0, 2 * np.pi, 256)
+    pts = np.stack([-2 * np.cos(ts), 2 * np.sin(ts)], axis=1)
+    first = next(p for p in pts[2:-2] if p[0] > 1.5)
+    assert first[1] > 0.5       # well inside the sampled arc
+    with pytest.raises(MetricDegenerate) as want:
+        CM.gram(first)
+    with pytest.raises(MetricDegenerate) as got:
+        frenet_numeric(CM, ts, pts)
+    assert str(got.value) == str(want.value)

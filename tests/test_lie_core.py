@@ -317,6 +317,17 @@ def test_subspace_gates():
         s2.validate_orthonormal(np.diag([4.0, 1.0, 1.0, 1.0]))
 
 
+def test_orthonormality_gates_reject_nan():
+    s2 = Subspace(4, np.eye(4)[:, :2])
+    with pytest.raises(TgkitError):
+        s2.validate_orthonormal(np.full((4, 4), np.nan))
+    # admission rejects a NaN gram, so a NaN tolerance is what reaches the
+    # orthonormal-frame gate
+    with pytest.raises(TgkitError, match="orthonormalization failed"):
+        MetricLieAlgebra(LieAlgebra(catalog._sl2_closed(1.0, 1.0)), None,
+                         DEFAULT.replace(onb=float("nan")))
+
+
 # --------------------------------------------------------- cached geometry
 
 def test_connection_and_curvature_are_built_once_per_algebra():

@@ -4,6 +4,7 @@ import pytest
 from helpers import direct_sum, random_orthogonal, rotate_constants
 
 from tgkit import catalog
+from tgkit.config import DEFAULT
 from tgkit.errors import (DimensionMismatch, IdealResidualExceeded,
                           NonUnitVector, NotHelixOrderTwo, NotRecognized,
                           NotTotallyGeodesic, TgkitError)
@@ -166,6 +167,20 @@ def test_helix_witness_exact_recovery():
         assert w.Lambda.dim == 3
         assert w.s.dim == 2
         assert w.ideal_I.dim == 0
+
+
+@pytest.mark.parametrize("field, error", [("ideal", IdealResidualExceeded),
+                                          ("bracket_table", NotRecognized),
+                                          ("frenet_recursion", TgkitError)])
+def test_helix_and_frenet_gates_reject_nan(field, error):
+    # admission rejects NaN structure constants, and the residuals of an
+    # admitted algebra are finite, so a NaN tolerance is what reaches these
+    # gates; the Frenet frame's orthonormality gate has a fixed bound and
+    # stays unreachable
+    tol = DEFAULT.replace(**{field: float("nan")})
+    M = MetricLieAlgebra(LieAlgebra(catalog.sl2().algebra.structure_constants, tol), None, tol)
+    with pytest.raises(error):
+        helix_witness(M, E3[:, 0])
 
 
 def test_helix_witness_with_flat_factor():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import cart_coeffs_series
+
 from tgkit import catalog
 from tgkit.coord_engine import (LevelSetHypersurface, ScalarField,
                                 TwistedProductSpec, build_twisted_product,
@@ -180,3 +182,10 @@ def test_anchor_curvature_matches_algebra_model(kappa):
         Kc = sectional_at(CM, x0, e[i], e[j])
         Ka = sectional(M, e[p], e[q])
         assert abs(Kc - Ka) < 1e-6
+
+
+def test_cartesian_series_tables_match_factorial_loop():
+    # the series branch (u < 0.25) with its coefficient tables built at
+    # import must round as the loop that computes them term by term
+    for u in np.linspace(0.0, 0.25, 2000, endpoint=False):
+        assert catalog._cart_coeffs(u) == cart_coeffs_series(u)
