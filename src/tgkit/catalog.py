@@ -1,9 +1,10 @@
-"""Builtin algebras and chart metrics.
+"""Builtin algebras and chart metrics, and the verify ledger of their
+known answers.
 
 Algebra entries return MetricLieAlgebra instances with identity gram in the
-stated basis order.  Chart entries return CoordinateMetric instances with
-exact partial derivatives, so finite differencing is only exercised when a
-test asks for it.
+stated basis order, admitted under the `tol` they are given.  Chart entries
+return CoordinateMetric instances with exact partial derivatives, so finite
+differencing is only exercised when a test asks for it.
 """
 from __future__ import annotations
 
@@ -12,10 +13,17 @@ from math import factorial
 import numpy as np
 
 from .config import DEFAULT
-from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec,
-                           build_twisted_product)
+from .coord_engine import (CoordinateMetric, LevelSetHypersurface, ScalarField,
+                           TwistedProductSpec, build_twisted_product, christoffel,
+                           eikonal_residuals, frenet_numeric, geodesic_integrate,
+                           second_fundamental_form, sectional_at,
+                           twisting_ode_residual)
 from .errors import BadParams, TgkitError, UnknownName
-from .lie_core import LieAlgebra, MetricLieAlgebra
+from .lie_core import (LieAlgebra, MetricLieAlgebra, curvature_tensor,
+                       jacobi_residual, levi_civita, sectional)
+from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
+                          helix_witness, hyperplane_tg_residual,
+                          search_tg_hyperplanes)
 
 CATALOG_NAMES = ("sl2", "nonhomo", "heisenberg", "abelian",
                  "hyperbolic2", "twisted-h2", "euclidean")
@@ -36,7 +44,7 @@ def _sl2_closed(a, b):
                      (1, 2, 1): -2 * b}, 3)
 
 
-def sl2(a=1.0, b=1.0):
+def sl2(a=1.0, b=1.0, tol=DEFAULT):
     """Special linear algebra in the scaled basis
 
     E1 = a [[0,1],[-1,0]], E2 = 2b [[0,1],[0,0]], E3 = b [[1,0],[0,-1]],
@@ -65,10 +73,10 @@ def sl2(a=1.0, b=1.0):
     closed = _sl2_closed(a, b)
     if np.abs(c - closed).max() > 1e-12 * max(1.0, abs(a), abs(b)):
         raise TgkitError("matrix and closed-form structure constants disagree")
-    return MetricLieAlgebra(LieAlgebra(c))
+    return MetricLieAlgebra(LieAlgebra(c, tol), tol=tol)
 
 
-def nonhomo():
+def nonhomo(tol=DEFAULT):
     """Four-dimensional solvable algebra, basis order (Z, X1, X2, Y):
 
     [Z,X1] = X1 + X2, [Z,X2] = -X1 + X2, [Z,Y] = 2Y, identity gram.
@@ -76,17 +84,17 @@ def nonhomo():
     c = _antisym({(0, 1, 1): 1.0, (0, 1, 2): 1.0,
                   (0, 2, 1): -1.0, (0, 2, 2): 1.0,
                   (0, 3, 3): 2.0}, 4)
-    return MetricLieAlgebra(LieAlgebra(c))
+    return MetricLieAlgebra(LieAlgebra(c, tol), tol=tol)
 
 
-def heisenberg():
+def heisenberg(tol=DEFAULT):
     """[X,Y] = Z in basis order (X, Y, Z), identity gram."""
-    return MetricLieAlgebra(LieAlgebra(_antisym({(0, 1, 2): 1.0}, 3)))
+    return MetricLieAlgebra(LieAlgebra(_antisym({(0, 1, 2): 1.0}, 3), tol), tol=tol)
 
 
-def abelian(n=3):
+def abelian(n=3, tol=DEFAULT):
     n = int(n)
-    return MetricLieAlgebra(LieAlgebra(np.zeros((n, n, n))))
+    return MetricLieAlgebra(LieAlgebra(np.zeros((n, n, n)), tol), tol=tol)
 
 
 def euclidean_metric(n=2):
@@ -240,40 +248,53 @@ def twisted_h2_cartesian(kappa=1.0):
 
 # ----------------------------------------------------------------- dispatch
 
-def catalog_lookup(name, params=None, kind=None):
-    """Builtin by name.  params is a dict of per-entry settings; kind picks
-    between forms when an entry has more than one:
+def catalog_lookup(name, params=None, kind=None, tol=DEFAULT):
+    """Builtin by name, its algebra forms admitted under `tol`.  params is a
+    dict of per-entry settings; kind picks between forms when an entry has
+    more than one:
 
       nonhomo:    'algebra' (default) or 'coordinate'
-      twisted-h2: 'chart' (default, polar), 'cartesian', or 'spec'
+      twisted-h2: 'chart' (default, polar), 'cartesian', or 'spec'; without
+                  a kind, the parameter 'chart' picks the form
     """
-    params = dict(params or {})
+    return _lookup(name, params, kind, tol)[0]
 
-    def take(key, default):
-        return params.pop(key, default)
+
+def _lookup(name, params, kind, tol):
+    """(builtin, the parameter values it was built from, defaults included)."""
+    params = dict(params or {})
+    used = {}
+
+    def take(key, default, cast):
+        val = params.pop(key, default)
+        try:
+            used[key] = cast(val)
+        except (TypeError, ValueError, OverflowError):
+            raise BadParams(f"{name}: parameter {key!r} cannot be {val!r}")
+        return used[key]
 
     def done(obj):
         if params:
             raise BadParams(f"unknown parameters for {name}: {sorted(params)}")
-        return obj
+        return obj, used
 
     if name == "sl2":
-        return done(sl2(take("a", 1.0), take("b", 1.0)))
+        return done(sl2(take("a", 1.0, float), take("b", 1.0, float), tol))
     if name == "nonhomo":
         if kind in (None, "algebra"):
-            return done(nonhomo())
+            return done(nonhomo(tol))
         if kind == "coordinate":
             return done(nonhomo_metric())
         raise BadParams(f"nonhomo has no kind {kind!r}")
     if name == "heisenberg":
-        return done(heisenberg())
+        return done(heisenberg(tol))
     if name == "abelian":
-        return done(abelian(take("n", 3)))
+        return done(abelian(take("n", 3, int), tol))
     if name == "hyperbolic2":
         return done(hyperbolic_plane())
     if name == "twisted-h2":
-        kappa = take("kappa", 1.0)
-        chart = take("chart", None) or kind or "chart"
+        kappa = take("kappa", 1.0, float)
+        chart = kind or take("chart", "chart", str)
         if chart in ("chart", "polar"):
             return done(build_twisted_product(twisted_h2(kappa)))
         if chart == "cartesian":
@@ -282,5 +303,171 @@ def catalog_lookup(name, params=None, kind=None):
             return done(twisted_h2(kappa))
         raise BadParams(f"twisted-h2 has no chart {chart!r}")
     if name == "euclidean":
-        return done(euclidean_metric(take("n", 2)))
+        return done(euclidean_metric(take("n", 2, int)))
     raise UnknownName(f"no builtin named {name!r}; choices: {', '.join(CATALOG_NAMES)}")
+
+
+# ------------------------------------------------------------- verify ledger
+# Each verifier checks its builtin, got through _lookup under the run's tol,
+# against known answers and returns report rows.
+
+def _row(check, residual, tolerance, ok=None):
+    # explicit ok marks a gate (ratio / count check), not a residual bound
+    gate = ok is not None
+    if ok is None:
+        ok = bool(residual <= tolerance)
+    return {"check": check, "residual": residual, "tolerance": tolerance,
+            "ok": bool(ok), "gate": gate}
+
+
+def _verify_sl2(params, tol, grid):
+    M, p = _lookup("sl2", params, None, tol)
+    a, b = p["a"], p["b"]
+    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
+    conn = levi_civita(M)
+    rows.append(_row("torsion", conn.torsion_residual, tol.torsion))
+    rows.append(_row("metric_compat", conn.compat_residual, tol.metric_compat))
+    T = np.array([1.0, 0.0, 0.0])
+    rows.append(_row("tg_hyperplane", hyperplane_tg_residual(M, T),
+                     tol.tg_residual))
+    fr = frenet_orbit(M, T)
+    err = max(abs(fr.curvatures[0] - 2 * b), abs(fr.curvatures[1] - 2 * a))
+    rows.append(_row("frenet_curvatures", err, 1e-9))
+    w = helix_witness(M, T)
+    rows.append(_row("helix_table", w.residuals["bracket_table_residual"],
+                     tol.bracket_table))
+    rows.append(_row("recognized_params",
+                     max(abs(w.recovered_a - a), abs(w.recovered_b - b)),
+                     tol.sl2_match))
+    return rows
+
+
+def _verify_nonhomo(params, tol, grid):
+    M, _ = _lookup("nonhomo", params, None, tol)
+    T = np.array([0.0, 0.0, 0.0, 1.0])
+    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi),
+            _row("tg_hyperplane", hyperplane_tg_residual(M, T),
+                 tol.tg_residual)]
+    report = classify_case(M, T)
+    rows.append(_row("case_circle", abs(report.frenet.curvatures[0] - 2.0),
+                     1e-9, ok=report.case_tag.value == "CircleNormal"
+                     and abs(report.frenet.curvatures[0] - 2.0) <= 1e-9))
+    rows.append(_row("character_annihilation",
+                     report.residuals["character_annihilation"], 1e-9))
+    return rows
+
+
+def _verify_heisenberg(params, tol, grid):
+    M, _ = _lookup("heisenberg", params, None, tol)
+    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
+    res = search_tg_hyperplanes(
+        M, SearchConfig(seed=0, residual_threshold=tol.search_residual))
+    rows.append(_row("no_certified_hyperplanes", float(len(res.normals)),
+                     0.0, ok=len(res.normals) == 0))
+    return rows
+
+
+def _verify_abelian(params, tol, grid):
+    M, _ = _lookup("abelian", params, None, tol)
+    data = curvature_tensor(M)
+    rows = [_row("flat_curvature", float(np.abs(data.components).max()), 1e-12)]
+    rng = np.random.default_rng(0)
+    worst = 0.0
+    for _ in range(5):
+        T = rng.standard_normal(M.dim)
+        worst = max(worst, hyperplane_tg_residual(M, T / np.linalg.norm(T)))
+    rows.append(_row("all_hyperplanes_tg", worst, tol.tg_residual))
+    return rows
+
+
+def _verify_hyperbolic2(params, tol, grid):
+    CM, _ = _lookup("hyperbolic2", params, None, tol)
+    worst = 0.0
+    for r in (0.5, 1.0, 1.7):
+        for th in (0.3, 2.1):
+            x = np.array([r, th])
+            worst = max(worst, float(np.abs(
+                christoffel(CM, x, exact=True)
+                - christoffel(CM, x, exact=False)).max()))
+    rows = [_row("fd_vs_exact_christoffel", worst, tol.fd_vs_exact)]
+    x = np.array([0.9, 1.2])
+    K = sectional_at(CM, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]), tol)
+    rows.append(_row("sectional_minus_one", abs(K + 1.0), tol.cross_engine))
+    x0 = np.array([1.0, 0.5])
+    v0 = np.array([0.6, 0.4])
+    ends = [geodesic_integrate(CM, x0, v0, 1.0, h, tol).points[-1]
+            for h in (4e-3, 2e-3, 1e-3)]
+    e1 = float(np.linalg.norm(ends[0] - ends[1]))
+    e2 = float(np.linalg.norm(ends[1] - ends[2]))
+    ratio = e1 / e2 if e2 > 0 else float("inf")
+    rows.append(_row("rk4_halving_ratio", ratio, 32.0,
+                     ok=8.0 <= ratio <= 32.0))
+    return rows
+
+
+def _verify_twisted(params, tol, grid):
+    spec, p = _lookup("twisted-h2", params, "spec", tol)
+    kappa = p["kappa"]
+    CM = build_twisted_product(spec)
+    rs = np.linspace(0.1, 2.0, grid)
+    ths = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    u_points = np.stack([rs, ths], axis=1)
+    t_vals = np.linspace(0.0, 2.0 * np.pi, grid)
+    rows = [_row("twisting_ode", twisting_ode_residual(spec, t_vals, u_points),
+                 tol.ode_residual)]
+    eik = eikonal_residuals(spec, u_points)
+    rows.append(_row("eikonal_alpha", eik.grad_alpha_residual, tol.eikonal))
+    rows.append(_row("eikonal_beta", eik.grad_beta_residual, tol.eikonal,
+                     ok=eik.beta_applicable
+                     and eik.grad_beta_residual <= tol.eikonal))
+    times = np.linspace(0.0, 2.0 * np.pi, 1201)
+    pts = np.stack([times, np.full_like(times, 0.8),
+                    np.full_like(times, 0.6)], axis=1)
+    fr = frenet_numeric(CM, times, pts, tol=tol)
+    err = max(abs(fr.curvatures[0] - 1.0), abs(fr.curvatures[1] - kappa))
+    rows.append(_row("orbit_frenet", err, tol.leaf_frenet))
+    rows.append(_row("orbit_closure", fr.truncation_residual, tol.leaf_k3))
+    leaf = LevelSetHypersurface(ScalarField(
+        lambda x: x[0], grad=lambda x: np.array([1.0, 0.0, 0.0]),
+        hess=lambda x: np.zeros((3, 3))))
+    worst = 0.0
+    for r in (0.4, 1.1):
+        for th in (0.2, 2.5):
+            sff = second_fundamental_form(CM, leaf, np.array([0.0, r, th]), tol)
+            worst = max(worst, sff.max_norm)
+    rows.append(_row("leaf_sff", worst, tol.sff_leaf))
+    cart = twisted_h2_cartesian(kappa)
+    alg = sl2(kappa / 2.0, 0.5, tol)
+    # at the anchor with t = 0 the chart frame lines up with the algebra
+    # frame; along t it rotates at rate kappa, so only t = 0 matches planes.
+    # Chart planes (t,x), (t,y), (x,y) meet the algebra as (E1,E3), (E1,E2), (E3,E2).
+    e = np.eye(3)
+    worst = 0.0
+    for (i, j), (k, m) in (((0, 1), (0, 2)), ((0, 2), (0, 1)), ((1, 2), (2, 1))):
+        Kc = sectional_at(cart, np.zeros(3), e[i], e[j], tol)
+        worst = max(worst, abs(Kc - sectional(alg, e[k], e[m])))
+    rows.append(_row("anchor_sectional_vs_algebra", worst, tol.cross_engine))
+    return rows
+
+
+def _verify_euclidean(params, tol, grid):
+    CM, _ = _lookup("euclidean", params, None, tol)
+    n = CM.dim
+    rng = np.random.default_rng(1)
+    worst = 0.0
+    for _ in range(3):
+        x = rng.uniform(-1, 1, n)
+        worst = max(worst, float(np.abs(christoffel(CM, x)).max()))
+    rows = [_row("flat_christoffel", worst, 1e-12)]
+    x0 = rng.uniform(-1, 1, n)
+    v0 = rng.uniform(-1, 1, n)
+    traj = geodesic_integrate(CM, x0, v0, 1.0, 1e-2, tol)
+    err = float(np.linalg.norm(traj.points[-1] - (x0 + v0)))
+    rows.append(_row("straight_line", err, 1e-9))
+    return rows
+
+
+LEDGER = {"sl2": _verify_sl2, "nonhomo": _verify_nonhomo,
+          "heisenberg": _verify_heisenberg, "abelian": _verify_abelian,
+          "hyperbolic2": _verify_hyperbolic2, "twisted-h2": _verify_twisted,
+          "euclidean": _verify_euclidean}

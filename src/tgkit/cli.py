@@ -16,19 +16,14 @@ import numpy as np
 
 from . import catalog
 from .config import DEFAULT, Tolerances
-from .coord_engine import (CoordinateMetric, LevelSetHypersurface,
-                           ScalarField, build_twisted_product, christoffel,
-                           eikonal_residuals, export_trajectory_csv,
-                           frenet_numeric, geodesic_integrate,
-                           second_fundamental_form, sectional_at,
-                           twisting_ode_residual)
+from .coord_engine import (CoordinateMetric, export_trajectory_csv,
+                           geodesic_integrate)
 from .errors import AlgebraFileError, BadParams, NotTotallyGeodesic, TgkitError
 from .lie_core import (LieAlgebra, MetricLieAlgebra, Subspace,
-                       curvature_tensor, jacobi_residual, levi_civita,
-                       sectional)
+                       curvature_tensor, jacobi_residual)
 from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
-                          helix_witness, hyperplane_tg_residual,
-                          search_tg_hyperplanes, tg_subspace_check)
+                          hyperplane_tg_residual, search_tg_hyperplanes,
+                          tg_subspace_check)
 
 
 # ------------------------------------------------------------ serialization
@@ -135,6 +130,8 @@ def _coerce(tok):
 
 def parse_builtin(text):
     """'name' or 'name:p1,p2,key=value' -> (name, params dict)."""
+    if text is None:
+        raise BadParams("no input: give --builtin NAME or --algebra FILE")
     name, _, rest = text.partition(":")
     params = {}
     pos = []
@@ -166,12 +163,16 @@ def _parse_vector(text, dim=None):
     return v
 
 
-def _unit_normal(M, text):
-    T = _parse_vector(text, M.dim)
+def _unit_normal(M, args, desc, missing):
+    """(--normal scaled to unit length, desc recording it); BadParams with
+    the message `missing` when there is no --normal."""
+    if not args.normal:
+        raise BadParams(missing)
+    T = _parse_vector(args.normal, M.dim)
     nrm = M.norm(T)
     if nrm <= 1e-12:
         raise BadParams("normal vector has zero length")
-    return T / nrm
+    return T / nrm, dict(desc, normal=args.normal)
 
 
 def _parse_subspace(text, dim):
@@ -181,14 +182,16 @@ def _parse_subspace(text, dim):
     return Subspace(dim, np.stack(cols, axis=1))
 
 
-def _admit(M, tol):
-    """The catalog algebra M admitted again, under the run's tolerances."""
-    return MetricLieAlgebra(LieAlgebra(M.algebra.structure_constants, tol), M.gram, tol)
+def _lookup_builtin(text, tol):
+    """(catalog entry admitted under tol, canonical input description)."""
+    name, params = parse_builtin(text)
+    return catalog.catalog_lookup(name, params, tol=tol), {"builtin": name, "params": params}
 
 
-def _load_algebra(args, tol):
-    """(MetricLieAlgebra, basis names, canonical input description)."""
-    if args.algebra:
+def _load_algebra(args, tol, entry=None):
+    """(MetricLieAlgebra, basis names, canonical input description); entry
+    is the builtin's _lookup_builtin pair when the caller already has it."""
+    if entry is None and args.algebra:
         with open(args.algebra, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
@@ -196,16 +199,10 @@ def _load_algebra(args, tol):
                 raise AlgebraFileError(f"invalid JSON: {exc}")
         M, names = parse_algebra_file(data, tol)
         return M, names, {"algebra_file": data}
-    name, params = parse_builtin(args.builtin)
-    return _builtin_algebra(catalog.catalog_lookup(name, params), name, params, tol)
-
-
-def _builtin_algebra(obj, name, params, tol):
-    """_load_algebra's triple for the looked-up builtin obj."""
-    if not isinstance(obj, MetricLieAlgebra):
-        raise BadParams(f"builtin {name!r} is a chart, not an algebra")
-    return _admit(obj, tol), [f"e{i}" for i in range(obj.dim)], \
-        {"builtin": name, "params": params}
+    M, desc = entry or _lookup_builtin(args.builtin, tol)
+    if not isinstance(M, MetricLieAlgebra):
+        raise BadParams(f"builtin {desc['builtin']!r} is a chart, not an algebra")
+    return M, [f"e{i}" for i in range(M.dim)], desc
 
 
 def _load_chart(args):
@@ -222,16 +219,13 @@ def _load_chart(args):
 # ----------------------------------------------------------------- commands
 
 def _cmd_info(args, tol, grid):
-    if args.builtin:
-        name, params = parse_builtin(args.builtin)
-        obj = catalog.catalog_lookup(name, params)
-        if isinstance(obj, CoordinateMetric):
-            result = {"kind": "chart", "dim": obj.dim,
-                      "exact_partials": obj.partials_at is not None}
-            return result, {}, None, 0, {"builtin": name, "params": params}
-        M, names, desc = _builtin_algebra(obj, name, params, tol)
-    else:
-        M, names, desc = _load_algebra(args, tol)
+    entry = _lookup_builtin(args.builtin, tol) if args.builtin else None
+    if entry and isinstance(entry[0], CoordinateMetric):
+        CM, desc = entry
+        result = {"kind": "chart", "dim": CM.dim,
+                  "exact_partials": CM.partials_at is not None}
+        return result, {}, None, 0, desc
+    M, names, desc = _load_algebra(args, tol, entry)
     jac = jacobi_residual(M.algebra)
     Q = M.onb_change
     onb_res = float(np.abs(Q.T @ M.gram @ Q - np.eye(M.dim)).max())
@@ -273,10 +267,7 @@ def _cmd_tg_check(args, tol, grid):
                   "subspace_dim": S.dim}
         return (result, {"tg_residual": check.residual}, None,
                 0 if check.ok else 2, desc)
-    if not args.normal:
-        raise BadParams("tg-check needs --subspace or --normal")
-    T = _unit_normal(M, args.normal)
-    desc = dict(desc, normal=args.normal)
+    T, desc = _unit_normal(M, args, desc, "tg-check needs --subspace or --normal")
     res = hyperplane_tg_residual(M, T)
     ok = res < tol.tg_residual
     result = {"ok": ok, "residual": res, "witness": None,
@@ -295,10 +286,7 @@ def _frenet_payload(fr):
 
 def _cmd_frenet(args, tol, grid):
     M, names, desc = _load_algebra(args, tol)
-    if not args.normal:
-        raise BadParams("frenet needs --normal")
-    T = _unit_normal(M, args.normal)
-    desc = dict(desc, normal=args.normal)
+    T, desc = _unit_normal(M, args, desc, "frenet needs --normal")
     fr = frenet_orbit(M, T)
     residuals = {}
     if fr.truncation_residual is not None:
@@ -308,10 +296,7 @@ def _cmd_frenet(args, tol, grid):
 
 def _cmd_classify(args, tol, grid):
     M, names, desc = _load_algebra(args, tol)
-    if not args.normal:
-        raise BadParams("classify needs --normal")
-    T = _unit_normal(M, args.normal)
-    desc = dict(desc, normal=args.normal)
+    T, desc = _unit_normal(M, args, desc, "classify needs --normal")
     try:
         report = classify_case(M, T)
     except NotTotallyGeodesic as exc:
@@ -362,197 +347,21 @@ def _cmd_geodesic(args, tol, grid):
 
 # ------------------------------------------------------------------- verify
 
-def _row(check, residual, tolerance, ok=None):
-    # explicit ok marks a gate (ratio / count check), not a residual bound
-    gate = ok is not None
-    if ok is None:
-        ok = bool(residual <= tolerance)
-    return {"check": check, "residual": residual, "tolerance": tolerance,
-            "ok": bool(ok), "gate": gate}
-
-
-def _verify_sl2(params, tol, grid):
-    a = float(params.get("a", 1.0))
-    b = float(params.get("b", 1.0))
-    M = _admit(catalog.sl2(a, b), tol)
-    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
-    conn = levi_civita(M)
-    rows.append(_row("torsion", conn.torsion_residual, tol.torsion))
-    rows.append(_row("metric_compat", conn.compat_residual, tol.metric_compat))
-    T = np.array([1.0, 0.0, 0.0])
-    rows.append(_row("tg_hyperplane", hyperplane_tg_residual(M, T),
-                     tol.tg_residual))
-    fr = frenet_orbit(M, T)
-    err = max(abs(fr.curvatures[0] - 2 * b), abs(fr.curvatures[1] - 2 * a))
-    rows.append(_row("frenet_curvatures", err, 1e-9))
-    w = helix_witness(M, T)
-    rows.append(_row("helix_table", w.residuals["bracket_table_residual"],
-                     tol.bracket_table))
-    rows.append(_row("recognized_params",
-                     max(abs(w.recovered_a - a), abs(w.recovered_b - b)),
-                     tol.sl2_match))
-    return rows
-
-
-def _verify_nonhomo(tol, grid):
-    M = _admit(catalog.nonhomo(), tol)
-    T = np.array([0.0, 0.0, 0.0, 1.0])
-    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi),
-            _row("tg_hyperplane", hyperplane_tg_residual(M, T),
-                 tol.tg_residual)]
-    report = classify_case(M, T)
-    rows.append(_row("case_circle", abs(report.frenet.curvatures[0] - 2.0),
-                     1e-9, ok=report.case_tag.value == "CircleNormal"
-                     and abs(report.frenet.curvatures[0] - 2.0) <= 1e-9))
-    rows.append(_row("character_annihilation",
-                     report.residuals["character_annihilation"], 1e-9))
-    return rows
-
-
-def _verify_heisenberg(tol, grid):
-    M = _admit(catalog.heisenberg(), tol)
-    rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
-    res = search_tg_hyperplanes(
-        M, SearchConfig(seed=0, residual_threshold=tol.search_residual))
-    rows.append(_row("no_certified_hyperplanes", float(len(res.normals)),
-                     0.0, ok=len(res.normals) == 0))
-    return rows
-
-
-def _verify_abelian(params, tol, grid):
-    n = int(params.get("n", 3))
-    M = _admit(catalog.abelian(n), tol)
-    data = curvature_tensor(M)
-    rows = [_row("flat_curvature", float(np.abs(data.components).max()), 1e-12)]
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(5):
-        T = rng.standard_normal(n)
-        worst = max(worst, hyperplane_tg_residual(M, T / np.linalg.norm(T)))
-    rows.append(_row("all_hyperplanes_tg", worst, tol.tg_residual))
-    return rows
-
-
-def _verify_hyperbolic2(tol, grid):
-    CM = catalog.hyperbolic_plane()
-    worst = 0.0
-    for r in (0.5, 1.0, 1.7):
-        for th in (0.3, 2.1):
-            x = np.array([r, th])
-            worst = max(worst, float(np.abs(
-                christoffel(CM, x, exact=True)
-                - christoffel(CM, x, exact=False)).max()))
-    rows = [_row("fd_vs_exact_christoffel", worst, tol.fd_vs_exact)]
-    x = np.array([0.9, 1.2])
-    K = sectional_at(CM, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]), tol)
-    rows.append(_row("sectional_minus_one", abs(K + 1.0), tol.cross_engine))
-    x0 = np.array([1.0, 0.5])
-    v0 = np.array([0.6, 0.4])
-    ends = [geodesic_integrate(CM, x0, v0, 1.0, h, tol).points[-1]
-            for h in (4e-3, 2e-3, 1e-3)]
-    e1 = float(np.linalg.norm(ends[0] - ends[1]))
-    e2 = float(np.linalg.norm(ends[1] - ends[2]))
-    ratio = e1 / e2 if e2 > 0 else float("inf")
-    rows.append(_row("rk4_halving_ratio", ratio, 32.0,
-                     ok=8.0 <= ratio <= 32.0))
-    return rows
-
-
-def _verify_twisted(params, tol, grid):
-    kappa = float(params.get("kappa", 1.0))
-    spec = catalog.twisted_h2(kappa)
-    CM = build_twisted_product(spec)
-    rs = np.linspace(0.1, 2.0, grid)
-    ths = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    u_points = np.stack([rs, ths], axis=1)
-    t_vals = np.linspace(0.0, 2.0 * np.pi, grid)
-    rows = [_row("twisting_ode", twisting_ode_residual(spec, t_vals, u_points),
-                 tol.ode_residual)]
-    eik = eikonal_residuals(spec, u_points)
-    rows.append(_row("eikonal_alpha", eik.grad_alpha_residual, tol.eikonal))
-    rows.append(_row("eikonal_beta", eik.grad_beta_residual, tol.eikonal,
-                     ok=eik.beta_applicable
-                     and eik.grad_beta_residual <= tol.eikonal))
-    times = np.linspace(0.0, 2.0 * np.pi, 1201)
-    pts = np.stack([times, np.full_like(times, 0.8),
-                    np.full_like(times, 0.6)], axis=1)
-    fr = frenet_numeric(CM, times, pts, tol=tol)
-    err = max(abs(fr.curvatures[0] - 1.0), abs(fr.curvatures[1] - kappa))
-    rows.append(_row("orbit_frenet", err, tol.leaf_frenet))
-    rows.append(_row("orbit_closure", fr.truncation_residual, tol.leaf_k3))
-    leaf = LevelSetHypersurface(ScalarField(
-        lambda x: x[0], grad=lambda x: np.array([1.0, 0.0, 0.0]),
-        hess=lambda x: np.zeros((3, 3))))
-    worst = 0.0
-    for r in (0.4, 1.1):
-        for th in (0.2, 2.5):
-            sff = second_fundamental_form(CM, leaf, np.array([0.0, r, th]), tol)
-            worst = max(worst, sff.max_norm)
-    rows.append(_row("leaf_sff", worst, tol.sff_leaf))
-    cart = catalog.twisted_h2_cartesian(kappa)
-    alg = _admit(catalog.sl2(kappa / 2.0, 0.5), tol)
-    # at the anchor with t = 0 the chart frame lines up with the algebra
-    # frame; along t it rotates at rate kappa, so only t = 0 matches planes
-    x = np.zeros(3)
-    worst = 0.0
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        u = np.eye(3)[i]
-        v = np.eye(3)[j]
-        Kc = sectional_at(cart, x, u, v, tol)
-        # chart planes (t,x), (t,y), (x,y) meet the algebra as
-        # (E1,E3), (E1,E2), (E2,E3)
-        amap = {0: 0, 1: 2, 2: 1}
-        Ka = sectional(alg, np.eye(3)[amap[i]], np.eye(3)[amap[j]])
-        worst = max(worst, abs(Kc - Ka))
-    rows.append(_row("anchor_sectional_vs_algebra", worst, tol.cross_engine))
-    return rows
-
-
-def _verify_euclidean(params, tol, grid):
-    n = int(params.get("n", 2))
-    CM = catalog.euclidean_metric(n)
-    rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(3):
-        x = rng.uniform(-1, 1, n)
-        worst = max(worst, float(np.abs(christoffel(CM, x)).max()))
-    rows = [_row("flat_christoffel", worst, 1e-12)]
-    x0 = rng.uniform(-1, 1, n)
-    v0 = rng.uniform(-1, 1, n)
-    traj = geodesic_integrate(CM, x0, v0, 1.0, 1e-2, tol)
-    err = float(np.linalg.norm(traj.points[-1] - (x0 + v0)))
-    rows.append(_row("straight_line", err, 1e-9))
-    return rows
-
-
-_VERIFIERS = {
-    "sl2": lambda p, tol, grid: _verify_sl2(p, tol, grid),
-    "nonhomo": lambda p, tol, grid: _verify_nonhomo(tol, grid),
-    "heisenberg": lambda p, tol, grid: _verify_heisenberg(tol, grid),
-    "abelian": lambda p, tol, grid: _verify_abelian(p, tol, grid),
-    "hyperbolic2": lambda p, tol, grid: _verify_hyperbolic2(tol, grid),
-    "twisted-h2": lambda p, tol, grid: _verify_twisted(p, tol, grid),
-    "euclidean": lambda p, tol, grid: _verify_euclidean(p, tol, grid),
-}
-
-
 def _cmd_verify(args, tol, grid):
     if args.name:
         name, params = parse_builtin(args.name)
-        if name not in _VERIFIERS:
+        if name not in catalog.LEDGER:
             raise BadParams(
                 f"no builtin named {name!r}; choices: {', '.join(catalog.CATALOG_NAMES)}")
         targets = [(name, params)]
     else:
         targets = [(n, {}) for n in catalog.CATALOG_NAMES]
     entries = []
-    all_ok = True
     for name, params in targets:
-        rows = _VERIFIERS[name](params, tol, grid)
-        ok = all(r["ok"] for r in rows)
-        all_ok = all_ok and ok
+        rows = catalog.LEDGER[name](params, tol, grid)
         entries.append({"name": name, "params": params, "checks": rows,
-                        "ok": ok})
+                        "ok": all(r["ok"] for r in rows)})
+    all_ok = all(e["ok"] for e in entries)
     finite = [r["residual"] for e in entries for r in e["checks"]
               if not r["gate"] and r["residual"] is not None
               and np.isfinite(r["residual"])]
@@ -637,6 +446,9 @@ def _parse_tols(pairs):
         raise BadParams(f"unknown tolerance names: {bad}")
     except ValueError as exc:
         raise BadParams(f"bad tolerance value: {exc}")
+    bad = sorted(k for k, v in dataclasses.asdict(tol).items() if not np.isfinite(v))
+    if bad:
+        raise BadParams(f"tolerances must be finite: {bad}")
     return tol, grid, overrides
 
 
@@ -678,10 +490,7 @@ def run(argv=None) -> int:
         out = handler(args, tol, grid)
         result, residuals, case_tag, code, desc = out[:5]
         traj = out[5] if len(out) > 5 else None
-    except TgkitError as exc:
-        print(f"tgkit: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TgkitError, OSError) as exc:
         print(f"tgkit: error: {exc}", file=sys.stderr)
         return 1
     desc = dict(desc, command=args.command, tol=overrides, grid=grid)

@@ -52,7 +52,7 @@ class LieAlgebra:
         if anti > 1e-12:
             raise TgkitError(f"structure constants not antisymmetric (residual {anti:.3e})")
         res = float(np.abs(_jacobi_tensor(c)).max())
-        if res > tol.jacobi:
+        if not res <= tol.jacobi:
             raise JacobiViolation(res)
         self.dim = n
         self.structure_constants = c
@@ -92,7 +92,7 @@ class MetricLieAlgebra:
         if np.abs(gram - gram.T).max() > 1e-12:
             raise TgkitError("gram matrix not symmetric")
         eigs = np.linalg.eigvalsh(gram)
-        if eigs[0] <= tol.spd_min_eig:
+        if not eigs[0] > tol.spd_min_eig:
             raise NotPositiveDefinite(eigs[0])
         self.algebra = algebra
         self.gram = gram

@@ -392,20 +392,20 @@ class HelixWitness:
     residuals: dict
 
 
-def _quotient_constants(B, c):
-    # structure constants of span(B) modulo its complement, in the basis
-    # given by the orthonormal columns of B (frame coordinates)
-    return np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)
-
-
-def _quotient_table_residual(q, k1, k2):
-    # expected: [T,N1] = k2 N2 - k1 T ; [T,N2] = -k2 N1 ; [N1,N2] = -k1 N2
+def _frenet_quotient(M, fd):
+    """(B, q, residual) of an order-two Frenet datum: B has columns T, N1, N2
+    in frame coordinates, q is span(B) modulo its complement in that basis,
+    and the residual is max |q - table| for the table
+    [T,N1] = k2 N2 - k1 T, [T,N2] = -k2 N1, [N1,N2] = -k1 N2."""
+    k1, k2 = fd.curvatures
+    B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)
+    q = np.einsum('ip,jq,ijk,km->pqm', B, B, M.onb_constants, B)
     target = np.zeros((3, 3, 3))
     target[0, 1] = (-k1, 0.0, k2)
     target[0, 2] = (0.0, -k2, 0.0)
     target[1, 2] = (0.0, 0.0, -k1)
     target -= np.transpose(target, (1, 0, 2))
-    return float(np.abs(q - target).max())
+    return B, q, float(np.abs(q - target).max())
 
 
 def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
@@ -421,7 +421,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
-    B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)     # n x 3, frame coords
+    B, q, table_res = _frenet_quotient(M, fd)                 # B: n x 3
     # orthonormal basis of the complement via SVD null space
     _, sv, vt = np.linalg.svd(B.T)
     I_basis = vt[3:].T                                        # n x (n-3)
@@ -433,13 +433,11 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
         ideal_res = float(np.abs(lam_comp).max())
     if not ideal_res <= tol.ideal:
         raise IdealResidualExceeded(ideal_res)
-    q = _quotient_constants(B, c)
-    table_res = _quotient_table_residual(q, k1, k2)
-    rec = _recognize(q, np.eye(3), tol, seed=0)
+    # the quotient is written in the frame (T, N1, N2), so its e1 is the one candidate
+    rec = _sl2_match(_sl2_admit(q, None, tol), [np.eye(3)[0]])
     witness = HelixWitness(
         T=fd.frame[0], N1=fd.frame[1], N2=fd.frame[2],
-        Lambda=Subspace(n, np.stack([fd.frame[0], fd.frame[1], fd.frame[2]], axis=1),
-                        orthonormal=True),
+        Lambda=Subspace(n, np.stack(fd.frame, axis=1), orthonormal=True),
         s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1), orthonormal=True),
         ideal_I=Subspace(n, np.stack([M.from_onb(I_basis[:, k])
                                       for k in range(I_basis.shape[1])], axis=1)
@@ -470,7 +468,9 @@ class Sl2Recognition:
         return iter((self.a, self.b))
 
 
-def _recognize(constants, gram, tol, seed):
+def _sl2_admit(constants, gram, tol):
+    """The 3-dim metric algebra behind a recognition, after its gates:
+    Jacobi, dimension 3, Killing signature (+,+,-)."""
     try:
         L = LieAlgebra(constants, tol)
     except JacobiViolation as e:
@@ -484,16 +484,19 @@ def _recognize(constants, gram, tol, seed):
         raise NotRecognized("Killing form degenerate (algebra not semisimple)")
     if (ev < 0).sum() != 1:
         raise NotRecognized("Killing signature is not (+,+,-)")
-    M = MetricLieAlgebra(L, gram, tol)
-    result = search_tg_hyperplanes(M, SearchConfig(n_starts=32, seed=seed))
-    for T in result.normals:
+    return MetricLieAlgebra(L, gram, tol)
+
+
+def _sl2_match(M, normals):
+    """First candidate normal whose order-two Frenet frame matches the
+    bracket table within sl2_match."""
+    for T in normals:
         fd = frenet_orbit(M, T, p_max=2)
         if fd.order != 2:
             continue
-        k1, k2 = fd.curvatures
-        B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)
-        res = _quotient_table_residual(_quotient_constants(B, M.onb_constants), k1, k2)
-        if res <= tol.sl2_match:
+        res = _frenet_quotient(M, fd)[2]
+        if res <= M.tol.sl2_match:
+            k1, k2 = fd.curvatures
             return Sl2Recognition(k2 / 2.0, k1 / 2.0, res, tuple(fd.frame))
     raise NotRecognized("no orthonormal frame matches the bracket table")
 
@@ -505,9 +508,8 @@ def sl2_recognize(constants, gram=None, tol: Tolerances = DEFAULT,
     Returns the recovered (a, b) = (k2/2, k1/2) with the bracket-table
     residual and the matched frame; unpacks as the pair (a, b).
     """
-    if gram is None:
-        gram = np.eye(3)
-    return _recognize(np.asarray(constants, float), np.asarray(gram, float), tol, seed)
+    M = _sl2_admit(constants, gram, tol)
+    return _sl2_match(M, search_tg_hyperplanes(M, SearchConfig(n_starts=32, seed=seed)).normals)
 
 
 # ----------------------------------------------------------- classification

@@ -134,8 +134,8 @@ def test_info_builds_a_builtin_algebra_once_before_admission(monkeypatch, capsys
 
     monkeypatch.setattr(lie_core.MetricLieAlgebra, "__init__", counting_init)
     assert run(["info", "--builtin", "sl2"]) == 0
-    # the catalog build, then the admission under the run's tolerances
-    assert len(calls) == 2
+    # the catalog admits the builtin under the run's tolerances, once
+    assert len(calls) == 1
 
 
 def test_search_deterministic_output(capsys):
@@ -166,6 +166,30 @@ def test_verify_single_entry(capsys):
     (entry,) = rep["result"]["entries"]
     assert entry["name"] == "heisenberg"
     assert all(row["ok"] for row in entry["checks"])
+
+
+@pytest.mark.parametrize("entry", ["sl2:c=3", "nonhomo:x=1", "heisenberg:a=1",
+                                   "abelian:kappa=2", "hyperbolic2:n=5",
+                                   "twisted-h2:chart=cartesian", "euclidean:a=1"])
+def test_verify_rejects_parameters_its_ledger_does_not_read(entry, capsys):
+    assert run(["verify", entry]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tgkit: error:") and "unknown parameters" in err
+
+
+def test_verify_accepts_the_parameters_its_ledger_reads(capsys):
+    for entry in ("sl2:a=1,b=0.5", "abelian:n=2", "euclidean:n=1"):
+        assert run(["verify", entry]) == 0, entry
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["info", "--builtin", "sl2", "--tol", "jacobi=nan"],
+                                  ["verify", "--tol", "tg_residual=inf"],
+                                  ["verify", "sl2", "--tol", "spd_min_eig=-inf"]])
+def test_non_finite_tolerances_exit_1(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tgkit: error:") and "must be finite" in err
 
 
 def test_verify_twisted_with_grid(capsys):
@@ -237,6 +261,10 @@ def test_input_errors_exit_1(capsys):
          "--tol", "tg_residual=abc"],
         ["geodesic", "--builtin", "sl2", "--x0", "0,0,0", "--v0", "1,0,0"],
         ["verify", "so3"],
+        ["info"],
+        ["geodesic", "--x0", "1,0", "--v0", "0,1"],
+        ["info", "--builtin", "abelian:n=x"],
+        ["verify", "euclidean:n=inf"],
     ]
     for argv in cases:
         assert run(argv) == 1, argv
@@ -318,7 +346,9 @@ def test_admission_honours_tolerance_overrides(tmp_path, capsys):
     far = _perturbed_sl2_file(tmp_path, 1.5e-9)
     assert run(["info", "--algebra", far]) == 1
     assert run(["info", "--algebra", far, "--tol", "jacobi=1e-8"]) == 0
-    for argv in (["info", "--builtin", "sl2"], ["verify", "sl2"]):
+    for argv in (["info", "--builtin", "sl2"], ["verify", "sl2"],
+                 ["verify", "nonhomo"], ["verify", "heisenberg"],
+                 ["verify", "abelian"]):
         assert run(argv + ["--tol", "spd_min_eig=2"]) == 1, argv
         assert "not positive definite" in capsys.readouterr().err
     capsys.readouterr()

@@ -86,6 +86,19 @@ def test_jacobi_gate_and_residual_value():
         LieAlgebra(c)
 
 
+def test_nan_tolerances_fail_the_admission_gates():
+    # a NaN tolerance rejects rather than switching its gate off
+    c = catalog.sl2(1, 1).algebra.structure_constants.copy()
+    c[0, 1, 0] += 0.5
+    c[1, 0, 0] -= 0.5
+    assert abs(jacobi_residual(c) - 1.0) < 1e-13
+    with pytest.raises(JacobiViolation):
+        LieAlgebra(c, DEFAULT.replace(jacobi=float("nan")))
+    tol = DEFAULT.replace(spd_min_eig=float("nan"))
+    with pytest.raises(NotPositiveDefinite):
+        MetricLieAlgebra(catalog.sl2(1, 1).algebra, np.diag([1.0, -1.0, 1.0]), tol)
+
+
 def test_scaling_one_bracket_coefficient_keeps_jacobi():
     # the [E1,E2] -> t E3 family stays a Lie algebra for every t, so this
     # particular coefficient is the wrong knob for breaking Jacobi

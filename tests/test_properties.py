@@ -1,8 +1,13 @@
-"""Property tests over random points of the catalog charts."""
+"""Property tests over random points of the catalog charts, and over random
+command lines."""
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
 from tgkit import catalog
+from tgkit.cli import run
 from tgkit.coord_engine import _spray, christoffel
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -39,3 +44,65 @@ def test_spray_is_minus_christoffel_of_v_v(name, cube, vel):
     got = _spray(CM.gram(x), CM.partials(x), v)
     # relative to the size of the terms, |Gamma| |v|^2
     assert np.abs(got - want).max() <= 1e-12 * np.abs(G).max() * (v @ v)
+
+
+# command lines: real subcommands over cheap builtins (search and the whole
+# verify ledger are left out for time), vectors of the builtin's dimension
+# and malformed ones, and tolerance overrides with non-finite values and
+# unknown names.  Each slot takes a bad value one time in four.
+DIMS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2": 2,
+        "hyperbolic2": 2, "euclidean:2": 2}
+BAD_BUILTINS = ("abelian:n=x", "twisted-h2:chart=cartesian", "twisted-h2:chart=spec",
+                "sl2:c=3", "sl2:0,1", "nosuch")
+LEDGER = (("sl2", "sl2:2,0.5", "nonhomo", "abelian:2", "euclidean:1"),
+          ("sl2:c=3", "euclidean:n=inf", "abelian:9", "nosuch"))
+BAD_VECTORS = ("0,0,0", "nan,1,0", "inf,0", "1,x", "", ";")
+TOL_NAMES = (("jacobi", "spd_min_eig", "tg_residual", "codazzi", "eps_k",
+              "bracket_table", "sl2_match", "unit_norm", "speed_reject", "grid"),
+             ("bogus", ""))
+TOL_VALUES = (("0", "1e-300", "1e-6", "2", "1e300"), ("nan", "inf", "-inf", "-1", "x", ""))
+FLAGS = {"tg-check": ("--normal", "--subspace"), "frenet": ("--normal",),
+         "classify": ("--normal",), "geodesic": ("--x0", "--v0")}
+
+
+@st.composite
+def command_lines(draw):
+    def bad():
+        return draw(st.integers(0, 3)) == 3
+
+    def pick(values):
+        return draw(st.sampled_from(values[bad()]))
+
+    def vector(dim):
+        if bad():
+            return draw(st.sampled_from(BAD_VECTORS))
+        coords = st.sampled_from(("0", "1", "-0.5", "2"))
+        return ",".join(draw(st.lists(coords, min_size=dim, max_size=dim)))
+
+    cmd = draw(st.sampled_from(("info", "curvature", "tg-check", "frenet",
+                                "classify", "geodesic", "verify")))
+    if cmd == "verify":
+        argv = [cmd, pick(LEDGER)]
+    else:
+        builtin = draw(st.sampled_from(BAD_BUILTINS if bad() else sorted(DIMS)))
+        argv = [cmd, "--builtin", builtin]
+        dim = DIMS.get(builtin, 3)
+        for flag in FLAGS.get(cmd, ()):
+            if not bad():
+                val = vector(dim) if flag != "--subspace" else \
+                    f"{vector(dim)};{vector(dim)}"
+                argv += [flag, val]
+    if cmd == "geodesic":
+        argv += ["--tmax", "0.05"]
+    for _ in range(draw(st.integers(0, 2))):
+        argv += ["--tol", f"{pick(TOL_NAMES)}={pick(TOL_VALUES)}"]
+    return argv + draw(st.sampled_from(([], ["--json"])))
+
+
+@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.given(argv=command_lines())
+def test_cli_exits_0_1_or_2_and_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 1, 2), argv

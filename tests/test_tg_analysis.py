@@ -196,6 +196,28 @@ def test_helix_witness_with_flat_factor():
     assert np.abs(w.ideal_I.basis[:3, :]).max() < 1e-12
 
 
+def test_helix_recognition_runs_no_search(monkeypatch):
+    # helix_witness recognizes the quotient at its own Frenet frame; only
+    # sl2_recognize searches
+    from tgkit import tg_analysis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search called")
+
+    monkeypatch.setattr(tg_analysis, "search_tg_hyperplanes", refuse)
+    for a, b in GRID:
+        report = classify_case(catalog.sl2(a, b), E3[:, 0])
+        assert report.case_tag is CaseTag.HELIX_ORDER_TWO
+        assert report.residuals['sl2_residual'] <= DEFAULT.sl2_match
+    T = np.zeros(5)
+    T[0] = 1.0
+    w = helix_witness(sl2_plus_r2(1.0, 2.0), T)
+    assert (w.recovered_a, w.recovered_b) == (1.0, 2.0)
+    assert w.residuals['sl2_residual'] <= DEFAULT.sl2_match
+    with pytest.raises(AssertionError, match="search called"):
+        sl2_recognize(catalog.sl2().algebra.structure_constants)
+
+
 def test_helix_witness_rejects_wrong_order():
     with pytest.raises(NotHelixOrderTwo):
         helix_witness(catalog.nonhomo(), E4[:, 3])
