@@ -19,7 +19,7 @@ from .coord_engine import (CoordinateMetric, LevelSetHypersurface, ScalarField,
                            second_fundamental_form, sectional_at,
                            twisting_ode_residual)
 from .errors import BadParams, TgkitError, UnknownName
-from .lie_core import (LieAlgebra, MetricLieAlgebra, curvature_tensor,
+from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, curvature_tensor,
                        jacobi_residual, levi_civita, sectional)
 from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
                           helix_witness, hyperplane_tg_residual,
@@ -92,15 +92,21 @@ def heisenberg(tol=DEFAULT):
     return MetricLieAlgebra(LieAlgebra(_antisym({(0, 1, 2): 1.0}, 3), tol), tol=tol)
 
 
-def abelian(n=3, tol=DEFAULT):
+def _dimension(n, low):
+    """int(n) in [low, DIM_RANGE[1]], checked before anything of size n exists."""
     n = int(n)
+    if not low <= n <= DIM_RANGE[1]:
+        raise BadParams(f"dimension {n} outside supported range [{low}, {DIM_RANGE[1]}]")
+    return n
+
+
+def abelian(n=3, tol=DEFAULT):
+    n = _dimension(n, DIM_RANGE[0])
     return MetricLieAlgebra(LieAlgebra(np.zeros((n, n, n)), tol), tol=tol)
 
 
 def euclidean_metric(n=2):
-    n = int(n)
-    if n < 1:
-        raise BadParams("dimension must be positive")
+    n = _dimension(n, 1)
     eye = np.eye(n)
     zeros = np.zeros((n, n, n))
     return CoordinateMetric(n, lambda x: eye, lambda x: zeros)
@@ -142,8 +148,6 @@ def nonhomo_metric():
 def twisted_h2(kappa=1.0) -> TwistedProductSpec:
     """Twisted product over the polar hyperbolic plane with alpha = r,
     beta = theta, k = 1, anchored at the origin."""
-    if kappa == 0:
-        raise BadParams("kappa must be nonzero")
     alpha = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
     beta = ScalarField(lambda u: u[1], grad=lambda u: np.array([0.0, 1.0]))
     return TwistedProductSpec(hyperbolic_plane(), alpha, beta,
@@ -433,7 +437,7 @@ def _verify_twisted(params, tol, grid):
     worst = 0.0
     for r in (0.4, 1.1):
         for th in (0.2, 2.5):
-            sff = second_fundamental_form(CM, leaf, np.array([0.0, r, th]), tol)
+            sff = second_fundamental_form(CM, leaf, np.array([0.0, r, th]))
             worst = max(worst, sff.max_norm)
     rows.append(_row("leaf_sff", worst, tol.sff_leaf))
     cart = twisted_h2_cartesian(kappa)

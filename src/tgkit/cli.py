@@ -19,7 +19,7 @@ from .config import DEFAULT, Tolerances
 from .coord_engine import (CoordinateMetric, export_trajectory_csv,
                            geodesic_integrate)
 from .errors import AlgebraFileError, BadParams, NotTotallyGeodesic, TgkitError
-from .lie_core import (LieAlgebra, MetricLieAlgebra, Subspace,
+from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, Subspace,
                        curvature_tensor, jacobi_residual)
 from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
                           hyperplane_tg_residual, search_tg_hyperplanes,
@@ -72,8 +72,8 @@ def parse_algebra_file(data, tol: Tolerances = DEFAULT) -> tuple:
     if "dim" not in data:
         raise AlgebraFileError("missing required key 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or not 2 <= dim <= 8:
-        raise AlgebraFileError(f"dim must be an integer in [2, 8], got {dim!r}")
+    if not isinstance(dim, int) or not DIM_RANGE[0] <= dim <= DIM_RANGE[1]:
+        raise AlgebraFileError(f"dim must be an integer in {list(DIM_RANGE)}, got {dim!r}")
     basis = data.get("basis", [f"e{i}" for i in range(dim)])
     if (not isinstance(basis, list) or len(basis) != dim
             or not all(isinstance(s, str) for s in basis)):
@@ -206,8 +206,6 @@ def _load_algebra(args, tol, entry=None):
 
 
 def _load_chart(args):
-    if args.algebra:
-        raise BadParams("geodesic needs a builtin chart, not an algebra file")
     name, params = parse_builtin(args.builtin)
     kind = "coordinate" if name == "nonhomo" else None
     obj = catalog.catalog_lookup(name, params, kind=kind)
@@ -378,46 +376,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_OPTIONS = {
+    "name": dict(nargs="?", default=None, help="catalog entry, optionally name:params"),
+    "--algebra": dict(metavar="FILE", help="JSON algebra description"),
+    "--builtin": dict(metavar="NAME[:params]", help="catalog entry, e.g. sl2:1,2"),
+    "--subspace": dict(metavar="VECS", help="semicolon-separated comma vectors"),
+    "--normal": dict(metavar="VEC", help="comma vector"),
+    "--x0": dict(metavar="VEC"),
+    "--v0": dict(metavar="VEC"),
+    "--tmax": dict(type=float, default=1.0),
+    "--step": dict(type=float, default=1e-3),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(metavar="FILE", help="write the report (.csv for geodesic trajectories)"),
+    "--tol": dict(action="append", default=[], metavar="NAME=VALUE",
+                  help="tolerance override"),
+    "--json": dict(action="store_true", help="canonical JSON on stdout"),
+}
+# each subcommand declares only the options its handler reads
+_INPUT = ("--algebra", "--builtin")
+_SUBCOMMANDS = {
+    "info": ("dimensions, brackets, and residual summary", _INPUT),
+    "curvature": ("curvature operator eigenvalues on coordinate pairs", _INPUT),
+    "tg-check": ("certify a subspace or hyperplane normal",
+                 _INPUT + ("--subspace", "--normal")),
+    "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",)),
+    "classify": ("case analysis of a certified normal", _INPUT + ("--normal",)),
+    "search": ("multistart search for certified hyperplane normals", _INPUT + ("--seed",)),
+    "geodesic": ("integrate a chart geodesic",
+                 ("--builtin", "--x0", "--v0", "--tmax", "--step")),
+    "verify": ("run the residual ledger over catalog entries", ("name",)),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="tgkit",
                      description="Totally geodesic hypersurface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_, chart=False, verify=False):
+    for name, (help_, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        if verify:
-            p.add_argument("name", nargs="?", default=None,
-                           help="catalog entry, optionally name:params")
-        else:
-            p.add_argument("--algebra", metavar="FILE",
-                           help="JSON algebra description")
-            p.add_argument("--builtin", metavar="NAME[:params]",
-                           help="catalog entry, e.g. sl2:1,2")
-        p.add_argument("--subspace", metavar="VECS",
-                       help="semicolon-separated comma vectors")
-        p.add_argument("--normal", metavar="VEC", help="comma vector")
-        if chart:
-            p.add_argument("--x0", metavar="VEC")
-            p.add_argument("--v0", metavar="VEC")
-            p.add_argument("--tmax", type=float, default=1.0)
-            p.add_argument("--step", type=float, default=1e-3)
-        p.add_argument("--out", metavar="FILE",
-                       help="write the report (.csv for geodesic trajectories)")
-        p.add_argument("--tol", action="append", default=[],
-                       metavar="NAME=VALUE", help="tolerance override")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="canonical JSON on stdout")
-        return p
-
-    add("info", "dimensions, brackets, and residual summary")
-    add("curvature", "curvature operator eigenvalues on coordinate pairs")
-    add("tg-check", "certify a subspace or hyperplane normal")
-    add("frenet", "orbit curvatures of a unit normal")
-    add("classify", "case analysis of a certified normal")
-    add("search", "multistart search for certified hyperplane normals")
-    add("geodesic", "integrate a chart geodesic", chart=True)
-    add("verify", "run the residual ledger over catalog entries", verify=True)
+        for flag in flags + ("--out", "--tol", "--json"):
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 

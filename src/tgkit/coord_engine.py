@@ -303,8 +303,7 @@ class SffResult(typing.NamedTuple):
     max_norm: float         # largest entry in an orthonormalized tangent frame
 
 
-def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x,
-                            tol: Tolerances = DEFAULT) -> SffResult:
+def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x) -> SffResult:
     """II(X, Y) = -<nabla_X Y, xi> = Hess h(X, Y) / |grad h|_g on {h = 0}."""
     x = np.asarray(x, float)
     if abs(H.field.value(x)) >= 1e-10:
@@ -313,7 +312,7 @@ def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x,
     dh = H.field.gradient(x)
     if np.linalg.norm(dh) <= 1e-8:
         raise MetricDegenerate("level-set gradient vanishes")
-    G = christoffel(CM, x)
+    G = _christoffel_from(g, CM.partials(x))
     hess = H.field.hessian(x) - np.einsum('kij,k->ij', G, dh)
     gradnorm = float(np.sqrt(dh @ np.linalg.solve(g, dh)))
     # tangent coordinate frame by eliminating the largest-gradient coordinate
@@ -335,36 +334,48 @@ def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x,
 
 # ---------------------------------------------------------- product builders
 
+def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> CoordinateMetric:
+    """diag(w(x) I_m, base(u)) on x = (v, u), the m flat coordinates first.
+
+    weight(x) -> w; weight_partials(x) -> (d w / d x^k) over all dim
+    coordinates, or None for finite-difference partials.  The base gram is
+    evaluated ungated: a block-diagonal gram is finite, symmetric and
+    positive definite exactly when each block is, so the one gate on the
+    composite covers the base.
+    """
+    dim = m + base.dim
+
+    def gram_at(x):
+        g = np.zeros((dim, dim))
+        g[:m, :m] = weight(x) * np.eye(m)
+        g[m:, m:] = _eval_gram(base, x[m:])
+        return g
+
+    partials_at = None
+    if base.partials_at is not None and weight_partials is not None:
+        def partials_at(x):
+            dg = np.zeros((dim, dim, dim))
+            dg[:, :m, :m] = weight_partials(x)[:, None, None] * np.eye(m)
+            dg[m:, m:, m:] = base.partials_at(x[m:])
+            return dg
+
+    return CoordinateMetric(dim, gram_at, partials_at, fd_step=base.fd_step)
+
+
 def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> CoordinateMetric:
     """e^{2 logf(u)} sum_a (dv^a)^2 + base, flat v-coordinates first."""
     if m < 1:
         raise BadParams("flat factor dimension must be at least 1")
-    nb = base.dim
-    dim = m + nb
 
-    def gram_at(x):
+    def weight(x):
+        return np.exp(2.0 * logf.value(x[m:]))
+
+    def weight_partials(x):
         u = x[m:]
-        g = np.zeros((dim, dim))
-        f2 = np.exp(2.0 * logf.value(u))
-        g[:m, :m] = f2 * np.eye(m)
-        g[m:, m:] = base.gram(u)
-        return g
+        return np.concatenate([np.zeros(m),
+                               2.0 * logf.gradient(u) * np.exp(2.0 * logf.value(u))])
 
-    partials_at = None
-    if base.partials_at is not None and logf.has_grad:
-        def partials_at(x):
-            u = x[m:]
-            dg = np.zeros((dim, dim, dim))
-            f2 = np.exp(2.0 * logf.value(u))
-            dphi = logf.gradient(u)
-            dbase = base.partials(u, exact=True)
-            for k in range(nb):
-                dg[m + k, :m, :m] = 2.0 * dphi[k] * f2 * np.eye(m)
-                dg[m + k, m:, m:] = dbase[k]
-            return dg
-
-    return CoordinateMetric(dim, gram_at, partials_at,
-                            fd_step=base.fd_step)
+    return _product_metric(m, base, weight, weight_partials if logf.has_grad else None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,16 +404,21 @@ class TwistedProductSpec:
             raise BadParams(f"alpha({anchor.tolist()}) = {a0:.3e}, anchor needs alpha = 0")
 
 
-def twisting_phi(spec: TwistedProductSpec, t, u):
-    """(phi, phi_t, phi_tt) of the closed-form twisting function."""
+def _twist(spec: TwistedProductSpec, t, u):
+    """(F, F_t, sinh alpha, cosh alpha, angle) at (t, u), where
+    F = e^{-phi} = sinh(alpha) cos(angle) + cosh(alpha), angle = kappa t + beta."""
     a = spec.alpha.value(u)
-    b = spec.beta.value(u)
     sa, ca = np.sinh(a), np.cosh(a)
-    ang = spec.kappa * t + b
+    ang = spec.kappa * t + spec.beta.value(u)
     F = sa * np.cos(ang) + ca
     if F <= 0:      # impossible for real alpha; guarded anyway
         raise TgkitError(f"e^{{-phi}} = {F:.3e} <= 0 at t={t}, u={np.asarray(u).tolist()}")
-    Ft = -spec.kappa * sa * np.sin(ang)
+    return F, -spec.kappa * sa * np.sin(ang), sa, ca, ang
+
+
+def twisting_phi(spec: TwistedProductSpec, t, u):
+    """(phi, phi_t, phi_tt) of the closed-form twisting function."""
+    F, Ft, sa, _, ang = _twist(spec, t, u)
     Ftt = -spec.kappa ** 2 * sa * np.cos(ang)
     phi = -np.log(F)
     phi_t = -Ft / F
@@ -412,40 +428,18 @@ def twisting_phi(spec: TwistedProductSpec, t, u):
 
 def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
     """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi}, base block-diagonal."""
-    nb = spec.base.dim
-    dim = nb + 1
+    def weight(x):
+        return np.exp(2.0 * twisting_phi(spec, x[0], x[1:])[0])
 
-    def gram_at(x):
-        t, u = x[0], x[1:]
-        phi, _, _ = twisting_phi(spec, t, u)
-        g = np.zeros((dim, dim))
-        g[0, 0] = np.exp(2.0 * phi)
-        g[1:, 1:] = spec.base.gram(u)
-        return g
+    def weight_partials(x):
+        u = x[1:]
+        F, Ft, sa, ca, ang = _twist(spec, x[0], u)
+        Fu = ((ca * np.cos(ang) + sa) * spec.alpha.gradient(u)
+              - sa * np.sin(ang) * spec.beta.gradient(u))
+        return -2.0 * F ** -3.0 * np.concatenate([[Ft], Fu])
 
-    partials_at = None
-    if (spec.base.partials_at is not None and spec.alpha.has_grad
-            and spec.beta.has_grad):
-        def partials_at(x):
-            t, u = x[0], x[1:]
-            a = spec.alpha.value(u)
-            b = spec.beta.value(u)
-            sa, ca = np.sinh(a), np.cosh(a)
-            ang = spec.kappa * t + b
-            F = sa * np.cos(ang) + ca
-            da = spec.alpha.gradient(u)
-            db = spec.beta.gradient(u)
-            Ft = -spec.kappa * sa * np.sin(ang)
-            Fu = (ca * np.cos(ang) + sa) * da - sa * np.sin(ang) * db
-            dg = np.zeros((dim, dim, dim))
-            dg[0, 0, 0] = -2.0 * F ** -3.0 * Ft
-            dbase = spec.base.partials(u, exact=True)
-            for kk in range(nb):
-                dg[1 + kk, 0, 0] = -2.0 * F ** -3.0 * Fu[kk]
-                dg[1 + kk, 1:, 1:] = dbase[kk]
-            return dg
-
-    return CoordinateMetric(dim, gram_at, partials_at, fd_step=spec.base.fd_step)
+    exact = spec.alpha.has_grad and spec.beta.has_grad
+    return _product_metric(1, spec.base, weight, weight_partials if exact else None)
 
 
 def twisting_ode_residual(spec: TwistedProductSpec, t_vals, u_points,
@@ -501,13 +495,13 @@ def riemann_at(CM: CoordinateMetric, x, step=1e-3):
     """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at x (FD of Christoffel)."""
     x = np.asarray(x, float)
     dG = _richardson(lambda y: christoffel(CM, y), x, step)
-    G = christoffel(CM, x)
+    g = CM.gram(x)
+    G = _christoffel_from(g, CM.partials(x))
     # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
     Rup = (np.einsum('iljk->lijk', dG[:, :, :, :])
            - np.einsum('jlik->lijk', dG[:, :, :, :])
            + np.einsum('lim,mjk->lijk', G, G)
            - np.einsum('ljm,mik->lijk', G, G))
-    g = CM.gram(x)
     return np.einsum('lijk,lm->ijkm', Rup, g)
 
 

@@ -24,6 +24,7 @@ from .errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
                      NonFiniteInput, NotPositiveDefinite, TgkitError)
 
 SUBSPACE_RANK = 1e-10      # smallest singular value of a Subspace basis
+DIM_RANGE = (2, 8)         # supported algebra dimensions, inclusive
 
 
 def _as_tensor(c):
@@ -44,8 +45,8 @@ class LieAlgebra:
     def __init__(self, structure_constants, tol: Tolerances = DEFAULT):
         c = _as_tensor(structure_constants)
         n = c.shape[0]
-        if not 2 <= n <= 8:
-            raise DimensionMismatch(f"dimension {n} outside supported range [2, 8]")
+        if not DIM_RANGE[0] <= n <= DIM_RANGE[1]:
+            raise DimensionMismatch(f"dimension {n} outside supported range {list(DIM_RANGE)}")
         if not np.isfinite(c).all():
             raise NonFiniteInput("structure constants contain NaN or inf")
         anti = np.abs(c + np.transpose(c, (1, 0, 2))).max()
@@ -213,7 +214,6 @@ class Subspace:
     """Column span of `basis` inside an ambient algebra."""
     ambient_dim: int
     basis: np.ndarray
-    orthonormal: bool = False
 
     def __post_init__(self):
         B = np.asarray(self.basis, dtype=float)

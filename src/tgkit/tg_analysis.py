@@ -437,12 +437,11 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     rec = _sl2_match(_sl2_admit(q, None, tol), [np.eye(3)[0]])
     witness = HelixWitness(
         T=fd.frame[0], N1=fd.frame[1], N2=fd.frame[2],
-        Lambda=Subspace(n, np.stack(fd.frame, axis=1), orthonormal=True),
-        s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1), orthonormal=True),
+        Lambda=Subspace(n, np.stack(fd.frame, axis=1)),
+        s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1)),
         ideal_I=Subspace(n, np.stack([M.from_onb(I_basis[:, k])
                                       for k in range(I_basis.shape[1])], axis=1)
-                         if I_basis.shape[1] else np.empty((n, 0)),
-                         orthonormal=True),
+                         if I_basis.shape[1] else np.empty((n, 0))),
         quotient_constants=q,
         recovered_a=k2 / 2.0,
         recovered_b=k1 / 2.0,
@@ -509,7 +508,8 @@ def sl2_recognize(constants, gram=None, tol: Tolerances = DEFAULT,
     residual and the matched frame; unpacks as the pair (a, b).
     """
     M = _sl2_admit(constants, gram, tol)
-    return _sl2_match(M, search_tg_hyperplanes(M, SearchConfig(n_starts=32, seed=seed)).normals)
+    config = SearchConfig(n_starts=32, seed=seed, residual_threshold=tol.search_residual)
+    return _sl2_match(M, search_tg_hyperplanes(M, config).normals)
 
 
 # ----------------------------------------------------------- classification

@@ -4,7 +4,7 @@ import pytest
 from tgkit import catalog
 from tgkit.coord_engine import CoordinateMetric, TwistedProductSpec
 from tgkit.errors import BadParams, UnknownName
-from tgkit.lie_core import MetricLieAlgebra
+from tgkit.lie_core import DIM_RANGE, MetricLieAlgebra
 
 from helpers import sl2_rep_constants
 
@@ -93,6 +93,22 @@ def test_lookup_rejects_bad_input():
         catalog.catalog_lookup("twisted-h2", {"chart": "spherical"})
     with pytest.raises(BadParams):
         catalog.euclidean_metric(0)
+
+
+def test_builtin_dimensions_are_bounded_before_allocation():
+    # n^3 and n^2 floats at these sizes cannot be allocated at all
+    with pytest.raises(BadParams, match=r"outside supported range \[2, 8\]"):
+        catalog.abelian(100000)
+    with pytest.raises(BadParams, match=r"outside supported range \[1, 8\]"):
+        catalog.euclidean_metric(10**9)
+    lo, hi = DIM_RANGE
+    assert catalog.abelian(hi).dim == hi
+    assert catalog.euclidean_metric(hi).dim == hi
+    for bad in ({"n": lo - 1}, {"n": hi + 1}):
+        with pytest.raises(BadParams):
+            catalog.catalog_lookup("abelian", bad)
+    with pytest.raises(BadParams):
+        catalog.catalog_lookup("euclidean", {"n": hi + 1})
 
 
 def test_catalog_names_all_resolve():

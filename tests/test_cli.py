@@ -272,6 +272,40 @@ def test_input_errors_exit_1(capsys):
         assert err.startswith("tgkit: error:"), argv
 
 
+def test_huge_builtin_dimensions_exit_1(capsys):
+    for argv in (["info", "--builtin", "abelian:100000"],
+                 ["geodesic", "--builtin", "euclidean:1000000000", "--x0", "0", "--v0", "1"]):
+        assert run(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("tgkit: error: dimension") and "supported range" in err, argv
+
+
+# options each subcommand used to accept without reading them
+DROPPED_OPTIONS = {
+    "info": ("--subspace", "--normal", "--seed"),
+    "curvature": ("--subspace", "--normal", "--seed"),
+    "tg-check": ("--seed",),
+    "frenet": ("--subspace", "--seed"),
+    "classify": ("--subspace", "--seed"),
+    "search": ("--subspace", "--normal"),
+    "geodesic": ("--algebra", "--subspace", "--normal", "--seed"),
+    "verify": ("--subspace", "--normal", "--seed"),
+}
+
+
+def test_options_a_subcommand_does_not_read_exit_1(capsys):
+    values = {"--subspace": "1,0,0;0,1,0", "--normal": "1,0,0", "--seed": "1",
+              "--algebra": "sl2.json"}
+    for cmd, flags in DROPPED_OPTIONS.items():
+        head = [cmd, "sl2"] if cmd == "verify" else [cmd, "--builtin", "sl2"]
+        for flag in flags:
+            assert run(head + [flag, values[flag]]) == 1, (cmd, flag)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("tgkit: error: unrecognized arguments"), (cmd, flag)
+    assert sum(map(len, DROPPED_OPTIONS.values())) == 20
+
+
 def test_algebra_file_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -3,13 +3,13 @@ import pytest
 
 from helpers import geodesic_per_stage
 
-from tgkit import catalog
-from tgkit.coord_engine import (CoordinateMetric, LevelSetHypersurface,
+from tgkit import catalog, coord_engine
+from tgkit.coord_engine import (_GATE_STEPS, CoordinateMetric, LevelSetHypersurface,
                                 ScalarField, _gate_grams, christoffel,
                                 export_trajectory_csv, frenet_numeric,
                                 geodesic_integrate, riemann_at,
                                 second_fundamental_form, sectional_at,
-                                build_warped_product)
+                                build_twisted_product, build_warped_product)
 from tgkit.errors import (BadParams, DegeneratePlane, DimensionMismatch,
                           IrregularCurve, MetricDegenerate, TgkitError)
 
@@ -377,6 +377,71 @@ def test_warped_product_gates():
     base = catalog.euclidean_metric(2)
     with pytest.raises(BadParams):
         build_warped_product(0, base, ScalarField(lambda u: 0.0))
+
+
+def _counted_gates(monkeypatch):
+    """Points of each _gate_grams call, recorded as lists of tuples."""
+    seen = []
+    gate = coord_engine._gate_grams
+
+    def counted(points, grams):
+        seen.append([tuple(p) for p in points])
+        return gate(points, grams)
+
+    monkeypatch.setattr(coord_engine, "_gate_grams", counted)
+    return seen
+
+
+def _warped_over_hyperbolic():
+    logf = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
+    return build_warped_product(2, HYP, logf)
+
+
+def test_product_gram_is_gated_once(monkeypatch):
+    seen = _counted_gates(monkeypatch)
+    twisted = build_twisted_product(catalog.twisted_h2(1.0))
+    for CM, x in ((twisted, [0.3, 0.8, 0.6]), (_warped_over_hyperbolic(), [0.1, -0.2, 0.8, 0.6])):
+        seen.clear()
+        CM.gram(np.array(x))
+        assert seen == [[tuple(x)]]
+
+
+def test_polar_twisted_gate_counts(monkeypatch):
+    seen = _counted_gates(monkeypatch)
+    CM = build_twisted_product(catalog.twisted_h2(1.0))
+    geodesic_integrate(CM, [0.5, 1.0, 0.5], [0.3, 0.1, 0.1], 1.0, 1e-3)
+    # one gate per block of _GATE_STEPS steps, plus the first and last point
+    assert len(seen) == -(-1000 // _GATE_STEPS) + 2
+    seen.clear()
+    ts = np.linspace(0.0, 2 * np.pi, 601)
+    frenet_numeric(CM, ts, np.stack([ts, np.full(601, 0.8), np.full(601, 0.6)], axis=1))
+    assert len(seen) == 2       # full and half sampling
+
+
+def test_degenerate_base_names_the_composite_point():
+    # the polar hyperbolic base degenerates on the axis r = 0
+    twisted = build_twisted_product(catalog.twisted_h2(1.0))
+    for CM, x in ((twisted, [0.3, 0.0, 0.6]), (_warped_over_hyperbolic(), [0.1, -0.2, 0.0, 0.6])):
+        with pytest.raises(MetricDegenerate, match=r"not positive definite at \[") as err:
+            CM.gram(np.array(x))
+        assert str(err.value).endswith(f"at {x}")
+        with pytest.raises(MetricDegenerate, match="not positive definite"):
+            geodesic_integrate(CM, x, np.eye(len(x))[0], 0.01, 1e-3)
+
+
+def test_sff_and_riemann_gate_the_point_once(monkeypatch):
+    seen = _counted_gates(monkeypatch)
+    h = ScalarField(lambda x: x @ x - 4.0, grad=lambda x: 2 * x,
+                    hess=lambda x: 2 * np.eye(3))
+    x = np.array([0.0, 2.0, 0.0])
+    second_fundamental_form(EUC3, LevelSetHypersurface(h), x)
+    assert seen == [[tuple(x)]]
+    seen.clear()
+    x = np.array([0.9, 1.2])
+    riemann_at(HYP, x)
+    # 4 Richardson offsets per coordinate, then x itself once
+    assert len(seen) == 4 * 2 + 1
+    assert sum(pts == [tuple(x)] for pts in seen) == 1
 
 
 # ------------------------------------------------------------ numeric frenet

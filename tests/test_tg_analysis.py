@@ -276,6 +276,14 @@ def test_recognize_rejections():
         sl2_recognize(bad)
 
 
+def test_recognize_honours_the_search_threshold():
+    closed = catalog._sl2_closed(1.0, 1.0)
+    assert tuple(sl2_recognize(closed)) == pytest.approx((1.0, 1.0), abs=1e-7)
+    # a search under threshold 0 certifies no normal, so nothing is matched
+    with pytest.raises(NotRecognized):
+        sl2_recognize(closed, tol=DEFAULT.replace(search_residual=0.0))
+
+
 # ----------------------------------------------------------- classification
 
 def test_classify_geodesic_normal_on_flat_factors():

@@ -75,7 +75,7 @@ def test_eikonal_beta_not_applicable_for_zero_alpha():
 # --------------------------------------------------------------- spec gates
 
 def test_spec_gates():
-    with pytest.raises(BadParams):
+    with pytest.raises(BadParams, match="kappa must be nonzero"):
         catalog.twisted_h2(0.0)
     with pytest.raises(BadParams):
         catalog.twisted_h2_cartesian(0.0)
