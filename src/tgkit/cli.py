@@ -206,6 +206,8 @@ def _load_algebra(args, tol, entry=None):
 
 
 def _load_chart(args):
+    if args.builtin is None:
+        raise BadParams("geodesic needs --builtin NAME")
     name, params = parse_builtin(args.builtin)
     kind = "coordinate" if name == "nonhomo" else None
     obj = catalog.catalog_lookup(name, params, kind=kind)
@@ -315,6 +317,8 @@ def _cmd_classify(args, tol, grid):
 
 
 def _cmd_search(args, tol, grid):
+    if args.seed < 0:
+        raise BadParams(f"--seed must be non-negative, got {args.seed}")
     M, names, desc = _load_algebra(args, tol)
     config = SearchConfig(seed=args.seed, residual_threshold=tol.search_residual)
     desc = dict(desc, seed=args.seed)

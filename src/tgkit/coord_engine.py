@@ -419,7 +419,7 @@ def _twist(spec: TwistedProductSpec, t, u):
 def twisting_phi(spec: TwistedProductSpec, t, u):
     """(phi, phi_t, phi_tt) of the closed-form twisting function."""
     F, Ft, sa, _, ang = _twist(spec, t, u)
-    Ftt = -spec.kappa ** 2 * sa * np.cos(ang)
+    Ftt = -(spec.kappa * spec.kappa) * sa * np.cos(ang)
     phi = -np.log(F)
     phi_t = -Ft / F
     phi_tt = -Ftt / F + (Ft / F) ** 2
@@ -450,15 +450,15 @@ def twisting_ode_residual(spec: TwistedProductSpec, t_vals, u_points,
     perturbed candidate runs through the identical differentiation.
     """
     ev = phi_eval or (lambda t, u: twisting_phi(spec, t, u))
-    k2 = spec.kappa ** 2
-    worst = 0.0
+    k2 = spec.kappa * spec.kappa
+    terms = []
     for u in np.atleast_2d(np.asarray(u_points, float)):
         for t in np.asarray(t_vals, float).ravel():
             phi, pt, ptt = ev(t, u)
             em, ep = np.exp(-phi), np.exp(phi)
-            dq = em * pt * (2.0 * ptt - pt * pt) + k2 * pt * (ep - em)
-            worst = max(worst, abs(float(dq)))
-    return worst
+            terms.append(float(em * pt * (2.0 * ptt - pt * pt) + k2 * pt * (ep - em)))
+    # np.max, unlike max(), lets one NaN term make the residual NaN
+    return float(np.abs(terms).max(initial=0.0))
 
 
 class EikonalResiduals(typing.NamedTuple):
@@ -474,19 +474,19 @@ def eikonal_residuals(spec: TwistedProductSpec, u_points) -> EikonalResiduals:
     matching the polar-type degeneracy at the anchor.
     """
     k2 = spec.k ** 2
-    ra = 0.0
-    rb = 0.0
-    any_beta = False
-    for u in np.atleast_2d(np.asarray(u_points, float)):
-        ginv = np.linalg.inv(spec.base.gram(u))
+    u_points = np.atleast_2d(np.asarray(u_points, float))
+    ra, rb = [], []
+    for u, g in zip(u_points, _grams(spec.base, u_points)):
+        ginv = np.linalg.inv(g)
         da = spec.alpha.gradient(u)
-        ra = max(ra, abs(float(da @ ginv @ da) - k2))
+        ra.append(float(da @ ginv @ da) - k2)
         a = spec.alpha.value(u)
         if abs(a) > 1e-12:
             db = spec.beta.gradient(u)
-            rb = max(rb, abs(np.sinh(a) ** 2 * float(db @ ginv @ db) - k2))
-            any_beta = True
-    return EikonalResiduals(ra, rb if any_beta else float('nan'), any_beta)
+            rb.append(np.sinh(a) ** 2 * float(db @ ginv @ db) - k2)
+    # np.max, unlike max(), lets one NaN term make the residual NaN
+    return EikonalResiduals(float(np.abs(ra).max(initial=0.0)),
+                            float(np.abs(rb).max()) if rb else float('nan'), bool(rb))
 
 
 # ------------------------------------------------------- pointwise curvature
@@ -511,7 +511,7 @@ def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT,
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
-    if den <= tol.degenerate_plane:
+    if not den > tol.degenerate_plane:
         raise DegeneratePlane(f"Gram determinant {den:.3e}")
     R = riemann_at(CM, x, step=step)
     return float(np.einsum('ijkl,i,j,k,l->', R, u, v, v, u) / den)

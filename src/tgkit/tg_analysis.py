@@ -106,8 +106,6 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 class SearchConfig:
     n_starts: int = 64
     seed: int = 0
-    max_iter: int = 200
-    newton_iter: int = 6
     residual_threshold: float = DEFAULT.search_residual
 
 
@@ -124,142 +122,77 @@ class SearchResult:
         return len(self.normals)
 
 
-def _search_objective(G):
-    """f(t) = |P M(t) P|^2 with M(t) = G.t and P = I - t t^T, and its gradient.
+def _residual_jacobian(G):
+    """r(t) = vec(P M(t) P) with M(t) = G.t and P = I - t t^T, its Jacobian
+    along the columns d of Q = complement_onb(t), and Q.
 
-    t may carry leading batch axes (one start per row); each row of a
-    C-ordered stack evaluates bit for bit as a lone 1-D t does.
+    Row d of the Jacobian is vec(dP M P + P M(d) P + P M dP) with
+    dP = -(d t^T + t d^T).  t may carry leading batch axes (one start per
+    row); each row of a C-ordered stack evaluates bit for bit as a lone 1-D
+    t does.
     """
-    eye = np.eye(G.shape[0])
+    n = G.shape[0]
+    eye = np.eye(n)
 
-    def f_grad(t):
-        Mm = np.einsum('ijk,...k->...ij', G, t)
-        Mt = np.swapaxes(Mm, -1, -2)
+    def koszul(x):
+        return np.einsum('ijk,...k->...ij', G, x)
+
+    def rj(t):
+        Q = complement_onb(t)
+        D = np.swapaxes(Q, -1, -2)                     # rows are the d
         P = eye - t[..., :, None] * t[..., None, :]
-        PMP = P @ Mm @ P
-        f = np.sum(PMP * PMP, axis=(-2, -1))
-        g3 = np.einsum('...ij,ijk->...k', PMP, G)
-        tc = t[..., :, None]
-        grad = 2.0 * (g3 - (PMP @ Mt @ tc)[..., 0] - (P @ Mt @ P @ Mm @ tc)[..., 0])
-        return f, grad
-    return f_grad
+        Mm = koszul(t)
+        PM = P @ Mm
+        dP = -(D[..., :, :, None] * t[..., None, None, :]
+               + t[..., None, :, None] * D[..., :, None, :])
+        Pd = P[..., None, :, :]
+        dR = dP @ (Mm @ P)[..., None, :, :] + Pd @ koszul(D) @ Pd + PM[..., None, :, :] @ dP
+        lead = t.shape[:-1]
+        return (PM @ P).reshape(lead + (n * n,)), dR.reshape(lead + (n - 1, n * n)), Q
+    return rj
 
 
 def _unit_rows(x):
     return x / np.sqrt(rowdot(x, x))[..., None]
 
 
-# Armijo step lengths: halve from 1 while alpha > 1e-12 (all exact)
-_ALPHAS = 0.5 ** np.arange(64)
-_ALPHAS = _ALPHAS[_ALPHAS > 1e-12]
+_LM_ITER = 100
+_LM_FLOOR = 1e-12
 
 
-def _batch_descend(f_grad, t, max_iter):
-    """Projected gradient descent on the sphere for every row of t at once.
+def _batch_lm(rj, t):
+    """Levenberg-Marquardt on the sphere for every row of t at once.
 
-    Each start takes the first alpha of _ALPHAS that passes Armijo
-    (sufficient decrease 1e-4) and retires when none does, when its
-    projected gradient vanishes, or after max_iter steps.  The backtracking
-    starts try _ALPHAS in blocks of doubling length (1; 1/2, 1/4; 1/8 ..
-    1/64; ...), one objective call per block, so a start that backtracks k
-    times costs about log2(k) calls rather than k; the first passing alpha
-    is the one a one-at-a-time loop would take.
+    A step solves (J J^T + lam s I) xi = -J r, with s the largest entry of
+    J J^T, and moves to (t + Q xi)/|t + Q xi|.  lam falls tenfold when the
+    step lowers f = |r|^2 (and is taken) and rises tenfold otherwise.  A
+    start retires when f < 1e-32, when lam > 1e12 (f has plateaued), when
+    J vanishes, or after _LM_ITER steps.  lam >= _LM_FLOOR keeps the damped
+    system nonsingular on every live row, so one stacked solve serves all.
     """
     t = t.copy()
-    n = t.shape[1]
-    f, g = f_grad(t)
+    r, J, Q = rj(t)
+    f = rowdot(r, r)
+    lam = np.full(len(t), 1e-3)
+    eye = np.eye(t.shape[1] - 1)
     live = np.arange(len(t))
-    for _ in range(max_iter):
-        tl, gl = t[live], g[live]
-        rg = gl - rowdot(gl, tl)[:, None] * tl
-        gn = rowdot(rg, rg)
-        go = ~(gn < 1e-28)
-        live, tl, rg, gn = live[go], tl[go], rg[go], gn[go]
+    for _ in range(_LM_ITER):
+        A = J[live] @ np.swapaxes(J[live], 1, 2)
+        s = A.max(axis=(1, 2), initial=0.0)
+        go = ~(f[live] < 1e-32) & ~(lam[live] > 1e12) & (s > 0)
+        live, A, s = live[go], A[go], s[go]
         if not len(live):
             break
-        moved = np.zeros(len(live), bool)
-        trying = np.arange(len(live))      # positions in live still backtracking
-        lo = 0
-        while len(trying) and lo < len(_ALPHAS):
-            a = _ALPHAS[lo:2 * lo + 1]
-            cand = _unit_rows((tl[trying, None] - a[:, None] * rg[trying, None]).reshape(-1, n))
-            fc, gc = f_grad(cand)
-            ok = fc.reshape(-1, len(a)) <= (f[live[trying], None]
-                                            - 1e-4 * a * gn[trying, None])
-            passed = ok.any(axis=1)
-            hit = np.flatnonzero(passed)
-            pick = hit * len(a) + ok[hit].argmax(axis=1)
-            won = live[trying[hit]]
-            t[won], f[won], g[won] = cand[pick], fc[pick], gc[pick]
-            moved[trying[hit]] = True
-            trying = trying[~passed]
-            lo += len(a)
-        live = live[moved]
-    return t
-
-
-def _solve_rows(A, b):
-    # one LAPACK call for the stack; a singular row comes back NaN
-    try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        for k in range(len(b)):
-            try:
-                x[k] = np.linalg.solve(A[k], b[k])
-            except np.linalg.LinAlgError:
-                pass
-        return x
-
-
-def _batch_newton(f_grad, t, iters):
-    """Newton steps on the sphere for every row of t at once.
-
-    The chart at t is xi -> (t + Q xi)/|t + Q xi| with Q = complement_onb(t);
-    the Hessian is the central difference (h = 1e-6) of the chart gradient,
-    symmetrized and regularized by 1e-12 times its largest entry.  A start
-    stops when its chart gradient or Hessian vanishes, its solve is
-    singular, or a step would raise f.  The 2(n-1)+1 chart points of all
-    live starts, and f at the starts themselves, go through one objective
-    call per step.
-    """
-    t = t.copy()
-    n = t.shape[1]
-    h = 1e-6
-    live = np.arange(len(t))
-    for _ in range(iters):
-        if not len(live):
-            break
-        tl = t[live]
-        L = len(live)
-        Q = complement_onb(tl)                             # L x n x (n-1)
-        QT = np.swapaxes(Q, 1, 2)
-        # chart points at xi = 0, +h e_j, -h e_j; C order, because numpy
-        # picks its kernels (so the rounding) by memory layout
-        u = np.ascontiguousarray(
-            tl[:, None, :] + np.concatenate([np.zeros((L, 1, n)), h * QT, -h * QT], axis=1))
-        nu = np.sqrt(rowdot(u, u))
-        tt = u / nu[..., None]
-        fa, ga = f_grad(np.concatenate([tt.reshape(-1, n), tl]))
-        f_old = fa[-L:]
-        gp = ga[:-L].reshape(tt.shape)
-        gp = gp - rowdot(gp, tt)[..., None] * tt
-        cg = (QT[:, None] @ gp[..., None])[..., 0] / nu[..., None]
-        g0 = cg[:, 0]
-        H = np.swapaxes(cg[:, 1:n] - cg[:, n:], 1, 2) / (2 * h)
-        H = 0.5 * (H + np.swapaxes(H, 1, 2))
-        scale = np.abs(H).max(axis=(1, 2))
-        go = ~(rowdot(g0, g0) < 1e-32) & ~(scale < 1e-14)
-        live, tl, Q, f_old = live[go], tl[go], Q[go], f_old[go]
-        if not len(live):
-            break
-        A = H[go] + 1e-12 * scale[go, None, None] * np.eye(n - 1)
-        delta = _solve_rows(A, -g0[go])
-        cand = _unit_rows(tl + (Q @ delta[..., None])[..., 0])
-        f_new, _ = f_grad(cand)
-        ok = f_new <= f_old          # False on a singular (NaN) row
-        live = live[ok]
-        t[live] = cand[ok]
+        xi = np.linalg.solve(A + (lam[live] * s)[:, None, None] * eye,
+                             -(J[live] @ r[live][..., None]))
+        cand = _unit_rows(t[live] + (Q[live] @ xi)[..., 0])
+        rc, Jc, Qc = rj(cand)
+        fc = rowdot(rc, rc)
+        down = fc < f[live]
+        won = live[down]
+        t[won], r[won], J[won], Q[won], f[won] = (cand[down], rc[down], Jc[down],
+                                                  Qc[down], fc[down])
+        lam[live] = np.where(down, np.maximum(lam[live] / 10, _LM_FLOOR), lam[live] * 10)
     return t
 
 
@@ -271,9 +204,9 @@ def _sign_normalize(v, eps=1e-8):
 
 
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
-    """Seeded multistart projected descent for unit normals of TG hyperplanes.
+    """Seeded multistart Levenberg-Marquardt for unit normals of TG hyperplanes.
 
-    All config.n_starts starts descend and polish together as one array;
+    All config.n_starts starts run together as one array through _batch_lm;
     each is then certified on its own by hyperplane_tg_residual.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
@@ -284,20 +217,15 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
-    f_grad = _search_objective(G)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
     starts = np.array([np.random.Generator(np.random.PCG64(s)).standard_normal(n)
                        for s in seeds]).reshape(-1, n)
-    ts = _batch_descend(f_grad, _unit_rows(starts), config.max_iter)
-    ts = _batch_newton(f_grad, ts, config.newton_iter)
+    ts = _batch_lm(_residual_jacobian(G), _unit_rows(starts))
     found = []
     for t in ts:
         x = M.from_onb(t)
         x = x / M.norm(x)
-        try:
-            r = hyperplane_tg_residual(M, x)
-        except NonUnitVector:     # pragma: no cover - normalization above
-            continue
+        r = hyperplane_tg_residual(M, x)
         if r < config.residual_threshold:
             found.append((_sign_normalize(x), r))
     # merge sign classes closer than the dedup angle (gram inner product)

@@ -118,66 +118,32 @@ def direct_sum(c1, c2):
     return c
 
 
-def descend_one(f_grad, t, max_iter):
-    """Projected Armijo descent of one start on the sphere, as a plain loop."""
-    f, g = f_grad(t)
+def lm_one(rj, t, max_iter=100, floor=1e-12):
+    """Levenberg-Marquardt of one start on the sphere, as a plain loop.
+
+    rj(t) returns the residual vector, its Jacobian along the columns of
+    Q and Q itself for a single unit vector t.
+    """
+    lam = 1e-3
+    r, J, Q = rj(t)
+    f = r @ r
     for _ in range(max_iter):
-        rg = g - (g @ t) * t
-        gn = float(rg @ rg)
-        if gn < 1e-28:
+        if f < 1e-32 or lam > 1e12:
             break
-        alpha = 1.0
-        while alpha > 1e-12:
-            cand = t - alpha * rg
-            cand = cand / np.linalg.norm(cand)
-            fc, gc = f_grad(cand)
-            if fc <= f - 1e-4 * alpha * gn:
-                t, f, g = cand, fc, gc
-                break
-            alpha *= 0.5
-        else:
+        A = J @ J.T
+        s = A.max(initial=0.0)
+        if not s > 0:
             break
-    return t
-
-
-def newton_one(f_grad, t, iters, complement_onb):
-    """Finite-difference Newton polish of one start, as a plain loop."""
-    n = len(t)
-    for _ in range(iters):
-        Q = complement_onb(t)
-
-        def chart_grad(xi):
-            u = t + Q @ xi
-            nu = np.linalg.norm(u)
-            tt = u / nu
-            _, g = f_grad(tt)
-            return Q.T @ (g - (g @ tt) * tt) / nu
-
-        g0 = chart_grad(np.zeros(n - 1))
-        if float(g0 @ g0) < 1e-32:
-            break
-        h = 1e-6
-        H = np.empty((n - 1, n - 1))
-        for j in range(n - 1):
-            e = np.zeros(n - 1)
-            e[j] = h
-            H[:, j] = (chart_grad(e) - chart_grad(-e)) / (2 * h)
-        H = 0.5 * (H + H.T)
-        scale = np.abs(H).max()
-        if scale < 1e-14:
-            break
-        try:
-            delta = np.linalg.solve(H + 1e-12 * scale * np.eye(n - 1), -g0)
-        except np.linalg.LinAlgError:
-            break
-        cand = t + Q @ delta
+        xi = np.linalg.solve(A + lam * s * np.eye(len(A)), -(J @ r))
+        cand = t + Q @ xi
         cand = cand / np.linalg.norm(cand)
-        f_old, _ = f_grad(t)
-        f_new, _ = f_grad(cand)
-        if f_new <= f_old:
-            t = cand
+        rc, Jc, Qc = rj(cand)
+        fc = rc @ rc
+        if fc < f:
+            t, r, J, Q, f = cand, rc, Jc, Qc, fc
+            lam = max(lam / 10, floor)
         else:
-            break
+            lam *= 10
     return t
 
 

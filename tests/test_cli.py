@@ -272,6 +272,32 @@ def test_input_errors_exit_1(capsys):
         assert err.startswith("tgkit: error:"), argv
 
 
+def test_extreme_verify_params_exit_1_or_fail_a_row(capsys):
+    # a truncated Frenet orbit and an overflowing kappa used to raise
+    # IndexError and OverflowError
+    for name in ("sl2:1e-200,1", "twisted-h2:1e154", "twisted-h2:1e200"):
+        code = run(["verify", name, "--json"])
+        captured = capsys.readouterr()
+        assert code in (1, 2), name
+        if code == 1:
+            assert captured.err.startswith("tgkit: error:"), name
+        else:
+            checks = json.loads(captured.out)["result"]["entries"][0]["checks"]
+            assert not all(c["ok"] for c in checks), name
+
+
+def test_negative_search_seed_exits_1(capsys):
+    assert run(["search", "--builtin", "sl2", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("tgkit: error: --seed")
+
+
+def test_geodesic_without_builtin_names_the_option_it_takes(capsys):
+    assert run(["geodesic", "--x0", "1,0", "--v0", "0,1"]) == 1
+    assert capsys.readouterr().err == "tgkit: error: geodesic needs --builtin NAME\n"
+    assert run(["info"]) == 1
+    assert "give --builtin NAME or --algebra FILE" in capsys.readouterr().err
+
+
 def test_huge_builtin_dimensions_exit_1(capsys):
     for argv in (["info", "--builtin", "abelian:100000"],
                  ["geodesic", "--builtin", "euclidean:1000000000", "--x0", "0", "--v0", "1"]):

@@ -317,6 +317,13 @@ def test_sectional_degenerate_plane_rejected():
         sectional_at(HYP, np.array([0.5, 0.0]), v, 2 * v)
 
 
+def test_sectional_nan_plane_rejected():
+    # a NaN Gram determinant fails the plane gate instead of returning NaN
+    with pytest.raises(DegeneratePlane):
+        sectional_at(HYP, np.array([0.9, 1.2]), np.array([np.nan, 0.0]),
+                     np.array([0.0, 1.0]))
+
+
 def test_sectional_invariant_under_linear_recoordinatization():
     # x1 = x1' + 0.3 x2' leaves the geometry alone
     A = np.eye(4)

@@ -46,21 +46,23 @@ def test_spray_is_minus_christoffel_of_v_v(name, cube, vel):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(G).max() * (v @ v)
 
 
-# command lines: real subcommands over cheap builtins (search and the whole
-# verify ledger are left out for time), vectors of the builtin's dimension
-# and malformed ones, and tolerance overrides with non-finite values and
-# unknown names.  Each slot takes a bad value one time in four.
+# command lines: real subcommands over cheap builtins (the whole verify
+# ledger is left out for time), vectors of the builtin's dimension and
+# malformed ones, search seeds, and tolerance overrides with non-finite
+# values and unknown names.  Each slot takes a bad value one time in four.
 DIMS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2": 2,
         "hyperbolic2": 2, "euclidean:2": 2}
 BAD_BUILTINS = ("abelian:n=x", "twisted-h2:chart=cartesian", "twisted-h2:chart=spec",
                 "sl2:c=3", "sl2:0,1", "nosuch")
 LEDGER = (("sl2", "sl2:2,0.5", "nonhomo", "abelian:2", "euclidean:1"),
-          ("sl2:c=3", "euclidean:n=inf", "abelian:9", "nosuch"))
+          ("sl2:c=3", "euclidean:n=inf", "abelian:9", "nosuch", "sl2:1e-200,1",
+           "twisted-h2:1e154"))
 BAD_VECTORS = ("0,0,0", "nan,1,0", "inf,0", "1,x", "", ";")
 TOL_NAMES = (("jacobi", "spd_min_eig", "tg_residual", "codazzi", "eps_k",
               "bracket_table", "sl2_match", "unit_norm", "speed_reject", "grid"),
              ("bogus", ""))
 TOL_VALUES = (("0", "1e-300", "1e-6", "2", "1e300"), ("nan", "inf", "-inf", "-1", "x", ""))
+SEEDS = (("0", "4", "17"), ("-1", "x", ""))
 FLAGS = {"tg-check": ("--normal", "--subspace"), "frenet": ("--normal",),
          "classify": ("--normal",), "geodesic": ("--x0", "--v0")}
 
@@ -80,7 +82,7 @@ def command_lines(draw):
         return ",".join(draw(st.lists(coords, min_size=dim, max_size=dim)))
 
     cmd = draw(st.sampled_from(("info", "curvature", "tg-check", "frenet",
-                                "classify", "geodesic", "verify")))
+                                "classify", "geodesic", "search", "verify")))
     if cmd == "verify":
         argv = [cmd, pick(LEDGER)]
     else:
@@ -94,13 +96,17 @@ def command_lines(draw):
                 argv += [flag, val]
     if cmd == "geodesic":
         argv += ["--tmax", "0.05"]
+    if cmd == "search":
+        argv += ["--seed", pick(SEEDS)]
     for _ in range(draw(st.integers(0, 2))):
         argv += ["--tol", f"{pick(TOL_NAMES)}={pick(TOL_VALUES)}"]
     return argv + draw(st.sampled_from(([], ["--json"])))
 
 
-@hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @hypothesis.given(argv=command_lines())
+# the derandomized draws give search only builtins without an algebra form
+@hypothesis.example(argv=["search", "--builtin", "nonhomo", "--seed", "4"])
 def test_cli_exits_0_1_or_2_and_never_raises(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):

@@ -1,14 +1,13 @@
 import numpy as np
 
-from helpers import (descend_one, direct_sum, newton_one, random_orthogonal,
+from helpers import (direct_sum, lm_one, random_orthogonal, random_spd,
                      rotate_constants)
 
 from tgkit import catalog
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, complement_onb, levi_civita
-from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_descend,
-                               _batch_newton, _search_objective, _solve_rows,
-                               classify_case, hyperplane_tg_residual,
-                               search_tg_hyperplanes)
+from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
+from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm,
+                               _residual_jacobian, classify_case,
+                               hyperplane_tg_residual, search_tg_hyperplanes)
 
 
 def test_sl2_finds_both_borel_normals():
@@ -91,37 +90,55 @@ def test_every_reported_normal_certifies():
             assert abs(hyperplane_tg_residual(M, x) - r) < 1e-15
 
 
-def test_objective_gradient_matches_finite_differences():
+def _rotated_nonhomo(rng):
+    # dense 4-dim connection coefficients
+    c = catalog.nonhomo().algebra.structure_constants
+    return MetricLieAlgebra(LieAlgebra(rotate_constants(c, random_orthogonal(rng, 4))))
+
+
+def test_residual_jacobian_matches_central_differences():
+    # row d of J is the derivative of r along t -> (t + h d)/|t + h d|
     rng = np.random.default_rng(31)
-    for M in (catalog.sl2(1, 2), catalog.nonhomo()):
-        G = levi_civita(M).coefficients
-        f_grad = _search_objective(G)
+    for M in (catalog.sl2(1, 2), catalog.nonhomo(), _rotated_nonhomo(rng)):
+        rj = _residual_jacobian(levi_civita(M).coefficients)
         for _ in range(5):
             t = rng.normal(size=M.dim)
             t /= np.linalg.norm(t)
-            _, g = f_grad(t)
+            r, J, Q = rj(t)
+            assert r.shape == (M.dim ** 2,) and J.shape == (M.dim - 1, M.dim ** 2)
+            assert np.abs(Q.T @ t).max() < 1e-15
+            assert np.abs(Q.T @ Q - np.eye(M.dim - 1)).max() < 1e-15
             h = 1e-6
-            for k in range(M.dim):
-                e = np.zeros(M.dim)
-                e[k] = h
-                fp, _ = f_grad(t + e)
-                fm, _ = f_grad(t - e)
-                assert abs((fp - fm) / (2 * h) - g[k]) < 1e-6 * max(1.0, abs(g[k]))
+            for d in range(M.dim - 1):
+                tp = t + h * Q[:, d]
+                tm = t - h * Q[:, d]
+                fd = (rj(tp / np.linalg.norm(tp))[0] - rj(tm / np.linalg.norm(tm))[0]) / (2 * h)
+                assert np.abs(fd - J[d]).max() < 1e-8 * max(1.0, np.abs(J[d]).max())
 
 
-def test_objective_batched_matches_row_by_row():
-    # the search evaluates all starts as one (K, n) stack
+def test_residual_jacobian_batched_matches_row_by_row():
+    # the search evaluates all starts as one (K, n) stack, bit for bit
     rng = np.random.default_rng(37)
-    for M in (catalog.sl2(1, 2), catalog.nonhomo(), catalog.heisenberg()):
-        f_grad = _search_objective(levi_civita(M).coefficients)
+    for M in (catalog.sl2(1, 2), _rotated_nonhomo(rng), catalog.heisenberg()):
+        rj = _residual_jacobian(levi_civita(M).coefficients)
         T = rng.normal(size=(16, M.dim))
         T /= np.linalg.norm(T, axis=1)[:, None]
-        F, Gr = f_grad(T)
-        assert F.shape == (16,) and Gr.shape == (16, M.dim)
-        for t, f, g in zip(T, F, Gr):
-            f1, g1 = f_grad(t)
-            assert abs(f1 - f) <= 1e-14
-            assert np.abs(g1 - g).max() <= 1e-14
+        R, J, Q = rj(T)
+        assert R.shape == (16, M.dim ** 2) and J.shape == (16, M.dim - 1, M.dim ** 2)
+        for k, t in enumerate(T):
+            for whole, alone in zip((R[k], J[k], Q[k]), rj(t)):
+                assert np.array_equal(whole, alone)
+
+
+def test_batched_lm_matches_one_start_at_a_time():
+    # same operations in the same order, so equal to the last bit
+    rng = np.random.default_rng(41)
+    for M in (catalog.sl2(1, 2), _rotated_nonhomo(rng), catalog.heisenberg()):
+        rj = _residual_jacobian(levi_civita(M).coefficients)
+        T = rng.normal(size=(8, M.dim))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        for t, got in zip(T, _batch_lm(rj, T)):
+            assert np.array_equal(lm_one(rj, t), got)
 
 
 def test_direct_sum_census_sl2_plus_line():
@@ -141,27 +158,24 @@ def test_direct_sum_census_sl2_plus_line():
     assert not got.continuum
 
 
-def test_batched_search_matches_one_start_at_a_time():
-    # same operations in the same order, so equal to the last bit; the
-    # rotated nonhomo has dense 4-dim connection coefficients
-    rng = np.random.default_rng(41)
-    c = catalog.nonhomo().algebra.structure_constants
-    rotated = MetricLieAlgebra(LieAlgebra(rotate_constants(c, random_orthogonal(rng, 4))))
-    for M in (catalog.sl2(1, 2), rotated, catalog.heisenberg()):
-        f_grad = _search_objective(levi_civita(M).coefficients)
-        T = rng.normal(size=(8, M.dim))
-        T /= np.linalg.norm(T, axis=1)[:, None]
-        D = _batch_descend(f_grad, T, 200)
-        N = _batch_newton(f_grad, D, 6)
-        for t, d, p in zip(T, D, N):
-            d1 = descend_one(f_grad, t, 200)
-            assert np.array_equal(d1, d)
-            assert np.array_equal(newton_one(f_grad, d1, 6, complement_onb), p)
-
-
-def test_singular_newton_solve_stops_only_its_row():
-    A = np.stack([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2)])
-    x = _solve_rows(A, np.ones((3, 2)))
-    assert np.array_equal(x[0], [1.0, 1.0])
-    assert np.isnan(x[1]).all()
-    assert np.array_equal(x[2], [0.5, 0.5])
+def test_generic_gram_census():
+    # a generic left-invariant metric on sl2, aff(1) + R or sol(1,2) has no
+    # TG hyperplane; every metric on the H^3 algebra is hyperbolic, so its
+    # TG hyperplanes form a continuum
+    aff_line = np.zeros((3, 3, 3))             # aff(1) + R: [e0, e1] = e1
+    aff_line[0, 1, 1], aff_line[1, 0, 1] = 1.0, -1.0
+    sol = np.zeros((3, 3, 3))                  # sol(1,2): ad_e0 = diag(1, 2)
+    sol[0, 1, 1], sol[1, 0, 1] = 1.0, -1.0
+    sol[0, 2, 2], sol[2, 0, 2] = 2.0, -2.0
+    h3 = np.zeros((3, 3, 3))                   # H^3: ad_e2 = id on span(e0, e1)
+    for k in (0, 1):
+        h3[2, k, k], h3[k, 2, k] = 1.0, -1.0
+    rng = np.random.default_rng(43)
+    for c in (catalog.sl2(1.0, 1.0).algebra.structure_constants, aff_line, sol):
+        for _ in range(2):
+            got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(c), random_spd(rng, 3)))
+            assert len(got) == 0 and not got.continuum
+    for gram in (None, random_spd(rng, 3)):
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(h3), gram))
+        assert got.continuum
+        assert max(got.residuals) < 1e-10

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import cart_coeffs_series
 
-from tgkit import catalog
+from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (LevelSetHypersurface, ScalarField,
                                 TwistedProductSpec, build_twisted_product,
                                 eikonal_residuals, frenet_numeric,
@@ -39,6 +39,22 @@ def test_ode_residual_detects_perturbation():
     assert twisting_ode_residual(spec, T_GRID, U_GRID, phi_eval=pert) > 1e-4
 
 
+def test_ode_residual_nan_term_is_nan():
+    # one NaN phi evaluation must fail the gate, not read as residual 0
+    spec = catalog.twisted_h2(1.0)
+
+    def nan_at_first(t, u):
+        phi, pt, ptt = twisting_phi(spec, t, u)
+        return (float('nan'), pt, ptt) if t == T_GRID[0] else (phi, pt, ptt)
+
+    assert np.isnan(twisting_ode_residual(spec, T_GRID, U_GRID, phi_eval=nan_at_first))
+
+
+def test_ode_residual_huge_kappa_is_not_an_overflow_error():
+    res = twisting_ode_residual(catalog.twisted_h2(1e200), T_GRID[:3], U_GRID[:3])
+    assert not res <= 1e-10
+
+
 def test_phi_vanishes_along_anchor_leaf():
     spec = catalog.twisted_h2(1.5)
     for t in (0.0, 0.4, 3.1):
@@ -60,6 +76,29 @@ def test_eikonal_detects_wrong_alpha():
                              1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(bad, U_GRID)
     assert out.grad_alpha_residual == 3.0
+
+
+def test_eikonal_nan_term_is_nan():
+    # the NaN alpha gradient sits at the last grid point, after finite terms
+    last = U_GRID[-1]
+    alpha = ScalarField(lambda u: u[0], grad=lambda u: np.array(
+        [np.nan if np.array_equal(u, last) else 1.0, 0.0]))
+    spec = TwistedProductSpec(catalog.hyperbolic_plane(), alpha, _beta(),
+                              1.0, 1.0, np.zeros(2))
+    out = eikonal_residuals(spec, U_GRID)
+    assert np.isnan(out.grad_alpha_residual)
+    assert out.grad_beta_residual < 1e-12
+
+
+def test_eikonal_gates_base_grams_in_one_batch(monkeypatch):
+    spec = catalog.twisted_h2(1.0)
+    want = eikonal_residuals(spec, U_GRID)
+    calls = []
+    gate = coord_engine._gate_grams
+    monkeypatch.setattr(coord_engine, "_gate_grams",
+                        lambda pts, grams: calls.append(len(pts)) or gate(pts, grams))
+    assert eikonal_residuals(spec, U_GRID) == want
+    assert calls == [len(U_GRID)]
 
 
 def test_eikonal_beta_not_applicable_for_zero_alpha():
