@@ -8,7 +8,7 @@ differencing is only exercised when a test asks for it.
 """
 from __future__ import annotations
 
-from math import factorial
+import math
 
 import numpy as np
 
@@ -115,11 +115,15 @@ def euclidean_metric(n=2):
 def hyperbolic_plane():
     """dr^2 + sinh(r)^2 dtheta^2 on r > 0, curvature -1."""
     def gram_at(x):
-        return np.diag([1.0, np.sinh(x[0]) ** 2])
+        s = math.sinh(x[0])
+        g = np.zeros((2, 2))
+        g[0, 0] = 1.0
+        g[1, 1] = s * s
+        return g
 
     def partials_at(x):
         dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = np.sinh(2.0 * x[0])
+        dg[0, 1, 1] = math.sinh(2.0 * x[0])
         return dg
 
     return CoordinateMetric(2, gram_at, partials_at)
@@ -131,15 +135,18 @@ def nonhomo_metric():
     dz^2 + e^{4z} dy^2 + e^{2z} (dx1^2 + dx2^2).
     """
     def gram_at(x):
-        z = x[0]
-        return np.diag([1.0, np.exp(4.0 * z), np.exp(2.0 * z), np.exp(2.0 * z)])
+        z = float(x[0])
+        g = np.zeros((4, 4))
+        g[0, 0] = 1.0
+        g[1, 1] = math.exp(4.0 * z)
+        g[2, 2] = g[3, 3] = math.exp(2.0 * z)
+        return g
 
     def partials_at(x):
-        z = x[0]
+        z = float(x[0])
         dg = np.zeros((4, 4, 4))
-        dg[0, 1, 1] = 4.0 * np.exp(4.0 * z)
-        dg[0, 2, 2] = 2.0 * np.exp(2.0 * z)
-        dg[0, 3, 3] = 2.0 * np.exp(2.0 * z)
+        dg[0, 1, 1] = 4.0 * math.exp(4.0 * z)
+        dg[0, 2, 2] = dg[0, 3, 3] = 2.0 * math.exp(2.0 * z)
         return dg
 
     return CoordinateMetric(4, gram_at, partials_at)
@@ -160,8 +167,8 @@ _CART_TERMS = 12
 # per term m: the float values the series divides by and multiplies with,
 # (2m+1)!, (2m+2)!, (2m+4)!, 2^(2m+1), 2^(2m+3), 2m, 2^(2m+2) m, 2^(2m+4) m
 _CART_SERIES = tuple(
-    (float(factorial(2 * m + 1)), float(factorial(2 * m + 2)),
-     float(factorial(2 * m + 4)), 2.0 ** (2 * m + 1), 2.0 ** (2 * m + 3),
+    (float(math.factorial(2 * m + 1)), float(math.factorial(2 * m + 2)),
+     float(math.factorial(2 * m + 4)), 2.0 ** (2 * m + 1), 2.0 ** (2 * m + 3),
      float(2 * m), 2.0 ** (2 * m + 2) * m, 2.0 ** (2 * m + 4) * m)
     for m in range(_CART_TERMS))
 
@@ -173,8 +180,8 @@ def _cart_coeffs(u):
     B = 2 db/du, all with r = sqrt(u).  Power series below u = 0.25,
     closed forms above; both branches agree to machine precision there.
     """
+    u = float(u)        # same rounding as a numpy scalar, less call overhead
     if u < 0.25:
-        u = float(u)    # same rounding as a numpy scalar, less call overhead
         S = S1 = a = b = A = B = 0.0
         up = 1.0        # u^m
         um = 0.0        # u^{m-1}, only consumed for m >= 1
@@ -189,10 +196,10 @@ def _cart_coeffs(u):
             um = up
             up *= u
         return S, S1, a, b, A, B
-    r = np.sqrt(u)
-    sh, ch = np.sinh(r), np.cosh(r)
+    r = math.sqrt(u)
+    sh, ch = math.sinh(r), math.cosh(r)
     S = sh / r
-    S1 = (r * ch - sh) / r ** 3
+    S1 = (r * ch - sh) / (r * r * r)
     a = S * S
     b = (1.0 - a) / u
     A = 2.0 * S * S1
@@ -209,42 +216,40 @@ def twisted_h2_cartesian(kappa=1.0):
         raise BadParams("kappa must be nonzero")
 
     def pieces(p):
-        t, x, y = p
+        t, x, y = p.tolist()
         u = x * x + y * y
         S, S1, a, b, A, B = _cart_coeffs(u)
-        cs, sn = np.cos(kappa * t), np.sin(kappa * t)
+        cs, sn = math.cos(kappa * t), math.sin(kappa * t)
         w = x * cs - y * sn
-        wbar = x * sn + y * cs
-        F = S * w + np.cosh(np.sqrt(u))
-        return u, S, S1, a, b, A, B, cs, sn, w, wbar, F
+        F = S * w + math.cosh(math.sqrt(u))
+        return x, y, S, S1, a, b, A, B, cs, sn, w, F
 
     def gram_at(p):
-        _, _, _, a, b, _, _, _, _, _, _, F = pieces(p)
-        x, y = p[1], p[2]
+        x, y, _, _, a, b, _, _, _, _, _, F = pieces(p)
         g = np.zeros((3, 3))
-        g[0, 0] = F ** -2.0
+        g[0, 0] = F ** -2
         g[1, 1] = a + b * x * x
         g[2, 2] = a + b * y * y
         g[1, 2] = g[2, 1] = b * x * y
         return g
 
     def partials_at(p):
-        u, S, S1, a, b, A, B, cs, sn, w, wbar, F = pieces(p)
-        x, y = p[1], p[2]
-        Ft = -kappa * S * wbar
-        Fx = S1 * x * w + S * cs + S * x
-        Fy = S1 * y * w - S * sn + S * y
+        x, y, S, S1, _, b, A, B, cs, sn, w, F = pieces(p)
+        m3 = -2.0 * F ** -3
+        Ft = -kappa * S * (x * sn + y * cs)
         dg = np.zeros((3, 3, 3))
-        m3 = -2.0 * F ** -3.0
         dg[0, 0, 0] = m3 * Ft
-        dg[1, 0, 0] = m3 * Fx
-        dg[2, 0, 0] = m3 * Fy
-        xv = np.array([x, y])
-        for k in range(2):
-            blk = (A * xv[k] * np.eye(2) + B * xv[k] * np.outer(xv, xv)
-                   + b * (np.eye(2)[k][:, None] * xv[None, :]
-                          + xv[:, None] * np.eye(2)[k][None, :]))
-            dg[1 + k, 1:, 1:] = blk
+        dg[1, 0, 0] = m3 * (S1 * x * w + S * cs + S * x)
+        dg[2, 0, 0] = m3 * (S1 * y * w - S * sn + S * y)
+        # d_k (a delta_ij + b x_i x_j)
+        #   = A x_k delta_ij + B x_k x_i x_j + b (delta_ki x_j + x_i delta_kj)
+        bxy = B * x * y
+        dg[1, 1, 1] = (A + B * x * x + 2.0 * b) * x
+        dg[1, 1, 2] = dg[1, 2, 1] = bxy * x + b * y
+        dg[1, 2, 2] = (A + B * y * y) * x
+        dg[2, 1, 1] = (A + B * x * x) * y
+        dg[2, 1, 2] = dg[2, 2, 1] = bxy * y + b * x
+        dg[2, 2, 2] = (A + B * y * y + 2.0 * b) * y
         return dg
 
     return CoordinateMetric(3, gram_at, partials_at)
@@ -416,6 +421,9 @@ def _verify_hyperbolic2(params, tol, grid):
 def _verify_twisted(params, tol, grid):
     spec, p = _lookup("twisted-h2", params, "spec", tol)
     kappa = p["kappa"]
+    if not math.isfinite(kappa * kappa):
+        # the twisting ODE and the sl2(kappa / 2, 1 / 2) model both need kappa^2
+        raise BadParams(f"twisted-h2: kappa^2 is not finite for kappa = {kappa!r}")
     CM = build_twisted_product(spec)
     rs = np.linspace(0.1, 2.0, grid)
     ths = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)

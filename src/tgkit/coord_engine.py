@@ -99,20 +99,32 @@ class CoordinateMetric:
         return _gate_grams(x[None], _eval_gram(self, x)[None])[0]
 
     def partials(self, x, exact=None):
-        """dg[k][i][j]; exact=None auto-selects, True/False forces a path."""
+        """dg[k][i][j]; exact=None auto-selects, True/False forces a path.
+        An evaluator error of _NOT_FINITE counts as a gram not finite at x."""
         x = np.asarray(x, float)
         use_exact = self.partials_at is not None if exact is None else exact
-        if use_exact:
-            if self.partials_at is None:
-                raise TgkitError("no exact partials available")
-            return np.asarray(self.partials_at(x), float)
-        return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, self.fd_step)
+        if use_exact and self.partials_at is None:
+            raise TgkitError("no exact partials available")
+        try:
+            if use_exact:
+                return np.asarray(self.partials_at(x), float)
+            return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, self.fd_step)
+        except _NOT_FINITE:
+            raise MetricDegenerate(f"gram not finite at {x.tolist()}") from None
+
+
+# float kernels raise these where numpy returns inf or NaN: math.sinh(1e3), math.cos(inf)
+_NOT_FINITE = (ArithmeticError, ValueError)
 
 
 def _eval_gram(CM, x):
-    """gram_at(x) as a float array, not gated; a wrong shape counts as not finite."""
-    g = np.asarray(CM.gram_at(x), float)
-    if g.shape != (CM.dim, CM.dim):
+    """gram_at(x) as a float array, not gated; a wrong shape or an error of
+    _NOT_FINITE counts as not finite."""
+    try:
+        g = np.asarray(CM.gram_at(x), float)
+    except _NOT_FINITE:
+        g = None
+    if g is None or g.shape != (CM.dim, CM.dim):
         raise MetricDegenerate(f"gram not finite at {x.tolist()}")
     return g
 
@@ -157,16 +169,14 @@ def _grams(CM, points):
 
 
 def _christoffel_from(g, dg):
-    """Gamma[k][i][j] from the gram g and its partials dg[k][i][j] at one point."""
+    """Gamma[..., k, i, j] from grams g[..., :, :] and their partials
+    dg[..., k, i, j]: one point, or a stack of points on the leading axes."""
     gi = np.linalg.inv(g)
-    # W[i][j][l] = d_i g_jl + d_j g_il - d_l g_ij
-    W = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    # note: indices of W as written are (i, j, l) via dg[k,i,j] = d_k g_ij:
-    #   dg            -> d_i g_jl needs axes (i, j, l): that is dg itself
-    #   transpose(1,0,2) -> d_j g_il
-    #   transpose(1,2,0) -> d_l g_ij
-    G = 0.5 * np.einsum('kl,ijl->kij', gi, W)
-    return 0.5 * (G + np.transpose(G, (0, 2, 1)))
+    # W[i][j][l] = d_i g_jl + d_j g_il - d_l g_ij, the three terms in this
+    # order, from dg[k][i][j] = d_k g_ij
+    W = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    G = 0.5 * np.einsum('...kl,...ijl->...kij', gi, W)
+    return 0.5 * (G + np.swapaxes(G, -1, -2))
 
 
 def christoffel(CM: CoordinateMetric, x, exact=None):
@@ -201,8 +211,7 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     that raises gates the pending ones first, so a degenerate gram raises
     MetricDegenerate at its point before any later error.
     """
-    x0 = np.asarray(x0, float)
-    v0 = np.asarray(v0, float)
+    x0, v0 = np.asarray(x0, float), np.asarray(v0, float)
     g0 = CM.gram(x0)
     s0 = float(np.sqrt(v0 @ g0 @ v0))
     if s0 <= 0.0:
@@ -315,16 +324,11 @@ def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x) ->
     G = _christoffel_from(g, CM.partials(x))
     hess = H.field.hessian(x) - np.einsum('kij,k->ij', G, dh)
     gradnorm = float(np.sqrt(dh @ np.linalg.solve(g, dh)))
-    # tangent coordinate frame by eliminating the largest-gradient coordinate
+    # tangent coordinate frame e_a - (dh[a] / dh[m]) e_m, a != m, eliminating
+    # the largest-gradient coordinate m
     m = int(np.argmax(np.abs(dh)))
     n = CM.dim
-    tang = []
-    for a in range(n):
-        if a == m:
-            continue
-        e = np.eye(n)[a] - (dh[a] / dh[m]) * np.eye(n)[m]
-        tang.append(e)
-    Tmat = np.stack(tang, axis=1)
+    Tmat = np.delete(np.eye(n) - np.outer(np.eye(n)[m], dh / dh[m]), m, axis=1)
     sff = Tmat.T @ hess @ Tmat / gradnorm
     # orthonormalize the tangent frame in g for the reported max norm
     Q = gram_schmidt(Tmat.copy(), g)
@@ -338,16 +342,18 @@ def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> Coord
     """diag(w(x) I_m, base(u)) on x = (v, u), the m flat coordinates first.
 
     weight(x) -> w; weight_partials(x) -> (d w / d x^k) over all dim
-    coordinates, or None for finite-difference partials.  The base gram is
+    coordinates, read before the next call (a builder may reuse one
+    buffer), or None for finite-difference partials.  The base gram is
     evaluated ungated: a block-diagonal gram is finite, symmetric and
     positive definite exactly when each block is, so the one gate on the
     composite covers the base.
     """
     dim = m + base.dim
+    flat = slice(0, m * (dim + 1), dim + 1)    # entries (a, a), a < m, of a raveled gram
 
     def gram_at(x):
         g = np.zeros((dim, dim))
-        g[:m, :m] = weight(x) * np.eye(m)
+        g.reshape(-1)[flat] = weight(x)
         g[m:, m:] = _eval_gram(base, x[m:])
         return g
 
@@ -355,7 +361,7 @@ def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> Coord
     if base.partials_at is not None and weight_partials is not None:
         def partials_at(x):
             dg = np.zeros((dim, dim, dim))
-            dg[:, :m, :m] = weight_partials(x)[:, None, None] * np.eye(m)
+            dg.reshape(dim, -1)[:, flat] = weight_partials(x)[:, None]
             dg[m:, m:, m:] = base.partials_at(x[m:])
             return dg
 
@@ -366,14 +372,15 @@ def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> C
     """e^{2 logf(u)} sum_a (dv^a)^2 + base, flat v-coordinates first."""
     if m < 1:
         raise BadParams("flat factor dimension must be at least 1")
+    dw = np.zeros(m + base.dim)     # weight_partials' buffer, first m entries 0
 
     def weight(x):
-        return np.exp(2.0 * logf.value(x[m:]))
+        return math.exp(2.0 * logf.value(x[m:]))
 
     def weight_partials(x):
         u = x[m:]
-        return np.concatenate([np.zeros(m),
-                               2.0 * logf.gradient(u) * np.exp(2.0 * logf.value(u))])
+        dw[m:] = (2.0 * math.exp(2.0 * logf.value(u))) * logf.gradient(u)
+        return dw
 
     return _product_metric(m, base, weight, weight_partials if logf.has_grad else None)
 
@@ -405,38 +412,40 @@ class TwistedProductSpec:
 
 
 def _twist(spec: TwistedProductSpec, t, u):
-    """(F, F_t, sinh alpha, cosh alpha, angle) at (t, u), where
+    """(F, F_t, sinh alpha, cosh alpha, angle) at (t, u) as Python floats, where
     F = e^{-phi} = sinh(alpha) cos(angle) + cosh(alpha), angle = kappa t + beta."""
     a = spec.alpha.value(u)
-    sa, ca = np.sinh(a), np.cosh(a)
-    ang = spec.kappa * t + spec.beta.value(u)
-    F = sa * np.cos(ang) + ca
+    sa, ca = math.sinh(a), math.cosh(a)
+    ang = spec.kappa * float(t) + spec.beta.value(u)
+    F = sa * math.cos(ang) + ca
     if F <= 0:      # impossible for real alpha; guarded anyway
         raise TgkitError(f"e^{{-phi}} = {F:.3e} <= 0 at t={t}, u={np.asarray(u).tolist()}")
-    return F, -spec.kappa * sa * np.sin(ang), sa, ca, ang
+    return F, -spec.kappa * sa * math.sin(ang), sa, ca, ang
 
 
 def twisting_phi(spec: TwistedProductSpec, t, u):
     """(phi, phi_t, phi_tt) of the closed-form twisting function."""
     F, Ft, sa, _, ang = _twist(spec, t, u)
-    Ftt = -(spec.kappa * spec.kappa) * sa * np.cos(ang)
-    phi = -np.log(F)
-    phi_t = -Ft / F
-    phi_tt = -Ftt / F + (Ft / F) ** 2
-    return float(phi), float(phi_t), float(phi_tt)
+    Ftt = -(spec.kappa * spec.kappa) * sa * math.cos(ang)
+    q = Ft / F
+    return -math.log(F), -q, -Ftt / F + q * q
 
 
 def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
-    """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi}, base block-diagonal."""
+    """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi} = F^-2, base block-diagonal."""
+    dw = np.empty(1 + spec.base.dim)    # weight_partials' buffer
+
     def weight(x):
-        return np.exp(2.0 * twisting_phi(spec, x[0], x[1:])[0])
+        return _twist(spec, x[0], x[1:])[0] ** -2
 
     def weight_partials(x):
         u = x[1:]
         F, Ft, sa, ca, ang = _twist(spec, x[0], u)
-        Fu = ((ca * np.cos(ang) + sa) * spec.alpha.gradient(u)
-              - sa * np.sin(ang) * spec.beta.gradient(u))
-        return -2.0 * F ** -3.0 * np.concatenate([[Ft], Fu])
+        m3 = -2.0 * F ** -3
+        dw[0] = m3 * Ft
+        dw[1:] = ((m3 * (ca * math.cos(ang) + sa)) * spec.alpha.gradient(u)
+                  - (m3 * sa * math.sin(ang)) * spec.beta.gradient(u))
+        return dw
 
     exact = spec.alpha.has_grad and spec.beta.has_grad
     return _product_metric(1, spec.base, weight, weight_partials if exact else None)
@@ -451,12 +460,13 @@ def twisting_ode_residual(spec: TwistedProductSpec, t_vals, u_points,
     """
     ev = phi_eval or (lambda t, u: twisting_phi(spec, t, u))
     k2 = spec.kappa * spec.kappa
-    terms = []
-    for u in np.atleast_2d(np.asarray(u_points, float)):
-        for t in np.asarray(t_vals, float).ravel():
-            phi, pt, ptt = ev(t, u)
-            em, ep = np.exp(-phi), np.exp(phi)
-            terms.append(float(em * pt * (2.0 * ptt - pt * pt) + k2 * pt * (ep - em)))
+    phi, pt, ptt = np.array([ev(t, u) for u in np.atleast_2d(np.asarray(u_points, float))
+                             for t in np.asarray(t_vals, float).ravel()],
+                            float).reshape(-1, 3).T
+    # a huge kappa overflows to inf or NaN here, which the gate rejects
+    with np.errstate(over='ignore', invalid='ignore'):
+        em, ep = np.exp(-phi), np.exp(phi)
+        terms = em * pt * (2.0 * ptt - pt * pt) + k2 * pt * (ep - em)
     # np.max, unlike max(), lets one NaN term make the residual NaN
     return float(np.abs(terms).max(initial=0.0))
 
@@ -508,8 +518,7 @@ def riemann_at(CM: CoordinateMetric, x, step=1e-3):
 def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT,
                  step=1e-3) -> float:
     g = CM.gram(np.asarray(x, float))
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
+    u, v = np.asarray(u, float), np.asarray(v, float)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if not den > tol.degenerate_plane:
         raise DegeneratePlane(f"Gram determinant {den:.3e}")
@@ -544,7 +553,7 @@ def _frenet_pipeline(CM, times, points, tol):
     vel = _fd4(points, h)
     pts = points[2:-2]
     grams = _grams(CM, pts)
-    gammas = np.stack([_christoffel_from(g, CM.partials(p)) for p, g in zip(pts, grams)])
+    gammas = _christoffel_from(grams, np.stack([CM.partials(p) for p in pts]))
     speed = np.sqrt(np.einsum('ni,nij,nj->n', vel, grams, vel))
     if speed.min() <= 1e-8:
         raise IrregularCurve(f"speed drops to {speed.min():.3e}")
@@ -587,8 +596,7 @@ def frenet_numeric(CM: CoordinateMetric, times, points,
     borderline flag marks a truncated curvature that exceeded the strict
     algebraic zero threshold.
     """
-    times = np.asarray(times, float)
-    points = np.asarray(points, float)
+    times, points = np.asarray(times, float), np.asarray(points, float)
     if len(times) < 50:
         raise IrregularCurve(f"need at least 50 samples, got {len(times)}")
     if points.shape != (len(times), CM.dim):

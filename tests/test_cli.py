@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,39 @@ def test_extreme_verify_params_exit_1_or_fail_a_row(capsys):
         else:
             checks = json.loads(captured.out)["result"]["entries"][0]["checks"]
             assert not all(c["ok"] for c in checks), name
+
+
+def _cli_stderr(argv):
+    """(exit code, stderr) of tgkit argv in a fresh interpreter, where numpy
+    warnings reach stderr as a user sees them."""
+    out = subprocess.run([sys.executable, "-m", "tgkit.cli"] + argv,
+                         capture_output=True, text=True)
+    return out.returncode, out.stderr
+
+
+def test_extreme_kappa_verify_keeps_stderr_quiet():
+    # 1e154 overflows the twisting ODE terms and fails a row; 1e200 also
+    # overflows kappa^2, which the ledger needs, and is refused up front
+    code, err = _cli_stderr(["verify", "twisted-h2:1e154"])
+    assert code == 2
+    assert "Warning" not in err and err == ""
+    code, err = _cli_stderr(["verify", "twisted-h2:1e200"])
+    assert code == 1
+    assert "Warning" not in err
+    assert err == "tgkit: error: twisted-h2: kappa^2 is not finite for kappa = 1e+200\n"
+
+
+@pytest.mark.parametrize("start", [["--x0", "1000,0", "--v0", "0,1"],
+                                   ["--x0", "700,0", "--v0", "1,0", "--tmax", "20"]])
+def test_overflowing_chart_point_exits_1_quietly(start, capsys):
+    # sinh(1000) and sinh(700)^2 are past the double range
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["geodesic", "--builtin", "hyperbolic2"] + start)
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    r = start[1].split(",")[0]
+    assert capsys.readouterr().err == f"tgkit: error: gram not finite at [{r}.0, 0.0]\n"
 
 
 def test_negative_search_seed_exits_1(capsys):

@@ -93,6 +93,20 @@ def test_christoffel_fd_matches_exact_on_all_charts():
             assert d < 1e-6
 
 
+def test_float_kernel_errors_count_as_a_non_finite_gram():
+    # the float kernels raise OverflowError (math.sinh(1000)) or ValueError
+    # (math.cos(inf)) where numpy returned inf or NaN
+    polar = catalog.catalog_lookup("twisted-h2", {"kappa": 1.0})
+    for CM, x in ((HYP, [1000.0, 0.0]), (NH, [400.0, 0.0, 0.0, 0.0]),
+                  (polar, [float("inf"), 1.0, 0.5])):
+        x = np.array(x)
+        for call in (CM.gram, CM.partials, lambda y: CM.partials(y, exact=False),
+                     lambda y: christoffel(CM, y)):
+            with pytest.raises(MetricDegenerate, match=r"gram not finite at \[") as err:
+                call(x)
+            assert str(err.value).endswith(f"at {x.tolist()}")
+
+
 def test_christoffel_symmetric_lower_indices():
     x = np.array([0.5, 0.2, 0.1])
     CM = catalog.catalog_lookup("twisted-h2", {"kappa": 1.0})
@@ -511,6 +525,28 @@ def test_frenet_evaluates_each_sample_gram_once():
     calls.clear()
     frenet_numeric(CM, ts, pts, arclength_reparametrize=True)
     assert len(calls) == 256 + (256 - 4) + (128 - 4)
+
+
+def test_frenet_pipeline_makes_one_christoffel_stack(monkeypatch):
+    calls = {"pipeline": 0, "christoffel": []}
+    pipeline, christoffel_from = coord_engine._frenet_pipeline, coord_engine._christoffel_from
+
+    def counted_pipeline(*args):
+        calls["pipeline"] += 1
+        return pipeline(*args)
+
+    def counted_christoffel(g, dg):
+        calls["christoffel"].append(g.shape)
+        return christoffel_from(g, dg)
+
+    monkeypatch.setattr(coord_engine, "_frenet_pipeline", counted_pipeline)
+    monkeypatch.setattr(coord_engine, "_christoffel_from", counted_christoffel)
+    CM = build_twisted_product(catalog.twisted_h2(1.0))
+    ts = np.linspace(0.0, 2 * np.pi, 601)
+    frenet_numeric(CM, ts, np.stack([ts, np.full(601, 0.8), np.full(601, 0.6)], axis=1))
+    # full and half sampling, each without the two samples at either end
+    assert calls["pipeline"] == 2
+    assert calls["christoffel"] == [(601 - 4, 3, 3), (301 - 4, 3, 3)]
 
 
 def test_frenet_degenerate_sample_raises_at_first_one():

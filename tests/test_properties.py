@@ -8,7 +8,7 @@ import pytest
 
 from tgkit import catalog
 from tgkit.cli import run
-from tgkit.coord_engine import _spray, christoffel
+from tgkit.coord_engine import _christoffel_from, _spray, christoffel
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -44,6 +44,32 @@ def test_spray_is_minus_christoffel_of_v_v(name, cube, vel):
     got = _spray(CM.gram(x), CM.partials(x), v)
     # relative to the size of the terms, |Gamma| |v|^2
     assert np.abs(got - want).max() <= 1e-12 * np.abs(G).max() * (v @ v)
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(name=st.sampled_from(sorted(CHARTS)),
+       cube=st.lists(unit, min_size=4, max_size=4))
+def test_exact_partials_match_richardson_partials(name, cube):
+    CM, to_chart = CHARTS[name]
+    x = to_chart(cube)
+    exact = CM.partials(x, exact=True)
+    fd = CM.partials(x, exact=False)
+    # relative to max |dg|, the bound the fixed-point Christoffel check uses
+    assert np.abs(exact - fd).max() <= 1e-6 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_christoffel_stack_matches_per_point(name):
+    CM, to_chart = CHARTS[name]
+    cubes = np.random.default_rng(5).uniform(0.0, 1.0, size=(20, 4))
+    pts = np.array([to_chart(c) for c in cubes])
+    grams = np.stack([CM.gram(p) for p in pts])
+    partials = np.stack([CM.partials(p) for p in pts])
+    stacked = _christoffel_from(grams, partials)
+    assert stacked.shape == (20,) + (CM.dim,) * 3
+    for G, g, dg in zip(stacked, grams, partials):
+        one = _christoffel_from(g, dg)
+        assert np.abs(G - one).max() <= 1e-15 * np.abs(one).max()
 
 
 # command lines: real subcommands over cheap builtins (the whole verify

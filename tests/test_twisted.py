@@ -181,6 +181,29 @@ def test_cartesian_chart_matches_polar_gram():
         assert np.abs(J.T @ CMc.gram(xc) @ J - CMp.gram(xp)).max() < 1e-12
 
 
+def test_cartesian_chart_matches_polar_partials():
+    # g_polar = J^T g_cart J with J = d(t, x, y) / d(t, r, theta), so
+    # d_k g_polar = dJ_k^T g J + J^T g dJ_k + J^T (sum_l J[l, k] d_l g) J
+    kappa = 2.0
+    CMp = build_twisted_product(catalog.twisted_h2(kappa))
+    CMc = catalog.twisted_h2_cartesian(kappa)
+    for th in (0.7, 2.5):
+        c, s = np.cos(th), np.sin(th)
+        # r grid straddles the series / closed-form switch in the cartesian chart
+        for r in (0.1, 0.4, 0.4999, 0.5001, 1.2):
+            xc = np.array([0.3, r * c, r * s])
+            J = np.array([[1.0, 0.0, 0.0], [0.0, c, -r * s], [0.0, s, r * c]])
+            dJ = np.zeros((3, 3, 3))
+            dJ[1, 1:, 2] = -s, c
+            dJ[2, 1:, 1:] = [[-s, -r * c], [c, -r * s]]
+            g, dg = CMc.gram(xc), CMc.partials(xc)
+            pushed = (np.einsum('kai,ab,bj->kij', dJ, g, J)
+                      + np.einsum('ai,ab,kbj->kij', J, g, dJ)
+                      + np.einsum('ai,lk,lab,bj->kij', J, J, dg, J))
+            want = CMp.partials(np.array([0.3, r, th]))
+            assert np.abs(pushed - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_cartesian_chart_matches_polar_sectionals():
     kappa = 2.0
     CMp = build_twisted_product(catalog.twisted_h2(kappa))
