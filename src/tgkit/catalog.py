@@ -55,6 +55,8 @@ def sl2(a=1.0, b=1.0, tol=DEFAULT):
     a, b = float(a), float(b)
     if a * b == 0.0:
         raise BadParams("sl2 needs nonzero a and b")
+    if not math.isfinite(a * a + b * b + a * b):
+        raise BadParams(f"sl2 needs a^2, b^2 and ab finite, got a = {a!r}, b = {b!r}")
     E = [a * np.array([[0., 1.], [-1., 0.]]),
          2 * b * np.array([[0., 1.], [0., 0.]]),
          b * np.array([[1., 0.], [0., -1.]])]

@@ -87,17 +87,22 @@ def _unit_onb(M: MetricLieAlgebra, T):
     return M.to_onb(T)
 
 
+def _tg_residuals(G, t):
+    """max |<nabla_X Y, t>| over an orthonormal basis X, Y of t^perp for every
+    unit row of t (frame coordinates): the one TG residual formula."""
+    n = t.shape[-1]
+    Q = complement_onb(t)
+    Mm = (t @ G.reshape(n * n, n).T).reshape(t.shape[:-1] + (n, n))
+    return np.abs(Q.swapaxes(-1, -2) @ Mm @ Q).max(axis=(-2, -1))
+
+
 def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
     """max |<nabla_X Y, T>| over an orthonormal basis X, Y of T^perp.
 
     Zero iff the left-invariant distribution T^perp is integrable with
     totally geodesic leaves.
     """
-    t = _unit_onb(M, T)
-    G = levi_civita(M).coefficients
-    Q = complement_onb(t)
-    Mmat = np.einsum('ijk,k->ij', G, t)
-    return float(np.abs(Q.T @ Mmat @ Q).max())
+    return float(_tg_residuals(levi_civita(M).coefficients, _unit_onb(M, T)))
 
 
 # ------------------------------------------------------------------- search
@@ -122,6 +127,9 @@ class SearchResult:
         return len(self.normals)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _residual_jacobian(G):
     """r(t) = vec(P M(t) P) with M(t) = G.t and P = I - t t^T, its Jacobian
     along the columns d of Q = complement_onb(t), and Q.
@@ -129,7 +137,7 @@ def _residual_jacobian(G):
     Row d of the Jacobian is vec(dP M P + P M(d) P + P M dP) with
     dP = -(d t^T + t d^T).  t may carry leading batch axes (one start per
     row); each row of a C-ordered stack evaluates bit for bit as a lone 1-D
-    t does.
+    t does.  rj.f_stop is the round-off of |r|^2 on unit t.
     """
     n = G.shape[0]
     eye = np.eye(n)
@@ -149,6 +157,7 @@ def _residual_jacobian(G):
         dR = dP @ (Mm @ P)[..., None, :, :] + Pd @ koszul(D) @ Pd + PM[..., None, :, :] @ dP
         lead = t.shape[:-1]
         return (PM @ P).reshape(lead + (n * n,)), dR.reshape(lead + (n - 1, n * n)), Q
+    rj.f_stop = max(1e-32, (4 * n * _EPS * max(1.0, float(np.abs(G).max()))) ** 2)
     return rj
 
 
@@ -166,9 +175,10 @@ def _batch_lm(rj, t):
     A step solves (J J^T + lam s I) xi = -J r, with s the largest entry of
     J J^T, and moves to (t + Q xi)/|t + Q xi|.  lam falls tenfold when the
     step lowers f = |r|^2 (and is taken) and rises tenfold otherwise.  A
-    start retires when f < 1e-32, when lam > 1e12 (f has plateaued), when
-    J vanishes, or after _LM_ITER steps.  lam >= _LM_FLOOR keeps the damped
-    system nonsingular on every live row, so one stacked solve serves all.
+    start retires when f reaches the round-off rj.f_stop, when lam > 1e12
+    (f has plateaued), when J vanishes, or after _LM_ITER steps.
+    lam >= _LM_FLOOR keeps the damped system nonsingular on every live row,
+    so one stacked solve serves all.
     """
     t = t.copy()
     r, J, Q = rj(t)
@@ -179,7 +189,7 @@ def _batch_lm(rj, t):
     for _ in range(_LM_ITER):
         A = J[live] @ np.swapaxes(J[live], 1, 2)
         s = A.max(axis=(1, 2), initial=0.0)
-        go = ~(f[live] < 1e-32) & ~(lam[live] > 1e12) & (s > 0)
+        go = ~(f[live] < rj.f_stop) & ~(lam[live] > 1e12) & (s > 0)
         live, A, s = live[go], A[go], s[go]
         if not len(live):
             break
@@ -196,6 +206,82 @@ def _batch_lm(rj, t):
     return t
 
 
+def _cubic_forms(G, t):
+    """The nine cubics [t]x^T M(t) [t]x of the n = 3 TG condition, per row of t."""
+    z = np.zeros(t.shape[:-1])
+    X = np.stack([z, -t[..., 2], t[..., 1], t[..., 2], z, -t[..., 0],
+                  -t[..., 1], t[..., 0], z], axis=-1).reshape(t.shape + (3,))
+    F = np.swapaxes(X, -1, -2) @ np.einsum('ijk,...k->...ij', G, t) @ X
+    return F.reshape(t.shape[:-1] + (9,))
+
+
+def _on_curve(w, abc):
+    """Points t(w) = a(1-w^2) + 2bw + c(1+w^2) of a curve with rows (a, b, c)."""
+    return np.stack([1 - w * w, 2 * w, 1 + w * w], axis=-1) @ abc
+
+
+_NODES = np.cos(np.pi * np.arange(7) / 6)        # Chebyshev points: 7 fix a sextic
+_FIT = np.linalg.inv(np.vander(_NODES, 7))       # values -> coefficients, highest first
+
+
+def _conic_starts(G):
+    """Exact starts for n = 3, as unit rows (frame coordinates), or None.
+
+    Part (a) of the TG condition is the conic t^T S t = 0, S the symmetric
+    part of Milnor's L in [X, Y] = L(X x Y).  Along each real curve t(w) of
+    that conic the nine cubic forms are sextics in w; the starts are their
+    near-real roots (and w = inf) at which all nine forms are small.  None
+    means S vanishes or the forms vanish along a whole curve, where a
+    continuum is possible.  The rank and root filters are loose: each start
+    is polished and certified.
+    """
+    scale = max(1.0, float(np.abs(G).max()))
+    C = G - np.swapaxes(G, 0, 1)                    # C[:, :, k] = ad-table of e_k
+    L = np.stack([C[2, 1], C[0, 2], C[1, 0]])       # column k: axial vector
+    lam, V = np.linalg.eigh(0.5 * (L + L.T))
+    zero = np.abs(lam) <= 1e-9 * scale
+    if zero.all():
+        return None
+    on, off = np.flatnonzero(~zero), np.flatnonzero(zero)
+    pos, neg = on[lam[on] > 0], on[lam[on] < 0]
+    if len(pos) < len(neg):
+        pos, neg = neg, pos
+    u = (V / np.sqrt(np.abs(np.where(zero, 1.0, lam)))).T
+    curves, points = [], [np.empty((0, 3))]
+    if len(on) == 3 and len(neg):                   # one conic
+        curves.append(u[[pos[0], pos[1], neg[0]]])
+    elif len(on) == 2 and len(neg):                 # two great circles
+        for p in (u[pos[0]] + u[neg[0]], u[pos[0]] - u[neg[0]]):
+            curves.append(np.stack([p / np.linalg.norm(p), V[:, off[0]], np.zeros(3)]))
+    elif len(on) == 2:                              # the kernel point
+        points.append(V[:, off].T)
+    elif len(on) == 1:                              # one great circle
+        curves.append(np.stack([V[:, off[0]], V[:, off[1]], np.zeros(3)]))
+    for abc in curves:                              # none when S is definite
+        T = _on_curve(_NODES, abc)
+        coef = _FIT @ _cubic_forms(G, T)
+        big = np.abs(coef).max(axis=0) > 1e-12 * scale * np.abs(T).max() ** 3
+        if not big.any():
+            return None
+        P = coef[:, big].T / np.abs(coef[:, big]).max(axis=0)[:, None]
+        # the companion matrices of all nonzero sextics, as np.roots builds
+        # them; a negligible leading coefficient sends its root past 1e8
+        comp = np.zeros((len(P), 6, 6))
+        comp[:, 1:, :-1] = np.eye(5)
+        comp[:, 0] = -P[:, 1:] / np.where(np.abs(P[:, :1]) < 1e-13, 1e-13, P[:, :1])
+        w = np.linalg.eigvals(comp).ravel()
+        w = w.real[(np.abs(w.imag) <= 1e-6 * (1 + np.abs(w))) & (np.abs(w) < 1e8)]
+        points += [_on_curve(w, abc), abc[2:] - abc[:1]]    # the real roots, w = inf
+    t = _unit_rows(np.concatenate(points))
+    err = np.abs(_cubic_forms(G, t)).max(axis=-1, initial=0.0)
+    t = t[np.argsort(err, kind='stable')][np.sort(err) <= 1e-6 * scale]
+    # one start per root, the most accurate: fix the sign of the largest
+    # entry, round, and keep firsts
+    t *= np.sign(t[np.arange(len(t)), np.abs(t).argmax(axis=-1)])[:, None]
+    keys = np.round(t, 6).tolist()
+    return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
+
+
 def _sign_normalize(v, eps=1e-8):
     for x in v:
         if abs(x) > eps:
@@ -204,10 +290,12 @@ def _sign_normalize(v, eps=1e-8):
 
 
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
-    """Seeded multistart Levenberg-Marquardt for unit normals of TG hyperplanes.
+    """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt.
 
-    All config.n_starts starts run together as one array through _batch_lm;
-    each is then certified on its own by hyperplane_tg_residual.
+    For n = 3 the starts are the exact points of _conic_starts; otherwise,
+    and where those leave a continuum open, config.n_starts seeded random
+    starts.  All starts run together as one array through _batch_lm and are
+    certified as one stack by _tg_residuals.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input
@@ -217,32 +305,34 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
-    starts = np.array([np.random.Generator(np.random.PCG64(s)).standard_normal(n)
-                       for s in seeds]).reshape(-1, n)
-    ts = _batch_lm(_residual_jacobian(G), _unit_rows(starts))
-    found = []
-    for t in ts:
-        x = M.from_onb(t)
-        x = x / M.norm(x)
-        r = hyperplane_tg_residual(M, x)
-        if r < config.residual_threshold:
-            found.append((_sign_normalize(x), r))
-    # merge sign classes closer than the dedup angle (gram inner product)
-    merged = []
-    cos_thresh = math.cos(tol.dedup_angle)
-    for x, r in found:
-        for k, (y, ry) in enumerate(merged):
-            if abs(float(x @ M.gram @ y)) >= cos_thresh:
-                if r < ry:
-                    merged[k] = (x, r)
+    starts = _conic_starts(G) if n == 3 else None
+    if starts is None:
+        seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
+        starts = _unit_rows(np.array(
+            [np.random.Generator(np.random.PCG64(s)).standard_normal(n)
+             for s in seeds]).reshape(-1, n))
+    ts = _batch_lm(_residual_jacobian(G), starts) if len(starts) else starts
+    X = M.from_onb(ts.T).T
+    X = X / np.sqrt(rowdot(X @ M.gram, X))[:, None]
+    res = _tg_residuals(G, M.to_onb(X.T).T)
+    keep = np.flatnonzero(res < config.residual_threshold)
+    found = [(_sign_normalize(X[i]), float(res[i])) for i in keep]
+    # merge sign classes closer than the dedup angle (gram inner product),
+    # each into the first kept class it meets, which keeps the smaller residual
+    Y = np.array([x for x, _ in found]).reshape(-1, n)
+    near = np.abs(Y @ M.gram @ Y.T) >= math.cos(tol.dedup_angle)
+    reps = []
+    for i, (_, r) in enumerate(found):
+        for k, j in enumerate(reps):
+            if near[i, j]:
+                if r < found[j][1]:
+                    reps[k] = i
                 break
         else:
-            merged.append((x, r))
-    merged.sort(key=lambda pair: tuple(np.round(pair[0], 9)))
-    normals = [x for x, _ in merged]
-    residuals = [r for _, r in merged]
-    return SearchResult(normals, residuals, len(merged) > tol.continuum_minima)
+            reps.append(i)
+    merged = sorted((found[i] for i in reps), key=lambda pair: tuple(np.round(pair[0], 9)))
+    return SearchResult([x for x, _ in merged], [r for _, r in merged],
+                        len(merged) > tol.continuum_minima)
 
 
 # ------------------------------------------------------------------- frenet
@@ -428,15 +518,16 @@ def _sl2_match(M, normals):
     raise NotRecognized("no orthonormal frame matches the bracket table")
 
 
-def sl2_recognize(constants, gram=None, tol: Tolerances = DEFAULT,
-                  seed: int = 0) -> Sl2Recognition:
+def sl2_recognize(constants, gram=None, tol: Tolerances = DEFAULT) -> Sl2Recognition:
     """Match a 3-dim metric Lie algebra against the two-parameter family.
 
     Returns the recovered (a, b) = (k2/2, k1/2) with the bracket-table
-    residual and the matched frame; unpacks as the pair (a, b).
+    residual and the matched frame; unpacks as the pair (a, b).  The
+    Killing-signature gate leaves S nondegenerate and indefinite, so the
+    search runs on its exact starts only.
     """
     M = _sl2_admit(constants, gram, tol)
-    config = SearchConfig(n_starts=32, seed=seed, residual_threshold=tol.search_residual)
+    config = SearchConfig(residual_threshold=tol.search_residual)
     return _sl2_match(M, search_tg_hyperplanes(M, config).normals)
 
 

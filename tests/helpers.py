@@ -122,13 +122,14 @@ def lm_one(rj, t, max_iter=100, floor=1e-12):
     """Levenberg-Marquardt of one start on the sphere, as a plain loop.
 
     rj(t) returns the residual vector, its Jacobian along the columns of
-    Q and Q itself for a single unit vector t.
+    Q and Q itself for a single unit vector t; rj.f_stop is the round-off
+    of |r|^2 at which a start stops.
     """
     lam = 1e-3
     r, J, Q = rj(t)
     f = r @ r
     for _ in range(max_iter):
-        if f < 1e-32 or lam > 1e12:
+        if f < rj.f_stop or lam > 1e12:
             break
         A = J @ J.T
         s = A.max(initial=0.0)

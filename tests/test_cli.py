@@ -307,6 +307,24 @@ def test_extreme_kappa_verify_keeps_stderr_quiet():
     assert err == "tgkit: error: twisted-h2: kappa^2 is not finite for kappa = 1e+200\n"
 
 
+def test_overflowing_spray_prints_only_the_gram_error():
+    # the partials at the second stage are finite but huge, so the spray
+    # overflows before a later gram turns non-finite
+    code, err = _cli_stderr(["geodesic", "--builtin", "twisted-h2:1e200",
+                             "--x0", "0,1,0", "--v0", "1,0,0"])
+    assert code == 1
+    assert err.startswith("tgkit: error: gram not finite at [")
+    assert err.count("\n") == 1 and err.endswith("]\n")
+
+
+def test_overflowing_sl2_params_name_a_and_b():
+    # 1e200 squared is past the double range; the 2x2 brackets need it
+    code, err = _cli_stderr(["verify", "sl2:1e200,1"])
+    assert code == 1
+    assert err == ("tgkit: error: sl2 needs a^2, b^2 and ab finite, "
+                   "got a = 1e+200, b = 1.0\n")
+
+
 @pytest.mark.parametrize("start", [["--x0", "1000,0", "--v0", "0,1"],
                                    ["--x0", "700,0", "--v0", "1,0", "--tmax", "20"]])
 def test_overflowing_chart_point_exits_1_quietly(start, capsys):

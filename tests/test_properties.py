@@ -2,13 +2,16 @@
 command lines."""
 import contextlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from tgkit import catalog
+from tgkit import tg_analysis as ta
 from tgkit.cli import run
 from tgkit.coord_engine import _christoffel_from, _spray, christoffel
+from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -138,3 +141,42 @@ def test_cli_exits_0_1_or_2_and_never_raises(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 1, 2), argv
+
+
+# exact n = 3 starts against seeded multistart, on identity, diagonal and SPD
+# grams over 3-dim algebras covering every branch of S with a nonzero S
+def _algebra3(name):
+    c = np.zeros((3, 3, 3))
+    for i, j, k, v in {
+        "sl2": [],
+        "aff+line": [(0, 1, 1, 1.0)],                          # [e0, e1] = e1
+        "sol12": [(0, 1, 1, 1.0), (0, 2, 2, 2.0)],             # ad_e0 = diag(1, 2)
+        "heisenberg": [(0, 1, 2, 1.0)],
+        "su2": [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0)],
+        "e2": [(2, 0, 1, 1.0), (2, 1, 0, -1.0)],               # rotations of the plane
+    }[name]:
+        c[i, j, k], c[j, i, k] = v, -v
+    return catalog.sl2(1.0, 1.0).algebra.structure_constants if name == "sl2" else c
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(name=st.sampled_from(["aff+line", "e2", "heisenberg", "sl2", "sol12", "su2"]),
+                  kind=st.sampled_from(["diagonal", "spd"]),
+                  gram_seed=st.integers(0, 2 ** 32 - 1))
+@hypothesis.example(name="e2", kind="identity", gram_seed=0)
+def test_exact_starts_agree_with_multistart(name, kind, gram_seed):
+    # diagonal grams keep the coordinate normals of aff(1) + R and sol(1,2);
+    # generic ones leave none
+    rng = np.random.default_rng(gram_seed)
+    a = rng.standard_normal((3, 3))
+    gram = {"identity": np.eye(3), "diagonal": np.diag(rng.uniform(0.3, 3.0, 3)),
+            "spd": a @ a.T + 0.5 * np.eye(3)}[kind]
+    M = MetricLieAlgebra(LieAlgebra(_algebra3(name)), gram)
+    assert ta._conic_starts(levi_civita(M).coefficients) is not None
+    exact = ta.search_tg_hyperplanes(M)
+    with mock.patch.object(ta, "_conic_starts", lambda G: None):
+        multi = ta.search_tg_hyperplanes(M)
+    assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
+    for x, r in zip(exact.normals, exact.residuals):
+        k = int(np.argmin([np.abs(x - y).max() for y in multi.normals]))
+        assert np.abs(x - multi.normals[k]).max() <= 1e-9 or r < multi.residuals[k]

@@ -1,12 +1,17 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 
 from helpers import (direct_sum, lm_one, random_orthogonal, random_spd,
                      rotate_constants)
 
 from tgkit import catalog
+from tgkit.cli import run
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
-from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm,
-                               _residual_jacobian, classify_case,
+from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm, _conic_starts,
+                               _residual_jacobian, _sign_normalize, classify_case,
                                hyperplane_tg_residual, search_tg_hyperplanes)
 
 
@@ -179,3 +184,114 @@ def test_generic_gram_census():
         got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(h3), gram))
         assert got.continuum
         assert max(got.residuals) < 1e-10
+
+
+# ------------------------------------------------------- exact n = 3 starts
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("multistart or LM called")
+
+
+def test_exact_census_on_the_sl2_grid(monkeypatch):
+    # the conic starts alone find both Borel normals, and no third
+    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    for a in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
+        for b in (0.25, 0.5, 1.0, 1.7, 3.0):
+            got = search_tg_hyperplanes(catalog.sl2(a, b))
+            assert len(got) == 2 and not got.continuum, (a, b)
+            second = np.array([a, 2 * b, 0.0]) / np.hypot(a, 2 * b)
+            assert np.abs(got.normals[0] - second).max() < 1e-12, (a, b)
+            assert np.abs(got.normals[1] - np.eye(3)[0]).max() < 1e-12, (a, b)
+            assert max(got.residuals) < 1e-12, (a, b)
+
+
+def _su2():
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
+    return MetricLieAlgebra(LieAlgebra(eps))
+
+
+def test_heisenberg_and_su2_census_is_a_certificate(monkeypatch):
+    # S is a double line on heisenberg (no point of it passes part (b)) and
+    # definite on su(2): no start, so neither LM nor multistart runs
+    from tgkit import tg_analysis
+    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    monkeypatch.setattr(tg_analysis, "_batch_lm", _refuse)
+    for M in (catalog.heisenberg(), _su2()):
+        assert _conic_starts(levi_civita(M).coefficients).shape == (0, 3)
+        got = search_tg_hyperplanes(M)
+        assert len(got) == 0 and not got.continuum
+
+
+def _h3_file(tmp_path, gram=None):
+    # H^3: [e2, e_k] = e_k on span(e0, e1), so S = 0
+    data = {"dim": 3, "brackets": [{"i": 0, "j": 2, "coeffs": [-1, 0, 0]},
+                                   {"i": 1, "j": 2, "coeffs": [0, -1, 0]}]}
+    if gram is not None:
+        data["gram"] = gram
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _search_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["search", "--json"] + argv) == 0
+    return out.getvalue()
+
+
+def test_abelian_and_h3_return_to_multistart(tmp_path):
+    spd = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]
+    for argv in (["--builtin", "abelian:3"], ["--algebra", _h3_file(tmp_path)],
+                 ["--algebra", _h3_file(tmp_path, spd)]):
+        text = _search_json(argv)
+        assert _search_json(argv) == text
+        rep = json.loads(text)["result"]
+        assert rep["continuum"] and rep["count"] == 64, argv
+        assert max(rep["residuals"]) < 1e-14, argv
+    M = catalog.abelian(3)
+    assert _conic_starts(levi_civita(M).coefficients) is None
+    # G = 0, so no start moves: the normals are the seeded draws themselves,
+    # sign-normalized and sorted, as every earlier multistart printed them
+    want = []
+    for seq in np.random.SeedSequence(0).spawn(64):
+        s = np.random.Generator(np.random.PCG64(seq)).standard_normal(3)
+        t = s / np.linalg.norm(s)
+        want.append(_sign_normalize(t / np.sqrt(t @ t)))
+    want.sort(key=lambda v: tuple(np.round(v, 9)))
+    rep = json.loads(_search_json(["--builtin", "abelian:3"]))["result"]
+    assert rep["normals"] == [v.tolist() for v in want]
+    assert rep["residuals"] == [0.0] * 64
+
+
+def test_lm_stops_at_the_round_off_floor():
+    # sl2(1,1) + R from the 64 seeded starts, one start per call so that a
+    # counting rj sees each start's own steps
+    c = direct_sum(catalog.sl2(1.0, 1.0).algebra.structure_constants,
+                   np.zeros((1, 1, 1)))
+    rj = _residual_jacobian(levi_civita(MetricLieAlgebra(LieAlgebra(c))).coefficients)
+    assert rj.f_stop > 1e-32
+    reached = 0
+    for seq in np.random.SeedSequence(0).spawn(64):
+        s = np.random.Generator(np.random.PCG64(seq)).standard_normal(4)
+        f = []
+
+        def counting(t):
+            out = rj(t)
+            f.append(float(out[0][0] @ out[0][0]))
+            return out
+        counting.f_stop = rj.f_stop
+        _batch_lm(counting, (s / np.linalg.norm(s))[None])
+        best = f[0]
+        for k, fc in enumerate(f[1:], 1):
+            assert best >= rj.f_stop, f"step {k} taken after f reached {best:.3e}"
+            best = min(best, fc)
+        reached += best < rj.f_stop
+    assert reached == 64
+
+
+def test_search_reruns_print_identical_bytes():
+    for argv in (["--builtin", "nonhomo", "--seed", "3"], ["--builtin", "sl2:1,2"]):
+        assert _search_json(argv) == _search_json(argv)

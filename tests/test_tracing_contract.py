@@ -66,3 +66,18 @@ def test_rebinding_records_chart_spans_and_restores(tracing):
     names = {tracer.names[i] for i in tracer.name}
     assert {"coord_engine.geodesic_integrate", "coord_engine.gram",
             "coord_engine.partials"} <= names
+
+
+@pytest.mark.parametrize("name", ["sl2", "nonhomo"])
+def test_rebinding_records_search_spans_and_restores(tracing, name):
+    # sl2 takes the exact n = 3 starts, nonhomo the seeded multistart
+    ta = tgkit.tg_analysis
+    original = (ta.search_tg_hyperplanes, ta.hyperplane_tg_residual)
+    tracer = tracing.Tracer()
+    M = tgkit.catalog.catalog_lookup(name)
+    with tracing.Rebound(tracer, tracing.targets(TG)):
+        got = ta.search_tg_hyperplanes(M)
+    assert (ta.search_tg_hyperplanes, ta.hyperplane_tg_residual) == original
+    assert len(got) == {"sl2": 2, "nonhomo": 1}[name]
+    names = {tracer.names[i] for i in tracer.name}
+    assert "tg_analysis.search_tg_hyperplanes" in names
