@@ -19,16 +19,15 @@ from .errors import (AlgebraFileError, BadParams, DegeneratePlane,
                      NotHelixOrderTwo, NotPositiveDefinite, NotRecognized,
                      NotTotallyGeodesic, TgkitError, UnknownName)
 from .lie_core import (ConnectionTable, CurvatureData, LieAlgebra,
-                       MetricLieAlgebra, Subspace, bracket, complement_onb,
-                       curvature_operator_eigen, curvature_tensor,
-                       jacobi_residual, levi_civita, sectional, wedge_coords)
+                       MetricLieAlgebra, Subspace, complement_onb,
+                       curvature_tensor, jacobi_residual, levi_civita,
+                       sectional, wedge_coords)
 from .tg_analysis import (CaseTag, CharacterSpace, ClassificationReport,
                           FrenetData, HelixWitness, SearchConfig, SearchResult,
                           Sl2Recognition, SubspaceCheck, SubspaceWitness,
                           character_space, classify_case, codazzi_residual,
                           frenet_orbit, helix_witness, hyperplane_tg_residual,
-                          normal_curvature_identity, search_tg_hyperplanes,
-                          second_normal_identity, sl2_recognize,
+                          search_tg_hyperplanes, sl2_recognize,
                           tg_subspace_check)
 
 __version__ = "0.1.0"
@@ -41,15 +40,13 @@ __all__ = [
     "NotTotallyGeodesic", "MetricDegenerate", "IrregularCurve",
     "UnknownName", "BadParams", "AlgebraFileError", "NonFiniteInput",
     "LieAlgebra", "MetricLieAlgebra", "Subspace", "ConnectionTable",
-    "CurvatureData", "bracket", "jacobi_residual", "levi_civita",
-    "curvature_tensor", "curvature_operator_eigen", "sectional",
-    "wedge_coords", "complement_onb",
+    "CurvatureData", "jacobi_residual", "levi_civita",
+    "curvature_tensor", "sectional", "wedge_coords", "complement_onb",
     "SubspaceCheck", "SubspaceWitness", "tg_subspace_check",
     "hyperplane_tg_residual", "SearchConfig", "SearchResult",
     "search_tg_hyperplanes", "FrenetData", "frenet_orbit", "HelixWitness",
     "helix_witness", "Sl2Recognition", "sl2_recognize", "CaseTag",
     "CharacterSpace", "character_space", "codazzi_residual",
-    "normal_curvature_identity", "second_normal_identity",
     "ClassificationReport", "classify_case",
     "ScalarField", "CoordinateMetric", "christoffel", "GeodesicTrajectory",
     "geodesic_integrate", "export_trajectory_csv", "LevelSetHypersurface",

@@ -18,7 +18,7 @@ from .coord_engine import (CoordinateMetric, LevelSetHypersurface, ScalarField,
                            eikonal_residuals, frenet_numeric, geodesic_integrate,
                            second_fundamental_form, sectional_at,
                            twisting_ode_residual)
-from .errors import BadParams, TgkitError, UnknownName
+from .errors import BadParams, UnknownName
 from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, curvature_tensor,
                        jacobi_residual, levi_civita, sectional)
 from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
@@ -49,33 +49,15 @@ def sl2(a=1.0, b=1.0, tol=DEFAULT):
 
     E1 = a [[0,1],[-1,0]], E2 = 2b [[0,1],[0,0]], E3 = b [[1,0],[0,-1]],
 
-    declared orthonormal.  Structure constants are extracted from the 2x2
-    matrices and cross-checked against the closed-form table.
+    declared orthonormal.  The structure constants are the closed-form
+    table _sl2_closed of the commutators of these matrices.
     """
     a, b = float(a), float(b)
     if a * b == 0.0:
         raise BadParams("sl2 needs nonzero a and b")
     if not math.isfinite(a * a + b * b + a * b):
         raise BadParams(f"sl2 needs a^2, b^2 and ab finite, got a = {a!r}, b = {b!r}")
-    E = [a * np.array([[0., 1.], [-1., 0.]]),
-         2 * b * np.array([[0., 1.], [0., 0.]]),
-         b * np.array([[1., 0.], [0., -1.]])]
-    c = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            br = E[i] @ E[j] - E[j] @ E[i]
-            # triangular expansion in (E1, E2, E3); exact for dyadic a, b
-            coef = np.array([-br[1, 0] / a,
-                             (br[0, 1] + br[1, 0]) / (2 * b),
-                             br[0, 0] / b])
-            back = coef[0] * E[0] + coef[1] * E[1] + coef[2] * E[2]
-            if np.abs(back - br).max() > 1e-12 * max(1.0, abs(a), abs(b)):
-                raise TgkitError("bracket left the span of the basis matrices")
-            c[i, j] = coef
-    closed = _sl2_closed(a, b)
-    if np.abs(c - closed).max() > 1e-12 * max(1.0, abs(a), abs(b)):
-        raise TgkitError("matrix and closed-form structure constants disagree")
-    return MetricLieAlgebra(LieAlgebra(c, tol), tol=tol)
+    return MetricLieAlgebra(LieAlgebra(_sl2_closed(a, b), tol), tol=tol)
 
 
 def nonhomo(tol=DEFAULT):

@@ -226,9 +226,6 @@ def _cmd_info(args, tol, grid):
                   "exact_partials": CM.partials_at is not None}
         return result, {}, None, 0, desc
     M, names, desc = _load_algebra(args, tol, entry)
-    jac = jacobi_residual(M.algebra)
-    Q = M.onb_change
-    onb_res = float(np.abs(Q.T @ M.gram @ Q - np.eye(M.dim)).max())
     brackets = []
     c = M.algebra.structure_constants
     for i in range(M.dim):
@@ -238,7 +235,7 @@ def _cmd_info(args, tol, grid):
     result = {"kind": "algebra", "dim": M.dim, "basis": names,
               "nonzero_brackets": brackets,
               "gram": M.gram.tolist()}
-    residuals = {"jacobi": jac, "onb": onb_res}
+    residuals = {"jacobi": jacobi_residual(M.algebra), "onb": M.onb_residual}
     return result, residuals, None, 0, desc
 
 
@@ -288,9 +285,7 @@ def _cmd_frenet(args, tol, grid):
     M, names, desc = _load_algebra(args, tol)
     T, desc = _unit_normal(M, args, desc, "frenet needs --normal")
     fr = frenet_orbit(M, T)
-    residuals = {}
-    if fr.truncation_residual is not None:
-        residuals["truncation_residual"] = fr.truncation_residual
+    residuals = {"truncation_residual": fr.truncation_residual}
     return _frenet_payload(fr), residuals, None, 0, desc
 
 
@@ -493,28 +488,25 @@ def run(argv=None) -> int:
         out = handler(args, tol, grid)
         result, residuals, case_tag, code, desc = out[:5]
         traj = out[5] if len(out) > 5 else None
+        desc = dict(desc, command=args.command, tol=overrides, grid=grid)
+        report = {
+            "command": args.command,
+            "input_digest": _digest(desc),
+            "result": _sanitize(result),
+            "residuals": _sanitize(residuals),
+            "tolerances_used": dict(sorted(dataclasses.asdict(tol).items())),
+            "case_tag": case_tag,
+        }
+        if args.out and args.out.endswith(".csv"):
+            if traj is None:
+                raise BadParams("--out .csv only applies to geodesic")
+            export_trajectory_csv(traj, args.out)
+        elif args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(report) + "\n")
     except (TgkitError, OSError) as exc:
         print(f"tgkit: error: {exc}", file=sys.stderr)
         return 1
-    desc = dict(desc, command=args.command, tol=overrides, grid=grid)
-    report = {
-        "command": args.command,
-        "input_digest": _digest(desc),
-        "result": _sanitize(result),
-        "residuals": _sanitize(residuals),
-        "tolerances_used": dict(sorted(dataclasses.asdict(tol).items())),
-        "case_tag": case_tag,
-    }
-    if args.out:
-        if args.out.endswith(".csv"):
-            if traj is None:
-                print("tgkit: error: --out .csv only applies to geodesic",
-                      file=sys.stderr)
-                return 1
-            export_trajectory_csv(traj, args.out)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report) + "\n")
     if args.json:
         print(canonical_json(report))
     else:

@@ -26,6 +26,10 @@ MAX_RK4_STEPS = 10**6
 # RK4 steps whose stage grams geodesic_integrate gates in one pass; bounds
 # the pending stage buffer at 4 * _GATE_STEPS grams.
 _GATE_STEPS = 64
+# Relative finite-difference steps: first derivatives of fields and grams,
+# and the derivative of the Christoffel symbols in riemann_at.
+_FD_STEP = 1e-5
+_RIEMANN_STEP = 1e-3
 
 
 def _richardson(f, x, step):
@@ -50,11 +54,10 @@ class ScalarField:
     Richardson extrapolation level.
     """
 
-    def __init__(self, fn, grad=None, hess=None, fd_step=1e-5):
+    def __init__(self, fn, grad=None, hess=None):
         self.fn = fn
         self._grad = grad
         self._hess = hess
-        self.fd_step = fd_step
 
     @property
     def has_grad(self):
@@ -67,13 +70,13 @@ class ScalarField:
         x = np.asarray(x, float)
         if self._grad is not None:
             return np.asarray(self._grad(x), float)
-        return _richardson(self.fn, x, self.fd_step)
+        return _richardson(self.fn, x, _FD_STEP)
 
     def hessian(self, x):
         x = np.asarray(x, float)
         if self._hess is not None:
             return np.asarray(self._hess(x), float)
-        H = _richardson(self.gradient, x, self.fd_step)
+        H = _richardson(self.gradient, x, _FD_STEP)
         return 0.5 * (H + H.T)
 
 
@@ -86,11 +89,10 @@ class CoordinateMetric:
     given, returns dg[k][i][j] = d g_ij / d x^k exactly.
     """
 
-    def __init__(self, dim, gram_at, partials_at=None, fd_step=1e-5):
+    def __init__(self, dim, gram_at, partials_at=None):
         self.dim = int(dim)
         self.gram_at = gram_at
         self.partials_at = partials_at
-        self.fd_step = float(fd_step)
 
     def gram(self, x):
         x = np.asarray(x, float)
@@ -108,7 +110,7 @@ class CoordinateMetric:
         try:
             if use_exact:
                 return np.asarray(self.partials_at(x), float)
-            return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, self.fd_step)
+            return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, _FD_STEP)
         except _NOT_FINITE:
             raise MetricDegenerate(f"gram not finite at {x.tolist()}") from None
 
@@ -368,7 +370,7 @@ def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> Coord
             dg[m:, m:, m:] = base.partials_at(x[m:])
             return dg
 
-    return CoordinateMetric(dim, gram_at, partials_at, fd_step=base.fd_step)
+    return CoordinateMetric(dim, gram_at, partials_at)
 
 
 def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> CoordinateMetric:
@@ -504,10 +506,10 @@ def eikonal_residuals(spec: TwistedProductSpec, u_points) -> EikonalResiduals:
 
 # ------------------------------------------------------- pointwise curvature
 
-def riemann_at(CM: CoordinateMetric, x, step=1e-3):
+def riemann_at(CM: CoordinateMetric, x):
     """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at x (FD of Christoffel)."""
     x = np.asarray(x, float)
-    dG = _richardson(lambda y: christoffel(CM, y), x, step)
+    dG = _richardson(lambda y: christoffel(CM, y), x, _RIEMANN_STEP)
     g = CM.gram(x)
     G = _christoffel_from(g, CM.partials(x))
     # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
@@ -518,14 +520,13 @@ def riemann_at(CM: CoordinateMetric, x, step=1e-3):
     return np.einsum('lijk,lm->ijkm', Rup, g)
 
 
-def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT,
-                 step=1e-3) -> float:
+def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT) -> float:
     g = CM.gram(np.asarray(x, float))
     u, v = np.asarray(u, float), np.asarray(v, float)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if not den > tol.degenerate_plane:
         raise DegeneratePlane(f"Gram determinant {den:.3e}")
-    R = riemann_at(CM, x, step=step)
+    R = riemann_at(CM, x)
     return float(np.einsum('ijkl,i,j,k,l->', R, u, v, v, u) / den)
 
 
@@ -534,21 +535,6 @@ def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT,
 def _fd4(arr, h):
     """4th-order central first derivative along axis 0 (interior only)."""
     return (-arr[4:] + 8 * arr[3:-1] - 8 * arr[1:-3] + arr[:-4]) / (12.0 * h)
-
-
-def _hermite_resample(times, points, new_times):
-    """Cubic Hermite resample with FD slope estimates (loose accuracy)."""
-    slopes = np.gradient(points, times, axis=0)
-    idx = np.clip(np.searchsorted(times, new_times) - 1, 0, len(times) - 2)
-    t0, t1 = times[idx], times[idx + 1]
-    w = ((new_times - t0) / (t1 - t0))[:, None]
-    p0, p1 = points[idx], points[idx + 1]
-    m0, m1 = slopes[idx] * (t1 - t0)[:, None], slopes[idx + 1] * (t1 - t0)[:, None]
-    h00 = 2 * w ** 3 - 3 * w ** 2 + 1
-    h10 = w ** 3 - 2 * w ** 2 + w
-    h01 = -2 * w ** 3 + 3 * w ** 2
-    h11 = w ** 3 - w ** 2
-    return h00 * p0 + h10 * m0 + h01 * p1 + h11 * m1
 
 
 def _frenet_pipeline(CM, times, points, tol):
@@ -589,15 +575,14 @@ def _frenet_pipeline(CM, times, points, tol):
 
 
 def frenet_numeric(CM: CoordinateMetric, times, points,
-                   arclength_reparametrize=False,
                    tol: Tolerances = DEFAULT) -> FrenetData:
     """Frenet curvatures of a sampled curve by 4th-order finite differences.
 
-    Uniform sampling required; the chain rule handles non-unit speed, so no
-    reparametrization is needed for accuracy.  Error bars come from step
-    halving; the order cutoff is max(eps_k, 1e-3 max(1, k1)), and the
-    borderline flag marks a truncated curvature that exceeded the strict
-    algebraic zero threshold.
+    Uniform sampling required.  The samples are used as given: the chain
+    rule handles non-unit speed, so the curve is never reparametrized by
+    arclength.  Error bars come from step halving; the order cutoff is
+    max(eps_k, 1e-3 max(1, k1)), and the borderline flag marks a truncated
+    curvature that exceeded the strict algebraic zero threshold.
     """
     times, points = np.asarray(times, float), np.asarray(points, float)
     if len(times) < 50:
@@ -607,13 +592,6 @@ def frenet_numeric(CM: CoordinateMetric, times, points,
     steps = np.diff(times)
     if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
         raise IrregularCurve("sampling must be uniform and increasing")
-    if arclength_reparametrize:
-        vel = np.gradient(points, times, axis=0)
-        sp = np.sqrt(np.einsum('ni,nij,nj->n', vel, _grams(CM, points), vel))
-        s = np.concatenate([[0.0], np.cumsum(0.5 * (sp[1:] + sp[:-1]) * steps)])
-        new_s = np.linspace(0.0, s[-1], len(times))
-        points = _hermite_resample(s, points, new_s)
-        times = new_s
     ks, frames, trunc = _frenet_pipeline(CM, times, points, tol)
     ks2, _, _ = _frenet_pipeline(CM, times[::2], points[::2], tol)
     bars = {f"k{i + 1}": abs(ks[i] - ks2[i]) / 15.0

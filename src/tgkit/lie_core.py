@@ -77,7 +77,8 @@ class MetricLieAlgebra:
     """Lie algebra plus inner product, with a cached orthonormal frame.
 
     onb_change has the orthonormal basis vectors as columns (in input
-    coordinates); onb_change^T gram onb_change = I.  Every gate reads `tol`;
+    coordinates); onb_change^T gram onb_change = I, and onb_residual is the
+    max-norm of onb_change^T gram onb_change - I.  Every gate reads `tol`;
     `connection` and `curvature` are computed and gated once, on first use.
     """
 
@@ -99,7 +100,7 @@ class MetricLieAlgebra:
         self.gram = gram
         self.gram.setflags(write=False)
         self.tol = tol
-        self.onb_change = self._build_onb(gram, tol)
+        self.onb_change, self.onb_residual = self._build_onb(gram, tol)
         self._onb_inv = np.linalg.inv(self.onb_change)
         self.onb_constants = self._transport_constants()
 
@@ -109,10 +110,10 @@ class MetricLieAlgebra:
         # gram inner product polishes conditioning.
         L = np.linalg.cholesky(gram)
         Q = gram_schmidt(np.linalg.inv(L.T), gram)
-        res = np.abs(Q.T @ gram @ Q - np.eye(Q.shape[0])).max()
+        res = float(np.abs(Q.T @ gram @ Q - np.eye(Q.shape[0])).max())
         if not res <= tol.onb:
             raise TgkitError(f"orthonormalization failed (residual {res:.3e})")
-        return Q
+        return Q, res
 
     def _transport_constants(self):
         c = self.algebra.structure_constants
@@ -203,12 +204,6 @@ def gram_schmidt(Q, gram):
     return Q
 
 
-def bracket(M, x, y):
-    """Bilinear extension of the structure constants (input basis)."""
-    L = M.algebra if isinstance(M, MetricLieAlgebra) else M
-    return L.bracket(x, y)
-
-
 @dataclasses.dataclass(frozen=True)
 class Subspace:
     """Column span of `basis` inside an ambient algebra."""
@@ -235,12 +230,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.shape[1]
-
-    def validate_orthonormal(self, gram, tol: Tolerances = DEFAULT):
-        res = np.abs(self.basis.T @ gram @ self.basis - np.eye(self.dim)).max()
-        if not res <= tol.onb:
-            raise TgkitError(f"subspace basis not orthonormal (residual {res:.3e})")
-        return res
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,11 +261,6 @@ class CurvatureData:
 def curvature_tensor(M: MetricLieAlgebra) -> CurvatureData:
     """The curvature of M, computed and gated once (MetricLieAlgebra.curvature)."""
     return M.curvature
-
-
-def curvature_operator_eigen(M: MetricLieAlgebra):
-    cd = curvature_tensor(M)
-    return cd.eigenvalues, cd.eigenvectors
 
 
 def sectional(M: MetricLieAlgebra, x, y) -> float:

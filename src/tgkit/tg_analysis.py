@@ -282,9 +282,16 @@ def _conic_starts(G):
     return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
 
 
-def _sign_normalize(v, eps=1e-8):
+# A normal's sign comes from its first coordinate above this.  A normal at a
+# double zero of the residual is only accurate to about 1e-8 (on e(2) + R its
+# near-zero coordinates read 1e-8 to 2.5e-8), while no isolated census normal
+# has a nonzero coordinate below 4e-5.
+_SIGN_FLOOR = 1e-6
+
+
+def _sign_normalize(v):
     for x in v:
-        if abs(x) > eps:
+        if abs(x) > _SIGN_FLOOR:
             return v + 0.0 if x > 0 else -v + 0.0
     return v + 0.0
 
@@ -597,51 +604,6 @@ def _wedge_eigen_lambda(M, t_onb):
         elif abs(li - lam) > tol.eigen_membership:
             return None, max(worst, abs(li - lam))
     return (lam if worst <= tol.eigen_membership else None), worst
-
-
-def jacobi_adapted_wedge_residual(M: MetricLieAlgebra, T) -> float:
-    """After diagonalizing the Jacobi operator on T^perp, the wedges of T
-    with that eigenbasis must be eigenvectors of the curvature operator."""
-    t = _unit_onb(M, T)
-    cd = curvature_tensor(M)
-    R = cd.components
-    Q = complement_onb(t)
-    J = np.einsum('ia,ijkl,j,k,lb->ab', Q, R, t, t, Q)
-    _, vecs = np.linalg.eigh(0.5 * (J + J.T))
-    basis = Q @ vecs
-    worst = 0.0
-    for i in range(basis.shape[1]):
-        w = wedge_coords(t, basis[:, i])
-        rw = cd.operator_matrix @ w
-        li = float(w @ rw)
-        worst = max(worst, float(np.linalg.norm(rw - li * w)))
-    return worst
-
-
-def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
-    """Residual of <T,[X,T]> = k1 <N1, X> over the basis (0 when k1 = 0)."""
-    fd = fd or frenet_orbit(M, T)
-    T = np.asarray(T, float)
-    k1 = fd.curvatures[0] if fd.order >= 1 else 0.0
-    n1 = fd.frame[1] if fd.order >= 1 else np.zeros(M.dim)
-    worst = 0.0
-    for i in range(M.dim):
-        e = np.eye(M.dim)[i]
-        lhs = M.inner(T, M.algebra.bracket(e, T))
-        rhs = k1 * M.inner(n1, e)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
-
-
-def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
-    """Residual of N2 = k2^{-1} [T, N1] + k2^{-1} k1 T for order-2 orbits."""
-    fd = fd or frenet_orbit(M, T)
-    if fd.order < 2:
-        raise NotHelixOrderTwo(fd.order)
-    k1, k2 = fd.curvatures[:2]
-    T = np.asarray(T, float)
-    v = fd.frame[2] - (M.algebra.bracket(T, fd.frame[1]) + k1 * T) / k2
-    return M.norm(v)
 
 
 def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:

@@ -6,6 +6,10 @@ the vectorized library code cannot hide in a shared einsum.
 
 import numpy as np
 
+from tgkit.errors import NotHelixOrderTwo
+from tgkit.lie_core import MetricLieAlgebra
+from tgkit.tg_analysis import FrenetData, frenet_orbit
+
 
 def koszul_loops(c):
     """Connection coefficients from structure constants, orthonormal frame.
@@ -210,3 +214,29 @@ def cart_coeffs_series(u, terms=12):
         um = up
         up *= u
     return S, S1, a, b, A, B
+
+
+def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
+    """Residual of <T,[X,T]> = k1 <N1, X> over the basis (0 when k1 = 0)."""
+    fd = fd or frenet_orbit(M, T)
+    T = np.asarray(T, float)
+    k1 = fd.curvatures[0] if fd.order >= 1 else 0.0
+    n1 = fd.frame[1] if fd.order >= 1 else np.zeros(M.dim)
+    worst = 0.0
+    for i in range(M.dim):
+        e = np.eye(M.dim)[i]
+        lhs = M.inner(T, M.algebra.bracket(e, T))
+        rhs = k1 * M.inner(n1, e)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
+    """Residual of N2 = k2^{-1} [T, N1] + k2^{-1} k1 T for order-2 orbits."""
+    fd = fd or frenet_orbit(M, T)
+    if fd.order < 2:
+        raise NotHelixOrderTwo(fd.order)
+    k1, k2 = fd.curvatures[:2]
+    T = np.asarray(T, float)
+    v = fd.frame[2] - (M.algebra.bracket(T, fd.frame[1]) + k1 * T) / k2
+    return M.norm(v)

@@ -13,12 +13,11 @@ from tgkit.lie_core import (LieAlgebra, MetricLieAlgebra, Subspace,
                             curvature_tensor, levi_civita, sectional)
 from tgkit.tg_analysis import (CaseTag, SearchConfig, classify_case,
                                codazzi_residual, frenet_orbit,
-                               hyperplane_tg_residual,
-                               normal_curvature_identity,
-                               search_tg_hyperplanes, second_normal_identity,
+                               hyperplane_tg_residual, search_tg_hyperplanes,
                                tg_subspace_check)
 
-from helpers import direct_sum, random_orthogonal, random_spd, rotate_constants
+from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
+                     random_spd, rotate_constants, second_normal_identity)
 
 AB_GRID = (0.5, 1.0, 2.0)
 
@@ -142,7 +141,7 @@ def test_05_twisted_product_instance():
         ts = np.linspace(0.0, 2 * np.pi / kappa, 1201)
         pts = np.stack([ts, np.full_like(ts, 0.8), np.full_like(ts, 0.3)],
                        axis=1)
-        fd = frenet_numeric(CM, ts, pts, arclength_reparametrize=True)
+        fd = frenet_numeric(CM, ts, pts)
         assert fd.order == 2
         assert abs(fd.curvatures[0] - 1.0) < 1e-3
         assert abs(fd.curvatures[1] - kappa) < 1e-3

@@ -10,8 +10,8 @@ from helpers import sl2_rep_constants
 
 
 def test_sl2_matches_least_squares_extraction():
-    for a in (0.5, 1.0, 2.0):
-        for b in (0.5, 1.0, 1.5):
+    for a in (0.5, 1.0, 2.0, 0.3, 0.7):
+        for b in (0.5, 1.0, 1.5, 0.3, 0.7):
             M = catalog.sl2(a, b)
             c_ref = sl2_rep_constants(a, b)
             assert np.abs(M.algebra.structure_constants - c_ref).max() < 1e-12

@@ -223,6 +223,22 @@ def test_out_json_report(tmp_path, capsys):
     assert "tg_residual" in rep["tolerances_used"]
 
 
+def test_unwritable_out_exits_1_with_a_message(tmp_path, capsys):
+    # a missing directory, a directory, and a trajectory into a missing directory
+    info = ["info", "--builtin", "sl2"]
+    geodesic = ["geodesic", "--builtin", "hyperbolic2", "--x0", "0.5,0.3",
+                "--v0", "1,0", "--tmax", "0.05"]
+    for argv, out in ((info, tmp_path / "missing" / "report.json"), (info, tmp_path),
+                      (geodesic, tmp_path / "missing" / "traj.csv")):
+        assert run(argv + ["--out", str(out)]) == 1, (argv, out)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tgkit: error: ") and captured.err.count("\n") == 1
+    assert run(info + ["--out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err == "tgkit: error: --out .csv only applies to geodesic\n"
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_digest_depends_on_input(capsys):
     _, a = _json_out(capsys, ["info", "--builtin", "sl2:1,1"])
     _, b = _json_out(capsys, ["info", "--builtin", "sl2:1,1"])
@@ -318,7 +334,7 @@ def test_overflowing_spray_prints_only_the_gram_error():
 
 
 def test_overflowing_sl2_params_name_a_and_b():
-    # 1e200 squared is past the double range; the 2x2 brackets need it
+    # 1e200 squared is past the double range; the curvature needs it
     code, err = _cli_stderr(["verify", "sl2:1e200,1"])
     assert code == 1
     assert err == ("tgkit: error: sl2 needs a^2, b^2 and ab finite, "

@@ -487,14 +487,12 @@ def test_numeric_frenet_helix():
     assert fd.truncation_residual < 1e-4
 
 
-def test_numeric_frenet_arclength_option():
+def test_numeric_frenet_needs_no_arclength_reparametrization():
     ts = np.linspace(0.0, 2 * np.pi, 512)
     tau = ts + 0.3 * np.sin(ts)       # non-constant speed parameterization
     pts = np.stack([np.cos(tau), np.sin(tau)], axis=1)
     plain = frenet_numeric(EUC2, ts, pts)
-    arc = frenet_numeric(EUC2, ts, pts, arclength_reparametrize=True)
     assert abs(plain.curvatures[0] - 1.0) < 1e-4
-    assert abs(arc.curvatures[0] - 1.0) < 1e-3
 
 
 def test_numeric_frenet_gates():
@@ -522,9 +520,6 @@ def test_frenet_evaluates_each_sample_gram_once():
     assert abs(fd.curvatures[0] - 0.5) < 1e-5
     # full and half sampling, each without the two samples at either end
     assert len(calls) == (256 - 4) + (128 - 4)
-    calls.clear()
-    frenet_numeric(CM, ts, pts, arclength_reparametrize=True)
-    assert len(calls) == 256 + (256 - 4) + (128 - 4)
 
 
 def test_frenet_pipeline_makes_one_christoffel_stack(monkeypatch):

@@ -2,6 +2,8 @@
 command lines."""
 import contextlib
 import io
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -77,8 +79,9 @@ def test_christoffel_stack_matches_per_point(name):
 
 # command lines: real subcommands over cheap builtins (the whole verify
 # ledger is left out for time), vectors of the builtin's dimension and
-# malformed ones, search seeds, and tolerance overrides with non-finite
-# values and unknown names.  Each slot takes a bad value one time in four.
+# malformed ones, search seeds, tolerance overrides with non-finite values
+# and unknown names, and --out paths (a bad one is in a missing directory).
+# Each slot takes a bad value one time in four.
 DIMS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2": 2,
         "hyperbolic2": 2, "euclidean:2": 2}
 BAD_BUILTINS = ("abelian:n=x", "twisted-h2:chart=cartesian", "twisted-h2:chart=spec",
@@ -92,6 +95,7 @@ TOL_NAMES = (("jacobi", "spd_min_eig", "tg_residual", "codazzi", "eps_k",
              ("bogus", ""))
 TOL_VALUES = (("0", "1e-300", "1e-6", "2", "1e300"), ("nan", "inf", "-inf", "-1", "x", ""))
 SEEDS = (("0", "4", "17"), ("-1", "x", ""))
+OUTS = (("report.json", "trajectory.csv"), ("missing/report.json", "missing/trajectory.csv"))
 FLAGS = {"tg-check": ("--normal", "--subspace"), "frenet": ("--normal",),
          "classify": ("--normal",), "geodesic": ("--x0", "--v0")}
 
@@ -129,6 +133,8 @@ def command_lines(draw):
         argv += ["--seed", pick(SEEDS)]
     for _ in range(draw(st.integers(0, 2))):
         argv += ["--tol", f"{pick(TOL_NAMES)}={pick(TOL_VALUES)}"]
+    if draw(st.booleans()):
+        argv += ["--out", pick(OUTS)]
     return argv + draw(st.sampled_from(([], ["--json"])))
 
 
@@ -136,10 +142,18 @@ def command_lines(draw):
 @hypothesis.given(argv=command_lines())
 # the derandomized draws give search only builtins without an algebra form
 @hypothesis.example(argv=["search", "--builtin", "nonhomo", "--seed", "4"])
+# few random draws get past every slot, so two writes into a missing directory
+@hypothesis.example(argv=["info", "--builtin", "sl2", "--out", "missing/report.json"])
+@hypothesis.example(argv=["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0.5",
+                          "--v0", "0.6,0.4", "--tmax", "0.05", "--out", "missing/trajectory.csv"])
 def test_cli_exits_0_1_or_2_and_never_raises(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv)
+    # --out paths are written under a fresh temporary directory
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [os.path.join(tmp, arg) if flag == "--out" else arg
+                for flag, arg in zip([None] + argv, argv)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
     assert code in (0, 1, 2), argv
 
 

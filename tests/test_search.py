@@ -146,6 +146,24 @@ def test_batched_lm_matches_one_start_at_a_time():
             assert np.array_equal(lm_one(rj, t), got)
 
 
+def test_sign_rule_ignores_round_off_coordinates():
+    # e(2) + R: the e3 normal sits at a double zero, so multistart lands
+    # about 2e-8 off it; the sign comes from its third coordinate, not from
+    # that round-off.  The sort key, rounded to 9 decimals, still sees the
+    # round-off of the first coordinate, which is negative on these seeds,
+    # so the normal sorts first
+    e2 = np.zeros((3, 3, 3))                   # rotations of the plane
+    e2[2, 0, 1], e2[0, 2, 1] = 1.0, -1.0
+    e2[2, 1, 0], e2[1, 2, 0] = -1.0, 1.0
+    M = MetricLieAlgebra(LieAlgebra(direct_sum(e2, np.zeros((1, 1, 1)))))
+    for seed in range(4):
+        got = search_tg_hyperplanes(M, SearchConfig(seed=seed))
+        assert got.continuum
+        assert np.abs(got.normals[0] - np.eye(4)[2]).max() < 1e-7, seed
+    assert np.array_equal(_sign_normalize(np.array([2e-8, -1e-8, -1.0, 0.5])),
+                          [-2e-8, 1e-8, 1.0, -0.5])
+
+
 def test_direct_sum_census_sl2_plus_line():
     # sl2(1,1) + R: the product factor's normal E4 (case (a)) and the two
     # Borel normals of the sl2 factor (case (c))

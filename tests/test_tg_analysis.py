@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import direct_sum, random_orthogonal, rotate_constants
+from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
+                     rotate_constants, second_normal_identity)
 
 from tgkit import catalog
 from tgkit.config import DEFAULT
@@ -11,10 +12,7 @@ from tgkit.errors import (DimensionMismatch, IdealResidualExceeded,
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace
 from tgkit.tg_analysis import (CaseTag, character_space, classify_case,
                                codazzi_residual, frenet_orbit, helix_witness,
-                               hyperplane_tg_residual,
-                               jacobi_adapted_wedge_residual,
-                               normal_curvature_identity,
-                               search_tg_hyperplanes, second_normal_identity,
+                               hyperplane_tg_residual, search_tg_hyperplanes,
                                sl2_recognize, tg_subspace_check)
 
 GRID = [(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
@@ -395,7 +393,3 @@ def test_second_normal_identity_values():
         second_normal_identity(catalog.nonhomo(), E4[:, 3])
 
 
-def test_jacobi_adapted_wedges_are_eigenvectors():
-    assert jacobi_adapted_wedge_residual(catalog.sl2(1, 2), E3[:, 0]) < 1e-12
-    assert jacobi_adapted_wedge_residual(catalog.nonhomo(), E4[:, 3]) < 1e-12
-    assert jacobi_adapted_wedge_residual(catalog.abelian(3), E3[:, 0]) == 0.0

@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tgkit
 import tgkit.catalog
 import tgkit.cli
+import tgkit.config
 import tgkit.coord_engine
 import tgkit.lie_core
 import tgkit.tg_analysis
@@ -44,6 +46,21 @@ def test_every_traced_name_resolves(tracing):
         found = attr in vars(owner) if isinstance(owner, type) else hasattr(owner, attr)
         assert found, (owner, attr, span)
         assert callable(getattr(owner, attr)), (owner, attr, span)
+
+
+def test_search_config_fields_the_benchmark_reads(tracing):
+    # perfbench/run.py reads residual_threshold for its census check; the
+    # work hook of the search span reads n_starts
+    config = tgkit.tg_analysis.SearchConfig()
+    assert config.residual_threshold == tgkit.config.DEFAULT.search_residual
+    assert config.n_starts == 64
+    assert tracing._search_starts((None, config), {}, None) == 64.0
+
+
+def test_every_exported_name_resolves():
+    assert len(set(tgkit.__all__)) == len(tgkit.__all__)
+    for name in tgkit.__all__:
+        assert hasattr(tgkit, name), name
 
 
 def test_every_catalog_chart_keeps_exact_partials(tracing):

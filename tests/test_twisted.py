@@ -134,7 +134,7 @@ def test_normal_leaf_is_order_two_helix(kappa):
     CM = build_twisted_product(catalog.twisted_h2(kappa))
     ts = np.linspace(0.0, 2 * np.pi / kappa, 1201)
     pts = np.stack([ts, np.full_like(ts, 0.8), np.full_like(ts, 0.3)], axis=1)
-    fd = frenet_numeric(CM, ts, pts, arclength_reparametrize=True)
+    fd = frenet_numeric(CM, ts, pts)
     assert fd.order == 2
     assert abs(fd.curvatures[0] - 1.0) < 1e-3
     assert abs(fd.curvatures[1] - kappa) < 1e-3
