@@ -4,7 +4,8 @@ known answers.
 Algebra entries return MetricLieAlgebra instances with identity gram in the
 stated basis order, admitted under the `tol` they are given.  Chart entries
 return CoordinateMetric instances with exact partial derivatives, so finite
-differencing is only exercised when a test asks for it.
+differencing is only exercised when a test asks for it, and with closed-form
+geodesic stages.
 """
 from __future__ import annotations
 
@@ -89,28 +90,47 @@ def abelian(n=3, tol=DEFAULT):
     return MetricLieAlgebra(LieAlgebra(np.zeros((n, n, n)), tol), tol=tol)
 
 
+def _diagonal_metric(n, coeffs):
+    """Chart with a diagonal gram that depends on x^0 alone.  coeffs(x^0) ->
+    (the n diagonal entries, their derivatives in x^0) as Python floats."""
+    diag = slice(0, n * n, n + 1)
+
+    def gram_at(x):
+        g = np.zeros((n, n))
+        g.reshape(-1)[diag] = coeffs(x[0])[0]
+        return g
+
+    def partials_at(x):
+        dg = np.zeros((n, n, n))
+        dg[0].reshape(-1)[diag] = coeffs(x[0])[1]
+        return dg
+
+    def stage_at(x, v):
+        # Gamma^0_00 = g_0' / (2 g_0); for j > 0, Gamma^0_jj = -g_j' / (2 g_0)
+        # and Gamma^j_0j = g_j' / (2 g_j); all others vanish
+        d, dd = coeffs(x[0])
+        g = [0.0] * (n * n)
+        g[diag] = d
+        a = [-(v[0] * p * c) / q for p, c, q in zip(dd, v, d)]
+        a[0] = (0.5 * sum([p * c * c for p, c in zip(dd, v)]) - v[0] * dd[0] * v[0]) / d[0]
+        return g, a
+
+    return CoordinateMetric(n, gram_at, partials_at, stage_at)
+
+
 def euclidean_metric(n=2):
     n = _dimension(n, 1)
-    eye = np.eye(n)
-    zeros = np.zeros((n, n, n))
-    return CoordinateMetric(n, lambda x: eye, lambda x: zeros)
+    flat = ((1.0,) * n, (0.0,) * n)
+    return _diagonal_metric(n, lambda x0: flat)
 
 
 def hyperbolic_plane():
     """dr^2 + sinh(r)^2 dtheta^2 on r > 0, curvature -1."""
-    def gram_at(x):
-        s = math.sinh(x[0])
-        g = np.zeros((2, 2))
-        g[0, 0] = 1.0
-        g[1, 1] = s * s
-        return g
+    def coeffs(r):
+        s = math.sinh(r)
+        return (1.0, s * s), (0.0, math.sinh(2.0 * r))
 
-    def partials_at(x):
-        dg = np.zeros((2, 2, 2))
-        dg[0, 1, 1] = math.sinh(2.0 * x[0])
-        return dg
-
-    return CoordinateMetric(2, gram_at, partials_at)
+    return _diagonal_metric(2, coeffs)
 
 
 def nonhomo_metric():
@@ -118,22 +138,11 @@ def nonhomo_metric():
 
     dz^2 + e^{4z} dy^2 + e^{2z} (dx1^2 + dx2^2).
     """
-    def gram_at(x):
-        z = float(x[0])
-        g = np.zeros((4, 4))
-        g[0, 0] = 1.0
-        g[1, 1] = math.exp(4.0 * z)
-        g[2, 2] = g[3, 3] = math.exp(2.0 * z)
-        return g
+    def coeffs(z):
+        e2, e4 = math.exp(2.0 * z), math.exp(4.0 * z)
+        return (1.0, e4, e2, e2), (0.0, 4.0 * e4, 2.0 * e2, 2.0 * e2)
 
-    def partials_at(x):
-        z = float(x[0])
-        dg = np.zeros((4, 4, 4))
-        dg[0, 1, 1] = 4.0 * math.exp(4.0 * z)
-        dg[0, 2, 2] = dg[0, 3, 3] = 2.0 * math.exp(2.0 * z)
-        return dg
-
-    return CoordinateMetric(4, gram_at, partials_at)
+    return _diagonal_metric(4, coeffs)
 
 
 def twisted_h2(kappa=1.0) -> TwistedProductSpec:
@@ -200,16 +209,18 @@ def twisted_h2_cartesian(kappa=1.0):
         raise BadParams("kappa must be nonzero")
 
     def pieces(p):
-        t, x, y = p.tolist()
+        # (x, y, a, b, A, B, F, dF) at p = (t, x, y), dF the gradient of F
+        t, x, y = map(float, p)
         u = x * x + y * y
         S, S1, a, b, A, B = _cart_coeffs(u)
         cs, sn = math.cos(kappa * t), math.sin(kappa * t)
         w = x * cs - y * sn
-        F = S * w + math.cosh(math.sqrt(u))
-        return x, y, S, S1, a, b, A, B, cs, sn, w, F
+        dF = (-kappa * S * (x * sn + y * cs), S1 * x * w + S * cs + S * x,
+              S1 * y * w - S * sn + S * y)
+        return x, y, a, b, A, B, S * w + math.cosh(math.sqrt(u)), dF
 
     def gram_at(p):
-        x, y, _, _, a, b, _, _, _, _, _, F = pieces(p)
+        x, y, a, b, _, _, F, _ = pieces(p)
         g = np.zeros((3, 3))
         g[0, 0] = F ** -2
         g[1, 1] = a + b * x * x
@@ -218,13 +229,10 @@ def twisted_h2_cartesian(kappa=1.0):
         return g
 
     def partials_at(p):
-        x, y, S, S1, _, b, A, B, cs, sn, w, F = pieces(p)
+        x, y, _, b, A, B, F, dF = pieces(p)
         m3 = -2.0 * F ** -3
-        Ft = -kappa * S * (x * sn + y * cs)
         dg = np.zeros((3, 3, 3))
-        dg[0, 0, 0] = m3 * Ft
-        dg[1, 0, 0] = m3 * (S1 * x * w + S * cs + S * x)
-        dg[2, 0, 0] = m3 * (S1 * y * w - S * sn + S * y)
+        dg[:, 0, 0] = [m3 * d for d in dF]
         # d_k (a delta_ij + b x_i x_j)
         #   = A x_k delta_ij + B x_k x_i x_j + b (delta_ki x_j + x_i delta_kj)
         bxy = B * x * y
@@ -236,7 +244,24 @@ def twisted_h2_cartesian(kappa=1.0):
         dg[2, 2, 2] = (A + B * y * y + 2.0 * b) * y
         return dg
 
-    return CoordinateMetric(3, gram_at, partials_at)
+    def stage_at(p, v):
+        # the twisted product formula over the base G = a I + b q q^T on
+        # q = (x, y), where G^-1 = (I - b q q^T) / a since a + b u = 1; with
+        # v = (vx, vy) and s = q . v, (d_v G) v - 1/2 dG(v, v) is
+        # A s v + (B s^2 / 2 + (b - A / 2) |v|^2) q
+        x, y, a, b, A, B, F, dF = pieces(p)
+        W, m3 = F ** -2, -2.0 * F ** -3
+        vt, vx, vy = v
+        f, s = 0.5 * vt * vt * m3, x * vx + y * vy
+        c = 0.5 * B * s * s + (b - 0.5 * A) * (vx * vx + vy * vy)
+        zx = f * dF[1] - A * s * vx - c * x
+        zy = f * dF[2] - A * s * vy - c * y
+        bz = b * (x * zx + y * zy)
+        dv = m3 * (dF[0] * vt + dF[1] * vx + dF[2] * vy)
+        return ((W, 0.0, 0.0, 0.0, a + b * x * x, b * x * y, 0.0, b * x * y, a + b * y * y),
+                [(f * dF[0] - dv * vt) / W, (zx - bz * x) / a, (zy - bz * y) / a])
+
+    return CoordinateMetric(3, gram_at, partials_at, stage_at)
 
 
 # ----------------------------------------------------------------- dispatch

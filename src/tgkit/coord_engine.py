@@ -86,13 +86,18 @@ class CoordinateMetric:
     """Metric tensor evaluator on a chart.
 
     gram_at(point) -> symmetric positive definite matrix; partials_at, when
-    given, returns dg[k][i][j] = d g_ij / d x^k exactly.
+    given, returns dg[k][i][j] = d g_ij / d x^k exactly.  stage_at(x, v),
+    when given, takes Python floats and returns the RK4 stage of
+    geodesic_integrate from one evaluation of the chart's coefficients: the
+    gram at x, not gated, as dim^2 floats in row-major order (equal to
+    gram_at(x)), and the spray -Gamma^k_ij v^i v^j as a list of floats.
     """
 
-    def __init__(self, dim, gram_at, partials_at=None):
+    def __init__(self, dim, gram_at, partials_at=None, stage_at=None):
         self.dim = int(dim)
         self.gram_at = gram_at
         self.partials_at = partials_at
+        self.stage_at = stage_at
 
     def gram(self, x):
         x = np.asarray(x, float)
@@ -132,8 +137,8 @@ def _eval_gram(CM, x):
 
 
 def _gate_grams(points, grams):
-    """The (N, n, n) stack grams, evaluated at points, once each gram is
-    finite, symmetric within 1e-12 and positive definite.
+    """The (N, n, n) stack grams, evaluated at points (N rows of floats),
+    once each gram is finite, symmetric within 1e-12 and positive definite.
 
     One vectorised pass over the stack; if it fails, the first failing point
     raises MetricDegenerate naming the first check that point fails.
@@ -145,7 +150,7 @@ def _gate_grams(points, grams):
             return grams
         except np.linalg.LinAlgError:
             pass
-    for x, g in zip(points, grams):
+    for x, g in zip(np.asarray(points, float), grams):
         if not np.isfinite(g).all():
             raise MetricDegenerate(f"gram not finite at {x.tolist()}")
         if not np.abs(g - g.T).max() <= 1e-12:
@@ -204,14 +209,42 @@ def _spray(g, dg, v):
     return -np.linalg.solve(g, v @ A - 0.5 * (A @ v))
 
 
+def _generic_stage(CM, x, v):
+    """The RK4 stage of a chart without stage_at: its gram, not gated, and
+    the _spray solve from its partials."""
+    x = np.array(x)
+    g = _eval_gram(CM, x)
+    return g.ravel(), _spray(g, CM.partials(x), np.array(v)).tolist()
+
+
+def _solve(g, b):
+    """g^-1 b on Python floats, for a positive definite gram g given as
+    dim^2 floats in row-major order: Gaussian elimination, which needs no
+    pivoting here; a singular g raises ZeroDivisionError."""
+    n = len(b)
+    a, y = list(g), list(b)
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = a[i * n + k] / a[k * n + k]
+            for j in range(k + 1, n):
+                a[i * n + j] -= f * a[k * n + j]
+            y[i] -= f * y[k]
+    for k in reversed(range(n)):
+        for j in range(k + 1, n):
+            y[k] -= a[k * n + j] * y[j]
+        y[k] /= a[k * n + k]
+    return y
+
+
 def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
                        tol: Tolerances = DEFAULT) -> GeodesicTrajectory:
-    """Fixed-step RK4 on the geodesic equation.
+    """Fixed-step RK4 on the geodesic equation, on Python floats.
 
-    A stage makes one gram_at call, one partials call and one _spray solve.
-    The stage grams are gated together, _GATE_STEPS steps at a time; a stage
-    that raises gates the pending ones first, so a degenerate gram raises
-    MetricDegenerate at its point before any later error.
+    A stage is one CM.stage_at call, or, on a chart without one, one
+    gram_at call, one partials call and one _spray solve.  The stage grams
+    are gated together, _GATE_STEPS steps at a time; a stage that raises
+    gates the pending ones first and then its own, so a degenerate gram
+    raises MetricDegenerate at its point before any later error.
     """
     x0, v0 = np.asarray(x0, float), np.asarray(v0, float)
     g0 = CM.gram(x0)
@@ -228,48 +261,52 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     nsteps = max(1, round(tmax / h))
     h = tmax / nsteps
     n = CM.dim
-    stage_x = np.empty((4 * _GATE_STEPS, n))
-    stage_g = np.empty((4 * _GATE_STEPS, n, n))
-    pending = 0
+    stage = CM.stage_at or (lambda x, v: _generic_stage(CM, x, v))
+    stage_x, stage_g, ends = [], [], []     # pending stage points and grams, step ends
+
+    def gate_pending():
+        return _gate_grams(stage_x, np.array(stage_g, float).reshape(-1, n, n))
 
     def accel(x, v):
-        nonlocal pending
-        g = _eval_gram(CM, x)
-        stage_x[pending] = x
-        stage_g[pending] = g
-        pending += 1
-        return _spray(g, CM.partials(x), v)
+        try:
+            g, a = stage(x, v)
+        except Exception as exc:
+            gate_pending()
+            x = np.array(x)
+            _gate_grams(x[None], _eval_gram(CM, x)[None])
+            if isinstance(exc, _NOT_FINITE):
+                raise MetricDegenerate(f"gram not finite at {x.tolist()}") from None
+            raise
+        stage_x.append(x)
+        stage_g.append(g)
+        return a
 
-    times = np.empty(nsteps + 1)
+    times = np.arange(nsteps + 1) * h
     points = np.empty((nsteps + 1, n))
     vels = np.empty((nsteps + 1, n))
     grams = np.empty((nsteps + 1, n, n))    # point i is step i's first stage
-    times[0], points[0], vels[0] = 0.0, x0, v0
-    x, v = x0.copy(), v0.copy()
+    points[0], vels[0] = x0, v0
+    x, v = x0.tolist(), v0.tolist()
+    hh, h6 = 0.5 * h, h / 6.0
     # huge but finite partials overflow a stage's spray; the gram gate or the
     # divergence check below reports it, so numpy stays quiet for the loop
     with np.errstate(over='ignore', invalid='ignore'):
         for i in range(nsteps):
-            try:
-                k1v = accel(x, v)
-                k2x = v + 0.5 * h * k1v
-                k2v = accel(x + 0.5 * h * v, k2x)
-                k3x = v + 0.5 * h * k2v
-                k3v = accel(x + 0.5 * h * k2x, k3x)
-                k4x = v + h * k3v
-                k4v = accel(x + h * k3x, k4x)
-            except Exception:
-                _gate_grams(stage_x[:pending], stage_g[:pending])
-                raise
-            x = x + (h / 6.0) * (v + 2 * k2x + 2 * k3x + k4x)
-            v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            times[i + 1] = (i + 1) * h
-            points[i + 1] = x
-            vels[i + 1] = v
-            if pending == len(stage_g) or i == nsteps - 1:
-                gated = _gate_grams(stage_x[:pending], stage_g[:pending])
-                grams[i + 1 - pending // 4:i + 1] = gated[::4]
-                pending = 0
+            k1v = accel(x, v)
+            k2x = [a + hh * b for a, b in zip(v, k1v)]
+            k2v = accel([a + hh * b for a, b in zip(x, v)], k2x)
+            k3x = [a + hh * b for a, b in zip(v, k2v)]
+            k3v = accel([a + hh * b for a, b in zip(x, k2x)], k3x)
+            k4x = [a + h * b for a, b in zip(v, k3v)]
+            k4v = accel([a + h * b for a, b in zip(x, k3x)], k4x)
+            x = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(x, v, k2x, k3x, k4x)]
+            v = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(v, k1v, k2v, k3v, k4v)]
+            ends.append(x + v)
+            if len(stage_x) == 4 * _GATE_STEPS or i == nsteps - 1:
+                k = len(ends)
+                grams[i + 1 - k:i + 1] = gate_pending()[::4]
+                points[i + 2 - k:i + 2], vels[i + 2 - k:i + 2] = np.split(np.array(ends), 2, 1)
+                del stage_x[:], stage_g[:], ends[:]
     if not (np.isfinite(points).all() and np.isfinite(vels).all()):
         raise TgkitError(f"geodesic integration diverged (step {h:.3e})")
     grams[-1] = CM.gram(points[-1])
@@ -343,12 +380,12 @@ def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x) ->
 
 # ---------------------------------------------------------- product builders
 
-def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> CoordinateMetric:
+def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetric:
     """diag(w(x) I_m, base(u)) on x = (v, u), the m flat coordinates first.
 
-    weight(x) -> w; weight_partials(x) -> (d w / d x^k) over all dim
-    coordinates, read before the next call (a builder may reuse one
-    buffer), or None for finite-difference partials.  The base gram is
+    weight(x) -> w; weight(x, True) -> (w, dw), dw the list of d w / d x^k
+    over all dim coordinates, which is called for only when exact is true
+    (otherwise the partials are finite differences).  The base gram is
     evaluated ungated: a block-diagonal gram is finite, symmetric and
     positive definite exactly when each block is, so the one gate on the
     composite covers the base.
@@ -362,32 +399,48 @@ def _product_metric(m, base: CoordinateMetric, weight, weight_partials) -> Coord
         g[m:, m:] = _eval_gram(base, x[m:])
         return g
 
-    partials_at = None
-    if base.partials_at is not None and weight_partials is not None:
+    partials_at = stage_at = None
+    if exact and base.partials_at is not None:
         def partials_at(x):
             dg = np.zeros((dim, dim, dim))
-            dg.reshape(dim, -1)[:, flat] = weight_partials(x)[:, None]
+            dg.reshape(dim, -1)[:, flat] = np.array(weight(x, True)[1])[:, None]
             dg[m:, m:, m:] = base.partials_at(x[m:])
             return dg
 
-    return CoordinateMetric(dim, gram_at, partials_at)
+    if exact and base.stage_at is not None:
+        nb = base.dim
+        block = [(m + i) * dim + m + j for i in range(nb) for j in range(nb)]
+
+        def stage_at(x, v):
+            # warped and twisted product connection (O'Neill 1983, ch. 7;
+            # Ponge and Reckziegel 1993): with f = |v_flat|^2 / 2, the flat
+            # rows are (f d_a w - (dw . v) v_a) / w, the base rows the base
+            # spray plus f g_B^-1 d_u w
+            w, dw = weight(x, True)
+            gB, aB = base.stage_at(x[m:], v[m:])
+            f = 0.5 * sum([c * c for c in v[:m]])
+            dv = sum([d * c for d, c in zip(dw, v)])
+            g = [0.0] * (dim * dim)
+            g[flat] = [w] * m
+            for k, c in zip(block, gB):
+                g[k] = c
+            a = [(f * d - dv * c) / w for d, c in zip(dw, v[:m])]
+            return g, a + [p + f * y for p, y in zip(aB, _solve(gB, dw[m:]))]
+
+    return CoordinateMetric(dim, gram_at, partials_at, stage_at)
 
 
 def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> CoordinateMetric:
     """e^{2 logf(u)} sum_a (dv^a)^2 + base, flat v-coordinates first."""
     if m < 1:
         raise BadParams("flat factor dimension must be at least 1")
-    dw = np.zeros(m + base.dim)     # weight_partials' buffer, first m entries 0
 
-    def weight(x):
-        return math.exp(2.0 * logf.value(x[m:]))
-
-    def weight_partials(x):
+    def weight(x, grad=False):
         u = x[m:]
-        dw[m:] = (2.0 * math.exp(2.0 * logf.value(u))) * logf.gradient(u)
-        return dw
+        w = math.exp(2.0 * logf.value(u))
+        return (w, [0.0] * m + (2.0 * w * logf.gradient(u)).tolist()) if grad else w
 
-    return _product_metric(m, base, weight, weight_partials if logf.has_grad else None)
+    return _product_metric(m, base, weight, logf.has_grad)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -438,22 +491,17 @@ def twisting_phi(spec: TwistedProductSpec, t, u):
 
 def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
     """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi} = F^-2, base block-diagonal."""
-    dw = np.empty(1 + spec.base.dim)    # weight_partials' buffer
-
-    def weight(x):
-        return _twist(spec, x[0], x[1:])[0] ** -2
-
-    def weight_partials(x):
-        u = x[1:]
+    def weight(x, grad=False):
+        u = np.asarray(x[1:], float)
         F, Ft, sa, ca, ang = _twist(spec, x[0], u)
+        if not grad:
+            return F ** -2
         m3 = -2.0 * F ** -3
-        dw[0] = m3 * Ft
-        dw[1:] = ((m3 * (ca * math.cos(ang) + sa)) * spec.alpha.gradient(u)
-                  - (m3 * sa * math.sin(ang)) * spec.beta.gradient(u))
-        return dw
+        da, db = m3 * (ca * math.cos(ang) + sa), m3 * sa * math.sin(ang)
+        return F ** -2, [m3 * Ft] + [da * p - db * q for p, q in zip(
+            spec.alpha.gradient(u).tolist(), spec.beta.gradient(u).tolist())]
 
-    exact = spec.alpha.has_grad and spec.beta.has_grad
-    return _product_metric(1, spec.base, weight, weight_partials if exact else None)
+    return _product_metric(1, spec.base, weight, spec.alpha.has_grad and spec.beta.has_grad)
 
 
 def twisting_ode_residual(spec: TwistedProductSpec, t_vals, u_points,

@@ -337,7 +337,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
                 break
         else:
             reps.append(i)
-    merged = sorted((found[i] for i in reps), key=lambda pair: tuple(np.round(pair[0], 9)))
+    merged = sorted((found[i] for i in reps), key=lambda pair: tuple(np.round(pair[0], 6)))
     return SearchResult([x for x, _ in merged], [r for _, r in merged],
                         len(merged) > tol.continuum_minima)
 

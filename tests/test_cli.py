@@ -354,6 +354,19 @@ def test_overflowing_chart_point_exits_1_quietly(start, capsys):
     assert capsys.readouterr().err == f"tgkit: error: gram not finite at [{r}.0, 0.0]\n"
 
 
+@pytest.mark.parametrize("builtin, x0, v0", [("hyperbolic2", "0.05,0", "-1,0"),
+                                              ("hyperbolic2", "0.1,0", "-1,0"),
+                                              ("twisted-h2", "0,0.05,0", "0,-1,0")])
+def test_stage_on_the_polar_axis_gates_its_gram_first(builtin, x0, v0, capsys):
+    # a stage lands exactly on r = 0, where the closed-form spray divides by
+    # sinh r; its singular gram is reported, not the division
+    code = run(["geodesic", "--builtin", builtin, "--x0", x0, f"--v0={v0}",
+                "--step", "0.1", "--tmax", "1"])
+    assert code == 1
+    zeros = ", ".join(["0.0"] * len(x0.split(",")))
+    assert capsys.readouterr().err == f"tgkit: error: gram not positive definite at [{zeros}]\n"
+
+
 def test_negative_search_seed_exits_1(capsys):
     assert run(["search", "--builtin", "sl2", "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("tgkit: error: --seed")

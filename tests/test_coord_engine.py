@@ -439,6 +439,16 @@ def test_polar_twisted_gate_counts(monkeypatch):
     assert len(seen) == 2       # full and half sampling
 
 
+def test_cartesian_stage_evaluates_the_coefficients_once(monkeypatch):
+    calls = []
+    coeffs = catalog._cart_coeffs
+    monkeypatch.setattr(catalog, "_cart_coeffs", lambda u: calls.append(u) or coeffs(u))
+    CM = catalog.twisted_h2_cartesian(1.0)
+    geodesic_integrate(CM, [0.5, 0.3, 0.2], [0.3, 0.1, 0.1], 1.0, 1e-3)
+    # one per RK4 stage, plus the gated grams of the first and last point
+    assert len(calls) == 4002
+
+
 def test_degenerate_base_names_the_composite_point():
     # the polar hyperbolic base degenerates on the axis r = 0
     twisted = build_twisted_product(catalog.twisted_h2(1.0))

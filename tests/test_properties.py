@@ -2,6 +2,7 @@
 command lines."""
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 from unittest import mock
@@ -12,7 +13,8 @@ import pytest
 from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
-from tgkit.coord_engine import _christoffel_from, _spray, christoffel
+from tgkit.coord_engine import (ScalarField, _christoffel_from, _spray, build_warped_product,
+                                christoffel)
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -25,6 +27,15 @@ CHARTS = {
     "twisted-h2-polar": (catalog.catalog_lookup("twisted-h2", {"kappa": 1.5}),
                          lambda c: np.array([2 * np.pi * c[0], 0.2 + 2.8 * c[1],
                                              2 * np.pi * c[2]])),
+    "twisted-h2-polar-0.5": (catalog.catalog_lookup("twisted-h2", {"kappa": 0.5}),
+                             lambda c: np.array([2 * np.pi * c[0], 0.2 + 2.8 * c[1],
+                                                 2 * np.pi * c[2]])),
+    # two flat coordinates over the polar hyperbolic plane, an exact-gradient logf
+    "warped-h2": (build_warped_product(2, catalog.hyperbolic_plane(), ScalarField(
+        lambda u: 0.3 * u[0] + 0.2 * np.sin(u[1]),
+        grad=lambda u: np.array([0.3, 0.2 * np.cos(u[1])]))),
+                  lambda c: np.array([4 * c[0] - 2, 4 * c[1] - 2, 0.2 + 2.8 * c[2],
+                                      2 * np.pi * c[3]])),
     "twisted-h2-cartesian": (catalog.twisted_h2_cartesian(1.5),
                              lambda c: np.array([2 * np.pi * c[0], 3 * c[1] - 1.5,
                                                  3 * c[2] - 1.5])),
@@ -46,9 +57,13 @@ def test_spray_is_minus_christoffel_of_v_v(name, cube, vel):
     v = np.array(vel[:CM.dim])
     G = christoffel(CM, x)
     want = -np.einsum('kij,i,j->k', G, v, v)
-    got = _spray(CM.gram(x), CM.partials(x), v)
-    # relative to the size of the terms, |Gamma| |v|^2
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(G).max() * (v @ v)
+    gram, stage = CM.stage_at(x.tolist(), v.tolist())
+    # the stage's gram is gram_at's, bit for bit
+    assert np.array(gram, float).reshape(CM.dim, CM.dim).tobytes() == \
+        np.asarray(CM.gram_at(x), float).tobytes()
+    for got in (_spray(CM.gram(x), CM.partials(x), v), np.array(stage)):
+        # relative to the size of the terms, |Gamma| |v|^2
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(G).max() * (v @ v)
 
 
 @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -81,9 +96,10 @@ def test_christoffel_stack_matches_per_point(name):
 # ledger is left out for time), vectors of the builtin's dimension and
 # malformed ones, search seeds, tolerance overrides with non-finite values
 # and unknown names, and --out paths (a bad one is in a missing directory).
-# Each slot takes a bad value one time in four.
-DIMS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2": 2,
-        "hyperbolic2": 2, "euclidean:2": 2}
+# The slots are numbered in the order they are drawn, and at most one takes
+# a bad value, so most draws get past parsing and run their command.
+ALGEBRAS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2": 2}
+CHART_DIMS = {"hyperbolic2": 2, "euclidean:2": 2, "nonhomo": 4, "twisted-h2": 3}
 BAD_BUILTINS = ("abelian:n=x", "twisted-h2:chart=cartesian", "twisted-h2:chart=spec",
                 "sl2:c=3", "sl2:0,1", "nosuch")
 LEDGER = (("sl2", "sl2:2,0.5", "nonhomo", "abelian:2", "euclidean:1"),
@@ -95,15 +111,20 @@ TOL_NAMES = (("jacobi", "spd_min_eig", "tg_residual", "codazzi", "eps_k",
              ("bogus", ""))
 TOL_VALUES = (("0", "1e-300", "1e-6", "2", "1e300"), ("nan", "inf", "-inf", "-1", "x", ""))
 SEEDS = (("0", "4", "17"), ("-1", "x", ""))
-OUTS = (("report.json", "trajectory.csv"), ("missing/report.json", "missing/trajectory.csv"))
+# a .csv report is a geodesic trajectory; other commands write JSON
+OUTS = {False: ("report.json",), True: ("report.json", "trajectory.csv")}
+BAD_OUTS = ("missing/report.json", "missing/trajectory.csv")
 FLAGS = {"tg-check": ("--normal", "--subspace"), "frenet": ("--normal",),
          "classify": ("--normal",), "geodesic": ("--x0", "--v0")}
 
 
 @st.composite
 def command_lines(draw):
+    chosen = draw(st.integers(0, 19))    # the bad slot; none past the last slot
+    slots = itertools.count()
+
     def bad():
-        return draw(st.integers(0, 3)) == 3
+        return next(slots) == chosen
 
     def pick(values):
         return draw(st.sampled_from(values[bad()]))
@@ -116,25 +137,28 @@ def command_lines(draw):
 
     cmd = draw(st.sampled_from(("info", "curvature", "tg-check", "frenet",
                                 "classify", "geodesic", "search", "verify")))
+    geodesic = cmd == "geodesic"
     if cmd == "verify":
         argv = [cmd, pick(LEDGER)]
     else:
-        builtin = draw(st.sampled_from(BAD_BUILTINS if bad() else sorted(DIMS)))
+        good = CHART_DIMS if geodesic else ALGEBRAS
+        builtin = draw(st.sampled_from(BAD_BUILTINS if bad() else sorted(good)))
         argv = [cmd, "--builtin", builtin]
-        dim = DIMS.get(builtin, 3)
+        dim = good.get(builtin, 3)
         for flag in FLAGS.get(cmd, ()):
             if not bad():
                 val = vector(dim) if flag != "--subspace" else \
                     f"{vector(dim)};{vector(dim)}"
-                argv += [flag, val]
-    if cmd == "geodesic":
+                # flag=value, so that a value led by '-' is not taken for an option
+                argv.append(f"{flag}={val}")
+    if geodesic:
         argv += ["--tmax", "0.05"]
     if cmd == "search":
         argv += ["--seed", pick(SEEDS)]
     for _ in range(draw(st.integers(0, 2))):
         argv += ["--tol", f"{pick(TOL_NAMES)}={pick(TOL_VALUES)}"]
     if draw(st.booleans()):
-        argv += ["--out", pick(OUTS)]
+        argv += ["--out", pick((OUTS[geodesic], BAD_OUTS))]
     return argv + draw(st.sampled_from(([], ["--json"])))
 
 

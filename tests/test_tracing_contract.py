@@ -79,6 +79,8 @@ def test_rebinding_records_chart_spans_and_restores(tracing):
     CM = tgkit.catalog.catalog_lookup("hyperbolic2")
     with tracing.Rebound(tracer, tracing.targets(TG)):
         ce.geodesic_integrate(CM, [1.0, 0.5], [0.6, 0.4], 0.01, 1e-3)
+        # the closed-form geodesic stages call no partials; christoffel does
+        ce.christoffel(CM, [1.0, 0.5])
     assert (ce.geodesic_integrate, vars(ce.CoordinateMetric)["partials"]) == original
     names = {tracer.names[i] for i in tracer.name}
     assert {"coord_engine.geodesic_integrate", "coord_engine.gram",
