@@ -24,11 +24,10 @@ from .lie_core import (ConnectionTable, CurvatureData, LieAlgebra,
                        sectional, wedge_coords)
 from .tg_analysis import (CaseTag, CharacterSpace, ClassificationReport,
                           FrenetData, HelixWitness, SearchConfig, SearchResult,
-                          Sl2Recognition, SubspaceCheck, SubspaceWitness,
+                          SubspaceCheck, SubspaceWitness,
                           character_space, classify_case, codazzi_residual,
                           frenet_orbit, helix_witness, hyperplane_tg_residual,
-                          search_tg_hyperplanes, sl2_recognize,
-                          tg_subspace_check)
+                          search_tg_hyperplanes, tg_subspace_check)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "SubspaceCheck", "SubspaceWitness", "tg_subspace_check",
     "hyperplane_tg_residual", "SearchConfig", "SearchResult",
     "search_tg_hyperplanes", "FrenetData", "frenet_orbit", "HelixWitness",
-    "helix_witness", "Sl2Recognition", "sl2_recognize", "CaseTag",
+    "helix_witness", "CaseTag",
     "CharacterSpace", "character_space", "codazzi_residual",
     "ClassificationReport", "classify_case",
     "ScalarField", "CoordinateMetric", "christoffel", "GeodesicTrajectory",

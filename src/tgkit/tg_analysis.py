@@ -2,7 +2,7 @@
 
 Certification, sphere-constrained search for hyperplane normals, algebraic
 Frenet data of the normal orbit, the order-two helix witness with its
-quotient bracket table, sl(2) recognition, and the trichotomy classifier
+quotient bracket table, and the trichotomy classifier
 (geodesic normal / circle normal / order-two helix).
 """
 from __future__ import annotations
@@ -13,10 +13,10 @@ import math
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
-from .errors import (DimensionMismatch, IdealResidualExceeded, JacobiViolation,
-                     NonUnitVector, NotHelixOrderTwo, NotRecognized,
-                     NotTotallyGeodesic, TgkitError)
+from .config import DEFAULT
+from .errors import (DimensionMismatch, IdealResidualExceeded, NonUnitVector,
+                     NotHelixOrderTwo, NotRecognized, NotTotallyGeodesic,
+                     TgkitError)
 from .lie_core import (LieAlgebra, MetricLieAlgebra, Subspace, complement_onb,
                        curvature_tensor, levi_civita, rowdot, wedge_coords)
 
@@ -417,28 +417,13 @@ class HelixWitness:
     residuals: dict
 
 
-def _frenet_quotient(M, fd):
-    """(B, q, residual) of an order-two Frenet datum: B has columns T, N1, N2
-    in frame coordinates, q is span(B) modulo its complement in that basis,
-    and the residual is max |q - table| for the table
-    [T,N1] = k2 N2 - k1 T, [T,N2] = -k2 N1, [N1,N2] = -k1 N2."""
-    k1, k2 = fd.curvatures
-    B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)
-    q = np.einsum('ip,jq,ijk,km->pqm', B, B, M.onb_constants, B)
-    target = np.zeros((3, 3, 3))
-    target[0, 1] = (-k1, 0.0, k2)
-    target[0, 2] = (0.0, -k2, 0.0)
-    target[1, 2] = (0.0, 0.0, -k1)
-    target -= np.transpose(target, (1, 0, 2))
-    return B, q, float(np.abs(q - target).max())
-
-
 def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     """Certificate for an order-two helix orbit: span, ideal, quotient table.
 
     Raises NotHelixOrderTwo unless the orbit's Frenet order is exactly 2,
-    and IdealResidualExceeded when the orthogonal complement of the helix
-    span fails to be an ideal (which falsifies the TG hypothesis for T).
+    IdealResidualExceeded when the orthogonal complement of the helix span
+    fails to be an ideal (which falsifies the TG hypothesis for T), and
+    NotRecognized when the quotient misses the sl2(k2/2, k1/2) table.
     """
     tol = M.tol
     n = M.dim
@@ -446,11 +431,20 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
-    B, q, table_res = _frenet_quotient(M, fd)                 # B: n x 3
+    # the quotient span(T, N1, N2) modulo the complement, in that basis,
+    # against the table [T,N1] = k2 N2 - k1 T, [T,N2] = -k2 N1, [N1,N2] = -k1 N2
+    c = M.onb_constants
+    B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)    # n x 3
+    q = np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)
+    target = np.zeros((3, 3, 3))
+    target[0, 1] = (-k1, 0.0, k2)
+    target[0, 2] = (0.0, -k2, 0.0)
+    target[1, 2] = (0.0, 0.0, -k1)
+    target -= np.transpose(target, (1, 0, 2))
+    table_res = float(np.abs(q - target).max())
     # orthonormal basis of the complement via SVD null space
     _, sv, vt = np.linalg.svd(B.T)
     I_basis = vt[3:].T                                        # n x (n-3)
-    c = M.onb_constants
     ideal_res = 0.0
     if I_basis.shape[1] > 0:
         br = np.einsum('pqk,qu->puk', c, I_basis)             # [e_p, u] for u in I
@@ -458,9 +452,9 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
         ideal_res = float(np.abs(lam_comp).max())
     if not ideal_res <= tol.ideal:
         raise IdealResidualExceeded(ideal_res)
-    # the quotient is written in the frame (T, N1, N2), so its e1 is the one candidate
-    rec = _sl2_match(_sl2_admit(q, None, tol), [np.eye(3)[0]])
-    witness = HelixWitness(
+    if not table_res <= tol.bracket_table:
+        raise NotRecognized(f"quotient bracket table residual {table_res:.3e}")
+    return HelixWitness(
         T=fd.frame[0], N1=fd.frame[1], N2=fd.frame[2],
         Lambda=Subspace(n, np.stack(fd.frame, axis=1)),
         s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1)),
@@ -471,71 +465,8 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
         recovered_a=k2 / 2.0,
         recovered_b=k1 / 2.0,
         residuals={'ideal_residual': ideal_res,
-                   'bracket_table_residual': table_res,
-                   'sl2_residual': rec.residual},
+                   'bracket_table_residual': table_res},
     )
-    if not table_res <= tol.bracket_table:
-        raise NotRecognized(f"quotient bracket table residual {table_res:.3e}")
-    return witness
-
-
-# --------------------------------------------------------------- recognition
-
-@dataclasses.dataclass(frozen=True)
-class Sl2Recognition:
-    a: float
-    b: float
-    residual: float
-    frame: tuple     # (T', N1', N2') in the input basis of the 3-dim algebra
-
-    def __iter__(self):
-        return iter((self.a, self.b))
-
-
-def _sl2_admit(constants, gram, tol):
-    """The 3-dim metric algebra behind a recognition, after its gates:
-    Jacobi, dimension 3, Killing signature (+,+,-)."""
-    try:
-        L = LieAlgebra(constants, tol)
-    except JacobiViolation as e:
-        raise NotRecognized(f"not a Lie algebra (jacobi residual {e.residual:.3e})")
-    if L.dim != 3:
-        raise DimensionMismatch("sl(2) recognition needs a 3-dim algebra")
-    c = L.structure_constants
-    killing = np.einsum('imk,jkm->ij', c, c)
-    ev = np.linalg.eigvalsh(killing)
-    if np.abs(ev).min() <= 1e-6 * max(np.abs(ev).max(), 1e-300):
-        raise NotRecognized("Killing form degenerate (algebra not semisimple)")
-    if (ev < 0).sum() != 1:
-        raise NotRecognized("Killing signature is not (+,+,-)")
-    return MetricLieAlgebra(L, gram, tol)
-
-
-def _sl2_match(M, normals):
-    """First candidate normal whose order-two Frenet frame matches the
-    bracket table within sl2_match."""
-    for T in normals:
-        fd = frenet_orbit(M, T, p_max=2)
-        if fd.order != 2:
-            continue
-        res = _frenet_quotient(M, fd)[2]
-        if res <= M.tol.sl2_match:
-            k1, k2 = fd.curvatures
-            return Sl2Recognition(k2 / 2.0, k1 / 2.0, res, tuple(fd.frame))
-    raise NotRecognized("no orthonormal frame matches the bracket table")
-
-
-def sl2_recognize(constants, gram=None, tol: Tolerances = DEFAULT) -> Sl2Recognition:
-    """Match a 3-dim metric Lie algebra against the two-parameter family.
-
-    Returns the recovered (a, b) = (k2/2, k1/2) with the bracket-table
-    residual and the matched frame; unpacks as the pair (a, b).  The
-    Killing-signature gate leaves S nondegenerate and indefinite, so the
-    search runs on its exact starts only.
-    """
-    M = _sl2_admit(constants, gram, tol)
-    config = SearchConfig(residual_threshold=tol.search_residual)
-    return _sl2_match(M, search_tg_hyperplanes(M, config).normals)
 
 
 # ----------------------------------------------------------- classification

@@ -91,6 +91,17 @@ def test_classify_helix_recovers_parameters(capsys):
     assert rep["result"]["helix"]["recovered_b"] == 2.0
 
 
+def test_classify_helix_on_a_nearly_degenerate_killing_form(capsys):
+    # sl2(1, 1e-4) is a genuine sl2(a, b) whose Killing form is nearly
+    # degenerate; the helix certificate does not gate the Killing form
+    code, rep = _json_out(capsys, ["classify", "--builtin", "sl2:1,0.0001",
+                                   "--normal", "1,0,0"])
+    assert code == 0
+    assert rep["case_tag"] == "HelixOrderTwo"
+    assert rep["result"]["helix"]["recovered_a"] == 1.0
+    assert rep["result"]["helix"]["recovered_b"] == 1e-4
+
+
 def test_classify_rejects_non_tg_normal(capsys):
     code, rep = _json_out(capsys, ["classify", "--builtin", "heisenberg",
                                    "--normal", "0,0,1"])
@@ -182,6 +193,16 @@ def test_verify_accepts_the_parameters_its_ledger_reads(capsys):
     for entry in ("sl2:a=1,b=0.5", "abelian:n=2", "euclidean:n=1"):
         assert run(["verify", entry]) == 0, entry
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", ["sl2:1,0.001", "sl2:1,1e-5", "sl2:-1,1", "sl2:1,-1",
+                                   "sl2:-2,-0.5", "twisted-h2:-1", "twisted-h2:-0.5"])
+def test_verify_small_and_negative_parameters(entry, capsys):
+    # small b leaves the Killing form nearly degenerate; a negative parameter
+    # flips a sign the Frenet curvatures, which are norms, do not see
+    code, rep = _json_out(capsys, ["verify", entry])
+    assert code == 0, entry
+    assert all(row["ok"] for row in rep["result"]["entries"][0]["checks"]), entry
 
 
 @pytest.mark.parametrize("argv", [["info", "--builtin", "sl2", "--tol", "jacobi=nan"],

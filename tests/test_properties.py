@@ -1,5 +1,5 @@
-"""Property tests over random points of the catalog charts, and over random
-command lines."""
+"""Property tests over random points of the catalog charts, over planted
+case-(c) algebras, and over random command lines."""
 import contextlib
 import io
 import itertools
@@ -9,6 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+
+from helpers import direct_sum, random_orthogonal, rotate_constants
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
@@ -92,8 +94,36 @@ def test_christoffel_stack_matches_per_point(name):
         assert np.abs(G - one).max() <= 1e-15 * np.abs(one).max()
 
 
-# command lines: real subcommands over cheap builtins (the whole verify
-# ledger is left out for time), vectors of the builtin's dimension and
+# case (c) planted: sl2(a, b) + R^k in a random orthonormal basis.  E1 is a
+# TG normal whose orbit is an order-two helix with curvatures (2|b|, 2|a|),
+# so classify_case must recover (|a|, |b|).  The range stops at [1e-3, 10]:
+# outside it, rotated tables start to trip the Frenet frame's fixed 1e-10
+# orthonormality gate (sl2(1e-4, 40)) and admission's absolute curvature
+# operator symmetry gate (sl2(100, 30)), which are defects of their own.
+log_scale = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
+sign = st.sampled_from((1.0, -1.0))
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(a=log_scale, b=log_scale, sa=sign, sb=sign, k=st.integers(0, 2),
+                  seed=st.integers(0, 2 ** 32 - 1))
+# the Killing form of sl2(1, 1e-3) is nearly degenerate
+@hypothesis.example(a=1.0, b=1e-3, sa=1.0, sb=1.0, k=1, seed=0)
+def test_planted_helix_recovers_a_and_b(a, b, sa, sb, k, seed):
+    c = direct_sum(catalog.sl2(sa * a, sb * b).algebra.structure_constants,
+                   np.zeros((k, k, k)))
+    Q = random_orthogonal(np.random.default_rng(seed), 3 + k)
+    c = rotate_constants(c, Q)
+    M = MetricLieAlgebra(LieAlgebra(0.5 * (c - c.transpose(1, 0, 2))))
+    report = ta.classify_case(M, Q[0])       # E1 in the rotated basis
+    assert report.case_tag is ta.CaseTag.HELIX_ORDER_TWO
+    w = report.witness
+    assert abs(w.recovered_a - a) <= 1e-9 * a
+    assert abs(w.recovered_b - b) <= 1e-9 * b
+
+
+# command lines: real subcommands over cheap builtins, verify over single
+# ledger entries and the whole catalog, vectors of the builtin's dimension and
 # malformed ones, search seeds, tolerance overrides with non-finite values
 # and unknown names, and --out paths (a bad one is in a missing directory).
 # The slots are numbered in the order they are drawn, and at most one takes
@@ -102,7 +132,9 @@ ALGEBRAS = {"sl2": 3, "sl2:1,0.5": 3, "nonhomo": 4, "heisenberg": 3, "abelian:2"
 CHART_DIMS = {"hyperbolic2": 2, "euclidean:2": 2, "nonhomo": 4, "twisted-h2": 3}
 BAD_BUILTINS = ("abelian:n=x", "twisted-h2:chart=cartesian", "twisted-h2:chart=spec",
                 "sl2:c=3", "sl2:0,1", "nosuch")
-LEDGER = (("sl2", "sl2:2,0.5", "nonhomo", "abelian:2", "euclidean:1"),
+# None is verify with no name: the whole catalog
+LEDGER = ((None, "sl2", "sl2:2,0.5", "sl2:-1,0.5", "nonhomo", "abelian:2", "euclidean:1",
+           "hyperbolic2", "twisted-h2", "twisted-h2:-0.5"),
           ("sl2:c=3", "euclidean:n=inf", "abelian:9", "nosuch", "sl2:1e-200,1",
            "twisted-h2:1e154"))
 BAD_VECTORS = ("0,0,0", "nan,1,0", "inf,0", "1,x", "", ";")
@@ -139,7 +171,8 @@ def command_lines(draw):
                                 "classify", "geodesic", "search", "verify")))
     geodesic = cmd == "geodesic"
     if cmd == "verify":
-        argv = [cmd, pick(LEDGER)]
+        entry = pick(LEDGER)
+        argv = [cmd] + ([entry] if entry else [])
     else:
         good = CHART_DIMS if geodesic else ALGEBRAS
         builtin = draw(st.sampled_from(BAD_BUILTINS if bad() else sorted(good)))
@@ -166,6 +199,8 @@ def command_lines(draw):
 @hypothesis.given(argv=command_lines())
 # the derandomized draws give search only builtins without an algebra form
 @hypothesis.example(argv=["search", "--builtin", "nonhomo", "--seed", "4"])
+# and no verify of the whole catalog
+@hypothesis.example(argv=["verify", "--json"])
 # few random draws get past every slot, so two writes into a missing directory
 @hypothesis.example(argv=["info", "--builtin", "sl2", "--out", "missing/report.json"])
 @hypothesis.example(argv=["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0.5",

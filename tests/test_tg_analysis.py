@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
-                     rotate_constants, second_normal_identity)
+from helpers import direct_sum, normal_curvature_identity, second_normal_identity
 
 from tgkit import catalog
 from tgkit.config import DEFAULT
@@ -13,7 +12,7 @@ from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace
 from tgkit.tg_analysis import (CaseTag, character_space, classify_case,
                                codazzi_residual, frenet_orbit, helix_witness,
                                hyperplane_tg_residual, search_tg_hyperplanes,
-                               sl2_recognize, tg_subspace_check)
+                               tg_subspace_check)
 
 GRID = [(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
 
@@ -161,7 +160,6 @@ def test_helix_witness_exact_recovery():
         assert w.recovered_b == b
         assert w.residuals['ideal_residual'] == 0.0
         assert w.residuals['bracket_table_residual'] == 0.0
-        assert w.residuals['sl2_residual'] < 1e-12
         assert w.Lambda.dim == 3
         assert w.s.dim == 2
         assert w.ideal_I.dim == 0
@@ -195,8 +193,7 @@ def test_helix_witness_with_flat_factor():
 
 
 def test_helix_recognition_runs_no_search(monkeypatch):
-    # helix_witness recognizes the quotient at its own Frenet frame; only
-    # sl2_recognize searches
+    # helix_witness recognizes the quotient at its own Frenet frame
     from tgkit import tg_analysis
 
     def refuse(*args, **kwargs):
@@ -206,14 +203,10 @@ def test_helix_recognition_runs_no_search(monkeypatch):
     for a, b in GRID:
         report = classify_case(catalog.sl2(a, b), E3[:, 0])
         assert report.case_tag is CaseTag.HELIX_ORDER_TWO
-        assert report.residuals['sl2_residual'] <= DEFAULT.sl2_match
     T = np.zeros(5)
     T[0] = 1.0
     w = helix_witness(sl2_plus_r2(1.0, 2.0), T)
     assert (w.recovered_a, w.recovered_b) == (1.0, 2.0)
-    assert w.residuals['sl2_residual'] <= DEFAULT.sl2_match
-    with pytest.raises(AssertionError, match="search called"):
-        sl2_recognize(catalog.sl2().algebra.structure_constants)
 
 
 def test_helix_witness_rejects_wrong_order():
@@ -230,56 +223,6 @@ def test_helix_witness_rejects_non_ideal_complement():
     T = (E4[:, 3] + E4[:, 1]) / np.sqrt(2.0)
     with pytest.raises(IdealResidualExceeded):
         helix_witness(M, T)
-
-
-# ------------------------------------------------------------- recognition
-
-def test_recognize_catalog_sl2():
-    for a, b in GRID:
-        rec = sl2_recognize(catalog.sl2(a, b).algebra.structure_constants)
-        assert abs(rec.a - a) < 1e-12
-        assert abs(rec.b - b) < 1e-12
-        assert rec.residual < 1e-12
-        got_a, got_b = rec
-        assert (got_a, got_b) == (rec.a, rec.b)
-
-
-def test_recognize_invariant_under_orthogonal_change():
-    rng = np.random.default_rng(17)
-    c = catalog.sl2(1.0, 2.0).algebra.structure_constants
-    for _ in range(10):
-        Q = random_orthogonal(rng, 3)
-        rec = sl2_recognize(rotate_constants(c, Q))
-        assert abs(rec.a - 1.0) < 1e-7
-        assert abs(rec.b - 2.0) < 1e-7
-
-
-def test_recognize_rejections():
-    with pytest.raises(NotRecognized):
-        sl2_recognize(catalog.heisenberg().algebra.structure_constants)
-    with pytest.raises(NotRecognized):
-        sl2_recognize(np.zeros((3, 3, 3)))
-    with pytest.raises(DimensionMismatch):
-        sl2_recognize(catalog.nonhomo().algebra.structure_constants)
-    # compact so(3): Killing form negative definite
-    eps = np.zeros((3, 3, 3))
-    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
-    eps[1, 0, 2] = eps[2, 1, 0] = eps[0, 2, 1] = -1.0
-    with pytest.raises(NotRecognized):
-        sl2_recognize(eps)
-    bad = catalog.sl2(1, 1).algebra.structure_constants.copy()
-    bad[0, 1, 0] += 0.1
-    bad[1, 0, 0] -= 0.1
-    with pytest.raises(NotRecognized):
-        sl2_recognize(bad)
-
-
-def test_recognize_honours_the_search_threshold():
-    closed = catalog._sl2_closed(1.0, 1.0)
-    assert tuple(sl2_recognize(closed)) == pytest.approx((1.0, 1.0), abs=1e-7)
-    # a search under threshold 0 certifies no normal, so nothing is matched
-    with pytest.raises(NotRecognized):
-        sl2_recognize(closed, tol=DEFAULT.replace(search_residual=0.0))
 
 
 # ----------------------------------------------------------- classification
