@@ -16,9 +16,9 @@ import numpy as np
 from .config import DEFAULT
 from .coord_engine import (CoordinateMetric, LevelSetHypersurface, ScalarField,
                            TwistedProductSpec, build_twisted_product, christoffel,
-                           eikonal_residuals, frenet_numeric, geodesic_integrate,
-                           second_fundamental_form, sectional_at,
-                           twisting_ode_residual)
+                           coordinates, eikonal_residuals, frenet_numeric,
+                           geodesic_integrate, mathlib, second_fundamental_form,
+                           sectional_at, twisting_ode_residual)
 from .errors import BadParams, UnknownName
 from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, curvature_tensor,
                        jacobi_residual, levi_civita, sectional)
@@ -91,24 +91,26 @@ def abelian(n=3, tol=DEFAULT):
 
 
 def _diagonal_metric(n, coeffs):
-    """Chart with a diagonal gram that depends on x^0 alone.  coeffs(x^0) ->
-    (the n diagonal entries, their derivatives in x^0) as Python floats."""
-    diag = slice(0, n * n, n + 1)
-
+    """Chart with a diagonal gram that depends on x^0 alone.  coeffs(x^0, m) ->
+    (the n diagonal entries, their derivatives in x^0), m = mathlib(x^0)."""
     def gram_at(x):
-        g = np.zeros((n, n))
-        g.reshape(-1)[diag] = coeffs(x[0])[0]
+        g, x0 = np.zeros(x.shape[:-1] + (n, n)), coordinates(x)[0]
+        for k, c in enumerate(coeffs(x0, mathlib(x0))[0]):
+            g[..., k, k] = c
         return g
 
     def partials_at(x):
-        dg = np.zeros((n, n, n))
-        dg[0].reshape(-1)[diag] = coeffs(x[0])[1]
+        dg, x0 = np.zeros(x.shape[:-1] + (n, n, n)), coordinates(x)[0]
+        for k, c in enumerate(coeffs(x0, mathlib(x0))[1]):
+            dg[..., 0, k, k] = c
         return dg
+
+    diag = slice(0, n * n, n + 1)
 
     def stage_at(x, v):
         # Gamma^0_00 = g_0' / (2 g_0); for j > 0, Gamma^0_jj = -g_j' / (2 g_0)
         # and Gamma^j_0j = g_j' / (2 g_j); all others vanish
-        d, dd = coeffs(x[0])
+        d, dd = coeffs(x[0], math)
         g = [0.0] * (n * n)
         g[diag] = d
         a = [-(v[0] * p * c) / q for p, c, q in zip(dd, v, d)]
@@ -121,14 +123,14 @@ def _diagonal_metric(n, coeffs):
 def euclidean_metric(n=2):
     n = _dimension(n, 1)
     flat = ((1.0,) * n, (0.0,) * n)
-    return _diagonal_metric(n, lambda x0: flat)
+    return _diagonal_metric(n, lambda x0, m: flat)
 
 
 def hyperbolic_plane():
     """dr^2 + sinh(r)^2 dtheta^2 on r > 0, curvature -1."""
-    def coeffs(r):
-        s = math.sinh(r)
-        return (1.0, s * s), (0.0, math.sinh(2.0 * r))
+    def coeffs(r, m):
+        s = m.sinh(r)
+        return (1.0, s * s), (0.0, m.sinh(2.0 * r))
 
     return _diagonal_metric(2, coeffs)
 
@@ -138,18 +140,25 @@ def nonhomo_metric():
 
     dz^2 + e^{4z} dy^2 + e^{2z} (dx1^2 + dx2^2).
     """
-    def coeffs(z):
-        e2, e4 = math.exp(2.0 * z), math.exp(4.0 * z)
+    def coeffs(z, m):
+        e2, e4 = m.exp(2.0 * z), m.exp(4.0 * z)
         return (1.0, e4, e2, e2), (0.0, 4.0 * e4, 2.0 * e2, 2.0 * e2)
 
     return _diagonal_metric(4, coeffs)
 
 
+def _coordinate_gradient(k, n):
+    """Gradient of the coordinate x^k: e_k at every point, read-only."""
+    e = np.eye(n)[k]
+    e.setflags(write=False)
+    return lambda x: e if x.ndim == 1 else np.broadcast_to(e, x.shape)
+
+
 def twisted_h2(kappa=1.0) -> TwistedProductSpec:
     """Twisted product over the polar hyperbolic plane with alpha = r,
     beta = theta, k = 1, anchored at the origin."""
-    alpha = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
-    beta = ScalarField(lambda u: u[1], grad=lambda u: np.array([0.0, 1.0]))
+    alpha = ScalarField(lambda u: u[..., 0], grad=_coordinate_gradient(0, 2))
+    beta = ScalarField(lambda u: u[..., 1], grad=_coordinate_gradient(1, 2))
     return TwistedProductSpec(hyperbolic_plane(), alpha, beta,
                               float(kappa), 1.0, np.zeros(2))
 
@@ -167,30 +176,37 @@ _CART_SERIES = tuple(
 
 
 def _cart_coeffs(u):
-    """(S, S1, a, b, A, B) as functions of u = x^2 + y^2.
+    """(S, S1, a, b, A, B) as functions of u = x^2 + y^2, floats or arrays.
 
     S = sinh(r)/r, S1 = 2 dS/du, a = S^2, b = (1 - a)/u, A = 2 da/du,
     B = 2 db/du, all with r = sqrt(u).  Power series below u = 0.25,
     closed forms above; both branches agree to machine precision there.
     """
-    u = float(u)        # same rounding as a numpy scalar, less call overhead
-    if u < 0.25:
-        S = S1 = a = b = A = B = 0.0
-        up = 1.0        # u^m
-        um = 0.0        # u^{m-1}, only consumed for m >= 1
-        for f1, f2, f4, p1, p3, m2, p2m, p4m in _CART_SERIES:
-            S += up / f1
-            a += p1 * up / f2
-            b -= p3 * up / f4
-            if m2:      # m >= 1
-                S1 += m2 * um / f1
-                A += p2m * um / f2
-                B -= p4m * um / f4
-            um = up
-            up *= u
-        return S, S1, a, b, A, B
-    r = math.sqrt(u)
-    sh, ch = math.sinh(r), math.cosh(r)
+    if isinstance(u, float):
+        return _cart_series(u) if u < 0.25 else _cart_closed(u)
+    return tuple(np.where(u < 0.25, _cart_series(u), _cart_closed(u)))
+
+
+def _cart_series(u):
+    S = S1 = a = b = A = B = 0.0
+    up = 1.0        # u^m
+    um = 0.0        # u^{m-1}, only consumed for m >= 1
+    for f1, f2, f4, p1, p3, m2, p2m, p4m in _CART_SERIES:
+        S += up / f1
+        a += p1 * up / f2
+        b -= p3 * up / f4
+        if m2:      # m >= 1
+            S1 += m2 * um / f1
+            A += p2m * um / f2
+            B -= p4m * um / f4
+        um, up = up, up * u
+    return S, S1, a, b, A, B
+
+
+def _cart_closed(u):
+    m = mathlib(u)
+    r = m.sqrt(u)
+    sh, ch = m.sinh(r), m.cosh(r)
     S = sh / r
     S1 = (r * ch - sh) / (r * r * r)
     a = S * S
@@ -208,40 +224,39 @@ def twisted_h2_cartesian(kappa=1.0):
     if kappa == 0:
         raise BadParams("kappa must be nonzero")
 
-    def pieces(p):
-        # (x, y, a, b, A, B, F, dF) at p = (t, x, y), dF the gradient of F
-        t, x, y = map(float, p)
-        u = x * x + y * y
+    def pieces(t, x, y):
+        # (x, y, a, b, A, B, F, dF) at (t, x, y), dF the gradient of F; floats or arrays
+        u, m = x * x + y * y, mathlib(t)
         S, S1, a, b, A, B = _cart_coeffs(u)
-        cs, sn = math.cos(kappa * t), math.sin(kappa * t)
+        cs, sn = m.cos(kappa * t), m.sin(kappa * t)
         w = x * cs - y * sn
         dF = (-kappa * S * (x * sn + y * cs), S1 * x * w + S * cs + S * x,
               S1 * y * w - S * sn + S * y)
-        return x, y, a, b, A, B, S * w + math.cosh(math.sqrt(u)), dF
+        return x, y, a, b, A, B, S * w + m.cosh(m.sqrt(u)), dF
 
     def gram_at(p):
-        x, y, a, b, _, _, F, _ = pieces(p)
-        g = np.zeros((3, 3))
-        g[0, 0] = F ** -2
-        g[1, 1] = a + b * x * x
-        g[2, 2] = a + b * y * y
-        g[1, 2] = g[2, 1] = b * x * y
+        x, y, a, b, _, _, F, _ = pieces(*coordinates(p))
+        g = np.zeros(p.shape[:-1] + (3, 3))
+        g[..., 0, 0] = mathlib(F).pow(F, -2.0)
+        g[..., 1, 1] = a + b * x * x
+        g[..., 2, 2] = a + b * y * y
+        g[..., 1, 2] = g[..., 2, 1] = b * x * y
         return g
 
     def partials_at(p):
-        x, y, _, b, A, B, F, dF = pieces(p)
-        m3 = -2.0 * F ** -3
-        dg = np.zeros((3, 3, 3))
-        dg[:, 0, 0] = [m3 * d for d in dF]
+        x, y, _, b, A, B, F, dF = pieces(*coordinates(p))
+        m3 = -2.0 * mathlib(F).pow(F, -3.0)
+        dg = np.zeros(p.shape[:-1] + (3, 3, 3))
+        dg[..., :, 0, 0] = np.stack([m3 * d for d in dF], -1)
         # d_k (a delta_ij + b x_i x_j)
         #   = A x_k delta_ij + B x_k x_i x_j + b (delta_ki x_j + x_i delta_kj)
         bxy = B * x * y
-        dg[1, 1, 1] = (A + B * x * x + 2.0 * b) * x
-        dg[1, 1, 2] = dg[1, 2, 1] = bxy * x + b * y
-        dg[1, 2, 2] = (A + B * y * y) * x
-        dg[2, 1, 1] = (A + B * x * x) * y
-        dg[2, 1, 2] = dg[2, 2, 1] = bxy * y + b * x
-        dg[2, 2, 2] = (A + B * y * y + 2.0 * b) * y
+        dg[..., 1, 1, 1] = (A + B * x * x + 2.0 * b) * x
+        dg[..., 1, 1, 2] = dg[..., 1, 2, 1] = bxy * x + b * y
+        dg[..., 1, 2, 2] = (A + B * y * y) * x
+        dg[..., 2, 1, 1] = (A + B * x * x) * y
+        dg[..., 2, 1, 2] = dg[..., 2, 2, 1] = bxy * y + b * x
+        dg[..., 2, 2, 2] = (A + B * y * y + 2.0 * b) * y
         return dg
 
     def stage_at(p, v):
@@ -249,7 +264,7 @@ def twisted_h2_cartesian(kappa=1.0):
         # q = (x, y), where G^-1 = (I - b q q^T) / a since a + b u = 1; with
         # v = (vx, vy) and s = q . v, (d_v G) v - 1/2 dG(v, v) is
         # A s v + (B s^2 / 2 + (b - A / 2) |v|^2) q
-        x, y, a, b, A, B, F, dF = pieces(p)
+        x, y, a, b, A, B, F, dF = pieces(*p)
         W, m3 = F ** -2, -2.0 * F ** -3
         vt, vx, vy = v
         f, s = 0.5 * vt * vt * m3, x * vx + y * vy
@@ -405,13 +420,8 @@ def _verify_abelian(params, tol, grid):
 
 def _verify_hyperbolic2(params, tol, grid):
     CM, _ = _lookup("hyperbolic2", params, None, tol)
-    worst = 0.0
-    for r in (0.5, 1.0, 1.7):
-        for th in (0.3, 2.1):
-            x = np.array([r, th])
-            worst = max(worst, float(np.abs(
-                christoffel(CM, x, exact=True)
-                - christoffel(CM, x, exact=False)).max()))
+    X = np.array([[r, th] for r in (0.5, 1.0, 1.7) for th in (0.3, 2.1)])
+    worst = float(np.abs(christoffel(CM, X, exact=True) - christoffel(CM, X, exact=False)).max())
     rows = [_row("fd_vs_exact_christoffel", worst, tol.fd_vs_exact)]
     x = np.array([0.9, 1.2])
     K = sectional_at(CM, x, np.array([1.0, 0.0]), np.array([0.0, 1.0]), tol)
@@ -454,8 +464,8 @@ def _verify_twisted(params, tol, grid):
     rows.append(_row("orbit_frenet", _curvature_error(fr, 1.0, abs(kappa)), tol.leaf_frenet))
     rows.append(_row("orbit_closure", fr.truncation_residual, tol.leaf_k3))
     leaf = LevelSetHypersurface(ScalarField(
-        lambda x: x[0], grad=lambda x: np.array([1.0, 0.0, 0.0]),
-        hess=lambda x: np.zeros((3, 3))))
+        lambda x: x[..., 0], grad=_coordinate_gradient(0, 3),
+        hess=lambda x: np.zeros(x.shape + (3,))))
     worst = 0.0
     for r in (0.4, 1.1):
         for th in (0.2, 2.5):
@@ -480,10 +490,7 @@ def _verify_euclidean(params, tol, grid):
     CM, _ = _lookup("euclidean", params, None, tol)
     n = CM.dim
     rng = np.random.default_rng(1)
-    worst = 0.0
-    for _ in range(3):
-        x = rng.uniform(-1, 1, n)
-        worst = max(worst, float(np.abs(christoffel(CM, x)).max()))
+    worst = float(np.abs(christoffel(CM, rng.uniform(-1, 1, (3, n)))).max())
     rows = [_row("flat_christoffel", worst, 1e-12)]
     x0 = rng.uniform(-1, 1, n)
     v0 = rng.uniform(-1, 1, n)

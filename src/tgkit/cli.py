@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -408,6 +409,7 @@ _SUBCOMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)     # one grammar per process; parsing leaves it as is
 def _build_parser():
     parser = _Parser(prog="tgkit",
                      description="Totally geodesic hypersurface toolkit")

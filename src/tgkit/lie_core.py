@@ -154,9 +154,10 @@ class MetricLieAlgebra:
         sym3 = np.abs(R - np.transpose(R, (2, 3, 0, 1))).max()
         bianchi = np.abs(R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))).max()
         worst = max(sym1, sym2, sym3)
-        if not worst <= tol.r_symmetry:
+        scale = max(1.0, float(np.abs(R).max()))   # relative gates; a NaN R fails them
+        if not worst <= tol.r_symmetry * scale:
             raise TgkitError(f"curvature symmetry violated ({worst:.3e})")
-        if not bianchi <= tol.bianchi:
+        if not bianchi <= tol.bianchi * scale:
             raise TgkitError(f"first Bianchi identity violated ({bianchi:.3e})")
         prs = _pairs(self.dim)
         m = len(prs)
@@ -165,12 +166,12 @@ class MetricLieAlgebra:
             for q, (k, l) in enumerate(prs):
                 op[p, q] = R[i, j, l, k]
         asym = np.abs(op - op.T).max()
-        if not asym <= tol.operator_symmetric:
+        if not asym <= tol.operator_symmetric * scale:
             raise TgkitError(f"curvature operator not symmetric ({asym:.3e})")
         op = 0.5 * (op + op.T)
         vals, vecs = np.linalg.eigh(op)
         rec = np.abs(vecs @ np.diag(vals) @ vecs.T - op).max()
-        if not rec <= tol.operator_reconstruct:
+        if not rec <= tol.operator_reconstruct * scale:
             raise TgkitError(f"eigendecomposition reconstruction off ({rec:.3e})")
         R.setflags(write=False)
         op.setflags(write=False)

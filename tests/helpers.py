@@ -11,6 +11,13 @@ from tgkit.lie_core import MetricLieAlgebra
 from tgkit.tg_analysis import FrenetData, frenet_orbit
 
 
+def constant(value):
+    """Chart or field evaluator returning value at every point of a stack
+    (..., n), as evaluators take points on the last axis."""
+    value = np.asarray(value, float)
+    return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
 def koszul_loops(c):
     """Connection coefficients from structure constants, orthonormal frame.
 

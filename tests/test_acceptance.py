@@ -16,7 +16,7 @@ from tgkit.tg_analysis import (CaseTag, SearchConfig, classify_case,
                                hyperplane_tg_residual, search_tg_hyperplanes,
                                tg_subspace_check)
 
-from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
+from helpers import (constant, direct_sum, normal_curvature_identity, random_orthogonal,
                      random_spd, rotate_constants, second_normal_identity)
 
 AB_GRID = (0.5, 1.0, 2.0)
@@ -52,9 +52,9 @@ def test_02_solvable_example_rejection_and_slice():
     assert np.array_equal(check.witness.component, [0.0, -1.0, 0.0, 0.0])
 
     CM = catalog.nonhomo_metric()  # coordinates (z, y, x1, x2)
-    h = ScalarField(lambda x: x[2],
-                    grad=lambda x: np.array([0.0, 0.0, 1.0, 0.0]),
-                    hess=lambda x: np.zeros((4, 4)))
+    h = ScalarField(lambda x: x[..., 2],
+                    grad=constant([0.0, 0.0, 1.0, 0.0]),
+                    hess=constant(np.zeros((4, 4))))
     H = LevelSetHypersurface(h)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -127,9 +127,9 @@ def test_05_twisted_product_instance():
     t_grid = np.linspace(0.0, 6.0, 50)
     u_grid = np.stack([np.linspace(0.1, 2.0, 50),
                        np.linspace(0.0, 6.0, 50)], axis=1)
-    slice_field = ScalarField(lambda x: x[0],
-                              grad=lambda x: np.array([1.0, 0.0, 0.0]),
-                              hess=lambda x: np.zeros((3, 3)))
+    slice_field = ScalarField(lambda x: x[..., 0],
+                              grad=constant([1.0, 0.0, 0.0]),
+                              hess=constant(np.zeros((3, 3))))
     H = LevelSetHypersurface(slice_field)
     for kappa in (0.5, 1.0, 2.0):
         spec = catalog.twisted_h2(kappa)

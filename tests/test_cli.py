@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+from tgkit import cli
 from tgkit.cli import canonical_json, parse_algebra_file, parse_builtin, run
+from tgkit.config import DEFAULT
 from tgkit.errors import AlgebraFileError, BadParams
 
 
@@ -266,6 +268,25 @@ def test_digest_depends_on_input(capsys):
     _, c = _json_out(capsys, ["info", "--builtin", "sl2:1,2"])
     assert a["input_digest"] == b["input_digest"]
     assert a["input_digest"] != c["input_digest"]
+
+
+def test_cached_grammar_parses_as_fresh_parsers(monkeypatch, capsys):
+    # a bad argv, a good one, then two --tol overrides in one process
+    argvs = [["verify", "--bogus"], ["info", "--builtin", "sl2", "--json"],
+             ["info", "--builtin", "sl2", "--tol", "jacobi=1e-6", "--json"],
+             ["info", "--builtin", "sl2", "--tol", "bracket_table=1e-7", "--json"]]
+
+    def runs():
+        return [(run(argv),) + tuple(capsys.readouterr()) for argv in argvs]
+
+    cached = runs()
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert runs() == cached
+    assert [code for code, _, _ in cached] == [1, 0, 0, 0]
+    # the first override does not leak into the next call
+    last = json.loads(cached[3][1])["tolerances_used"]
+    assert (last["jacobi"], last["bracket_table"]) == (DEFAULT.jacobi, 1e-7)
 
 
 def test_tol_override_reflected(capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import geodesic_per_stage
+from helpers import constant, geodesic_per_stage
 
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (_GATE_STEPS, CoordinateMetric, LevelSetHypersurface,
@@ -22,7 +22,7 @@ EUC3 = catalog.euclidean_metric(3)
 # ------------------------------------------------------------ scalar fields
 
 def test_scalar_field_fd_derivatives():
-    f = ScalarField(lambda x: np.sinh(x[0]) * np.cos(x[1]))
+    f = ScalarField(lambda x: np.sinh(x[..., 0]) * np.cos(x[..., 1]))
     x = np.array([0.7, -0.4])
     want_grad = np.array([np.cosh(0.7) * np.cos(-0.4),
                           -np.sinh(0.7) * np.sin(-0.4)])
@@ -32,7 +32,7 @@ def test_scalar_field_fd_derivatives():
         [-np.cosh(0.7) * np.sin(-0.4), -np.sinh(0.7) * np.cos(-0.4)]])
     assert np.abs(f.hessian(x) - want_hess).max() < 1e-5
     assert not f.has_grad
-    g = ScalarField(lambda x: x[0], grad=lambda x: np.array([1.0, 0.0]))
+    g = ScalarField(lambda x: x[..., 0], grad=constant([1.0, 0.0]))
     assert g.has_grad
 
 
@@ -185,10 +185,10 @@ def _turning_metric(threshold, bad, raise_beyond=None):
     """Flat plane until x^0 passes threshold, the gram `bad` past it; gram_at
     raises TgkitError past raise_beyond."""
     def gram_at(x):
-        if raise_beyond is not None and x[0] > raise_beyond:
+        if raise_beyond is not None and (x[..., 0] > raise_beyond).any():
             raise TgkitError(f"chart ends at {x.tolist()}")
-        return np.eye(2) if x[0] <= threshold else np.array(bad)
-    return CoordinateMetric(2, gram_at, lambda x: np.zeros((2, 2, 2)))
+        return np.where((x[..., 0] <= threshold)[..., None, None], np.eye(2), bad)
+    return CoordinateMetric(2, gram_at, constant(np.zeros((2, 2, 2))))
 
 
 BAD_GRAMS = {"indefinite": [[1.0, 0.0], [0.0, -1.0]],
@@ -261,9 +261,9 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def test_sphere_second_fundamental_form():
     R = 2.0
-    h = ScalarField(lambda x: x @ x - R * R,
+    h = ScalarField(lambda x: (x * x).sum(-1) - R * R,
                     grad=lambda x: 2.0 * x,
-                    hess=lambda x: 2.0 * np.eye(3))
+                    hess=constant(2.0 * np.eye(3)))
     H = LevelSetHypersurface(h)
     rng = np.random.default_rng(4)
     for _ in range(5):
@@ -276,9 +276,9 @@ def test_sphere_second_fundamental_form():
 
 
 def test_flat_slice_of_nonhomo_chart():
-    h = ScalarField(lambda x: x[2],
-                    grad=lambda x: np.array([0.0, 0.0, 1.0, 0.0]),
-                    hess=lambda x: np.zeros((4, 4)))
+    h = ScalarField(lambda x: x[..., 2],
+                    grad=constant([0.0, 0.0, 1.0, 0.0]),
+                    hess=constant(np.zeros((4, 4))))
     H = LevelSetHypersurface(h)
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -288,12 +288,12 @@ def test_flat_slice_of_nonhomo_chart():
 
 
 def test_sff_gates():
-    h = ScalarField(lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,
-                    grad=lambda x: np.array([2 * x[0], 2 * x[1], 0.0]))
+    h = ScalarField(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0,
+                    grad=lambda x: 2 * x * [1.0, 1.0, 0.0])
     H = LevelSetHypersurface(h)
     with pytest.raises(BadParams):
         second_fundamental_form(EUC3, H, np.array([2.0, 0.0, 0.0]))
-    flat = ScalarField(lambda x: x[0] ** 2, grad=lambda x: np.array([2 * x[0], 0, 0.0]))
+    flat = ScalarField(lambda x: x[..., 0] ** 2, grad=lambda x: 2 * x * [1.0, 0.0, 0.0])
     with pytest.raises(MetricDegenerate):
         second_fundamental_form(EUC3, LevelSetHypersurface(flat),
                                 np.array([0.0, 0.5, 0.5]))
@@ -344,12 +344,12 @@ def test_sectional_invariant_under_linear_recoordinatization():
     A[2, 3] = 0.3
 
     def gram_at(y):
-        return A.T @ NH.gram_at(A @ y) @ A
+        return A.T @ NH.gram_at(y @ A.T) @ A
 
     def partials_at(y):
-        dg = NH.partials(A @ y, exact=True)
-        dgp = np.einsum('lk,lij->kij', A, dg)
-        return np.einsum('kij,ia,jb->kab', dgp, A, A)
+        dg = NH.partials(y @ A.T, exact=True)
+        dgp = np.einsum('lk,...lij->...kij', A, dg)
+        return np.einsum('...kij,ia,jb->...kab', dgp, A, A)
 
     CM2 = CoordinateMetric(4, gram_at, partials_at)
     y = np.array([0.2, 0.4, -0.1, 0.3])
@@ -363,12 +363,24 @@ def test_sectional_invariant_under_linear_recoordinatization():
 
 # ------------------------------------------------------------ warped product
 
+def _solvable_base():
+    """du^2 + e^{4 u^0} (du^1)^2."""
+    def gram_at(u):
+        g = np.zeros(u.shape[:-1] + (2, 2))
+        g[..., 0, 0], g[..., 1, 1] = 1.0, np.exp(4.0 * u[..., 0])
+        return g
+
+    def partials_at(u):
+        dg = np.zeros(u.shape[:-1] + (2, 2, 2))
+        dg[..., 0, 1, 1] = 4.0 * np.exp(4.0 * u[..., 0])
+        return dg
+
+    return CoordinateMetric(2, gram_at, partials_at)
+
+
 def test_warped_product_reproduces_solvable_chart():
-    base = CoordinateMetric(
-        2, lambda u: np.diag([1.0, np.exp(4.0 * u[0])]),
-        lambda u: np.array([[[0.0, 0.0], [0.0, 4.0 * np.exp(4.0 * u[0])]],
-                            [[0.0, 0.0], [0.0, 0.0]]]))
-    logf = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
+    base = _solvable_base()
+    logf = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
     W = build_warped_product(2, base, logf)
     assert W.dim == 4
     perm = [2, 3, 0, 1]     # (x1, x2, z, y) -> (z, y, x1, x2)
@@ -385,11 +397,7 @@ def test_warped_product_reproduces_solvable_chart():
 
 
 def test_warped_base_curvature():
-    base = CoordinateMetric(2, lambda u: np.diag([1.0, np.exp(4.0 * u[0])]),
-                            lambda u: np.array(
-                                [[[0.0, 0.0], [0.0, 4.0 * np.exp(4.0 * u[0])]],
-                                 [[0.0, 0.0], [0.0, 0.0]]]))
-    K = sectional_at(base, np.array([0.2, 0.5]),
+    K = sectional_at(_solvable_base(), np.array([0.2, 0.5]),
                      np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert abs(K + 4.0) < 1e-8
 
@@ -414,7 +422,7 @@ def _counted_gates(monkeypatch):
 
 
 def _warped_over_hyperbolic():
-    logf = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
+    logf = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
     return build_warped_product(2, HYP, logf)
 
 
@@ -436,7 +444,7 @@ def test_polar_twisted_gate_counts(monkeypatch):
     seen.clear()
     ts = np.linspace(0.0, 2 * np.pi, 601)
     frenet_numeric(CM, ts, np.stack([ts, np.full(601, 0.8), np.full(601, 0.6)], axis=1))
-    assert len(seen) == 2       # full and half sampling
+    assert len(seen) == 1       # one stack serves the full and half sampling
 
 
 def test_cartesian_stage_evaluates_the_coefficients_once(monkeypatch):
@@ -462,16 +470,16 @@ def test_degenerate_base_names_the_composite_point():
 
 def test_sff_and_riemann_gate_the_point_once(monkeypatch):
     seen = _counted_gates(monkeypatch)
-    h = ScalarField(lambda x: x @ x - 4.0, grad=lambda x: 2 * x,
-                    hess=lambda x: 2 * np.eye(3))
+    h = ScalarField(lambda x: (x * x).sum(-1) - 4.0, grad=lambda x: 2 * x,
+                    hess=constant(2 * np.eye(3)))
     x = np.array([0.0, 2.0, 0.0])
     second_fundamental_form(EUC3, LevelSetHypersurface(h), x)
     assert seen == [[tuple(x)]]
     seen.clear()
     x = np.array([0.9, 1.2])
     riemann_at(HYP, x)
-    # 4 Richardson offsets per coordinate, then x itself once
-    assert len(seen) == 4 * 2 + 1
+    # one stack of 4 Richardson offsets per coordinate, then x itself once
+    assert sorted(map(len, seen)) == [1, 4 * 2]
     assert sum(pts == [tuple(x)] for pts in seen) == 1
 
 
@@ -520,16 +528,17 @@ def test_frenet_evaluates_each_sample_gram_once():
     calls = []
 
     def gram_at(x):
-        calls.append(x)
-        return np.eye(2)
+        calls.append(x.shape)
+        return constant(np.eye(2))(x)
 
-    CM = CoordinateMetric(2, gram_at, lambda x: np.zeros((2, 2, 2)))
+    CM = CoordinateMetric(2, gram_at, constant(np.zeros((2, 2, 2))))
     ts = np.linspace(0.0, 2 * np.pi, 256)
     pts = np.stack([2 * np.cos(ts), 2 * np.sin(ts)], axis=1)
     fd = frenet_numeric(CM, ts, pts)
     assert abs(fd.curvatures[0] - 0.5) < 1e-5
-    # full and half sampling, each without the two samples at either end
-    assert len(calls) == (256 - 4) + (128 - 4)
+    # one stack without the two samples at either end; the half sampling's
+    # interior is a subset of it
+    assert calls == [(256 - 4, 2)]
 
 
 def test_frenet_pipeline_makes_one_christoffel_stack(monkeypatch):
@@ -549,9 +558,9 @@ def test_frenet_pipeline_makes_one_christoffel_stack(monkeypatch):
     CM = build_twisted_product(catalog.twisted_h2(1.0))
     ts = np.linspace(0.0, 2 * np.pi, 601)
     frenet_numeric(CM, ts, np.stack([ts, np.full(601, 0.8), np.full(601, 0.6)], axis=1))
-    # full and half sampling, each without the two samples at either end
+    # full and half sampling, from one stack without the two samples at either end
     assert calls["pipeline"] == 2
-    assert calls["christoffel"] == [(601 - 4, 3, 3), (301 - 4, 3, 3)]
+    assert calls["christoffel"] == [(601 - 4, 3, 3)]
 
 
 def test_frenet_degenerate_sample_raises_at_first_one():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import (koszul_loops, curvature_loops, operator_loops,
-                     jacobi_loops, sl2_rep_constants, random_spd)
+                     jacobi_loops, random_orthogonal, rotate_constants,
+                     sl2_rep_constants, random_spd)
 
 from tgkit import catalog
+from tgkit import tg_analysis as ta
 from tgkit.config import DEFAULT
 from tgkit.errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
                           NotPositiveDefinite, TgkitError)
@@ -354,3 +356,20 @@ def test_cached_geometry_gates_with_the_algebra_tolerances():
         with pytest.raises(TgkitError, match="curvature symmetry"):
             curvature_tensor(M)
     assert levi_civita(M) is M.connection
+
+
+def test_curvature_gates_scale_with_the_curvature():
+    # sl2(100, 30) in a rotated basis: max |R| is 3600, and the curvature
+    # operator's round-off asymmetry (1.1e-11) passes the 1e-12 gate only
+    # relative to that size
+    Q = random_orthogonal(np.random.default_rng(0), 3)
+    c = rotate_constants(catalog.sl2(100.0, 30.0).algebra.structure_constants, Q)
+    L = LieAlgebra(0.5 * (c - c.transpose(1, 0, 2)))
+    report = ta.classify_case(MetricLieAlgebra(L), Q[0])
+    assert report.case_tag is ta.CaseTag.HELIX_ORDER_TWO
+    assert abs(report.witness.recovered_a - 100.0) <= 1e-9 * 100.0
+    assert abs(report.witness.recovered_b - 30.0) <= 1e-9 * 30.0
+    # the scaled gate still rejects that asymmetry under a tighter bound
+    tight = MetricLieAlgebra(L, None, DEFAULT.replace(operator_symmetric=1e-16))
+    with pytest.raises(TgkitError, match="curvature operator not symmetric"):
+        curvature_tensor(tight)

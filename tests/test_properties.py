@@ -16,12 +16,16 @@ from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
 from tgkit.coord_engine import (ScalarField, _christoffel_from, _spray, build_warped_product,
-                                christoffel)
+                                christoffel, twisting_phi)
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+# an exact-gradient logf over the polar hyperbolic plane
+WARP_LOGF = ScalarField(
+    lambda u: 0.3 * u[..., 0] + 0.2 * np.sin(u[..., 1]),
+    grad=lambda u: np.stack(np.broadcast_arrays(0.3, 0.2 * np.cos(u[..., 1])), axis=-1))
 # chart and a map from the unit cube into a region of its domain
 CHARTS = {
     "hyperbolic2": (catalog.hyperbolic_plane(),
@@ -33,9 +37,7 @@ CHARTS = {
                              lambda c: np.array([2 * np.pi * c[0], 0.2 + 2.8 * c[1],
                                                  2 * np.pi * c[2]])),
     # two flat coordinates over the polar hyperbolic plane, an exact-gradient logf
-    "warped-h2": (build_warped_product(2, catalog.hyperbolic_plane(), ScalarField(
-        lambda u: 0.3 * u[0] + 0.2 * np.sin(u[1]),
-        grad=lambda u: np.array([0.3, 0.2 * np.cos(u[1])]))),
+    "warped-h2": (build_warped_product(2, catalog.hyperbolic_plane(), WARP_LOGF),
                   lambda c: np.array([4 * c[0] - 2, 4 * c[1] - 2, 0.2 + 2.8 * c[2],
                                       2 * np.pi * c[3]])),
     "twisted-h2-cartesian": (catalog.twisted_h2_cartesian(1.5),
@@ -94,12 +96,45 @@ def test_christoffel_stack_matches_per_point(name):
         assert np.abs(G - one).max() <= 1e-15 * np.abs(one).max()
 
 
+def _same_bits(stacked, one_by_one):
+    return np.asarray(stacked).tobytes() == np.array(one_by_one, float).tobytes()
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(name=st.sampled_from(sorted(CHARTS)), seed=st.integers(0, 2 ** 32 - 1),
+                  rows=st.integers(1, 6))
+def test_stacked_evaluators_equal_per_point_bit_for_bit(name, seed, rows):
+    # gram_at and partials_at on a (2, rows, n) stack, row by row
+    CM, to_chart = CHARTS[name]
+    cubes = np.random.default_rng(seed).uniform(0.0, 1.0, size=(2 * rows, 4))
+    X = np.array([to_chart(c) for c in cubes])
+    for evaluate in (CM.gram_at, CM.partials_at):
+        stacked = evaluate(X.reshape(2, rows, CM.dim))
+        assert _same_bits(stacked.reshape((2 * rows,) + stacked.shape[2:]),
+                          [evaluate(x) for x in X])
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.sampled_from((0.5, 1.5, -2.0)))
+def test_stacked_twist_and_field_equal_per_point_bit_for_bit(seed, kappa):
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 2 * np.pi, 12)
+    u = np.stack([rng.uniform(0.2, 3.0, 12), rng.uniform(0.0, 2 * np.pi, 12)], axis=1)
+    spec = catalog.twisted_h2(kappa)
+    stacked = twisting_phi(spec, t, u)
+    assert all(_same_bits(s, [twisting_phi(spec, ti, ui)[k] for ti, ui in zip(t, u)])
+               for k, s in enumerate(stacked))
+    # the warped logf: exact value and gradient, finite-difference Hessian
+    for evaluate in (WARP_LOGF.value, WARP_LOGF.gradient, WARP_LOGF.hessian):
+        assert _same_bits(evaluate(u), [evaluate(ui) for ui in u])
+
+
 # case (c) planted: sl2(a, b) + R^k in a random orthonormal basis.  E1 is a
 # TG normal whose orbit is an order-two helix with curvatures (2|b|, 2|a|),
 # so classify_case must recover (|a|, |b|).  The range stops at [1e-3, 10]:
-# outside it, rotated tables start to trip the Frenet frame's fixed 1e-10
-# orthonormality gate (sl2(1e-4, 40)) and admission's absolute curvature
-# operator symmetry gate (sl2(100, 30)), which are defects of their own.
+# below it, rotated tables start to trip the Frenet frame's fixed 1e-10
+# orthonormality gate (sl2(1e-4, 40)), a defect of its own.  (Admission's
+# curvature gates are relative to max |R|, so sl2(100, 30) passes them.)
 log_scale = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)
 sign = st.sampled_from((1.0, -1.0))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cart_coeffs_series
+from helpers import cart_coeffs_series, constant
 
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (LevelSetHypersurface, ScalarField,
@@ -17,7 +17,7 @@ U_GRID = np.stack([np.linspace(0.1, 2.0, 50), np.linspace(0.0, 6.0, 50)], axis=1
 
 
 def _beta():
-    return ScalarField(lambda u: u[1], grad=lambda u: np.array([0.0, 1.0]))
+    return ScalarField(lambda u: u[..., 1], grad=constant([0.0, 1.0]))
 
 
 # --------------------------------------------------------------- twisting ODE
@@ -45,7 +45,7 @@ def test_ode_residual_nan_term_is_nan():
 
     def nan_at_first(t, u):
         phi, pt, ptt = twisting_phi(spec, t, u)
-        return (float('nan'), pt, ptt) if t == T_GRID[0] else (phi, pt, ptt)
+        return np.where(t == T_GRID[0], np.nan, phi), pt, ptt
 
     assert np.isnan(twisting_ode_residual(spec, T_GRID, U_GRID, phi_eval=nan_at_first))
 
@@ -71,7 +71,7 @@ def test_eikonal_residuals_closed_form():
 
 
 def test_eikonal_detects_wrong_alpha():
-    alpha2 = ScalarField(lambda u: 2.0 * u[0], grad=lambda u: np.array([2.0, 0.0]))
+    alpha2 = ScalarField(lambda u: 2.0 * u[..., 0], grad=constant([2.0, 0.0]))
     bad = TwistedProductSpec(catalog.hyperbolic_plane(), alpha2, _beta(),
                              1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(bad, U_GRID)
@@ -81,8 +81,8 @@ def test_eikonal_detects_wrong_alpha():
 def test_eikonal_nan_term_is_nan():
     # the NaN alpha gradient sits at the last grid point, after finite terms
     last = U_GRID[-1]
-    alpha = ScalarField(lambda u: u[0], grad=lambda u: np.array(
-        [np.nan if np.array_equal(u, last) else 1.0, 0.0]))
+    alpha = ScalarField(lambda u: u[..., 0], grad=lambda u: np.where(
+        (u == last).all(-1, keepdims=True), [np.nan, 0.0], [1.0, 0.0]))
     spec = TwistedProductSpec(catalog.hyperbolic_plane(), alpha, _beta(),
                               1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(spec, U_GRID)
@@ -102,7 +102,7 @@ def test_eikonal_gates_base_grams_in_one_batch(monkeypatch):
 
 
 def test_eikonal_beta_not_applicable_for_zero_alpha():
-    az = ScalarField(lambda u: 0.0, grad=lambda u: np.zeros(2))
+    az = ScalarField(constant(0.0), grad=constant(np.zeros(2)))
     spec = TwistedProductSpec(catalog.hyperbolic_plane(), az, _beta(),
                               1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(spec, U_GRID)
@@ -118,7 +118,7 @@ def test_spec_gates():
         catalog.twisted_h2(0.0)
     with pytest.raises(BadParams):
         catalog.twisted_h2_cartesian(0.0)
-    alpha = ScalarField(lambda u: u[0], grad=lambda u: np.array([1.0, 0.0]))
+    alpha = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
     with pytest.raises(BadParams):
         TwistedProductSpec(catalog.hyperbolic_plane(), alpha, _beta(),
                            1.0, -1.0, np.zeros(2))
@@ -154,9 +154,9 @@ def test_anchor_leaf_in_cartesian_chart():
 
 def test_slices_are_totally_geodesic():
     CM = build_twisted_product(catalog.twisted_h2(1.0))
-    h = ScalarField(lambda x: x[0],
-                    grad=lambda x: np.array([1.0, 0.0, 0.0]),
-                    hess=lambda x: np.zeros((3, 3)))
+    h = ScalarField(lambda x: x[..., 0],
+                    grad=constant([1.0, 0.0, 0.0]),
+                    hess=constant(np.zeros((3, 3))))
     H = LevelSetHypersurface(h)
     for r in (0.3, 0.8, 1.5):
         for th in (0.2, 2.1):
