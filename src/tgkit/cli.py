@@ -401,8 +401,8 @@ _SUBCOMMANDS = {
                  _INPUT + ("--subspace", "--normal")),
     "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",)),
     "classify": ("case analysis of a certified normal", _INPUT + ("--normal",)),
-    "search": ("certified hyperplane normals (exact starts in dim 3, else seeded "
-               "multistart)", _INPUT + ("--seed",)),
+    "search": ("certified hyperplane normals (exact starts in dim 3 and on "
+               "solvable algebras, else seeded multistart)", _INPUT + ("--seed",)),
     "geodesic": ("integrate a chart geodesic",
                  ("--builtin", "--x0", "--v0", "--tmax", "--step")),
     "verify": ("run the residual ledger over catalog entries", ("name",)),

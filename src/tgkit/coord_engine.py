@@ -582,9 +582,16 @@ def eikonal_residuals(spec: TwistedProductSpec, u_points) -> EikonalResiduals:
 
 # ------------------------------------------------------- pointwise curvature
 
-def riemann_at(CM: CoordinateMetric, x):
-    """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at x (FD of one Christoffel stack)."""
+def _one_point(CM, x):
     x = np.asarray(x, float)
+    if x.shape != (CM.dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({CM.dim},)")
+    return x
+
+
+def riemann_at(CM: CoordinateMetric, x):
+    """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at one point x (FD of a Christoffel stack)."""
+    x = _one_point(CM, x)
     dG = _richardson(lambda y: christoffel(CM, y), x, _RIEMANN_STEP)
     g = CM.gram(x)
     G = _christoffel_from(g, CM.partials(x))
@@ -597,7 +604,8 @@ def riemann_at(CM: CoordinateMetric, x):
 
 
 def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT) -> float:
-    g = CM.gram(np.asarray(x, float))
+    x = _one_point(CM, x)
+    g = CM.gram(x)
     u, v = np.asarray(u, float), np.asarray(v, float)
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if not den > tol.degenerate_plane:

@@ -109,6 +109,8 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
+    """n_starts and seed are read only where the search falls back to seeded
+    multistart; the exact n = 3 and solvable-family paths draw no start."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = DEFAULT.search_residual
@@ -222,6 +224,34 @@ def _on_curve(w, abc):
 
 _NODES = np.cos(np.pi * np.arange(7) / 6)        # Chebyshev points: 7 fix a sextic
 _FIT = np.linalg.inv(np.vander(_NODES, 7))       # values -> coefficients, highest first
+_NODES5 = np.cos(np.pi * np.arange(6) / 5)       # and 6 fix a quintic
+_FIT5 = np.linalg.inv(np.vander(_NODES5, 6))
+
+
+def _real_roots(coef, floor):
+    """Near-real roots of the columns of coef (coefficients, highest first)
+    above floor, or None if none is, from one batched eigvals over companion
+    matrices built as np.roots does; a negligible leading coefficient sends
+    its root past 1e8, where it is dropped."""
+    big = np.abs(coef).max(axis=0) > floor
+    if not big.any():
+        return None
+    P = coef[:, big].T / np.abs(coef[:, big]).max(axis=0)[:, None]
+    d = P.shape[1] - 1
+    comp = np.zeros((len(P), d, d))
+    comp[:, 1:, :-1] = np.eye(d - 1)
+    comp[:, 0] = -P[:, 1:] / np.where(np.abs(P[:, :1]) < 1e-13, 1e-13, P[:, :1])
+    w = np.linalg.eigvals(comp).ravel()
+    return w.real[(np.abs(w.imag) <= 1e-6 * (1 + np.abs(w))) & (np.abs(w) < 1e8)]
+
+
+def _distinct(t, err, scale):
+    """The unit rows t with err <= 1e-6 scale, one per point, the most
+    accurate: fix the sign of the largest entry, round, keep firsts."""
+    t = t[np.argsort(err, kind='stable')][np.sort(err) <= 1e-6 * scale]
+    t *= np.sign(t[np.arange(len(t)), np.abs(t).argmax(axis=-1)])[:, None]
+    keys = np.round(t, 6).tolist()
+    return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
 
 
 def _conic_starts(G):
@@ -259,27 +289,99 @@ def _conic_starts(G):
         curves.append(np.stack([V[:, off[0]], V[:, off[1]], np.zeros(3)]))
     for abc in curves:                              # none when S is definite
         T = _on_curve(_NODES, abc)
-        coef = _FIT @ _cubic_forms(G, T)
-        big = np.abs(coef).max(axis=0) > 1e-12 * scale * np.abs(T).max() ** 3
-        if not big.any():
+        w = _real_roots(_FIT @ _cubic_forms(G, T), 1e-12 * scale * np.abs(T).max() ** 3)
+        if w is None:
             return None
-        P = coef[:, big].T / np.abs(coef[:, big]).max(axis=0)[:, None]
-        # the companion matrices of all nonzero sextics, as np.roots builds
-        # them; a negligible leading coefficient sends its root past 1e8
-        comp = np.zeros((len(P), 6, 6))
-        comp[:, 1:, :-1] = np.eye(5)
-        comp[:, 0] = -P[:, 1:] / np.where(np.abs(P[:, :1]) < 1e-13, 1e-13, P[:, :1])
-        w = np.linalg.eigvals(comp).ravel()
-        w = w.real[(np.abs(w.imag) <= 1e-6 * (1 + np.abs(w))) & (np.abs(w) < 1e8)]
         points += [_on_curve(w, abc), abc[2:] - abc[:1]]    # the real roots, w = inf
     t = _unit_rows(np.concatenate(points))
-    err = np.abs(_cubic_forms(G, t)).max(axis=-1, initial=0.0)
-    t = t[np.argsort(err, kind='stable')][np.sort(err) <= 1e-6 * scale]
-    # one start per root, the most accurate: fix the sign of the largest
-    # entry, round, and keep firsts
-    t *= np.sign(t[np.arange(len(t)), np.abs(t).argmax(axis=-1)])[:, None]
-    keys = np.round(t, 6).tolist()
-    return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
+    return _distinct(t, np.abs(_cubic_forms(G, t)).max(axis=-1, initial=0.0), scale)
+
+
+def _line_starts(G, u1, u2, scale):
+    """Points t = u1 + w u2 of a 2-dim family (orthonormal u1, u2) at which
+    every entry of P M(t) P, P = |t|^2 I - t t^T, vanishes: the near-real
+    roots of these quintics in w, and w = inf.  None when they all vanish
+    identically, where a continuum is possible."""
+    T = _NODES5[:, None] * u2 + u1
+    P = rowdot(T, T)[:, None, None] * np.eye(len(u1)) - T[:, :, None] * T[:, None, :]
+    F = P @ np.einsum('ijk,...k->...ij', G, T) @ P
+    w = _real_roots(_FIT5 @ F.reshape(len(T), -1), 1e-12 * scale * np.abs(T).max() ** 5)
+    if w is None:
+        return None
+    return np.concatenate([w[:, None] * u2 + u1, u2[None]])
+
+
+def _span_split(rows):
+    """Orthonormal rows spanning the row space of rows, and orthonormal rows
+    spanning its orthogonal complement (SVD, rank relative to 1e-10)."""
+    _, sv, vt = np.linalg.svd(rows)
+    rank = int((sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)).sum())
+    return vt[:rank], vt[rank:]
+
+
+def _brackets(c, A, B):
+    """All [a, b] for rows a of A and b of B, as rows."""
+    return np.einsum('ai,bj,ijk->abk', A, B, c).reshape(-1, c.shape[0])
+
+
+def _family_starts(c, G):
+    """Exact starts for n != 3, as unit rows (frame coordinates), or None
+    for the seeded multistart.
+
+    If t^perp = h is a subalgebra of codimension one and N is the largest
+    ideal of g inside h, g/N is R, aff(1) or sl2(R) (K. H. Hofmann, Illinois
+    J. Math. 9, 1965), and not sl2(R) on a solvable g.  g/N = R: t lies in
+    U = (g')^perp.  g/N = aff(1): the quotient map is alpha a + phi b, with
+    alpha a character (a vector in U) and phi on g' a real joint eigenvector
+    theta, of weight alpha, of U acting on (g'/g'')* (g'/g'' represented by
+    W = g' cap (g'')^perp); phi on U solves phi([u_k, u_l]) = alpha_k
+    phi(u_l) - alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself
+    for n = 2).  The starts are U when it is a line and the _line_starts of
+    each 2-dim family, where the TG residual is small.  None when g is not
+    solvable, dim U >= 3, a real weight repeats, or a family's polynomials
+    vanish identically.
+    """
+    n = c.shape[0]
+    D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
+    if len(U) >= 3:
+        return None
+    D = D2 = _span_split(_brackets(c, D1, D1))[0]
+    while len(D):                                   # does the derived series reach 0?
+        nxt = _span_split(_brackets(c, D, D))[0]
+        if len(nxt) == len(D):
+            return None
+        D = nxt
+    points = [U if len(U) == 1 else np.empty((0, n))]
+    families = [U] if len(U) == 2 else []
+    W = _span_split(D1 - D1 @ D2.T @ D2)[0]
+    A = np.einsum('ki,qj,ijl,pl->kpq', U, W, c, W)  # A[k]: ad u_k on g'/g'', basis W
+    scale = max(1.0, float(np.abs(G).max()))
+    tol = 1e-6 * scale
+    # a fixed generic combination of the A[k]^T: as the A[k] commute, each
+    # simple real eigenvalue has a joint eigenvector
+    lam, theta = np.linalg.eig(np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(U) + 2)), A))
+    k, l = np.triu_indices(len(U), 1)
+    for i in np.flatnonzero(np.abs(lam.imag) <= tol):
+        if (np.abs(lam - lam[i]) <= tol).sum() > 1:
+            return None
+        th = theta[:, i].real / np.linalg.norm(theta[:, i].real)
+        alpha = A @ th @ th
+        if not np.linalg.norm(alpha) > tol:
+            continue
+        E = np.zeros((len(k), len(U)))
+        E[np.arange(len(k)), l], E[np.arange(len(k)), k] = alpha[k], -alpha[l]
+        rhs = _brackets(c, U, U).reshape(len(U), len(U), n)[k, l] @ (th @ W)
+        a = alpha @ U / np.linalg.norm(alpha)
+        phi = th @ W + np.linalg.lstsq(E, rhs, rcond=None)[0] @ U
+        phi -= (phi @ a) * a
+        families.append(np.stack([a, phi / np.linalg.norm(phi)]))
+    for u1, u2 in families:
+        line = _line_starts(G, u1, u2, scale)
+        if line is None:
+            return None
+        points.append(line)
+    t = _unit_rows(np.concatenate(points))
+    return _distinct(t, _tg_residuals(G, t), scale)
 
 
 # A normal's sign comes from its first coordinate above this.  A normal at a
@@ -299,10 +401,13 @@ def _sign_normalize(v):
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
     """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt.
 
-    For n = 3 the starts are the exact points of _conic_starts; otherwise,
-    and where those leave a continuum open, config.n_starts seeded random
-    starts.  All starts run together as one array through _batch_lm and are
-    certified as one stack by _tg_residuals.
+    For n = 3 the starts are the exact points of _conic_starts; for other n
+    on a solvable algebra, the exact points of _family_starts on Hofmann's
+    R and aff(1) families.  Where neither applies (g not solvable, an R
+    family of dimension 3 or more, a repeated weight) or a continuum is
+    possible, config.n_starts seeded random starts.  All starts run
+    together as one array through _batch_lm and are certified as one stack
+    by _tg_residuals.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input
@@ -312,7 +417,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
-    starts = _conic_starts(G) if n == 3 else None
+    starts = _conic_starts(G) if n == 3 else _family_starts(M.onb_constants, G)
     if starts is None:
         seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
         starts = _unit_rows(np.array(
@@ -383,11 +488,12 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
             break
         ks.append(k)
         frame.append(w / k)
-    # frame orthonormality and the recursion identity are construction
-    # guarantees; check both anyway
+    # the frame's orthonormality and the recursion identity; round-off can
+    # break the first when the curvatures are far apart (rotated
+    # sl2(1e-4, 40) reads 2.3e-10)
     F = np.stack(frame, axis=1)
     onb_res = np.abs(F.T @ F - np.eye(len(frame))).max()
-    if not onb_res <= 1e-10:                # pragma: no cover - unreachable
+    if not onb_res <= 1e-10:
         raise TgkitError(f"Frenet frame lost orthonormality ({onb_res:.3e})")
     for s in range(1, len(ks) + 1):
         w = np.einsum('ijk,i,j->k', G, frame[0], frame[s - 1])
@@ -487,15 +593,12 @@ class CharacterSpace:
 def character_space(L: LieAlgebra) -> CharacterSpace:
     c = L.structure_constants
     n = L.dim
-    rows = c.reshape(n * n, n)
-    _, sv, vt = np.linalg.svd(rows)
-    rank = int((sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)).sum())
-    functionals = vt[rank:]
+    functionals = _span_split(c.reshape(n * n, n))[1]
     if functionals.size:
         worst = np.abs(np.einsum('fk,ijk->fij', functionals, c)).max()
         if worst > 1e-10:     # pragma: no cover - nullspace is exact
             raise TgkitError(f"character space annihilation failed ({worst:.3e})")
-    return CharacterSpace(functionals, n - rank)
+    return CharacterSpace(functionals, len(functionals))
 
 
 def codazzi_residual(M: MetricLieAlgebra, T) -> float:

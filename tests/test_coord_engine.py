@@ -338,6 +338,16 @@ def test_sectional_nan_plane_rejected():
                      np.array([0.0, 1.0]))
 
 
+def test_curvature_at_rejects_a_stacked_point():
+    # gram takes stacks (..., dim); riemann_at and sectional_at take one point
+    x = np.array([[0.9, 1.2]])
+    e = np.eye(2)
+    with pytest.raises(DimensionMismatch, match=r"shape \(1, 2\)"):
+        riemann_at(HYP, x)
+    with pytest.raises(DimensionMismatch, match=r"shape \(1, 2\)"):
+        sectional_at(HYP, x, e[0], e[1])
+
+
 def test_sectional_invariant_under_linear_recoordinatization():
     # x1 = x1' + 0.3 x2' leaves the geometry alone
     A = np.eye(4)

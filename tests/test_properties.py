@@ -288,3 +288,57 @@ def test_exact_starts_agree_with_multistart(name, kind, gram_seed):
     for x, r in zip(exact.normals, exact.residuals):
         k = int(np.argmin([np.abs(x - y).max() for y in multi.normals]))
         assert np.abs(x - multi.normals[k]).max() <= 1e-9 or r < multi.residuals[k]
+
+
+# exact family starts against seeded multistart on solvable algebras:
+# R x| R^k (ad z = A, k <= 3) with distinct real weights, an optional
+# rotation block a +- ib and an optional change of eigenbasis, an optional
+# + R (the R family stays 2-dim), in the catalog, a rotated or an SPD basis.
+# k = 1 is aff(1).  Dimension 3 draws take the conic starts.
+WEIGHTS = (-2.0, -1.3, -0.7, -0.4, 0.5, 0.8, 1.0, 1.7, 2.5, 3.1)
+
+
+def _semidirect(A):
+    c = np.zeros((len(A) + 1,) * 3)
+    c[0, 1:, 1:], c[1:, 0, 1:] = A.T, -A.T         # [z, x_j] = sum_i A[i, j] x_i
+    return c
+
+
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(weights=st.permutations(WEIGHTS), k=st.sampled_from((3, 2, 1)),
+                  block=st.booleans(), mix=st.booleans(), line=st.booleans(),
+                  basis=st.sampled_from(["catalog", "rotated", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_family_starts_agree_with_multistart(weights, k, block, mix, line, basis, seed):
+    rng = np.random.default_rng(seed)
+    A = np.diag(weights[:k])
+    if block and k >= 2:
+        a, b = rng.uniform(-2, 2), rng.uniform(0.3, 2)
+        A[:2, :2] = [[a, -b], [b, a]]
+    if mix:
+        S = rng.standard_normal((k, k)) + 2 * np.eye(k)
+        A = S @ A @ np.linalg.inv(S)
+    c = _semidirect(A)
+    if line:
+        c = direct_sum(c, np.zeros((1, 1, 1)))
+    n = len(c)
+    gram = None
+    if basis == "rotated":
+        c = rotate_constants(c, random_orthogonal(rng, n))
+    elif basis == "spd":
+        a = rng.standard_normal((n, n))
+        gram = a @ a.T + 0.5 * np.eye(n)
+    M = MetricLieAlgebra(LieAlgebra(c), gram)
+    if n != 3:
+        assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
+    exact = ta.search_tg_hyperplanes(M)
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None), \
+            mock.patch.object(ta, "_conic_starts", lambda G: None):
+        multi = ta.search_tg_hyperplanes(M)
+    assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
+    for x, r in zip(exact.normals, exact.residuals):
+        j = int(np.argmin([np.abs(x - y).max() for y in multi.normals]))
+        assert np.abs(x - multi.normals[j]).max() <= 1e-9 or r < multi.residuals[j]
+        # the sign rule reads the first coordinate above 1e-6: no true
+        # coordinate sits near it
+        assert not ((np.abs(x) > 1e-9) & (np.abs(x) < 1e-5)).any()

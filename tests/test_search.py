@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 
@@ -258,6 +259,62 @@ def test_heisenberg_and_su2_census_is_a_certificate(monkeypatch):
         assert _conic_starts(levi_civita(M).coefficients).shape == (0, 3)
         got = search_tg_hyperplanes(M)
         assert len(got) == 0 and not got.continuum
+
+
+# --------------------------------------------- exact starts on solvable algebras
+
+def _aff_gram(eigs, angle):
+    r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    g = r @ np.diag(eigs) @ r.T
+    return 0.5 * (g + g.T)
+
+
+def test_exact_census_on_nonhomo_and_aff(monkeypatch):
+    # nonhomo: the R family is Z (not TG), the weight-2 aff(1) family
+    # span{Z, Y} holds Y; aff(1): the family is g, and Y/|Y| is TG under
+    # every gram (here the census bench's four)
+    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    rng = np.random.default_rng(47)
+    c = catalog.nonhomo().algebra.structure_constants
+    for Q in (np.eye(4), random_orthogonal(rng, 4), random_orthogonal(rng, 4)):
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(rotate_constants(c, Q))))
+        y = Q[3]                                # Y in the rotated basis
+        assert len(got) == 1 and not got.continuum
+        assert max(got.residuals) < 1e-12
+        assert min(np.abs(got.normals[0] - y).max(), np.abs(got.normals[0] + y).max()) < 1e-12
+    aff = np.zeros((2, 2, 2))
+    aff[0, 1, 1], aff[1, 0, 1] = 1.0, -1.0
+    for eigs, angle in (((0.5, 2.0), 0.85), ((1 / 3, 3.0), 2.29), ((1 / 3, 3.0), 2.69),
+                        ((0.25, 2.0), 2.56)):
+        gram = _aff_gram(eigs, angle)
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(aff), gram))
+        assert len(got) == 1 and not got.continuum
+        assert np.abs(got.normals[0] - np.eye(2)[1] / np.sqrt(gram[1, 1])).max() < 1e-12
+        assert got.residuals[0] < 1e-12
+
+
+def _algebra_file(tmp_path, c):
+    n = len(c)
+    data = {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": c[i, j].tolist()}
+                                   for i in range(n) for j in range(i + 1, n)
+                                   if np.abs(c[i, j]).max() > 0]}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_continuum_and_wide_r_family_print_the_multistart_bytes(tmp_path):
+    # e(2) + R: the R family's polynomials vanish (a continuum); heisenberg
+    # + R: the R family is 3-dim.  Both keep the seeded multistart's bytes
+    from tgkit import tg_analysis
+    heis = direct_sum(catalog.heisenberg().algebra.structure_constants, np.zeros((1, 1, 1)))
+    for c in (_e2_plus_line().algebra.structure_constants, heis):
+        M = MetricLieAlgebra(LieAlgebra(c))
+        assert tg_analysis._family_starts(M.onb_constants, levi_civita(M).coefficients) is None
+        argv = ["--algebra", _algebra_file(tmp_path, c), "--seed", "3"]
+        text = _search_json(argv)
+        with mock.patch.object(tg_analysis, "_family_starts", lambda c, G: None):
+            assert _search_json(argv) == text
 
 
 def _h3_file(tmp_path, gram=None):

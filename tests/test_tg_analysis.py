@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import direct_sum, normal_curvature_identity, second_normal_identity
+from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
+                     rotate_constants, second_normal_identity)
 
 from tgkit import catalog
 from tgkit.config import DEFAULT
@@ -171,12 +172,22 @@ def test_helix_witness_exact_recovery():
 def test_helix_and_frenet_gates_reject_nan(field, error):
     # admission rejects NaN structure constants, and the residuals of an
     # admitted algebra are finite, so a NaN tolerance is what reaches these
-    # gates; the Frenet frame's orthonormality gate has a fixed bound and
-    # stays unreachable
+    # gates; the Frenet frame's orthonormality gate has a fixed bound, which
+    # round-off alone can cross (test_frenet_orthonormality_gate_is_reachable)
     tol = DEFAULT.replace(**{field: float("nan")})
     M = MetricLieAlgebra(LieAlgebra(catalog.sl2().algebra.structure_constants, tol), None, tol)
     with pytest.raises(error):
         helix_witness(M, E3[:, 0])
+
+
+def test_frenet_orthonormality_gate_is_reachable():
+    # curvatures (80, 2e-4) in a rotated basis: round-off leaves the frame
+    # 2.3e-10 from orthonormal, past the fixed 1e-10 bound
+    Q = random_orthogonal(np.random.default_rng(1), 3)
+    c = rotate_constants(catalog.sl2(1e-4, 40).algebra.structure_constants, Q)
+    M = MetricLieAlgebra(LieAlgebra(0.5 * (c - np.transpose(c, (1, 0, 2)))))
+    with pytest.raises(TgkitError, match="Frenet frame lost orthonormality"):
+        frenet_orbit(M, Q[0])
 
 
 def test_helix_witness_with_flat_factor():

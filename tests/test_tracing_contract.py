@@ -89,7 +89,7 @@ def test_rebinding_records_chart_spans_and_restores(tracing):
 
 @pytest.mark.parametrize("name", ["sl2", "nonhomo"])
 def test_rebinding_records_search_spans_and_restores(tracing, name):
-    # sl2 takes the exact n = 3 starts, nonhomo the seeded multistart
+    # sl2 takes the exact n = 3 starts, nonhomo the solvable-family starts
     ta = tgkit.tg_analysis
     original = (ta.search_tg_hyperplanes, ta.hyperplane_tg_residual)
     tracer = tracing.Tracer()
