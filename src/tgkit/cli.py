@@ -17,7 +17,7 @@ import numpy as np
 
 from . import catalog
 from .config import DEFAULT, Tolerances
-from .coord_engine import (CoordinateMetric, export_trajectory_csv,
+from .coord_engine import (MAX_GRID, CoordinateMetric, export_trajectory_csv,
                            geodesic_integrate)
 from .errors import AlgebraFileError, BadParams, NotTotallyGeodesic, TgkitError
 from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, Subspace,
@@ -436,8 +436,8 @@ def _parse_tols(pairs):
             raise BadParams(f"--tol expects NAME=VALUE, got {item!r}")
         overrides[key] = _coerce(val)
     grid = overrides.pop("grid", 50)
-    if not isinstance(grid, int) or grid < 2:
-        raise BadParams("grid must be an integer >= 2")
+    if not isinstance(grid, int) or not 2 <= grid <= MAX_GRID:
+        raise BadParams(f"grid must be an integer in [2, {MAX_GRID}], got {grid!r}")
     try:
         tol = DEFAULT.replace(**{k: float(v) for k, v in overrides.items()})
     except TypeError:

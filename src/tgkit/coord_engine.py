@@ -24,6 +24,9 @@ from .tg_analysis import FrenetData
 # Largest step count geodesic_integrate accepts: the trajectory and its
 # grams are held in memory, (2n + 1 + n^2) floats per step.
 MAX_RK4_STEPS = 10**6
+# Largest verify sampling density (--tol grid): twisting_ode_residual
+# evaluates a grid x grid stack of (t, u) points at once.
+MAX_GRID = 1000
 # RK4 steps whose stage grams geodesic_integrate gates in one pass; bounds
 # the pending stage buffer at 4 * _GATE_STEPS grams.
 _GATE_STEPS = 64

@@ -110,7 +110,8 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
     """n_starts and seed are read only where the search falls back to seeded
-    multistart; the exact n = 3 and solvable-family paths draw no start."""
+    multistart (g not solvable, an R-family kernel K with dim K >= 2, a
+    repeated weight); the exact n = 3 and solvable-family paths draw no start."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = DEFAULT.search_residual
@@ -331,28 +332,30 @@ def _family_starts(c, G):
     If t^perp = h is a subalgebra of codimension one and N is the largest
     ideal of g inside h, g/N is R, aff(1) or sl2(R) (K. H. Hofmann, Illinois
     J. Math. 9, 1965), and not sl2(R) on a solvable g.  g/N = R: t lies in
-    U = (g')^perp.  g/N = aff(1): the quotient map is alpha a + phi b, with
+    U = (g')^perp, where M(t) = G.t is symmetric with M(t) t = 0, so t is TG
+    iff G.t = 0: the R-family normals are the unit vectors of the kernel K
+    of u -> G.u on U.  g/N = aff(1): the quotient map is alpha a + phi b, with
     alpha a character (a vector in U) and phi on g' a real joint eigenvector
     theta, of weight alpha, of U acting on (g'/g'')* (g'/g'' represented by
     W = g' cap (g'')^perp); phi on U solves phi([u_k, u_l]) = alpha_k
     phi(u_l) - alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself
-    for n = 2).  The starts are U when it is a line and the _line_starts of
-    each 2-dim family, where the TG residual is small.  None when g is not
-    solvable, dim U >= 3, a real weight repeats, or a family's polynomials
-    vanish identically.
+    for n = 2).  The starts are K and the _line_starts of each aff(1)
+    family, where the TG residual is small.  None when g is not solvable,
+    dim K >= 2 (a whole sphere of TG normals), a real weight repeats, or a
+    family's polynomials vanish identically.
     """
     n = c.shape[0]
     D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
-    if len(U) >= 3:
-        return None
     D = D2 = _span_split(_brackets(c, D1, D1))[0]
     while len(D):                                   # does the derived series reach 0?
         nxt = _span_split(_brackets(c, D, D))[0]
         if len(nxt) == len(D):
             return None
         D = nxt
-    points = [U if len(U) == 1 else np.empty((0, n))]
-    families = [U] if len(U) == 2 else []
+    K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U
+    if len(K) >= 2:
+        return None
+    points, families = [K], []
     W = _span_split(D1 - D1 @ D2.T @ D2)[0]
     A = np.einsum('ki,qj,ijl,pl->kpq', U, W, c, W)  # A[k]: ad u_k on g'/g'', basis W
     scale = max(1.0, float(np.abs(G).max()))
@@ -402,12 +405,12 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt.
 
     For n = 3 the starts are the exact points of _conic_starts; for other n
-    on a solvable algebra, the exact points of _family_starts on Hofmann's
-    R and aff(1) families.  Where neither applies (g not solvable, an R
-    family of dimension 3 or more, a repeated weight) or a continuum is
-    possible, config.n_starts seeded random starts.  All starts run
-    together as one array through _batch_lm and are certified as one stack
-    by _tg_residuals.
+    on a solvable algebra, the exact points of _family_starts: the kernel K
+    of Hofmann's R family and the aff(1) families.  Where neither applies
+    (g not solvable, a repeated weight) or a continuum is possible (dim
+    K >= 2, a family whose polynomials vanish), config.n_starts seeded
+    random starts.  All starts run together as one array through _batch_lm
+    and are certified as one stack by _tg_residuals.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input

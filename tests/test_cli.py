@@ -7,9 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from tgkit import cli
+from tgkit import catalog, cli
 from tgkit.cli import canonical_json, parse_algebra_file, parse_builtin, run
 from tgkit.config import DEFAULT
+from tgkit.coord_engine import MAX_GRID
 from tgkit.errors import AlgebraFileError, BadParams
 
 
@@ -221,6 +222,19 @@ def test_verify_twisted_with_grid(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[pass] twisted-h2" in out
+
+
+def _no_ledger(*args):
+    raise AssertionError("ledger ran")
+
+
+@pytest.mark.parametrize("grid", [1, 1001, 10**9])
+def test_grid_outside_its_bound_exits_1_before_any_ledger_runs(grid, monkeypatch, capsys):
+    monkeypatch.setitem(catalog.LEDGER, "twisted-h2", _no_ledger)
+    assert run(["verify", "twisted-h2", "--tol", f"grid={grid}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tgkit: error:") and "grid must be an integer in [2, 1000]" in err
+    assert cli._parse_tols([f"grid={MAX_GRID}"])[1] == MAX_GRID == 1000
 
 
 def test_geodesic_csv_out(tmp_path, capsys):

@@ -342,3 +342,63 @@ def test_family_starts_agree_with_multistart(weights, k, block, mix, line, basis
         # the sign rule reads the first coordinate above 1e-6: no true
         # coordinate sits near it
         assert not ((np.abs(x) > 1e-9) & (np.abs(x) < 1e-5)).any()
+
+
+# the R-family kernel against 512 seeded starts on solvable algebras whose
+# R family U = (g')^perp is 2- to 4-dim: R^2 x| R^3 (two diagonal
+# derivations, distinct joint weights), aff(1)^3, aff(1)^2 + R, heisenberg
+# + aff(1) and heisenberg + R, in a rotated or an SPD basis
+AFF = _semidirect(np.ones((1, 1)))
+HEIS = catalog.heisenberg().algebra.structure_constants
+LINE = np.zeros((1, 1, 1))
+
+
+def _r2_r3(w):
+    c = np.zeros((5, 5, 5))
+    for z in (0, 1):
+        for k in range(3):
+            c[z, 2 + k, 2 + k], c[2 + k, z, 2 + k] = w[3 * z + k], -w[3 * z + k]
+    return c
+
+
+WIDE_R = {
+    "r2-r3": _r2_r3,
+    "aff3": lambda w: direct_sum(direct_sum(AFF, AFF), AFF),
+    "aff2+R": lambda w: direct_sum(direct_sum(AFF, AFF), LINE),
+    "heis+aff": lambda w: direct_sum(HEIS, AFF),
+    "heis+R": lambda w: direct_sum(HEIS, LINE),
+}
+
+
+def _basis_change(c, basis, rng):
+    n = len(c)
+    if basis == "rotated":
+        return MetricLieAlgebra(LieAlgebra(rotate_constants(c, random_orthogonal(rng, n))))
+    a = rng.standard_normal((n, n))
+    return MetricLieAlgebra(LieAlgebra(c), a @ a.T + 0.5 * np.eye(n))
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_R))
+@hypothesis.settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@hypothesis.given(weights=st.permutations(WEIGHTS), basis=st.sampled_from(["rotated", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_r_family_kernel_agrees_with_multistart(kind, weights, basis, seed):
+    M = _basis_change(WIDE_R[kind](weights), basis, np.random.default_rng(seed))
+    assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
+    exact = ta.search_tg_hyperplanes(M)
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None):
+        multi = ta.search_tg_hyperplanes(M, ta.SearchConfig(n_starts=512))
+    assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
+    for x in exact.normals:
+        assert min(np.abs(x - y).max() for y in multi.normals) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_kernel_plane_leaves_the_family_starts(seed):
+    # heisenberg + R^2 (K the 2-dim centre part of U, under any gram) and
+    # e(2) + R (K = U): a sphere of TG normals, left to multistart
+    rng = np.random.default_rng(seed)
+    heis_plane = direct_sum(HEIS, np.zeros((2, 2, 2)))
+    for M in (_basis_change(heis_plane, "rotated", rng), _basis_change(heis_plane, "spd", rng),
+              _basis_change(direct_sum(_algebra3("e2"), LINE), "rotated", rng)):
+        assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is None

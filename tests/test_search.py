@@ -303,11 +303,35 @@ def _algebra_file(tmp_path, c):
     return str(path)
 
 
-def test_continuum_and_wide_r_family_print_the_multistart_bytes(tmp_path):
-    # e(2) + R: the R family's polynomials vanish (a continuum); heisenberg
-    # + R: the R family is 3-dim.  Both keep the seeded multistart's bytes
-    from tgkit import tg_analysis
+def test_exact_census_on_wide_r_families(monkeypatch):
+    # heisenberg + R: the R family U = span{x, y, e3} has the kernel K =
+    # span{e3}; aff(1)^3: K = 0 and each weight's aff(1) family holds its b_i
+    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    rng = np.random.default_rng(53)
+    aff = np.zeros((2, 2, 2))
+    aff[0, 1, 1], aff[1, 0, 1] = 1.0, -1.0
     heis = direct_sum(catalog.heisenberg().algebra.structure_constants, np.zeros((1, 1, 1)))
+    for c, want in ((heis, np.eye(4)[[3]]),
+                    (direct_sum(direct_sum(aff, aff), aff), np.eye(6)[[5, 3, 1]])):
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(c)))
+        assert len(got) == len(want) and not got.continuum
+        assert np.array_equal(got.normals, want)
+        assert got.residuals == [0.0] * len(want)
+        Q = random_orthogonal(rng, len(c))
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(rotate_constants(c, Q))))
+        assert len(got) == len(want) and not got.continuum
+        assert max(got.residuals) < 1e-12
+        for x in want @ Q:                      # the normals in the rotated basis
+            assert min(min(np.abs(y - x).max(), np.abs(y + x).max())
+                       for y in got.normals) < 1e-12
+
+
+def test_continuum_and_wide_r_family_print_the_multistart_bytes(tmp_path):
+    # e(2) + R: the R family's kernel is all of U = span{e2, e3}; heisenberg
+    # + R^2: U is 4-dim and its kernel the 2-dim centre part.  Both are
+    # continua and keep the seeded multistart's bytes
+    from tgkit import tg_analysis
+    heis = direct_sum(catalog.heisenberg().algebra.structure_constants, np.zeros((2, 2, 2)))
     for c in (_e2_plus_line().algebra.structure_constants, heis):
         M = MetricLieAlgebra(LieAlgebra(c))
         assert tg_analysis._family_starts(M.onb_constants, levi_civita(M).coefficients) is None
