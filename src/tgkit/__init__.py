@@ -5,8 +5,7 @@ from .catalog import (CATALOG_NAMES, abelian, catalog_lookup, euclidean_metric,
                       sl2, twisted_h2, twisted_h2_cartesian)
 from .config import DEFAULT, Tolerances
 from .coord_engine import (CoordinateMetric, EikonalResiduals,
-                           GeodesicTrajectory, LevelSetHypersurface,
-                           ScalarField, SffResult, TwistedProductSpec,
+                           GeodesicTrajectory, ScalarField, TwistedProductSpec,
                            build_twisted_product, build_warped_product,
                            christoffel, eikonal_residuals,
                            export_trajectory_csv, frenet_numeric,
@@ -22,12 +21,12 @@ from .lie_core import (ConnectionTable, CurvatureData, LieAlgebra,
                        MetricLieAlgebra, Subspace, complement_onb,
                        curvature_tensor, jacobi_residual, levi_civita,
                        sectional, wedge_coords)
-from .tg_analysis import (CaseTag, CharacterSpace, ClassificationReport,
-                          FrenetData, HelixWitness, SearchConfig, SearchResult,
-                          SubspaceCheck, SubspaceWitness,
-                          character_space, classify_case, codazzi_residual,
-                          frenet_orbit, helix_witness, hyperplane_tg_residual,
-                          search_tg_hyperplanes, tg_subspace_check)
+from .tg_analysis import (CaseTag, ClassificationReport, FrenetData,
+                          HelixWitness, SearchConfig, SearchResult,
+                          SubspaceCheck, SubspaceWitness, classify_case,
+                          codazzi_residual, frenet_orbit, helix_witness,
+                          hyperplane_tg_residual, search_tg_hyperplanes,
+                          tg_subspace_check)
 
 __version__ = "0.1.0"
 
@@ -44,12 +43,11 @@ __all__ = [
     "SubspaceCheck", "SubspaceWitness", "tg_subspace_check",
     "hyperplane_tg_residual", "SearchConfig", "SearchResult",
     "search_tg_hyperplanes", "FrenetData", "frenet_orbit", "HelixWitness",
-    "helix_witness", "CaseTag",
-    "CharacterSpace", "character_space", "codazzi_residual",
+    "helix_witness", "CaseTag", "codazzi_residual",
     "ClassificationReport", "classify_case",
     "ScalarField", "CoordinateMetric", "christoffel", "GeodesicTrajectory",
-    "geodesic_integrate", "export_trajectory_csv", "LevelSetHypersurface",
-    "SffResult", "second_fundamental_form", "build_warped_product",
+    "geodesic_integrate", "export_trajectory_csv",
+    "second_fundamental_form", "build_warped_product",
     "TwistedProductSpec", "twisting_phi", "build_twisted_product",
     "twisting_ode_residual", "EikonalResiduals", "eikonal_residuals",
     "riemann_at", "sectional_at", "frenet_numeric",

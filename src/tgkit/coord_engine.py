@@ -364,48 +364,25 @@ def export_trajectory_csv(traj: GeodesicTrajectory, path):
 
 # ------------------------------------------------------------- hypersurfaces
 
-class LevelSetHypersurface:
-    """The zero set {h = 0} of a scalar field with nonvanishing gradient."""
-
-    def __init__(self, field: ScalarField):
-        self.field = field
-
-    def normal(self, CM: CoordinateMetric, x):
-        g = CM.gram(x)
-        dh = self.field.gradient(x)
-        if np.linalg.norm(dh) <= 1e-8:
-            raise MetricDegenerate(f"level-set gradient vanishes at {np.asarray(x).tolist()}")
-        grad = np.linalg.solve(g, dh)
-        return grad / np.sqrt(grad @ g @ grad)
-
-
-class SffResult(typing.NamedTuple):
-    matrix: np.ndarray      # coordinate tangent frame
-    max_norm: float         # largest entry in an orthonormalized tangent frame
-
-
-def second_fundamental_form(CM: CoordinateMetric, H: LevelSetHypersurface, x) -> SffResult:
-    """II(X, Y) = -<nabla_X Y, xi> = Hess h(X, Y) / |grad h|_g on {h = 0}."""
+def second_fundamental_form(CM: CoordinateMetric, h: ScalarField, x) -> np.ndarray:
+    """II(X, Y) = -<nabla_X Y, xi> = Hess h(X, Y) / |grad h|_g on the level
+    set {h = 0}, in a g-orthonormal tangent frame at x."""
     x = np.asarray(x, float)
-    if abs(H.field.value(x)) >= 1e-10:
-        raise BadParams(f"point not on the hypersurface (h = {H.field.value(x):.3e})")
+    if abs(h.value(x)) >= 1e-10:
+        raise BadParams(f"point not on the hypersurface (h = {h.value(x):.3e})")
     g = CM.gram(x)
-    dh = H.field.gradient(x)
+    dh = h.gradient(x)
     if np.linalg.norm(dh) <= 1e-8:
         raise MetricDegenerate("level-set gradient vanishes")
     G = _christoffel_from(g, CM.partials(x))
-    hess = H.field.hessian(x) - np.einsum('kij,k->ij', G, dh)
+    hess = h.hessian(x) - np.einsum('kij,k->ij', G, dh)
     gradnorm = float(np.sqrt(dh @ np.linalg.solve(g, dh)))
     # tangent coordinate frame e_a - (dh[a] / dh[m]) e_m, a != m, eliminating
-    # the largest-gradient coordinate m
+    # the largest-gradient coordinate m, then orthonormalized in g
     m = int(np.argmax(np.abs(dh)))
     n = CM.dim
-    Tmat = np.delete(np.eye(n) - np.outer(np.eye(n)[m], dh / dh[m]), m, axis=1)
-    sff = Tmat.T @ hess @ Tmat / gradnorm
-    # orthonormalize the tangent frame in g for the reported max norm
-    Q = gram_schmidt(Tmat.copy(), g)
-    sff_onb = Q.T @ (hess / gradnorm) @ Q
-    return SffResult(sff, float(np.abs(sff_onb).max()))
+    Q = gram_schmidt(np.delete(np.eye(n) - np.outer(np.eye(n)[m], dh / dh[m]), m, axis=1), g)
+    return Q.T @ (hess / gradnorm) @ Q
 
 
 # ---------------------------------------------------------- product builders

@@ -17,8 +17,8 @@ from .config import DEFAULT
 from .errors import (DimensionMismatch, IdealResidualExceeded, NonUnitVector,
                      NotHelixOrderTwo, NotRecognized, NotTotallyGeodesic,
                      TgkitError)
-from .lie_core import (LieAlgebra, MetricLieAlgebra, Subspace, complement_onb,
-                       curvature_tensor, levi_civita, rowdot, wedge_coords)
+from .lie_core import (MetricLieAlgebra, Subspace, complement_onb, curvature_tensor,
+                       levi_civita, rowdot, wedge_coords)
 
 
 # ---------------------------------------------------------------- subspaces
@@ -478,6 +478,7 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
     G = levi_civita(M).coefficients
     frame = [t]
     ks = []
+    ws = []                     # the w_s behind each accepted k_s
     trunc = float('nan')
     borderline = False
     for s in range(1, p_max + 1):
@@ -490,6 +491,7 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
             borderline = k >= tol.eps_k_warn
             break
         ks.append(k)
+        ws.append(w)
         frame.append(w / k)
     # the frame's orthonormality and the recursion identity; round-off can
     # break the first when the curvatures are far apart (rotated
@@ -498,11 +500,8 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
     onb_res = np.abs(F.T @ F - np.eye(len(frame))).max()
     if not onb_res <= 1e-10:
         raise TgkitError(f"Frenet frame lost orthonormality ({onb_res:.3e})")
-    for s in range(1, len(ks) + 1):
-        w = np.einsum('ijk,i,j->k', G, frame[0], frame[s - 1])
-        if s >= 2:
-            w = w + ks[s - 2] * frame[s - 2]
-        res = np.linalg.norm(w - ks[s - 1] * frame[s])
+    for w, k, e in zip(ws, ks, frame[1:]):
+        res = np.linalg.norm(w - k * e)
         if not res <= tol.frenet_recursion:
             raise TgkitError(f"Frenet recursion residual {res:.3e}")
     return FrenetData(len(ks), tuple(ks),
@@ -514,12 +513,9 @@ def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
 
 @dataclasses.dataclass(frozen=True)
 class HelixWitness:
-    T: np.ndarray
-    N1: np.ndarray
-    N2: np.ndarray
-    Lambda: Subspace
-    s: Subspace
-    ideal_I: Subspace
+    Lambda: Subspace            # span(T, N1, N2), the sl2 lift
+    s: Subspace                 # span(N1, N2), the 2-dim solvable TG subalgebra
+    ideal_I: Subspace           # Lambda^perp, kernel of the submersion onto SL(2)~
     quotient_constants: np.ndarray
     recovered_a: float
     recovered_b: float
@@ -551,9 +547,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     target[1, 2] = (0.0, 0.0, -k1)
     target -= np.transpose(target, (1, 0, 2))
     table_res = float(np.abs(q - target).max())
-    # orthonormal basis of the complement via SVD null space
-    _, sv, vt = np.linalg.svd(B.T)
-    I_basis = vt[3:].T                                        # n x (n-3)
+    I_basis = _span_split(B.T)[1].T                           # n x (n-3)
     ideal_res = 0.0
     if I_basis.shape[1] > 0:
         br = np.einsum('pqk,qu->puk', c, I_basis)             # [e_p, u] for u in I
@@ -564,7 +558,6 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     if not table_res <= tol.bracket_table:
         raise NotRecognized(f"quotient bracket table residual {table_res:.3e}")
     return HelixWitness(
-        T=fd.frame[0], N1=fd.frame[1], N2=fd.frame[2],
         Lambda=Subspace(n, np.stack(fd.frame, axis=1)),
         s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1)),
         ideal_I=Subspace(n, np.stack([M.from_onb(I_basis[:, k])
@@ -585,23 +578,6 @@ class CaseTag(str, enum.Enum):
     CIRCLE_NORMAL = "CircleNormal"
     HELIX_ORDER_TWO = "HelixOrderTwo"
     HIGHER_ORDER = "HigherOrder"
-
-
-@dataclasses.dataclass(frozen=True)
-class CharacterSpace:
-    functionals: np.ndarray    # rows are functionals annihilating [g,g]
-    derived_dim: int           # n - rank of span{[e_i,e_j]}
-
-
-def character_space(L: LieAlgebra) -> CharacterSpace:
-    c = L.structure_constants
-    n = L.dim
-    functionals = _span_split(c.reshape(n * n, n))[1]
-    if functionals.size:
-        worst = np.abs(np.einsum('fk,ijk->fij', functionals, c)).max()
-        if worst > 1e-10:     # pragma: no cover - nullspace is exact
-            raise TgkitError(f"character space annihilation failed ({worst:.3e})")
-    return CharacterSpace(functionals, len(functionals))
 
 
 def codazzi_residual(M: MetricLieAlgebra, T) -> float:

@@ -1,4 +1,4 @@
-"""The bench recorder's aggregation, on canned result lines; no benchmark runs."""
+"""The bench recorder's aggregation and line count, on canned inputs; no benchmark runs."""
 import importlib.util
 import json
 from pathlib import Path
@@ -30,3 +30,14 @@ def test_aggregate_of_one_run_is_that_run():
     line = _line({("census", "setup_s"): 0.25})
     assert bench_record.aggregate([line], ["census"], ["setup_s"]) == \
         {"census": {"setup_s": 0.25}}
+
+
+def test_src_lines_counts_newlines_of_the_package_modules(tmp_path):
+    pkg = tmp_path / "src" / "tgkit"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("a = 1\nb = 2\n")
+    (pkg / "mod.py").write_text("x\n\n\ny")          # no final newline: 3, as wc -l
+    (pkg / "notes.txt").write_text("skipped\n")
+    (tmp_path / "src" / "other.py").write_text("skipped\n")
+    assert bench_record.src_lines(tmp_path) == 5
+    assert bench_record.src_lines(bench_record.ROOT) > 0

@@ -10,7 +10,7 @@ from tgkit.errors import (DimensionMismatch, IdealResidualExceeded,
                           NonUnitVector, NotHelixOrderTwo, NotRecognized,
                           NotTotallyGeodesic, TgkitError)
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace
-from tgkit.tg_analysis import (CaseTag, character_space, classify_case,
+from tgkit.tg_analysis import (CaseTag, classify_case,
                                codazzi_residual, frenet_orbit, helix_witness,
                                hyperplane_tg_residual, search_tg_hyperplanes,
                                tg_subspace_check)
@@ -297,32 +297,6 @@ def test_search_and_classify_reuse_the_cached_connection():
     for T in search_tg_hyperplanes(M).normals:
         classify_case(M, T)
     assert M.connection.coefficients is G
-
-
-# ------------------------------------------------------- character space
-
-def test_character_space_dimensions():
-    cs = character_space(catalog.abelian(3).algebra)
-    assert cs.derived_dim == 3
-    assert cs.functionals.shape == (3, 3)
-
-    cs = character_space(catalog.sl2(1, 1).algebra)
-    assert cs.derived_dim == 0
-    assert cs.functionals.shape[0] == 0
-
-    cs = character_space(catalog.nonhomo().algebra)
-    assert cs.derived_dim == 1
-    f = cs.functionals[0]
-    assert abs(abs(f[0]) - 1.0) < 1e-12
-    assert np.abs(f[1:]).max() < 1e-12
-
-
-def test_character_annihilates_brackets():
-    for M in (catalog.nonhomo(), catalog.heisenberg()):
-        c = M.algebra.structure_constants
-        cs = character_space(M.algebra)
-        for f in cs.functionals:
-            assert np.abs(np.einsum('k,ijk->ij', f, c)).max() < 1e-12
 
 
 # --------------------------------------------------------- curvature ids

@@ -4,8 +4,7 @@ import pytest
 from helpers import cart_coeffs_series, constant
 
 from tgkit import catalog, coord_engine
-from tgkit.coord_engine import (LevelSetHypersurface, ScalarField,
-                                TwistedProductSpec, build_twisted_product,
+from tgkit.coord_engine import (ScalarField, TwistedProductSpec, build_twisted_product,
                                 eikonal_residuals, frenet_numeric,
                                 second_fundamental_form, sectional_at,
                                 twisting_ode_residual, twisting_phi)
@@ -157,11 +156,10 @@ def test_slices_are_totally_geodesic():
     h = ScalarField(lambda x: x[..., 0],
                     grad=constant([1.0, 0.0, 0.0]),
                     hess=constant(np.zeros((3, 3))))
-    H = LevelSetHypersurface(h)
     for r in (0.3, 0.8, 1.5):
         for th in (0.2, 2.1):
-            out = second_fundamental_form(CM, H, np.array([0.0, r, th]))
-            assert out.max_norm < 1e-7
+            out = second_fundamental_form(CM, h, np.array([0.0, r, th]))
+            assert np.abs(out).max() < 1e-7
 
 
 # ------------------------------------------------------------ chart matching
@@ -251,3 +249,20 @@ def test_cartesian_series_tables_match_factorial_loop():
     # import must round as the loop that computes them term by term
     for u in np.linspace(0.0, 0.25, 2000, endpoint=False):
         assert catalog._cart_coeffs(u) == cart_coeffs_series(u)
+
+
+def test_cartesian_stacks_equal_the_per_point_results():
+    # rows at the axis u = 0 and on either side of the series / closed-form
+    # switch at u = 0.25 round as the float path at each point
+    CM = catalog.twisted_h2_cartesian(1.5)
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    pts = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.2, below, 0.0],
+                    [-0.4, 0.0, below], [1.1, above, 0.0], [0.3, 0.0, -above]])
+    u = pts[:, 1] ** 2 + pts[:, 2] ** 2
+    assert (u[:2] == 0.0).all() and (u[2:4] < 0.25).all() and (u[4:] > 0.25).all()
+    for f in (CM.gram_at, CM.partials_at):
+        stacked = f(pts)
+        assert np.array_equal(stacked, np.stack([f(p) for p in pts]))
+        assert np.array_equal(f(pts.reshape(2, 3, 3)), stacked.reshape((2, 3) + stacked.shape[1:]))
+    assert CM.gram_at(np.empty((0, 3))).shape == (0, 3, 3)
+    assert CM.partials_at(np.empty((0, 3))).shape == (0, 3, 3, 3)

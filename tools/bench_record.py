@@ -7,8 +7,9 @@ Runs `python3 perfbench/run.py --workload all --seed S` K times on this
 checkout, one run after the other, and writes the median over the runs of
 each end-to-end metric that BENCHMARK.json declares, per workload, with K,
 the seed, the commit (and whether the tree differs from it), the Python and
-numpy versions and the number of usable CPUs.  Standard library only; it
-leaves perfbench/ and BENCHMARK.json as they are.
+numpy versions, the number of usable CPUs and `src_lines`, the `wc -l` total
+of src/tgkit/*.py.  Standard library only; it leaves perfbench/ and
+BENCHMARK.json as they are.
 """
 from __future__ import annotations
 
@@ -32,6 +33,12 @@ def aggregate(result_lines, workloads, metrics):
     return {w: {m: statistics.median(run[f"{w}.{m}"]["value"] for run in runs)
                 for m in metrics}
             for w in workloads}
+
+
+def src_lines(root):
+    """Lines of src/tgkit/*.py under root, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(root) / "src" / "tgkit").glob("*.py"))
 
 
 def _git(*args):
@@ -61,6 +68,7 @@ def main(argv=None):
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
         "nproc": len(os.sched_getaffinity(0)),
+        "src_lines": src_lines(ROOT),
         "failed_ops": failed,
         "medians": aggregate(lines, [w["name"] for w in spec["workloads"]],
                              [m["name"] for m in spec["end_to_end"]]),
