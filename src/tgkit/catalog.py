@@ -20,29 +20,13 @@ from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec,
                            mathlib, second_fundamental_form, sectional_at,
                            twisting_ode_residual)
 from .errors import BadParams, UnknownName
-from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, curvature_tensor,
-                       jacobi_residual, levi_civita, sectional)
-from .tg_analysis import (SearchConfig, classify_case, frenet_orbit,
-                          helix_witness, hyperplane_tg_residual,
-                          search_tg_hyperplanes)
+from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, _antisym, _sl2_closed,
+                       curvature_tensor, jacobi_residual, levi_civita, sectional)
+from .tg_analysis import (classify_case, frenet_orbit, helix_witness,
+                          hyperplane_tg_residual, search_tg_hyperplanes)
 
 CATALOG_NAMES = ("sl2", "nonhomo", "heisenberg", "abelian",
                  "hyperbolic2", "twisted-h2", "euclidean")
-
-
-def _antisym(entries, n):
-    c = np.zeros((n, n, n))
-    for (i, j, k), v in entries.items():
-        c[i, j, k] += v
-        c[j, i, k] -= v
-    return c
-
-
-def _sl2_closed(a, b):
-    # [E1,E2] = 2a E3, [E1,E3] = 2b E1 - 2a E2, [E2,E3] = -2b E2
-    return _antisym({(0, 1, 2): 2 * a,
-                     (0, 2, 0): 2 * b, (0, 2, 1): -2 * a,
-                     (1, 2, 1): -2 * b}, 3)
 
 
 def sl2(a=1.0, b=1.0, tol=DEFAULT):
@@ -399,8 +383,7 @@ def _verify_nonhomo(params, tol, grid):
 def _verify_heisenberg(params, tol, grid):
     M, _ = _lookup("heisenberg", params, None, tol)
     rows = [_row("jacobi", jacobi_residual(M.algebra), tol.jacobi)]
-    res = search_tg_hyperplanes(
-        M, SearchConfig(seed=0, residual_threshold=tol.search_residual))
+    res = search_tg_hyperplanes(M)
     rows.append(_row("no_certified_hyperplanes", float(len(res.normals)),
                      0.0, ok=len(res.normals) == 0))
     return rows

@@ -256,13 +256,7 @@ def _cmd_tg_check(args, tol, grid):
         S = _parse_subspace(args.subspace, M.dim)
         desc = dict(desc, subspace=args.subspace)
         check = tg_subspace_check(M, S)
-        witness = None
-        if check.witness is not None:
-            witness = {"kind": check.witness.kind, "i": check.witness.i,
-                       "j": check.witness.j,
-                       "component": check.witness.component.tolist()}
-        result = {"ok": check.ok, "residual": check.residual, "witness": witness,
-                  "subspace_dim": S.dim}
+        result = dict(dataclasses.asdict(check), subspace_dim=S.dim)
         return (result, {"tg_residual": check.residual}, None,
                 0 if check.ok else 2, desc)
     T, desc = _unit_normal(M, args, desc, "tg-check needs --subspace or --normal")
@@ -273,21 +267,12 @@ def _cmd_tg_check(args, tol, grid):
     return result, {"tg_residual": res}, None, 0 if ok else 2, desc
 
 
-def _frenet_payload(fr):
-    return {"order": fr.order,
-            "curvatures": list(fr.curvatures),
-            "frame": [list(v) for v in fr.frame],
-            "truncation_residual": fr.truncation_residual,
-            "borderline": fr.borderline,
-            "error_bars": fr.error_bars}
-
-
 def _cmd_frenet(args, tol, grid):
     M, names, desc = _load_algebra(args, tol)
     T, desc = _unit_normal(M, args, desc, "frenet needs --normal")
     fr = frenet_orbit(M, T)
     residuals = {"truncation_residual": fr.truncation_residual}
-    return _frenet_payload(fr), residuals, None, 0, desc
+    return dataclasses.asdict(fr), residuals, None, 0, desc
 
 
 def _cmd_classify(args, tol, grid):
@@ -299,7 +284,7 @@ def _cmd_classify(args, tol, grid):
         result = {"error": str(exc), "ok": False}
         return result, {exc.label: exc.residual}, None, 2, desc
     result = {"case_tag": report.case_tag.value,
-              "frenet": _frenet_payload(report.frenet),
+              "frenet": dataclasses.asdict(report.frenet),
               "eigenvalue_lambda": report.eigenvalue_lambda,
               "character_hint": None if report.character_hint is None
               else report.character_hint.tolist()}
@@ -392,20 +377,20 @@ _OPTIONS = {
                   help="tolerance override"),
     "--json": dict(action="store_true", help="canonical JSON on stdout"),
 }
-# each subcommand declares only the options its handler reads
+# each subcommand: help, the options its handler reads, the handler
 _INPUT = ("--algebra", "--builtin")
 _SUBCOMMANDS = {
-    "info": ("dimensions, brackets, and residual summary", _INPUT),
-    "curvature": ("curvature operator eigenvalues on coordinate pairs", _INPUT),
-    "tg-check": ("certify a subspace or hyperplane normal",
-                 _INPUT + ("--subspace", "--normal")),
-    "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",)),
-    "classify": ("case analysis of a certified normal", _INPUT + ("--normal",)),
-    "search": ("certified hyperplane normals (exact starts in dim 3 and on "
-               "solvable algebras, else seeded multistart)", _INPUT + ("--seed",)),
-    "geodesic": ("integrate a chart geodesic",
-                 ("--builtin", "--x0", "--v0", "--tmax", "--step")),
-    "verify": ("run the residual ledger over catalog entries", ("name",)),
+    "info": ("dimensions, brackets, and residual summary", _INPUT, _cmd_info),
+    "curvature": ("curvature operator eigenvalues on coordinate pairs", _INPUT, _cmd_curvature),
+    "tg-check": ("certify a subspace or hyperplane normal", _INPUT + ("--subspace", "--normal"),
+                 _cmd_tg_check),
+    "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",), _cmd_frenet),
+    "classify": ("case analysis of a certified normal", _INPUT + ("--normal",), _cmd_classify),
+    "search": ("certified hyperplane normals (exact starts in dim 3 and on solvable "
+               "algebras, else seeded multistart)", _INPUT + ("--seed",), _cmd_search),
+    "geodesic": ("integrate a chart geodesic", ("--builtin", "--x0", "--v0", "--tmax", "--step"),
+                 _cmd_geodesic),
+    "verify": ("run the residual ledger over catalog entries", ("name",), _cmd_verify),
 }
 
 
@@ -414,18 +399,11 @@ def _build_parser():
     parser = _Parser(prog="tgkit",
                      description="Totally geodesic hypersurface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, flags) in _SUBCOMMANDS.items():
+    for name, (help_, flags, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag in flags + ("--out", "--tol", "--json"):
             p.add_argument(flag, **_OPTIONS[flag])
     return parser
-
-
-_HANDLERS = {
-    "info": _cmd_info, "curvature": _cmd_curvature, "tg-check": _cmd_tg_check,
-    "frenet": _cmd_frenet, "classify": _cmd_classify, "search": _cmd_search,
-    "geodesic": _cmd_geodesic, "verify": _cmd_verify,
-}
 
 
 def _parse_tols(pairs):
@@ -439,13 +417,18 @@ def _parse_tols(pairs):
     if not isinstance(grid, int) or not 2 <= grid <= MAX_GRID:
         raise BadParams(f"grid must be an integer in [2, {MAX_GRID}], got {grid!r}")
     try:
-        tol = DEFAULT.replace(**{k: float(v) for k, v in overrides.items()})
-    except TypeError:
-        known = sorted(f.name for f in dataclasses.fields(Tolerances))
-        bad = sorted(set(overrides) - set(known))
-        raise BadParams(f"unknown tolerance names: {bad}")
-    except ValueError as exc:
+        values = {k: float(v) for k, v in overrides.items()}
+    except (ValueError, OverflowError) as exc:
         raise BadParams(f"bad tolerance value: {exc}")
+    # each override takes the type of its field's default: float, or int
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
+    bad = sorted(set(values) - set(kinds))
+    if bad:
+        raise BadParams(f"unknown tolerance names: {bad}")
+    bad = sorted(k for k, v in values.items() if kinds[k] is int and not v.is_integer())
+    if bad:
+        raise BadParams(f"integer tolerances need integral values: {bad}")
+    tol = DEFAULT.replace(**{k: kinds[k](v) for k, v in values.items()})
     bad = sorted(k for k, v in dataclasses.asdict(tol).items() if not np.isfinite(v))
     if bad:
         raise BadParams(f"tolerances must be finite: {bad}")
@@ -486,8 +469,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tol, grid, overrides = _parse_tols(args.tol)
-        handler = _HANDLERS[args.command]
-        out = handler(args, tol, grid)
+        out = _SUBCOMMANDS[args.command][2](args, tol, grid)
         result, residuals, case_tag, code, desc = out[:5]
         traj = out[5] if len(out) > 5 else None
         desc = dict(desc, command=args.command, tol=overrides, grid=grid)

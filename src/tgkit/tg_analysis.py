@@ -17,8 +17,9 @@ from .config import DEFAULT
 from .errors import (DimensionMismatch, IdealResidualExceeded, NonUnitVector,
                      NotHelixOrderTwo, NotRecognized, NotTotallyGeodesic,
                      TgkitError)
-from .lie_core import (MetricLieAlgebra, Subspace, complement_onb, curvature_tensor,
-                       levi_civita, rowdot, wedge_coords)
+from .lie_core import (MetricLieAlgebra, Subspace, _pair_index, _sl2_closed,
+                       complement_onb, curvature_tensor, levi_civita, rowdot,
+                       wedge_coords)
 
 
 # ---------------------------------------------------------------- subspaces
@@ -38,17 +39,17 @@ class SubspaceCheck:
     witness: SubspaceWitness | None
 
 
+def _matvecs(A, X):
+    """A @ x for every row x of X, each bit for bit the 1-D product (a plain
+    X @ A.T rounds differently)."""
+    return (A @ X[..., None])[..., 0]
+
+
 def _subspace_onb(M: MetricLieAlgebra, S: Subspace):
     # orthonormal basis of S in frame coordinates, order- and
     # orientation-preserving (QR with positive diagonal)
-    if S.dim == 0:
-        return np.empty((M.dim, 0))
-    B = np.stack([M.to_onb(S.basis[:, k]) for k in range(S.dim)], axis=1)
-    Q, R = np.linalg.qr(B)
-    for k in range(Q.shape[1]):
-        if R[k, k] < 0:
-            Q[:, k] = -Q[:, k]
-    return Q
+    Q, R = np.linalg.qr(_matvecs(M._onb_inv, S.basis.T).T)
+    return Q * np.where(np.diag(R) < 0, -1.0, 1.0)
 
 
 def tg_subspace_check(M: MetricLieAlgebra, S: Subspace) -> SubspaceCheck:
@@ -57,26 +58,23 @@ def tg_subspace_check(M: MetricLieAlgebra, S: Subspace) -> SubspaceCheck:
         raise DimensionMismatch("subspace ambient dimension does not match algebra")
     U = _subspace_onb(M, S)
     P = np.eye(M.dim) - U @ U.T      # projector onto S^perp, frame coords
-    c = M.onb_constants
-    G = levi_civita(M).coefficients
-    best = 0.0
+    n, m = U.shape
+    # [u_i, u_j] for i < j, then nabla_{u_i} u_j for all i, j, both row-major;
+    # the witness is the first largest perpendicular part, None if all vanish
+    bi, bj = _pair_index(m)
+    V = np.concatenate([np.einsum('pi,qj,pqk->ijk', U, U, M.onb_constants)[bi, bj],
+                        np.einsum('pi,qj,pqk->ijk', U, U, levi_civita(M).coefficients)
+                        .reshape(m * m, n)])
+    perp = _matvecs(P, V)
+    r = np.concatenate([[0.0], np.sqrt(rowdot(perp, perp))])
+    k = int(np.argmax(r))
     witness = None
-    m = U.shape[1]
-    for i in range(m):
-        for j in range(i + 1, m):
-            v = np.einsum('p,q,pqk->k', U[:, i], U[:, j], c)
-            perp = P @ v
-            r = float(np.linalg.norm(perp))
-            if r > best:
-                best, witness = r, SubspaceWitness('bracket', i, j, M.from_onb(perp))
-    for i in range(m):
-        for j in range(m):
-            v = np.einsum('p,q,pqk->k', U[:, i], U[:, j], G)
-            perp = P @ v
-            r = float(np.linalg.norm(perp))
-            if r > best:
-                best, witness = r, SubspaceWitness('connection', i, j, M.from_onb(perp))
-    return SubspaceCheck(best < M.tol.tg_residual, best, witness)
+    if k:
+        b = len(bi)
+        kind, (i, j) = (('bracket', (bi[k - 1], bj[k - 1])) if k <= b
+                        else ('connection', divmod(k - 1 - b, m)))
+        witness = SubspaceWitness(kind, int(i), int(j), M.from_onb(perp[k - 1]))
+    return SubspaceCheck(float(r[k]) < M.tol.tg_residual, float(r[k]), witness)
 
 
 def _unit_onb(M: MetricLieAlgebra, T):
@@ -417,7 +415,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     basis.
     """
     tol = M.tol
-    config = config or SearchConfig()
+    config = config or SearchConfig(residual_threshold=tol.search_residual)
     n = M.dim
     G = levi_civita(M).coefficients
     starts = _conic_starts(G) if n == 3 else _family_starts(M.onb_constants, G)
@@ -536,16 +534,14 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
-    # the quotient span(T, N1, N2) modulo the complement, in that basis,
-    # against the table [T,N1] = k2 N2 - k1 T, [T,N2] = -k2 N1, [N1,N2] = -k1 N2
     c = M.onb_constants
-    B = np.stack([M.to_onb(v) for v in fd.frame], axis=1)    # n x 3
+    # the frame as n x 3 in C order (the ideal einsum below rounds by layout);
+    # the quotient span(T, N1, N2) modulo the complement, in that basis,
+    # against sl2(k2/2, k1/2) in the basis (E1, -E3, E2)
+    B = np.ascontiguousarray(_matvecs(M._onb_inv, np.array(fd.frame)).T)
     q = np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)
-    target = np.zeros((3, 3, 3))
-    target[0, 1] = (-k1, 0.0, k2)
-    target[0, 2] = (0.0, -k2, 0.0)
-    target[1, 2] = (0.0, 0.0, -k1)
-    target -= np.transpose(target, (1, 0, 2))
+    P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    target = np.einsum('ia,jb,ijk,kd->abd', P, P, _sl2_closed(k2 / 2, k1 / 2), P)
     table_res = float(np.abs(q - target).max())
     I_basis = _span_split(B.T)[1].T                           # n x (n-3)
     ideal_res = 0.0
@@ -560,9 +556,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     return HelixWitness(
         Lambda=Subspace(n, np.stack(fd.frame, axis=1)),
         s=Subspace(n, np.stack([fd.frame[1], fd.frame[2]], axis=1)),
-        ideal_I=Subspace(n, np.stack([M.from_onb(I_basis[:, k])
-                                      for k in range(I_basis.shape[1])], axis=1)
-                         if I_basis.shape[1] else np.empty((n, 0))),
+        ideal_I=Subspace(n, _matvecs(M.onb_change, I_basis.T).T),
         quotient_constants=q,
         recovered_a=k2 / 2.0,
         recovered_b=k1 / 2.0,
@@ -603,20 +597,18 @@ def _wedge_eigen_lambda(M, t_onb):
     # every T^X must live in one eigenspace of the curvature operator,
     # with a single eigenvalue shared across X
     tol = M.tol
-    cd = curvature_tensor(M)
-    Q = complement_onb(t_onb)
-    lam = None
-    worst = 0.0
-    for i in range(Q.shape[1]):
-        w = wedge_coords(t_onb, Q[:, i])
-        rw = cd.operator_matrix @ w
-        li = float(w @ rw)      # |w| = 1 for orthonormal T, X
-        worst = max(worst, float(np.linalg.norm(rw - li * w)))
-        if lam is None:
-            lam = li
-        elif abs(li - lam) > tol.eigen_membership:
-            return None, max(worst, abs(li - lam))
-    return (lam if worst <= tol.eigen_membership else None), worst
+    # C-ordered rows, on which rowdot and _matvecs give the 1-D products' bits
+    W = np.ascontiguousarray(wedge_coords(t_onb, complement_onb(t_onb).T))
+    RW = _matvecs(curvature_tensor(M).operator_matrix, W)
+    li = rowdot(W, RW)          # |w| = 1 for orthonormal T, X
+    D = RW - li[:, None] * W
+    res = np.sqrt(rowdot(D, D))
+    # the residual runs up to the first X whose eigenvalue leaves the first
+    off = np.flatnonzero(np.abs(li - li[0]) > tol.eigen_membership)
+    if len(off):
+        return None, max(float(res[:off[0] + 1].max()), float(abs(li[off[0]] - li[0])))
+    worst = float(res.max())
+    return (float(li[0]) if worst <= tol.eigen_membership else None), worst
 
 
 def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:

@@ -66,6 +66,59 @@ def operator_loops(R):
     return op
 
 
+def subspace_check_loops(M: MetricLieAlgebra, S):
+    """(ok, residual, witness) of tg_subspace_check, one basis pair at a time.
+
+    The basis goes to the frame column by column and is orthonormalized by
+    QR with the signs of R's diagonal made positive.  Brackets [u_i, u_j],
+    i < j, then connections nabla_{u_i} u_j, each row-major; the witness
+    (kind, i, j, component in the input basis) is the first strictly
+    largest perpendicular part, None if every part vanishes.
+    """
+    from tgkit.lie_core import levi_civita
+    n, m = M.dim, S.dim
+    U = np.empty((n, 0))
+    if m:
+        B = np.stack([M.to_onb(S.basis[:, k]) for k in range(m)], axis=1)
+        U, R = np.linalg.qr(B)
+        for k in range(m):
+            if R[k, k] < 0:
+                U[:, k] = -U[:, k]
+    P = np.eye(n) - U @ U.T
+    best, witness = 0.0, None
+    pairs = [('bracket', i, j, M.onb_constants) for i in range(m) for j in range(i + 1, m)]
+    pairs += [('connection', i, j, levi_civita(M).coefficients)
+              for i in range(m) for j in range(m)]
+    for kind, i, j, table in pairs:
+        perp = P @ np.einsum('p,q,pqk->k', U[:, i], U[:, j], table)
+        r = float(np.linalg.norm(perp))
+        if r > best:
+            best, witness = r, (kind, i, j, M.from_onb(perp))
+    return best < M.tol.tg_residual, best, witness
+
+
+def wedge_eigen_loops(M: MetricLieAlgebra, t):
+    """(lambda, residual) of tg_analysis._wedge_eigen_lambda, one wedge t^X
+    at a time over the Householder complement of the unit frame vector t:
+    the residual runs up to the first X whose eigenvalue leaves the first."""
+    from tgkit.lie_core import complement_onb, curvature_tensor
+    op = curvature_tensor(M).operator_matrix
+    Q = complement_onb(t)
+    n = len(t)
+    lam, worst = None, 0.0
+    for a in range(Q.shape[1]):
+        x = Q[:, a]
+        w = np.array([t[i] * x[j] - t[j] * x[i] for i in range(n) for j in range(i + 1, n)])
+        rw = op @ w
+        li = float(w @ rw)
+        worst = max(worst, float(np.linalg.norm(rw - li * w)))
+        if lam is None:
+            lam = li
+        elif abs(li - lam) > M.tol.eigen_membership:
+            return None, max(worst, abs(li - lam))
+    return (lam if worst <= M.tol.eigen_membership else None), worst
+
+
 def jacobi_loops(c):
     """Max norm of the cyclic sum [[x,y],z] + [[y,z],x] + [[z,x],y]."""
     n = c.shape[0]

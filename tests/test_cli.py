@@ -310,6 +310,20 @@ def test_tol_override_reflected(capsys):
     assert rep["tolerances_used"]["tg_residual"] == 1e-3
 
 
+def test_tol_overrides_keep_their_field_type(capsys):
+    argv = ["info", "--builtin", "sl2", "--json", "--tol"]
+    assert run(argv + ["continuum_minima=100"]) == 0
+    assert '"continuum_minima":100,' in capsys.readouterr().out
+    assert run(argv + ["jacobi=1"]) == 0
+    assert '"jacobi":1.0,' in capsys.readouterr().out
+    for bad in ("continuum_minima=20.5", "continuum_minima=nan", "continuum_minima=inf"):
+        assert run(argv + [bad]) == 1, bad
+        assert "integral values: ['continuum_minima']" in capsys.readouterr().err
+    # an integer literal past float range is a bad value, not a traceback
+    assert run(argv + ["jacobi=1" + "0" * 400]) == 1
+    assert "bad tolerance value" in capsys.readouterr().err
+
+
 def test_search_residual_override_honoured(capsys):
     # both sl2 normals certify near 1e-16, far above the override
     code, rep = _json_out(capsys, ["search", "--builtin", "sl2:1,1",

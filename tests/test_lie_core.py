@@ -10,7 +10,7 @@ from tgkit import tg_analysis as ta
 from tgkit.config import DEFAULT
 from tgkit.errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
                           NotPositiveDefinite, TgkitError)
-from tgkit.lie_core import (ConnectionTable, LieAlgebra, MetricLieAlgebra,
+from tgkit.lie_core import (ConnectionTable, LieAlgebra, MetricLieAlgebra, _sl2_closed,
                             Subspace, complement_onb, curvature_tensor,
                             jacobi_residual, levi_civita, sectional,
                             wedge_coords)
@@ -98,6 +98,25 @@ def test_nan_tolerances_fail_the_admission_gates():
     tol = DEFAULT.replace(spd_min_eig=float("nan"))
     with pytest.raises(NotPositiveDefinite):
         MetricLieAlgebra(catalog.sl2(1, 1).algebra, np.diag([1.0, -1.0, 1.0]), tol)
+
+
+def test_identity_gates_scale_with_the_constants():
+    # rotated sl2(1e3, 2e3) carries round-off of size eps max|c|^2 in its
+    # Jacobi sum (up to 9.3e-9 > jacobi = 1e-9 on these rotations) and of
+    # size eps max|c| in its connection identities; all are admitted
+    for s in range(20):
+        c = rotate_constants(_sl2_closed(1e3, 2e3), random_orthogonal(np.random.default_rng(s), 3))
+        c = 0.5 * (c - np.transpose(c, (1, 0, 2)))
+        conn = MetricLieAlgebra(LieAlgebra(c)).connection
+        assert max(conn.compat_residual, conn.torsion_residual) <= 1e-15 * np.abs(c).max()
+    # constants near 1e200 overflow the Jacobi sum, which must still fail
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(JacobiViolation):
+        LieAlgebra(_sl2_closed(1e200, 1e200))
+    # an antisymmetry defect far above round-off still fails at any scale
+    c = _sl2_closed(1e3, 2e3)
+    c[0, 1, 2] += 1e-6
+    with pytest.raises(TgkitError, match="not antisymmetric"):
+        LieAlgebra(c)
 
 
 def test_scaling_one_bracket_coefficient_keeps_jacobi():
@@ -333,7 +352,7 @@ def test_orthonormality_gates_reject_nan():
     # admission rejects a NaN gram, so a NaN tolerance is what reaches the
     # orthonormal-frame gate
     with pytest.raises(TgkitError, match="orthonormalization failed"):
-        MetricLieAlgebra(LieAlgebra(catalog._sl2_closed(1.0, 1.0)), None,
+        MetricLieAlgebra(LieAlgebra(_sl2_closed(1.0, 1.0)), None,
                          DEFAULT.replace(onb=float("nan")))
 
 

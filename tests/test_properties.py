@@ -10,14 +10,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import direct_sum, random_orthogonal, rotate_constants
+from helpers import (direct_sum, random_orthogonal, rotate_constants, subspace_check_loops,
+                     wedge_eigen_loops)
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
 from tgkit.coord_engine import (ScalarField, _christoffel_from, _spray, build_warped_product,
                                 christoffel, twisting_phi)
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
+from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace, levi_civita
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -402,3 +403,36 @@ def test_a_kernel_plane_leaves_the_family_starts(seed):
     for M in (_basis_change(heis_plane, "rotated", rng), _basis_change(heis_plane, "spd", rng),
               _basis_change(direct_sum(_algebra3("e2"), LINE), "rotated", rng)):
         assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is None
+
+
+# the stacked subspace check and wedge eigenvalue test against their loop
+# oracles, bit for bit, on random algebras of dimension 2 to 6: R x| R^(n-1)
+# with a random or the identity ad z (hyperbolic space, where every wedge is
+# an eigenvector), or sl2 + R^(n-3), in a rotated or an SPD basis
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(n=st.integers(2, 6), kind=st.sampled_from(["random", "hyperbolic", "sl2"]),
+                  basis=st.sampled_from(["rotated", "spd"]), dim=st.integers(0, 6),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_subspace_check_and_wedge_eigen_match_loops(n, kind, basis, dim, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "sl2" and n >= 3:
+        c = direct_sum(catalog.sl2(*rng.uniform(0.5, 2.0, 2)).algebra.structure_constants,
+                       np.zeros((n - 3,) * 3))
+    else:
+        A = np.eye(n - 1) if kind == "hyperbolic" else rng.standard_normal((n - 1, n - 1))
+        c = _semidirect(A)
+    M = _basis_change(c, basis, rng)
+    S = Subspace(n, rng.standard_normal((n, min(dim, n))))
+    got = ta.tg_subspace_check(M, S)
+    ok, residual, witness = subspace_check_loops(M, S)
+    assert (got.ok, got.residual) == (ok, residual)
+    if witness is None:
+        assert got.witness is None
+    else:
+        w = got.witness
+        assert (w.kind, w.i, w.j) == witness[:3]
+        assert w.component.tobytes() == witness[3].tobytes()
+    t = rng.standard_normal(n)
+    t /= np.linalg.norm(t)
+    for T in (t, np.eye(n)[0]):
+        assert ta._wedge_eigen_lambda(M, T) == wedge_eigen_loops(M, T)

@@ -10,6 +10,7 @@ from helpers import (direct_sum, lm_one, random_orthogonal, random_spd,
 
 from tgkit import catalog
 from tgkit.cli import run
+from tgkit.config import DEFAULT
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
 from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm, _conic_starts,
                                _residual_jacobian, _sign_normalize, classify_case,
@@ -42,6 +43,13 @@ def test_heisenberg_has_no_tg_hyperplane():
     got = search_tg_hyperplanes(catalog.heisenberg())
     assert len(got) == 0
     assert not got.continuum
+
+
+def test_search_without_config_reads_the_algebras_threshold():
+    # both sl2 normals certify near 1e-16, far above 1e-40
+    M = catalog.sl2(1, 1, DEFAULT.replace(search_residual=1e-40))
+    assert len(search_tg_hyperplanes(M)) == 0
+    assert len(search_tg_hyperplanes(catalog.sl2(1, 1))) == 2
 
 
 def test_abelian_continuum_flag():

@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Write or compare the exit codes and printed bytes of a fixed set of argvs.
+
+    python3 tools/cli_digest.py --out digest.json
+    python3 tools/cli_digest.py --compare before.json after.json
+
+The first form runs `tgkit.cli.run` in-process, from this checkout's src/,
+on every subcommand over the catalog entries and on `--algebra` files that
+a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
+nonhomo, aff(1) + aff(1), H3, H2 + R and H3 + R: search, then frenet and
+classify on each normal the search prints, and tg-check on a generic
+subspace), and writes each argv's exit code, stdout and stderr.  An argv
+names an algebra file by its generator label, so digests of two checkouts
+compare.  The second form lists every argv whose record differs or that
+only one digest has, and exits 1 if there is one.  Standard library plus
+numpy.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+
+
+def _table(n, entries):
+    """Antisymmetric structure constants from {(i, j, k): c_ij^k}."""
+    c = np.zeros((n, n, n))
+    for (i, j, k), v in entries.items():
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return c
+
+
+def _sl2(a, b, n=3):
+    return _table(n, {(0, 1, 2): 2 * a, (0, 2, 0): 2 * b, (0, 2, 1): -2 * a,
+                      (1, 2, 1): -2 * b})
+
+
+BASES = {
+    "sl2": lambda rng: _sl2(*rng.uniform(0.5, 2.0, 2)),
+    "sl2+R": lambda rng: _sl2(*rng.uniform(0.5, 2.0, 2), n=4),
+    "nonhomo": lambda rng: _table(4, {(0, 1, 1): 1.0, (0, 1, 2): 1.0, (0, 2, 1): -1.0,
+                                      (0, 2, 2): 1.0, (0, 3, 3): 2.0}),
+    "aff1+aff1": lambda rng: _table(4, {(0, 1, 1): 1.0, (2, 3, 3): 1.0}),
+    "H3": lambda rng: _table(3, {(0, 1, 1): 1.0, (0, 2, 2): 1.0}),
+    "H2+R": lambda rng: _table(3, {(0, 1, 1): 1.0}),
+    "H3+R": lambda rng: _table(4, {(0, 1, 1): 1.0, (0, 2, 2): 1.0}),
+}
+
+
+def algebra_files(seeds=SEEDS):
+    """[(label, algebra file object, generic subspace text)]: each base in
+    a random orthonormal basis with identity gram ('rot') and in its own
+    basis with a random SPD gram ('spd'), per seed."""
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for base, make in BASES.items():
+            for variant in ("rot", "spd"):
+                c = make(rng)
+                n = c.shape[0]
+                gram = None
+                if variant == "rot":
+                    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+                    Q = Q * np.sign(np.diag(R))
+                    c = np.einsum('ia,jb,kd,ijk->abd', Q, Q, Q, c)
+                    c = 0.5 * (c - c.transpose(1, 0, 2))
+                else:
+                    A = rng.standard_normal((n, n))
+                    gram = A @ A.T + 0.5 * np.eye(n)
+                    gram = (0.5 * (gram + gram.T)).tolist()
+                data = {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": c[i, j].tolist()}
+                                               for i in range(n) for j in range(i + 1, n)]}
+                if gram is not None:
+                    data["gram"] = gram
+                sub = ";".join(_vec(v) for v in rng.standard_normal((2, n)))
+                out.append((f"{base}-{variant}-{seed}.json", data, sub))
+    return out
+
+
+def _vec(v):
+    return ",".join(repr(float(x)) for x in v)
+
+
+CATALOG_ARGVS = [
+    ["verify", "--json"], ["verify"],
+    *[["verify", name, "--json"] for name in
+      ("sl2", "nonhomo", "heisenberg", "abelian", "hyperbolic2", "twisted-h2",
+       "euclidean", "sl2:0.3,-2", "twisted-h2:2.5", "abelian:5")],
+    *[["info", "--builtin", name, "--json"] for name in
+      ("sl2", "nonhomo", "heisenberg", "abelian", "hyperbolic2", "twisted-h2", "euclidean")],
+    ["info", "--builtin", "sl2"],
+    *[[cmd, "--builtin", name, "--json"] for cmd in ("curvature", "search")
+      for name in ("sl2", "sl2:0.3,-2", "nonhomo", "heisenberg", "abelian")],
+    *[[cmd, "--builtin", name, "--normal", normal, "--json"]
+      for cmd in ("frenet", "classify", "tg-check")
+      for name, normal in (("sl2", "1,0,0"), ("sl2:0.3,-2", "0,0,1"),
+                           ("nonhomo", "0,0,0,1"), ("nonhomo", "1,0,0,0"),
+                           ("heisenberg", "0,0,1"), ("abelian", "1,2,2"))],
+    ["classify", "--builtin", "sl2", "--normal", "1,0,0"],
+    *[["tg-check", "--builtin", name, "--subspace", sub, "--json"]
+      for name, sub in (("sl2", "0,1,0;0,0,1"), ("sl2", "1,0,0;0,1,0"),
+                        ("heisenberg", "1,0,0;0,1,0"), ("heisenberg", "0,0,1"),
+                        ("nonhomo", "0,1,0,0;0,0,1,0"), ("abelian", "1,0,0;0,1,1"))],
+    ["tg-check", "--builtin", "heisenberg", "--subspace", "1,0,0;0,1,0"],
+    *[["geodesic", "--builtin", name, "--x0", x0, "--v0", v0, "--json"]
+      for name, x0, v0 in (("hyperbolic2", "1,0.5", "0.6,0.4"),
+                           ("euclidean", "0.1,0.2", "1,-1"),
+                           ("twisted-h2", "0,1,0.5", "0.3,0.2,0.1"),
+                           ("nonhomo", "0,0.1,0.2,0.3", "0.2,0.1,0,1"))],
+]
+
+
+def _run(run, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def digest():
+    """{argv text: {"exit", "stdout", "stderr"}} over the fixed argv set."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from tgkit.cli import run
+    records = {" ".join(argv): _run(run, argv) for argv in CATALOG_ARGVS}
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, data, sub in algebra_files():
+            path = str(Path(tmp) / label)
+            Path(path).write_text(json.dumps(data))
+
+            def record(cmd, *rest):
+                rec = _run(run, [cmd, "--algebra", path, *rest])
+                records[" ".join([cmd, "--algebra", label, *rest])] = rec
+                return rec
+            found = record("search", "--json")
+            normals = json.loads(found["stdout"])["result"]["normals"] if not found["exit"] else []
+            for normal in normals:
+                for cmd in ("frenet", "classify"):
+                    record(cmd, "--normal=" + _vec(normal), "--json")
+            record("tg-check", "--subspace=" + sub, "--json")
+    return records
+
+
+def compare(a, b):
+    """The argvs whose records differ, or that one digest lacks, in order."""
+    return [argv for argv in list(a) + [k for k in b if k not in a] if a.get(argv) != b.get(argv)]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="digest file to write")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="digest files to compare")
+    args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(p).read_text()) for p in args.compare)
+        bad = compare(a, b)
+        for line in bad:
+            print(line)
+        print(f"{len(set(a) | set(b))} argvs, {len(bad)} differ")
+        return 1 if bad else 0
+    if not args.out:
+        ap.error("give --out FILE or --compare A B")
+    Path(args.out).write_text(json.dumps(digest(), sort_keys=True, indent=0) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
