@@ -25,10 +25,6 @@ from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, _antisym, _sl2_c
 from .tg_analysis import (classify_case, frenet_orbit, helix_witness,
                           hyperplane_tg_residual, search_tg_hyperplanes)
 
-CATALOG_NAMES = ("sl2", "nonhomo", "heisenberg", "abelian",
-                 "hyperbolic2", "twisted-h2", "euclidean")
-
-
 def sl2(a=1.0, b=1.0, tol=DEFAULT):
     """Special linear algebra in the scaled basis
 
@@ -487,3 +483,4 @@ LEDGER = {"sl2": _verify_sl2, "nonhomo": _verify_nonhomo,
           "heisenberg": _verify_heisenberg, "abelian": _verify_abelian,
           "hyperbolic2": _verify_hyperbolic2, "twisted-h2": _verify_twisted,
           "euclidean": _verify_euclidean}
+CATALOG_NAMES = tuple(LEDGER)

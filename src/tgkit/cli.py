@@ -301,7 +301,7 @@ def _cmd_search(args, tol, grid):
     if args.seed < 0:
         raise BadParams(f"--seed must be non-negative, got {args.seed}")
     M, names, desc = _load_algebra(args, tol)
-    config = SearchConfig(seed=args.seed, residual_threshold=tol.search_residual)
+    config = SearchConfig(seed=args.seed)
     desc = dict(desc, seed=args.seed)
     res = search_tg_hyperplanes(M, config)
     result = {"count": len(res.normals),

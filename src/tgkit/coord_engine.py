@@ -273,8 +273,8 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     A stage is one CM.stage_at call, or, on a chart without one, one
     gram_at call, one partials call and one _spray solve.  The stage grams
     are gated together, _GATE_STEPS steps at a time; a stage that raises
-    gates the pending ones first and then its own, so a degenerate gram
-    raises MetricDegenerate at its point before any later error.
+    sends the pending points and its own through _grams, so a degenerate
+    gram raises MetricDegenerate at its point before any later error.
     """
     x0, v0 = np.asarray(x0, float), np.asarray(v0, float)
     g0 = CM.gram(x0)
@@ -301,11 +301,9 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
         try:
             g, a = stage(x, v)
         except Exception as exc:
-            gate_pending()
-            x = np.array(x)
-            _gate_grams(x[None], _eval_gram(CM, x)[None])
+            _grams(CM, np.array(stage_x + [x]))
             if isinstance(exc, _NOT_FINITE):
-                raise MetricDegenerate(f"gram not finite at {x.tolist()}") from None
+                raise MetricDegenerate(f"gram not finite at {np.array(x).tolist()}") from None
             raise
         stage_x.append(x)
         stage_g.append(g)

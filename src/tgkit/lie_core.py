@@ -55,7 +55,10 @@ class LieAlgebra:
         anti = float(np.abs(c + np.transpose(c, (1, 0, 2))).max())
         if not anti / scale <= 1e-12:
             raise TgkitError(f"structure constants not antisymmetric (residual {anti:.3e})")
-        res = float(np.abs(_jacobi_tensor(c)).max())
+        with np.errstate(over='ignore', invalid='ignore'):
+            res = float(np.abs(_jacobi_tensor(c)).max())
+        if not np.isfinite(res):
+            raise NonFiniteInput(f"Jacobi sum overflows float range (max|c| = {scale:.3e})")
         if not res / scale <= tol.jacobi:
             raise JacobiViolation(res)
         self.dim = n

@@ -109,10 +109,11 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 class SearchConfig:
     """n_starts and seed are read only where the search falls back to seeded
     multistart (g not solvable, an R-family kernel K with dim K >= 2, a
-    repeated weight); the exact n = 3 and solvable-family paths draw no start."""
+    repeated weight); the exact n = 3 and solvable-family paths draw no start.
+    residual_threshold is not settable: the search reads M.tol.search_residual."""
     n_starts: int = 64
     seed: int = 0
-    residual_threshold: float = DEFAULT.search_residual
+    residual_threshold: float = dataclasses.field(default=DEFAULT.search_residual, init=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,13 +245,23 @@ def _real_roots(coef, floor):
     return w.real[(np.abs(w.imag) <= 1e-6 * (1 + np.abs(w))) & (np.abs(w) < 1e8)]
 
 
+def _first_of_each(Y, err, inner, cos):
+    """Indices of the rows of Y in increasing err (stable), each kept unless
+    |<y, y'>| >= cos in the inner product `inner` for a row y' kept before it."""
+    order = np.argsort(err, kind='stable')
+    near = (np.abs(Y[order] @ inner @ Y[order].T) >= cos).tolist()
+    kept = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return order[kept]
+
+
 def _distinct(t, err, scale):
-    """The unit rows t with err <= 1e-6 scale, one per point, the most
-    accurate: fix the sign of the largest entry, round, keep firsts."""
-    t = t[np.argsort(err, kind='stable')][np.sort(err) <= 1e-6 * scale]
-    t *= np.sign(t[np.arange(len(t)), np.abs(t).argmax(axis=-1)])[:, None]
-    keys = np.round(t, 6).tolist()
-    return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
+    """The unit rows t with err <= 1e-6 scale, one per point up to sign, the
+    most accurate (a start -t polishes to exactly minus the polish of t)."""
+    t, err = t[err <= 1e-6 * scale], err[err <= 1e-6 * scale]
+    return t[_first_of_each(t, err, np.eye(t.shape[-1]), math.cos(1e-6))]
 
 
 def _conic_starts(G):
@@ -361,7 +372,7 @@ def _family_starts(c, G):
     # a fixed generic combination of the A[k]^T: as the A[k] commute, each
     # simple real eigenvalue has a joint eigenvector
     lam, theta = np.linalg.eig(np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(U) + 2)), A))
-    k, l = np.triu_indices(len(U), 1)
+    k, l = _pair_index(len(U))
     for i in np.flatnonzero(np.abs(lam.imag) <= tol):
         if (np.abs(lam - lam[i]) <= tol).sum() > 1:
             return None
@@ -415,7 +426,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     basis.
     """
     tol = M.tol
-    config = config or SearchConfig(residual_threshold=tol.search_residual)
+    config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
     starts = _conic_starts(G) if n == 3 else _family_starts(M.onb_constants, G)
@@ -428,22 +439,12 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     X = M.from_onb(ts.T).T
     X = X / np.sqrt(rowdot(X @ M.gram, X))[:, None]
     res = _tg_residuals(G, M.to_onb(X.T).T)
-    keep = np.flatnonzero(res < config.residual_threshold)
-    found = [(_sign_normalize(X[i]), float(res[i])) for i in keep]
-    # merge sign classes closer than the dedup angle (gram inner product),
-    # each into the first kept class it meets, which keeps the smaller residual
-    Y = np.array([x for x, _ in found]).reshape(-1, n)
-    near = np.abs(Y @ M.gram @ Y.T) >= math.cos(tol.dedup_angle)
-    reps = []
-    for i, (_, r) in enumerate(found):
-        for k, j in enumerate(reps):
-            if near[i, j]:
-                if r < found[j][1]:
-                    reps[k] = i
-                break
-        else:
-            reps.append(i)
-    merged = sorted((found[i] for i in reps), key=lambda pair: tuple(np.round(pair[0], 6)))
+    keep = np.flatnonzero(res < tol.search_residual)
+    Y = np.array([_sign_normalize(X[i]) for i in keep]).reshape(-1, n)
+    # sign classes closer than the dedup angle merge into the smallest residual
+    reps = _first_of_each(Y, res[keep], M.gram, math.cos(tol.dedup_angle))
+    merged = sorted(((Y[i], float(res[keep[i]])) for i in reps),
+                    key=lambda pair: tuple(np.round(pair[0], 6)))
     return SearchResult([x for x, _ in merged], [r for _, r in merged],
                         len(merged) > tol.continuum_minima)
 
@@ -460,26 +461,21 @@ class FrenetData:
     error_bars: dict | None = None
 
 
-def frenet_orbit(M: MetricLieAlgebra, T, p_max: int = None) -> FrenetData:
+def frenet_orbit(M: MetricLieAlgebra, T) -> FrenetData:
     """Frenet apparatus of the one-parameter orbit of T.
 
     eps_1 = T; w_s = nabla_{eps_1} eps_s + k_{s-1} eps_{s-1};
-    k_s = |w_s|; stops at k_s < eps_k or s = p_max.
+    k_s = |w_s|; stops at k_s < eps_k or s = n - 1.
     """
     tol = M.tol
     t = _unit_onb(M, T)
-    n = M.dim
-    if p_max is None:
-        p_max = n - 1
-    if not 1 <= p_max <= n - 1:
-        raise DimensionMismatch(f"p_max must be in [1, {n - 1}]")
     G = levi_civita(M).coefficients
     frame = [t]
     ks = []
     ws = []                     # the w_s behind each accepted k_s
     trunc = float('nan')
     borderline = False
-    for s in range(1, p_max + 1):
+    for s in range(1, M.dim):
         w = np.einsum('ijk,i,j->k', G, frame[0], frame[-1])
         if s >= 2:
             w = w + ks[-1] * frame[-2]
@@ -530,7 +526,7 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     """
     tol = M.tol
     n = M.dim
-    fd = frenet_orbit(M, T, p_max=min(3, n - 1))
+    fd = frenet_orbit(M, T)
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
@@ -616,15 +612,16 @@ def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
 
     GeodesicNormal / CircleNormal / HelixOrderTwo by the Frenet order of
     the normal orbit; HigherOrder flags a falsified prediction.  Raises
-    NotTotallyGeodesic when the TG residual or the Codazzi residual fails
-    its tolerance.
+    NotTotallyGeodesic when the TG residual fails tg_residual or the Codazzi
+    residual fails max(codazzi, 4 n eps max(1, max|R|)), R's round-off floor.
     """
     tol = M.tol
     res = hyperplane_tg_residual(M, T)
     if not res < tol.tg_residual:
         raise NotTotallyGeodesic(res)
     cod = codazzi_residual(M, T)
-    if not cod <= tol.codazzi:
+    scale = max(1.0, float(np.abs(curvature_tensor(M).components).max()))
+    if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * scale):
         raise NotTotallyGeodesic(cod, 'codazzi_residual')
     fd = frenet_orbit(M, T)
     residuals = {'tg_residual': res, 'codazzi_residual': cod}

@@ -4,6 +4,8 @@ Everything here is deliberately written with plain loops so that a bug in
 the vectorized library code cannot hide in a shared einsum.
 """
 
+import math
+
 import numpy as np
 
 from tgkit.errors import NotHelixOrderTwo
@@ -117,6 +119,36 @@ def wedge_eigen_loops(M: MetricLieAlgebra, t):
         elif abs(li - lam) > M.tol.eigen_membership:
             return None, max(worst, abs(li - lam))
     return (lam if worst <= M.tol.eigen_membership else None), worst
+
+
+def distinct_rounding(t, err, scale):
+    """The search's start dedup with its own rule: the unit rows t with
+    err <= 1e-6 scale in increasing err (stable), the sign of each row's
+    largest entry made positive, the first row of each 6-decimal rounding."""
+    t = t[np.argsort(err, kind='stable')][np.sort(err) <= 1e-6 * scale]
+    t *= np.sign(t[np.arange(len(t)), np.abs(t).argmax(axis=-1)])[:, None]
+    keys = np.round(t, 6).tolist()
+    return t[[i for i, key in enumerate(keys) if key not in keys[:i]]]
+
+
+def merge_loops(found, gram, dedup_angle):
+    """The search's result merge with its own rule: (normal, residual) pairs
+    whose normals are closer than dedup_angle (gram inner product, up to
+    sign) merge into the first kept pair they meet, which keeps the smaller
+    residual; the kept pairs sorted by the 6-decimal rounding of the normal."""
+    n = len(gram)
+    Y = np.array([x for x, _ in found]).reshape(-1, n)
+    near = np.abs(Y @ gram @ Y.T) >= math.cos(dedup_angle)
+    reps = []
+    for i, (_, r) in enumerate(found):
+        for k, j in enumerate(reps):
+            if near[i, j]:
+                if r < found[j][1]:
+                    reps[k] = i
+                break
+        else:
+            reps.append(i)
+    return sorted((found[i] for i in reps), key=lambda pair: tuple(np.round(pair[0], 6)))
 
 
 def jacobi_loops(c):

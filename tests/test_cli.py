@@ -514,6 +514,22 @@ def test_non_finite_algebra_file_exits_1(tmp_path, capsys):
         assert key in captured.err and "NaN or inf" in captured.err
 
 
+def test_overflowing_constants_exit_1_with_one_line(tmp_path, capsys):
+    # sl2(1, 1) scaled to 2e200: the Jacobi sum overflows, quietly
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [
+        {"i": 0, "j": 1, "coeffs": [0, 0, 2e200]}, {"i": 0, "j": 2, "coeffs": [2e200, -2e200, 0]},
+        {"i": 1, "j": 2, "coeffs": [0, -2e200, 0]}]}))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run(["info", "--algebra", str(path)]) == 1
+    assert seen == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tgkit: error: Jacobi sum overflows float range "
+                            "(max|c| = 2.000e+200)\n")
+
+
 def test_non_finite_vectors_exit_1(capsys):
     for argv in (["classify", "--builtin", "sl2", "--normal", "1,nan,0"],
                  ["tg-check", "--builtin", "sl2", "--subspace", "nan,1,0;0,0,1"],

@@ -59,3 +59,12 @@ def test_algebra_files_are_seeded_and_labelled_once():
     for _, data, sub in files:
         assert len(sub.split(";")) == 2
         assert all(len(v.split(",")) == data["dim"] for v in sub.split(";"))
+
+
+def test_fixed_files_are_fixed_and_labelled_apart():
+    files = cli_digest.fixed_files()
+    assert json.dumps(files) == json.dumps(cli_digest.fixed_files())
+    labels = [label for label, _, _ in files + cli_digest.algebra_files()]
+    assert len(labels) == len(set(labels))
+    coeffs = [x for b in files[1][1]["brackets"] for x in b["coeffs"]]
+    assert max(map(abs, coeffs)) == 2e200

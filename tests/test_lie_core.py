@@ -9,7 +9,7 @@ from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.config import DEFAULT
 from tgkit.errors import (DegeneratePlane, DimensionMismatch, JacobiViolation,
-                          NotPositiveDefinite, TgkitError)
+                          NonFiniteInput, NotPositiveDefinite, TgkitError)
 from tgkit.lie_core import (ConnectionTable, LieAlgebra, MetricLieAlgebra, _sl2_closed,
                             Subspace, complement_onb, curvature_tensor,
                             jacobi_residual, levi_civita, sectional,
@@ -109,8 +109,9 @@ def test_identity_gates_scale_with_the_constants():
         c = 0.5 * (c - np.transpose(c, (1, 0, 2)))
         conn = MetricLieAlgebra(LieAlgebra(c)).connection
         assert max(conn.compat_residual, conn.torsion_residual) <= 1e-15 * np.abs(c).max()
-    # constants near 1e200 overflow the Jacobi sum, which must still fail
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(JacobiViolation):
+    # constants near 1e200 (a valid, scaled sl2) overflow the Jacobi sum,
+    # so floats cannot check them: refused as non-finite, with no warning
+    with pytest.raises(NonFiniteInput, match=r"overflows float range \(max\|c\| = 2\.000e\+200\)"):
         LieAlgebra(_sl2_closed(1e200, 1e200))
     # an antisymmetry defect far above round-off still fails at any scale
     c = _sl2_closed(1e3, 2e3)

@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (direct_sum, random_orthogonal, rotate_constants, subspace_check_loops,
-                     wedge_eigen_loops)
+from helpers import (direct_sum, distinct_rounding, merge_loops, random_orthogonal,
+                     rotate_constants, subspace_check_loops, wedge_eigen_loops)
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
@@ -436,3 +436,86 @@ def test_stacked_subspace_check_and_wedge_eigen_match_loops(n, kind, basis, dim,
     t /= np.linalg.norm(t)
     for T in (t, np.eye(n)[0]):
         assert ta._wedge_eigen_lambda(M, T) == wedge_eigen_loops(M, T)
+
+
+# the one dedup rule, ta._first_of_each, against the two it replaced
+# (helpers.distinct_rounding for starts, helpers.merge_loops for results),
+# bit for bit: on unit rows with planted duplicates, and on the polished
+# candidates of multistart searches
+def _clear_of_rounding(z):
+    # the rounding rule splits a point whose entries straddle a 6-decimal
+    # rounding boundary, or flips it when its two largest entries tie
+    frac = np.abs(z) * 1e6 % 1.0
+    top = np.sort(np.abs(z))[-2:]
+    return np.abs(frac - 0.5).min() > 0.01 and top[1] - top[0] > 1e-8
+
+
+def _planted_rows(rng, n):
+    """Unit rows: bases clear of the rounding rule's ties, rows 2e-4 to 1e-3
+    from a base, and copies of bases moved by at most 1e-9, sign-flipped at
+    random."""
+    base = []
+    while len(base) < rng.integers(1, 6):
+        z = rng.standard_normal(n)
+        z /= np.linalg.norm(z)
+        if _clear_of_rounding(z):
+            base.append(z)
+    base = np.array(base)
+    rows = [base]
+    for _ in range(rng.integers(0, 4)):
+        d = rng.standard_normal(n)
+        d -= (d @ base[0]) * base[0]
+        rows.append((base[0] + rng.uniform(2e-4, 1e-3) * d / np.linalg.norm(d))[None])
+    for _ in range(rng.integers(1, 8)):
+        z = base[rng.integers(len(base))] + rng.uniform(-1e-9, 1e-9, n) / np.sqrt(n)
+        rows.append(rng.choice([-1.0, 1.0]) * z[None])
+    rows = np.concatenate(rows)
+    rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    return rows[rng.permutation(len(rows))]
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(n=st.integers(3, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_dedup_rule_matches_the_rounding_and_merge_rules(n, seed):
+    rng = np.random.default_rng(seed)
+    z = _planted_rows(rng, n)
+    # residuals with ties, and rows above the 1e-6 scale cut or NaN
+    err = rng.integers(0, 4, len(z)) * 1e-11
+    err[rng.random(len(z)) < 0.2] = rng.choice([2e-6, np.nan])
+    scale = rng.uniform(1.0, 2.0)
+    got = ta._distinct(z, err, scale)
+    got = got * np.sign(got[np.arange(len(got)), np.abs(got).argmax(axis=-1)])[:, None]
+    assert got.tobytes() == distinct_rounding(z, err, scale).tobytes()
+    # the same rows, unit in an SPD gram, merged at the dedup angle
+    a = rng.standard_normal((n, n))
+    gram = a @ a.T + 0.5 * np.eye(n)
+    Y = z @ np.linalg.inv(np.linalg.cholesky(gram))
+    err = np.nan_to_num(err, nan=3e-11)
+    kept = ta._first_of_each(Y, err, gram, np.cos(1e-4))
+    got = sorted(((Y[i], float(err[i])) for i in kept), key=lambda p: tuple(np.round(p[0], 6)))
+    want = merge_loops(list(zip(Y, err.tolist())), gram, 1e-4)
+    assert [(x.tobytes(), r) for x, r in got] == [(x.tobytes(), r) for x, r in want]
+
+
+@pytest.mark.parametrize("name", ["abelian-spd", "e2+R", "sl2+R", "sl2+sl2"])
+def test_search_merge_matches_the_merge_loops(name):
+    sl2 = catalog.sl2(1.0, 1.0).algebra.structure_constants
+    c, gram = {"abelian-spd": (np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 3.0]) + 0.5),
+               "e2+R": (direct_sum(_algebra3("e2"), LINE), None),
+               "sl2+R": (direct_sum(sl2, LINE), None),
+               "sl2+sl2": (direct_sum(sl2, sl2), None)}[name]
+    M = MetricLieAlgebra(LieAlgebra(c), gram)
+    calls, first_of_each = [], ta._first_of_each
+
+    def record(Y, err, inner, cos):
+        calls.append((Y.copy(), err.copy()))
+        return first_of_each(Y, err, inner, cos)
+    for seed in range(6):
+        calls.clear()
+        with mock.patch.object(ta, "_first_of_each", record):
+            got = ta.search_tg_hyperplanes(M, ta.SearchConfig(seed=seed))
+        (Y, err), = calls                  # multistart: the merge is the only call
+        want = merge_loops(list(zip(Y, err.tolist())), M.gram, M.tol.dedup_angle)
+        assert len(got) > 0
+        assert [x.tobytes() for x in got.normals] == [x.tobytes() for x, _ in want]
+        assert got.residuals == [r for _, r in want]

@@ -4,6 +4,7 @@ import json
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from helpers import (direct_sum, lm_one, random_orthogonal, random_spd,
                      rotate_constants)
@@ -50,6 +51,13 @@ def test_search_without_config_reads_the_algebras_threshold():
     M = catalog.sl2(1, 1, DEFAULT.replace(search_residual=1e-40))
     assert len(search_tg_hyperplanes(M)) == 0
     assert len(search_tg_hyperplanes(catalog.sl2(1, 1))) == 2
+
+
+def test_search_with_config_reads_the_algebras_threshold():
+    M = catalog.sl2(1, 1, DEFAULT.replace(search_residual=1e-40))
+    assert len(search_tg_hyperplanes(M, SearchConfig(seed=3))) == 0
+    with pytest.raises(TypeError):
+        SearchConfig(residual_threshold=1e-40)
 
 
 def test_abelian_continuum_flag():

@@ -144,14 +144,6 @@ def test_frenet_mixed_direction_hand_values():
     assert np.allclose(fd.frame[1], [1, 0, 0, 0], atol=1e-14)
 
 
-def test_frenet_p_max_gate():
-    M = catalog.sl2(1, 1)
-    fd = frenet_orbit(M, E3[:, 0], p_max=1)
-    assert fd.order == 1
-    with pytest.raises(DimensionMismatch):
-        frenet_orbit(M, E3[:, 0], p_max=3)
-
-
 # ------------------------------------------------------------ helix witness
 
 def test_helix_witness_exact_recovery():
@@ -289,6 +281,25 @@ def test_classify_gates_the_codazzi_residual():
         classify_case(catalog.nonhomo(), T / np.linalg.norm(T))
     assert e.value.label == "codazzi_residual"
     assert e.value.residual > 1e-9
+
+
+def test_codazzi_gate_admits_rotated_sl2_at_scale():
+    # rotated sl2(1e3, 2e3): Codazzi residuals 1.3e-9 to 1.4e-8 fail codazzi
+    # = 1e-9 but read at most 0.43 of the round-off floor 4 n eps max|R|
+    # (3.2e-8 to 4.3e-8); on nonhomo that floor is 1.4e-14, below the 1.2e-9 above
+    for s in range(20):
+        c = rotate_constants(catalog.sl2(1e3, 2e3).algebra.structure_constants,
+                             random_orthogonal(np.random.default_rng(s), 3))
+        M = MetricLieAlgebra(LieAlgebra(0.5 * (c - np.transpose(c, (1, 0, 2)))))
+        found = search_tg_hyperplanes(M)
+        assert len(found) == 2
+        for T in found:
+            rep = classify_case(M, T)
+            assert rep.case_tag is CaseTag.HELIX_ORDER_TWO
+            assert rep.residuals["codazzi_residual"] > DEFAULT.codazzi
+            w = rep.witness
+            assert abs(w.recovered_a - 1e3) < 1e-11 * 1e3
+            assert abs(w.recovered_b - 2e3) < 1e-11 * 2e3
 
 
 def test_search_and_classify_reuse_the_cached_connection():

@@ -9,7 +9,8 @@ on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
 nonhomo, aff(1) + aff(1), H3, H2 + R and H3 + R: search, then frenet and
 classify on each normal the search prints, and tg-check on a generic
-subspace), and writes each argv's exit code, stdout and stderr.  An argv
+subspace; the same on rotated sl2(1e3, 2e3) and on sl2(1e200, 1e200)),
+and writes each argv's exit code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
 only one digest has, and exits 1 if there is one.  Standard library plus
@@ -57,6 +58,25 @@ BASES = {
 }
 
 
+def _rotated(c, rng):
+    """c in a random orthonormal basis, antisymmetrized."""
+    n = c.shape[0]
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    Q = Q * np.sign(np.diag(R))
+    c = np.einsum('ia,jb,kd,ijk->abd', Q, Q, Q, c)
+    return 0.5 * (c - c.transpose(1, 0, 2))
+
+
+def _file(label, c, gram, rng):
+    """(label, algebra file object, generic subspace text drawn from rng)."""
+    n = c.shape[0]
+    data = {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": c[i, j].tolist()}
+                                   for i in range(n) for j in range(i + 1, n)]}
+    if gram is not None:
+        data["gram"] = gram
+    return label, data, ";".join(_vec(v) for v in rng.standard_normal((2, n)))
+
+
 def algebra_files(seeds=SEEDS):
     """[(label, algebra file object, generic subspace text)]: each base in
     a random orthonormal basis with identity gram ('rot') and in its own
@@ -70,21 +90,22 @@ def algebra_files(seeds=SEEDS):
                 n = c.shape[0]
                 gram = None
                 if variant == "rot":
-                    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-                    Q = Q * np.sign(np.diag(R))
-                    c = np.einsum('ia,jb,kd,ijk->abd', Q, Q, Q, c)
-                    c = 0.5 * (c - c.transpose(1, 0, 2))
+                    c = _rotated(c, rng)
                 else:
                     A = rng.standard_normal((n, n))
                     gram = A @ A.T + 0.5 * np.eye(n)
                     gram = (0.5 * (gram + gram.T)).tolist()
-                data = {"dim": n, "brackets": [{"i": i, "j": j, "coeffs": c[i, j].tolist()}
-                                               for i in range(n) for j in range(i + 1, n)]}
-                if gram is not None:
-                    data["gram"] = gram
-                sub = ";".join(_vec(v) for v in rng.standard_normal((2, n)))
-                out.append((f"{base}-{variant}-{seed}.json", data, sub))
+                out.append(_file(f"{base}-{variant}-{seed}.json", c, gram, rng))
     return out
+
+
+def fixed_files():
+    """Two inputs at the ends of float range, as algebra_files entries:
+    sl2(1e3, 2e3) rotated, whose normals carry Codazzi round-off above
+    1e-9, and sl2(1e200, 1e200), whose Jacobi sum overflows."""
+    rng = np.random.default_rng(0)
+    return [_file("sl2-1e3-rot.json", _rotated(_sl2(1e3, 2e3), rng), None, rng),
+            _file("sl2-1e200.json", _sl2(1e200, 1e200), None, rng)]
 
 
 def _vec(v):
@@ -133,7 +154,7 @@ def digest():
     from tgkit.cli import run
     records = {" ".join(argv): _run(run, argv) for argv in CATALOG_ARGVS}
     with tempfile.TemporaryDirectory() as tmp:
-        for label, data, sub in algebra_files():
+        for label, data, sub in algebra_files() + fixed_files():
             path = str(Path(tmp) / label)
             Path(path).write_text(json.dumps(data))
 
