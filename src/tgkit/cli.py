@@ -170,7 +170,10 @@ def _unit_normal(M, args, desc, missing):
     if not args.normal:
         raise BadParams(missing)
     T = _parse_vector(args.normal, M.dim)
-    nrm = M.norm(T)
+    with np.errstate(over='ignore', invalid='ignore'):
+        nrm = M.norm(T)
+    if not np.isfinite(nrm):
+        raise BadParams("normal vector length overflows float range")
     if nrm <= 1e-12:
         raise BadParams("normal vector has zero length")
     return T / nrm, dict(desc, normal=args.normal)
@@ -386,8 +389,8 @@ _SUBCOMMANDS = {
                  _cmd_tg_check),
     "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",), _cmd_frenet),
     "classify": ("case analysis of a certified normal", _INPUT + ("--normal",), _cmd_classify),
-    "search": ("certified hyperplane normals (exact starts in dim 3 and on solvable "
-               "algebras, else seeded multistart)", _INPUT + ("--seed",), _cmd_search),
+    "search": ("certified hyperplane normals (exact starts on Hofmann's R, aff(1) and "
+               "sl2 families, else seeded multistart)", _INPUT + ("--seed",), _cmd_search),
     "geodesic": ("integrate a chart geodesic", ("--builtin", "--x0", "--v0", "--tmax", "--step"),
                  _cmd_geodesic),
     "verify": ("run the residual ledger over catalog entries", ("name",), _cmd_verify),

@@ -278,7 +278,11 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     """
     x0, v0 = np.asarray(x0, float), np.asarray(v0, float)
     g0 = CM.gram(x0)
-    s0 = float(np.sqrt(v0 @ g0 @ v0))
+    with np.errstate(over='ignore', invalid='ignore'):
+        s0 = float(np.sqrt(v0 @ g0 @ v0))
+    if not math.isfinite(s0):
+        raise BadParams("initial velocity length overflows float range"
+                        if np.isfinite(v0).all() else "initial velocity is not finite")
     if s0 <= 0.0:
         raise BadParams("initial velocity has zero length")
     if not (math.isfinite(tmax) and math.isfinite(h)):

@@ -107,10 +107,10 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
-    """n_starts and seed are read only where the search falls back to seeded
-    multistart (g not solvable, an R-family kernel K with dim K >= 2, a
-    repeated weight); the exact n = 3 and solvable-family paths draw no start.
-    residual_threshold is not settable: the search reads M.tol.search_residual."""
+    """n_starts and seed are read only where _family_starts returns None and
+    the search falls back to seeded multistart; the exact families draw no
+    start.  residual_threshold is not settable: the search reads
+    M.tol.search_residual."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = dataclasses.field(default=DEFAULT.search_residual, init=False)
@@ -208,26 +208,6 @@ def _batch_lm(rj, t):
     return t
 
 
-def _cubic_forms(G, t):
-    """The nine cubics [t]x^T M(t) [t]x of the n = 3 TG condition, per row of t."""
-    z = np.zeros(t.shape[:-1])
-    X = np.stack([z, -t[..., 2], t[..., 1], t[..., 2], z, -t[..., 0],
-                  -t[..., 1], t[..., 0], z], axis=-1).reshape(t.shape + (3,))
-    F = np.swapaxes(X, -1, -2) @ np.einsum('ijk,...k->...ij', G, t) @ X
-    return F.reshape(t.shape[:-1] + (9,))
-
-
-def _on_curve(w, abc):
-    """Points t(w) = a(1-w^2) + 2bw + c(1+w^2) of a curve with rows (a, b, c)."""
-    return np.stack([1 - w * w, 2 * w, 1 + w * w], axis=-1) @ abc
-
-
-_NODES = np.cos(np.pi * np.arange(7) / 6)        # Chebyshev points: 7 fix a sextic
-_FIT = np.linalg.inv(np.vander(_NODES, 7))       # values -> coefficients, highest first
-_NODES5 = np.cos(np.pi * np.arange(6) / 5)       # and 6 fix a quintic
-_FIT5 = np.linalg.inv(np.vander(_NODES5, 6))
-
-
 def _real_roots(coef, floor):
     """Near-real roots of the columns of coef (coefficients, highest first)
     above floor, or None if none is, from one batched eigvals over companion
@@ -264,63 +244,6 @@ def _distinct(t, err, scale):
     return t[_first_of_each(t, err, np.eye(t.shape[-1]), math.cos(1e-6))]
 
 
-def _conic_starts(G):
-    """Exact starts for n = 3, as unit rows (frame coordinates), or None.
-
-    Part (a) of the TG condition is the conic t^T S t = 0, S the symmetric
-    part of Milnor's L in [X, Y] = L(X x Y).  Along each real curve t(w) of
-    that conic the nine cubic forms are sextics in w; the starts are their
-    near-real roots (and w = inf) at which all nine forms are small.  None
-    means S vanishes or the forms vanish along a whole curve, where a
-    continuum is possible.  The rank and root filters are loose: each start
-    is polished and certified.
-    """
-    scale = max(1.0, float(np.abs(G).max()))
-    C = G - np.swapaxes(G, 0, 1)                    # C[:, :, k] = ad-table of e_k
-    L = np.stack([C[2, 1], C[0, 2], C[1, 0]])       # column k: axial vector
-    lam, V = np.linalg.eigh(0.5 * (L + L.T))
-    zero = np.abs(lam) <= 1e-9 * scale
-    if zero.all():
-        return None
-    on, off = np.flatnonzero(~zero), np.flatnonzero(zero)
-    pos, neg = on[lam[on] > 0], on[lam[on] < 0]
-    if len(pos) < len(neg):
-        pos, neg = neg, pos
-    u = (V / np.sqrt(np.abs(np.where(zero, 1.0, lam)))).T
-    curves, points = [], [np.empty((0, 3))]
-    if len(on) == 3 and len(neg):                   # one conic
-        curves.append(u[[pos[0], pos[1], neg[0]]])
-    elif len(on) == 2 and len(neg):                 # two great circles
-        for p in (u[pos[0]] + u[neg[0]], u[pos[0]] - u[neg[0]]):
-            curves.append(np.stack([p / np.linalg.norm(p), V[:, off[0]], np.zeros(3)]))
-    elif len(on) == 2:                              # the kernel point
-        points.append(V[:, off].T)
-    elif len(on) == 1:                              # one great circle
-        curves.append(np.stack([V[:, off[0]], V[:, off[1]], np.zeros(3)]))
-    for abc in curves:                              # none when S is definite
-        T = _on_curve(_NODES, abc)
-        w = _real_roots(_FIT @ _cubic_forms(G, T), 1e-12 * scale * np.abs(T).max() ** 3)
-        if w is None:
-            return None
-        points += [_on_curve(w, abc), abc[2:] - abc[:1]]    # the real roots, w = inf
-    t = _unit_rows(np.concatenate(points))
-    return _distinct(t, np.abs(_cubic_forms(G, t)).max(axis=-1, initial=0.0), scale)
-
-
-def _line_starts(G, u1, u2, scale):
-    """Points t = u1 + w u2 of a 2-dim family (orthonormal u1, u2) at which
-    every entry of P M(t) P, P = |t|^2 I - t t^T, vanishes: the near-real
-    roots of these quintics in w, and w = inf.  None when they all vanish
-    identically, where a continuum is possible."""
-    T = _NODES5[:, None] * u2 + u1
-    P = rowdot(T, T)[:, None, None] * np.eye(len(u1)) - T[:, :, None] * T[:, None, :]
-    F = P @ np.einsum('ijk,...k->...ij', G, T) @ P
-    w = _real_roots(_FIT5 @ F.reshape(len(T), -1), 1e-12 * scale * np.abs(T).max() ** 5)
-    if w is None:
-        return None
-    return np.concatenate([w[:, None] * u2 + u1, u2[None]])
-
-
 def _span_split(rows):
     """Orthonormal rows spanning the row space of rows, and orthonormal rows
     spanning its orthogonal complement (SVD, rank relative to 1e-10)."""
@@ -334,64 +257,121 @@ def _brackets(c, A, B):
     return np.einsum('ai,bj,ijk->abk', A, B, c).reshape(-1, c.shape[0])
 
 
+# s @ _CROSS[k], reshaped k x (k - 1), is J s (k = 2) or [s]x^T (k = 3):
+# columns spanning s^perp
+_CROSS = {2: np.array([[0.0, 1.0], [-1.0, 0.0]]),
+          3: np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)}
+
+
+def _curve_starts(G, F, rows, scale):
+    """Points t = s(w) F of a curve s(w) = sum_j w^j rows[j] (a line for two
+    rows, a conic for three) in the coordinates s of a k-dim family F
+    (orthonormal rows, k = 2 or 3) at which every entry of B^T M(t) B
+    vanishes, B = [I - F^T F | F^T X(s)] with X(s) = J s (k = 2) or [s]x
+    (k = 3), so the columns of B span t^perp.  The forms are cubic in s, so
+    of degree 3 on a line and 6 on a conic; the starts are their near-real
+    roots in w, and w = inf.  None when they all vanish identically, where a
+    continuum is possible."""
+    d = 3 * (len(rows) - 1)
+    nodes = np.cos(np.pi * np.arange(d + 1) / d)    # Chebyshev points fix the degree d
+    S = np.vander(nodes, len(rows), increasing=True) @ rows
+    X = (S @ _CROSS[len(F)]).reshape(d + 1, len(F), -1)
+    B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (d + 1,) + G.shape[1:]),
+                        F.T @ X], axis=-1)
+    forms = np.swapaxes(B, -1, -2) @ np.einsum('ijk,...k->...ij', G, S @ F) @ B
+    # symmetric parts on and above the diagonal, antisymmetric below; on a
+    # conic of subalgebras the antisymmetric ones vanish and are not solved
+    forms = np.where(np.tri(B.shape[-1], k=-1, dtype=bool), forms - np.swapaxes(forms, -1, -2),
+                     forms + np.swapaxes(forms, -1, -2))
+    w = _real_roots(np.linalg.solve(np.vander(nodes), forms.reshape(d + 1, -1)),
+                    1e-12 * scale * np.abs(S).max() ** 3)
+    if w is None:
+        return None
+    return np.concatenate([np.vander(w, len(rows), increasing=True) @ rows, rows[-1:]]) @ F
+
+
 def _family_starts(c, G):
-    """Exact starts for n != 3, as unit rows (frame coordinates), or None
-    for the seeded multistart.
+    """Exact starts, as unit rows (frame coordinates), or None for the
+    seeded multistart.
 
     If t^perp = h is a subalgebra of codimension one and N is the largest
     ideal of g inside h, g/N is R, aff(1) or sl2(R) (K. H. Hofmann, Illinois
-    J. Math. 9, 1965), and not sl2(R) on a solvable g.  g/N = R: t lies in
-    U = (g')^perp, where M(t) = G.t is symmetric with M(t) t = 0, so t is TG
-    iff G.t = 0: the R-family normals are the unit vectors of the kernel K
-    of u -> G.u on U.  g/N = aff(1): the quotient map is alpha a + phi b, with
-    alpha a character (a vector in U) and phi on g' a real joint eigenvector
-    theta, of weight alpha, of U acting on (g'/g'')* (g'/g'' represented by
-    W = g' cap (g'')^perp); phi on U solves phi([u_k, u_l]) = alpha_k
-    phi(u_l) - alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself
-    for n = 2).  The starts are K and the _line_starts of each aff(1)
-    family, where the TG residual is small.  None when g is not solvable,
-    dim K >= 2 (a whole sphere of TG normals), a real weight repeats, or a
-    family's polynomials vanish identically.
+    J. Math. 9, 1965), and t lies in N^perp.  g/N = R: t lies in U =
+    (g')^perp, where M(t) = G.t is symmetric with M(t) t = 0, so t is TG iff
+    G.t = 0: the R-family normals are the unit vectors of the kernel K of
+    u -> G.u on U.  g/N = sl2(R) when g'' = g' != 0 (then g'/g'' = 0 and no
+    aff(1) quotient exists): N contains the radical, the Killing-orthogonal
+    of g', so t lies in F = rad^perp, the row space of g' times the Killing
+    form; if dim F = 3, part (a) of the TG condition is the conic
+    s^T S s = 0, S the symmetric part of Milnor's L in [X, Y] = L(X x Y) for
+    the quotient table on F, and empty when S is definite (su(2)).  g/N =
+    aff(1) when g'' < g': the quotient map is alpha a + phi b, with alpha a
+    character (a vector in U) and phi on g' a real joint eigenvector theta,
+    of weight alpha, of U acting on (g'/g'')* (g'/g'' represented by W = g'
+    cap (g'')^perp); phi on U solves phi([u_k, u_l]) = alpha_k phi(u_l) -
+    alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself for n = 2).
+    The starts are K and the _curve_starts of each family, where the TG
+    residual is small.  None when dim K >= 2 (a whole sphere of TG
+    normals), the Levi factor is not 3-dim, g is not solvable and
+    g'' < g', a real weight's eigenspace is not a line, or a family's forms
+    vanish identically.
     """
     n = c.shape[0]
     D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
-    D = D2 = _span_split(_brackets(c, D1, D1))[0]
-    while len(D):                                   # does the derived series reach 0?
-        nxt = _span_split(_brackets(c, D, D))[0]
-        if len(nxt) == len(D):
-            return None
-        D = nxt
-    K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U
+    K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U if len(U) else U
     if len(K) >= 2:
         return None
-    points, families = [K], []
-    W = _span_split(D1 - D1 @ D2.T @ D2)[0]
-    A = np.einsum('ki,qj,ijl,pl->kpq', U, W, c, W)  # A[k]: ad u_k on g'/g'', basis W
     scale = max(1.0, float(np.abs(G).max()))
-    tol = 1e-6 * scale
-    # a fixed generic combination of the A[k]^T: as the A[k] commute, each
-    # simple real eigenvalue has a joint eigenvector
-    lam, theta = np.linalg.eig(np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(U) + 2)), A))
-    k, l = _pair_index(len(U))
-    for i in np.flatnonzero(np.abs(lam.imag) <= tol):
-        if (np.abs(lam - lam[i]) <= tol).sum() > 1:
+    points, curves = [K], []
+    D = D2 = _span_split(_brackets(c, D1, D1))[0]
+    if len(D1) and len(D2) == len(D1):              # g'' = g': the sl2 family
+        F = _span_split(D1 @ np.einsum('ilm,jml->ij', c, c))[0]
+        if len(F) != 3:
             return None
-        th = theta[:, i].real / np.linalg.norm(theta[:, i].real)
-        alpha = A @ th @ th
-        if not np.linalg.norm(alpha) > tol:
-            continue
-        E = np.zeros((len(k), len(U)))
-        E[np.arange(len(k)), l], E[np.arange(len(k)), k] = alpha[k], -alpha[l]
-        rhs = _brackets(c, U, U).reshape(len(U), len(U), n)[k, l] @ (th @ W)
-        a = alpha @ U / np.linalg.norm(alpha)
-        phi = th @ W + np.linalg.lstsq(E, rhs, rcond=None)[0] @ U
-        phi -= (phi @ a) * a
-        families.append(np.stack([a, phi / np.linalg.norm(phi)]))
-    for u1, u2 in families:
-        line = _line_starts(G, u1, u2, scale)
-        if line is None:
+        q = np.einsum('ai,bj,ijk,ck->abc', F, F, c, F)
+        L = np.stack([q[2, 1], q[0, 2], q[1, 0]])
+        lam, V = np.linalg.eigh(0.5 * (L + L.T))
+        if lam[0] < 0 < lam[2]:                     # u_i (1 - w^2) + u_j 2w + u_m (1 + w^2)
+            u = (V / np.sqrt(np.abs(lam))).T
+            i, j, m = (1, 2, 0) if lam[1] > 0 else (0, 1, 2)
+            curves.append((F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]])))
+    else:
+        while len(D):                               # does the derived series reach 0?
+            nxt = _span_split(_brackets(c, D, D))[0]
+            if len(nxt) == len(D):
+                return None
+            D = nxt
+        tol = 1e-6 * scale
+        W = _span_split(D1 - D1 @ D2.T @ D2)[0]
+        A = np.einsum('ki,qj,ijl,pl->kpq', U, W, c, W)  # A[k]: ad u_k on g'/g'', basis W
+        # a fixed generic combination of the A[k]^T: as the A[k] commute, a
+        # real eigenvalue whose eigenspace is a line has a joint eigenvector
+        Abar = np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(U) + 2)), A)
+        lam = np.linalg.eigvals(Abar)
+        lam = lam.real[np.abs(lam.imag) <= tol]
+        k, l = _pair_index(len(U))
+        for i, x in enumerate(lam):
+            if (np.abs(lam[:i] - x) <= tol).any():
+                continue                            # a repeated weight: one eigenspace
+            null = _span_split(Abar - x * np.eye(len(Abar)))[1]
+            if len(null) != 1:
+                return None
+            th = null[0]
+            alpha = A @ th @ th
+            if not np.linalg.norm(alpha) > tol:
+                continue
+            E = np.zeros((len(k), len(U)))
+            E[np.arange(len(k)), l], E[np.arange(len(k)), k] = alpha[k], -alpha[l]
+            rhs = _brackets(c, U, U).reshape(len(U), len(U), n)[k, l] @ (th @ W)
+            a = alpha @ U / np.linalg.norm(alpha)
+            phi = th @ W + np.linalg.lstsq(E, rhs, rcond=None)[0] @ U
+            phi -= (phi @ a) * a
+            curves.append((np.stack([a, phi / np.linalg.norm(phi)]), np.eye(2)))
+    for F, rows in curves:
+        found = _curve_starts(G, F, rows, scale)
+        if found is None:
             return None
-        points.append(line)
+        points.append(found)
     t = _unit_rows(np.concatenate(points))
     return _distinct(t, _tg_residuals(G, t), scale)
 
@@ -413,13 +393,13 @@ def _sign_normalize(v):
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
     """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt.
 
-    For n = 3 the starts are the exact points of _conic_starts; for other n
-    on a solvable algebra, the exact points of _family_starts: the kernel K
-    of Hofmann's R family and the aff(1) families.  Where neither applies
-    (g not solvable, a repeated weight) or a continuum is possible (dim
-    K >= 2, a family whose polynomials vanish), config.n_starts seeded
-    random starts.  All starts run together as one array through _batch_lm
-    and are certified as one stack by _tg_residuals.
+    The starts are the exact points of _family_starts on Hofmann's R,
+    aff(1) and sl2 families, in every dimension.  Where it returns None (a
+    Levi factor of dim 6 or 8, a non-solvable g with g'' < g', a weight
+    space of dim >= 2) or a continuum is possible (dim K >= 2, a family
+    whose forms vanish), config.n_starts seeded random starts.  All starts
+    run together as one array through _batch_lm and are certified as one
+    stack by _tg_residuals.
 
     Deterministic for a fixed config.seed; results are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input
@@ -429,7 +409,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
-    starts = _conic_starts(G) if n == 3 else _family_starts(M.onb_constants, G)
+    starts = _family_starts(M.onb_constants, G)
     if starts is None:
         seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
         starts = _unit_rows(np.array(

@@ -185,6 +185,29 @@ def sl2_rep_constants(a, b):
     return c
 
 
+def refuse(*args, **kwargs):
+    """Stand-in for np.random.SeedSequence or _batch_lm where a test
+    requires that neither runs."""
+    raise AssertionError("multistart or LM called")
+
+
+def table(n, entries):
+    """Antisymmetric structure constants from {(i, j, k): c_ij^k}."""
+    c = np.zeros((n, n, n))
+    for (i, j, k), v in entries.items():
+        c[i, j, k] += v
+        c[j, i, k] -= v
+    return c
+
+
+# su(2); sl2 x| R^2 (h, e, f acting on span(x, y) by the standard
+# representation); Bianchi IV (ad e0 = [[1, 1], [0, 1]] on span(e1, e2))
+SU2 = table(3, {(1, 2, 0): 1.0, (2, 0, 1): 1.0, (0, 1, 2): 1.0})
+SL2_PLANE = table(5, {(0, 1, 1): 2.0, (0, 2, 2): -2.0, (1, 2, 0): 1.0, (0, 3, 3): 1.0,
+                      (0, 4, 4): -1.0, (1, 4, 3): 1.0, (2, 3, 4): 1.0})
+BIANCHI4 = table(3, {(0, 1, 1): 1.0, (0, 2, 1): 1.0, (0, 2, 2): 1.0})
+
+
 def rotate_constants(c, Q):
     """Structure constants in the rotated basis f_a = sum_i Q[i,a] e_i.
 

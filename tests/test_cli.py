@@ -424,6 +424,23 @@ def test_overflowing_chart_point_exits_1_quietly(start, capsys):
     assert capsys.readouterr().err == f"tgkit: error: gram not finite at [{r}.0, 0.0]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["tg-check", "--builtin", "sl2", "--normal", "1e200,0,0"],
+    ["classify", "--builtin", "sl2", "--normal", "1e200,0,0"],
+    ["frenet", "--builtin", "sl2", "--normal", "1e200,0,0"],
+    ["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0.5", "--v0", "1e200,0"],
+    ["geodesic", "--builtin", "euclidean", "--x0", "1,0.5", "--v0", "1e308,1e308"]])
+def test_overflowing_input_length_is_named_quietly(argv, capsys):
+    # |T|^2 or |v0|^2 is past the double range: one stderr line, no warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    what = "initial velocity" if argv[0] == "geodesic" else "normal vector"
+    assert capsys.readouterr().err == f"tgkit: error: {what} length overflows float range\n"
+
+
 @pytest.mark.parametrize("builtin, x0, v0", [("hyperbolic2", "0.05,0", "-1,0"),
                                               ("hyperbolic2", "0.1,0", "-1,0"),
                                               ("twisted-h2", "0,0.05,0", "0,-1,0")])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ def test_geodesic_gates():
     with np.errstate(over='ignore', invalid='ignore'):
         with pytest.raises(TgkitError):
             geodesic_integrate(HYP, np.array([2.0, 1.0]), np.array([0.0, 1.0]), 3.0, 1.0)
+
+
+def test_overflowing_initial_velocity_is_refused_by_its_length():
+    # |v0|^2 overflows on both charts; a NaN v0 is named as such
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for CM, v0 in ((HYP, [1e200, 0.0]), (EUC2, [1e308, 1e308])):
+            with pytest.raises(BadParams) as e:
+                geodesic_integrate(CM, np.array([1.0, 0.5]), np.array(v0), 1.0)
+            assert str(e.value) == "initial velocity length overflows float range"
+        with pytest.raises(BadParams) as e:
+            geodesic_integrate(HYP, np.array([1.0, 0.5]), np.array([np.nan, 0.0]), 1.0)
+        assert str(e.value) == "initial velocity is not finite"
+    assert [str(w.message) for w in caught] == []
 
 
 # per-stage oracle: five catalog charts, each start well inside the chart

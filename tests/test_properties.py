@@ -10,8 +10,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (direct_sum, distinct_rounding, merge_loops, random_orthogonal,
-                     rotate_constants, subspace_check_loops, wedge_eigen_loops)
+from helpers import (SL2_PLANE, direct_sum, distinct_rounding, merge_loops, random_orthogonal,
+                     refuse, rotate_constants, subspace_check_loops, table, wedge_eigen_loops)
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
@@ -263,6 +263,7 @@ def _algebra3(name):
         "heisenberg": [(0, 1, 2, 1.0)],
         "su2": [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0)],
         "e2": [(2, 0, 1, 1.0), (2, 1, 0, -1.0)],               # rotations of the plane
+        "bianchi4": [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (0, 2, 2, 1.0)],  # a Jordan weight
     }[name]:
         c[i, j, k], c[j, i, k] = v, -v
     return catalog.sl2(1.0, 1.0).algebra.structure_constants if name == "sl2" else c
@@ -281,14 +282,28 @@ def test_exact_starts_agree_with_multistart(name, kind, gram_seed):
     gram = {"identity": np.eye(3), "diagonal": np.diag(rng.uniform(0.3, 3.0, 3)),
             "spd": a @ a.T + 0.5 * np.eye(3)}[kind]
     M = MetricLieAlgebra(LieAlgebra(_algebra3(name)), gram)
-    assert ta._conic_starts(levi_civita(M).coefficients) is not None
+    assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
     exact = ta.search_tg_hyperplanes(M)
-    with mock.patch.object(ta, "_conic_starts", lambda G: None):
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None):
         multi = ta.search_tg_hyperplanes(M)
     assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
     for x, r in zip(exact.normals, exact.residuals):
         k = int(np.argmin([np.abs(x - y).max() for y in multi.normals]))
         assert np.abs(x - multi.normals[k]).max() <= 1e-9 or r < multi.residuals[k]
+
+
+@pytest.mark.parametrize("name", ["aff+line", "bianchi4", "e2", "heisenberg", "sl2", "sol12",
+                                  "su2"])
+def test_every_3_dim_class_stays_exact(name, monkeypatch):
+    # under the identity, a diagonal and an SPD gram and in a rotated basis
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    rng = np.random.default_rng(61)
+    c, a = _algebra3(name), rng.standard_normal((3, 3))
+    for gram in (None, np.diag(rng.uniform(0.3, 3.0, 3)), a @ a.T + 0.5 * np.eye(3)):
+        M = MetricLieAlgebra(LieAlgebra(c), gram)
+        assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
+        ta.search_tg_hyperplanes(M)
+    ta.search_tg_hyperplanes(_basis_change(c, "rotated", rng))
 
 
 # exact family starts against seeded multistart on solvable algebras:
@@ -330,11 +345,9 @@ def test_family_starts_agree_with_multistart(weights, k, block, mix, line, basis
         a = rng.standard_normal((n, n))
         gram = a @ a.T + 0.5 * np.eye(n)
     M = MetricLieAlgebra(LieAlgebra(c), gram)
-    if n != 3:
-        assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
+    assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
     exact = ta.search_tg_hyperplanes(M)
-    with mock.patch.object(ta, "_family_starts", lambda c, G: None), \
-            mock.patch.object(ta, "_conic_starts", lambda G: None):
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None):
         multi = ta.search_tg_hyperplanes(M)
     assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
     for x, r in zip(exact.normals, exact.residuals):
@@ -385,6 +398,46 @@ def _basis_change(c, basis, rng):
                   seed=st.integers(0, 2 ** 32 - 1))
 def test_r_family_kernel_agrees_with_multistart(kind, weights, basis, seed):
     M = _basis_change(WIDE_R[kind](weights), basis, np.random.default_rng(seed))
+    assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
+    exact = ta.search_tg_hyperplanes(M)
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None):
+        multi = ta.search_tg_hyperplanes(M, ta.SearchConfig(n_starts=512))
+    assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
+    for x in exact.normals:
+        assert min(np.abs(x - y).max() for y in multi.normals) <= 1e-8
+
+
+# the family starts against 512 seeded starts on algebras with a 3-dim Levi
+# factor, sl2(a, b) + R, su(2) + R, sl2 x| R^2 and its + R, and on Jordan
+# weights, R x| R^k with ad z = J2(w0), J2(w0) + R, J3(w0) and J2(w0) + (w1),
+# in a rotated or an SPD basis
+def _jordan(k, w, mu=None):
+    A = w * np.eye(k) + np.eye(k, k=1)
+    if mu is not None:
+        A[-1, -1], A[-2, -1] = mu, 0.0
+    return _semidirect(A)
+
+
+LEVI_JORDAN = {
+    "sl2+R": lambda w: direct_sum(
+        catalog.sl2(abs(w[0]), abs(w[1])).algebra.structure_constants, LINE),
+    "su2+R": lambda w: direct_sum(table(3, dict(zip([(1, 2, 0), (2, 0, 1), (0, 1, 2)],
+                                                    np.abs(w[:3])))), LINE),
+    "sl2xR2": lambda w: SL2_PLANE,
+    "sl2xR2+R": lambda w: direct_sum(SL2_PLANE, LINE),
+    "jordan2": lambda w: _jordan(2, w[0]),
+    "jordan2+R": lambda w: direct_sum(_jordan(2, w[0]), LINE),
+    "jordan3": lambda w: _jordan(3, w[0]),
+    "jordan2+mu": lambda w: _jordan(3, w[0], w[1]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEVI_JORDAN))
+@hypothesis.settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@hypothesis.given(weights=st.permutations(WEIGHTS), basis=st.sampled_from(["rotated", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_levi_and_jordan_families_agree_with_multistart(kind, weights, basis, seed):
+    M = _basis_change(LEVI_JORDAN[kind](weights), basis, np.random.default_rng(seed))
     assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
     exact = ta.search_tg_hyperplanes(M)
     with mock.patch.object(ta, "_family_starts", lambda c, G: None):
@@ -497,12 +550,12 @@ def test_one_dedup_rule_matches_the_rounding_and_merge_rules(n, seed):
     assert [(x.tobytes(), r) for x, r in got] == [(x.tobytes(), r) for x, r in want]
 
 
-@pytest.mark.parametrize("name", ["abelian-spd", "e2+R", "sl2+R", "sl2+sl2"])
+@pytest.mark.parametrize("name", ["abelian-spd", "e2+R", "aff1+sl2", "sl2+sl2"])
 def test_search_merge_matches_the_merge_loops(name):
     sl2 = catalog.sl2(1.0, 1.0).algebra.structure_constants
     c, gram = {"abelian-spd": (np.zeros((3, 3, 3)), np.diag([1.0, 2.0, 3.0]) + 0.5),
                "e2+R": (direct_sum(_algebra3("e2"), LINE), None),
-               "sl2+R": (direct_sum(sl2, LINE), None),
+               "aff1+sl2": (direct_sum(AFF, sl2), None),
                "sl2+sl2": (direct_sum(sl2, sl2), None)}[name]
     M = MetricLieAlgebra(LieAlgebra(c), gram)
     calls, first_of_each = [], ta._first_of_each

@@ -6,14 +6,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (direct_sum, lm_one, random_orthogonal, random_spd,
-                     rotate_constants)
+from helpers import (BIANCHI4, SL2_PLANE, SU2, direct_sum, lm_one, random_orthogonal,
+                     random_spd, refuse, rotate_constants)
 
 from tgkit import catalog
 from tgkit.cli import run
 from tgkit.config import DEFAULT
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
-from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm, _conic_starts,
+from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm, _family_starts,
                                _residual_jacobian, _sign_normalize, classify_case,
                                hyperplane_tg_residual, search_tg_hyperplanes)
 
@@ -239,15 +239,11 @@ def test_generic_gram_census():
         assert max(got.residuals) < 1e-10
 
 
-# ------------------------------------------------------- exact n = 3 starts
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("multistart or LM called")
-
+# ----------------------------------------------------- exact sl2-family starts
 
 def test_exact_census_on_the_sl2_grid(monkeypatch):
-    # the conic starts alone find both Borel normals, and no third
-    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    # the sl2 family's conic starts alone find both Borel normals, and no third
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     for a in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0):
         for b in (0.25, 0.5, 1.0, 1.7, 3.0):
             got = search_tg_hyperplanes(catalog.sl2(a, b))
@@ -258,23 +254,43 @@ def test_exact_census_on_the_sl2_grid(monkeypatch):
             assert max(got.residuals) < 1e-12, (a, b)
 
 
-def _su2():
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k], eps[j, i, k] = 1.0, -1.0
-    return MetricLieAlgebra(LieAlgebra(eps))
-
-
 def test_heisenberg_and_su2_census_is_a_certificate(monkeypatch):
-    # S is a double line on heisenberg (no point of it passes part (b)) and
-    # definite on su(2): no start, so neither LM nor multistart runs
+    # heisenberg: K is empty and the one weight is 0; su(2): S is definite.
+    # No start, so neither LM nor multistart runs
     from tgkit import tg_analysis
-    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
-    monkeypatch.setattr(tg_analysis, "_batch_lm", _refuse)
-    for M in (catalog.heisenberg(), _su2()):
-        assert _conic_starts(levi_civita(M).coefficients).shape == (0, 3)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(tg_analysis, "_batch_lm", refuse)
+    for M in (catalog.heisenberg(), MetricLieAlgebra(LieAlgebra(SU2))):
+        assert _family_starts(M.onb_constants, levi_civita(M).coefficients).shape == (0, 3)
         got = search_tg_hyperplanes(M)
         assert len(got) == 0 and not got.continuum
+
+
+def test_exact_census_on_levi_dim_3_and_jordan_blocks(monkeypatch):
+    # sl2(a, b) + R: the R line and the two Borel normals of the sl2 conic;
+    # su(2) + R: the R line alone (S definite); sl2 x| R^2: none; Bianchi IV
+    # (one Jordan weight): none, and the R line with + R.  In the catalog
+    # basis and a rotated one, with multistart refused
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    rng = np.random.default_rng(59)
+    line, e4 = np.zeros((1, 1, 1)), np.eye(4)[[3]]
+    cases = [(direct_sum(catalog.sl2(a, b).algebra.structure_constants, line),
+              np.array([[0, 0, 0, 1.0], [a, 2 * b, 0, 0], [1.0, 0, 0, 0]])
+              / [[1.0], [np.hypot(a, 2 * b)], [1.0]])
+             for a, b in ((1.0, 1.0), (0.5, 3.0), (2.0, 0.25))]
+    cases += [(direct_sum(SU2, line), e4), (SL2_PLANE, np.zeros((0, 5))),
+              (BIANCHI4, np.zeros((0, 3))), (direct_sum(BIANCHI4, line), e4)]
+    for c, want in cases:
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(c)))
+        assert len(got) == len(want) and not got.continuum
+        assert np.abs(np.reshape(got.normals, want.shape) - want).max(initial=0.0) < 1e-12
+        Q = random_orthogonal(rng, len(c))
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(rotate_constants(c, Q))))
+        assert len(got) == len(want) and not got.continuum
+        assert max(got.residuals, default=0.0) < 1e-12
+        for x in want @ Q:                      # the normals in the rotated basis
+            assert min(min(np.abs(y - x).max(), np.abs(y + x).max())
+                       for y in got.normals) < 1e-12
 
 
 # --------------------------------------------- exact starts on solvable algebras
@@ -289,7 +305,7 @@ def test_exact_census_on_nonhomo_and_aff(monkeypatch):
     # nonhomo: the R family is Z (not TG), the weight-2 aff(1) family
     # span{Z, Y} holds Y; aff(1): the family is g, and Y/|Y| is TG under
     # every gram (here the census bench's four)
-    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     rng = np.random.default_rng(47)
     c = catalog.nonhomo().algebra.structure_constants
     for Q in (np.eye(4), random_orthogonal(rng, 4), random_orthogonal(rng, 4)):
@@ -322,7 +338,7 @@ def _algebra_file(tmp_path, c):
 def test_exact_census_on_wide_r_families(monkeypatch):
     # heisenberg + R: the R family U = span{x, y, e3} has the kernel K =
     # span{e3}; aff(1)^3: K = 0 and each weight's aff(1) family holds its b_i
-    monkeypatch.setattr(np.random, "SeedSequence", _refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
     rng = np.random.default_rng(53)
     aff = np.zeros((2, 2, 2))
     aff[0, 1, 1], aff[1, 0, 1] = 1.0, -1.0
@@ -385,7 +401,7 @@ def test_abelian_and_h3_return_to_multistart(tmp_path):
         assert rep["continuum"] and rep["count"] == 64, argv
         assert max(rep["residuals"]) < 1e-14, argv
     M = catalog.abelian(3)
-    assert _conic_starts(levi_civita(M).coefficients) is None
+    assert _family_starts(M.onb_constants, levi_civita(M).coefficients) is None
     # G = 0, so no start moves: the normals are the seeded draws themselves,
     # sign-normalized and sorted, as every earlier multistart printed them
     want = []

@@ -7,7 +7,8 @@
 The first form runs `tgkit.cli.run` in-process, from this checkout's src/,
 on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
-nonhomo, aff(1) + aff(1), H3, H2 + R and H3 + R: search, then frenet and
+nonhomo, aff(1) + aff(1), H3, H2 + R, H3 + R, su(2) + R, sl2 x| R^2,
+aff(1) + sl2 and Bianchi IV: search, then frenet and
 classify on each normal the search prints, and tg-check on a generic
 subspace; the same on rotated sl2(1e3, 2e3) and on sl2(1e200, 1e200)),
 and writes each argv's exit code, stdout and stderr.  An argv
@@ -55,6 +56,15 @@ BASES = {
     "H3": lambda rng: _table(3, {(0, 1, 1): 1.0, (0, 2, 2): 1.0}),
     "H2+R": lambda rng: _table(3, {(0, 1, 1): 1.0}),
     "H3+R": lambda rng: _table(4, {(0, 1, 1): 1.0, (0, 2, 2): 1.0}),
+    "su2+R": lambda rng: _table(4, dict(zip([(1, 2, 0), (2, 0, 1), (0, 1, 2)],
+                                            rng.uniform(0.5, 2.0, 3)))),
+    # h, e, f and the standard representation on span(x, y)
+    "sl2xR2": lambda rng: _table(5, {(0, 1, 1): 2.0, (0, 2, 2): -2.0, (1, 2, 0): 1.0,
+                                     (0, 3, 3): 1.0, (0, 4, 4): -1.0, (1, 4, 3): 1.0,
+                                     (2, 3, 4): 1.0}),
+    "aff1+sl2": lambda rng: _table(5, {(0, 1, 1): 1.0}) + np.pad(
+        _sl2(*rng.uniform(0.5, 2.0, 2)), ((2, 0), (2, 0), (2, 0))),
+    "bianchi4": lambda rng: _table(3, {(0, 1, 1): 1.0, (0, 2, 1): 1.0, (0, 2, 2): 1.0}),
 }
 
 
