@@ -22,7 +22,7 @@ from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec,
 from .errors import BadParams, UnknownName
 from .lie_core import (DIM_RANGE, LieAlgebra, MetricLieAlgebra, _antisym, _sl2_closed,
                        curvature_tensor, jacobi_residual, levi_civita, sectional)
-from .tg_analysis import (classify_case, frenet_orbit, helix_witness,
+from .tg_analysis import (_helix_witness, classify_case, frenet_orbit,
                           hyperplane_tg_residual, search_tg_hyperplanes)
 
 def sl2(a=1.0, b=1.0, tol=DEFAULT):
@@ -352,7 +352,7 @@ def _verify_sl2(params, tol, grid):
                      tol.tg_residual))
     fr = frenet_orbit(M, T)
     rows.append(_row("frenet_curvatures", _curvature_error(fr, 2 * b, 2 * a), 1e-9))
-    w = helix_witness(M, T)
+    w = _helix_witness(M, fr)
     rows.append(_row("helix_table", w.residuals["bracket_table_residual"],
                      tol.bracket_table))
     rows.append(_row("recognized_params",

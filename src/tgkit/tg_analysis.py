@@ -85,11 +85,11 @@ def _unit_onb(M: MetricLieAlgebra, T):
     return M.to_onb(T)
 
 
-def _tg_residuals(G, t):
-    """max |<nabla_X Y, t>| over an orthonormal basis X, Y of t^perp for every
-    unit row of t (frame coordinates): the one TG residual formula."""
+def _tg_residuals(G, t, Q):
+    """max |<nabla_X Y, t>| over the columns X, Y of Q = complement_onb(t), an
+    orthonormal basis of t^perp, for every unit row of t (frame coordinates):
+    the one TG residual formula.  The caller builds Q, once per t."""
     n = t.shape[-1]
-    Q = complement_onb(t)
     Mm = (t @ G.reshape(n * n, n).T).reshape(t.shape[:-1] + (n, n))
     return np.abs(Q.swapaxes(-1, -2) @ Mm @ Q).max(axis=(-2, -1))
 
@@ -100,7 +100,9 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
     Zero iff the left-invariant distribution T^perp is integrable with
     totally geodesic leaves.
     """
-    return float(_tg_residuals(levi_civita(M).coefficients, _unit_onb(M, T)))
+    G = levi_civita(M).coefficients
+    t = _unit_onb(M, T)
+    return float(_tg_residuals(G, t, complement_onb(t)))
 
 
 # ------------------------------------------------------------------- search
@@ -373,7 +375,7 @@ def _family_starts(c, G):
             return None
         points.append(found)
     t = _unit_rows(np.concatenate(points))
-    return _distinct(t, _tg_residuals(G, t), scale)
+    return _distinct(t, _tg_residuals(G, t, complement_onb(t)), scale)
 
 
 # A normal's sign comes from its first coordinate above this.  A normal at a
@@ -418,7 +420,8 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     ts = _batch_lm(_residual_jacobian(G), starts) if len(starts) else starts
     X = M.from_onb(ts.T).T
     X = X / np.sqrt(rowdot(X @ M.gram, X))[:, None]
-    res = _tg_residuals(G, M.to_onb(X.T).T)
+    t = M.to_onb(X.T).T
+    res = _tg_residuals(G, t, complement_onb(t))
     keep = np.flatnonzero(res < tol.search_residual)
     Y = np.array([_sign_normalize(X[i]) for i in keep]).reshape(-1, n)
     # sign classes closer than the dedup angle merge into the smallest residual
@@ -447,14 +450,15 @@ def frenet_orbit(M: MetricLieAlgebra, T) -> FrenetData:
     eps_1 = T; w_s = nabla_{eps_1} eps_s + k_{s-1} eps_{s-1};
     k_s = |w_s|; stops at k_s < eps_k or s = n - 1.
     """
+    return _frenet(M, _unit_onb(M, T))
+
+
+def _frenet(M, t):
+    """frenet_orbit at the unit frame vector t."""
     tol = M.tol
-    t = _unit_onb(M, T)
     G = levi_civita(M).coefficients
-    frame = [t]
-    ks = []
-    ws = []                     # the w_s behind each accepted k_s
-    trunc = float('nan')
-    borderline = False
+    frame, ks, ws = [t], [], []     # ws: the w_s behind each accepted k_s
+    trunc, borderline = float('nan'), False
     for s in range(1, M.dim):
         w = np.einsum('ijk,i,j->k', G, frame[0], frame[-1])
         if s >= 2:
@@ -504,9 +508,13 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     fails to be an ideal (which falsifies the TG hypothesis for T), and
     NotRecognized when the quotient misses the sl2(k2/2, k1/2) table.
     """
+    return _helix_witness(M, frenet_orbit(M, T))
+
+
+def _helix_witness(M, fd: FrenetData) -> HelixWitness:
+    """helix_witness from the Frenet data fd of the orbit."""
     tol = M.tol
     n = M.dim
-    fd = frenet_orbit(M, T)
     if fd.order != 2:
         raise NotHelixOrderTwo(fd.order)
     k1, k2 = fd.curvatures
@@ -553,10 +561,12 @@ class CaseTag(str, enum.Enum):
 def codazzi_residual(M: MetricLieAlgebra, T) -> float:
     """max |<R(X,Y)Z, T>| over orthonormal X, Y, Z spanning T^perp."""
     t = _unit_onb(M, T)
-    R = curvature_tensor(M).components
-    Q = complement_onb(t)
-    proj = np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)
-    return float(np.abs(proj).max())
+    return _codazzi(curvature_tensor(M).components, t, complement_onb(t))
+
+
+def _codazzi(R, t, Q):
+    """codazzi_residual at the unit frame vector t, Q = complement_onb(t)."""
+    return float(np.abs(np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)).max())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -572,7 +582,6 @@ class ClassificationReport:
 def _wedge_eigen_lambda(M, t_onb):
     # every T^X must live in one eigenspace of the curvature operator,
     # with a single eigenvalue shared across X
-    tol = M.tol
     # C-ordered rows, on which rowdot and _matvecs give the 1-D products' bits
     W = np.ascontiguousarray(wedge_coords(t_onb, complement_onb(t_onb).T))
     RW = _matvecs(curvature_tensor(M).operator_matrix, W)
@@ -580,11 +589,11 @@ def _wedge_eigen_lambda(M, t_onb):
     D = RW - li[:, None] * W
     res = np.sqrt(rowdot(D, D))
     # the residual runs up to the first X whose eigenvalue leaves the first
-    off = np.flatnonzero(np.abs(li - li[0]) > tol.eigen_membership)
+    off = np.flatnonzero(np.abs(li - li[0]) > M.tol.eigen_membership)
     if len(off):
         return None, max(float(res[:off[0] + 1].max()), float(abs(li[off[0]] - li[0])))
     worst = float(res.max())
-    return (float(li[0]) if worst <= tol.eigen_membership else None), worst
+    return (float(li[0]) if worst <= M.tol.eigen_membership else None), worst
 
 
 def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
@@ -596,18 +605,19 @@ def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
     residual fails max(codazzi, 4 n eps max(1, max|R|)), R's round-off floor.
     """
     tol = M.tol
-    res = hyperplane_tg_residual(M, T)
+    G = levi_civita(M).coefficients
+    t = _unit_onb(M, T)
+    Q = complement_onb(t)
+    res = float(_tg_residuals(G, t, Q))
     if not res < tol.tg_residual:
         raise NotTotallyGeodesic(res)
-    cod = codazzi_residual(M, T)
+    cod = _codazzi(curvature_tensor(M).components, t, Q)
     scale = max(1.0, float(np.abs(curvature_tensor(M).components).max()))
     if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * scale):
         raise NotTotallyGeodesic(cod, 'codazzi_residual')
-    fd = frenet_orbit(M, T)
+    fd = _frenet(M, t)
     residuals = {'tg_residual': res, 'codazzi_residual': cod}
-    witness = None
-    hint = None
-    lam = None
+    witness = hint = lam = None
     if fd.order == 0:
         tag = CaseTag.GEODESIC_NORMAL
         lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)))
@@ -620,7 +630,7 @@ def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
             np.abs(np.einsum('k,ijk->ij', hint, c)).max())
     elif fd.order == 2:
         tag = CaseTag.HELIX_ORDER_TWO
-        witness = helix_witness(M, T)
+        witness = _helix_witness(M, fd)
         residuals.update(witness.residuals)
     else:
         tag = CaseTag.HIGHER_ORDER

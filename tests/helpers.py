@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 
-from tgkit.errors import NotHelixOrderTwo
-from tgkit.lie_core import MetricLieAlgebra
-from tgkit.tg_analysis import FrenetData, frenet_orbit
+from tgkit.errors import NotHelixOrderTwo, NotTotallyGeodesic
+from tgkit.lie_core import MetricLieAlgebra, curvature_tensor
+from tgkit.tg_analysis import (_EPS, CaseTag, ClassificationReport, FrenetData,
+                               _wedge_eigen_lambda, codazzi_residual, frenet_orbit,
+                               helix_witness, hyperplane_tg_residual)
 
 
 def constant(value):
@@ -355,3 +357,37 @@ def second_normal_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> flo
     T = np.asarray(T, float)
     v = fd.frame[2] - (M.algebra.bracket(T, fd.frame[1]) + k1 * T) / k2
     return M.norm(v)
+
+
+def classify_oracle(M: MetricLieAlgebra, T) -> ClassificationReport:
+    """classify_case through the public per-normal functions, each called on
+    T: the TG and Codazzi residuals, the Frenet orbit and the helix witness
+    each rebuild the unit frame vector and its complement (and the witness
+    its Frenet orbit), with the gates in the same order."""
+    tol = M.tol
+    res = hyperplane_tg_residual(M, T)
+    if not res < tol.tg_residual:
+        raise NotTotallyGeodesic(res)
+    cod = codazzi_residual(M, T)
+    scale = max(1.0, float(np.abs(curvature_tensor(M).components).max()))
+    if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * scale):
+        raise NotTotallyGeodesic(cod, 'codazzi_residual')
+    fd = frenet_orbit(M, T)
+    residuals = {'tg_residual': res, 'codazzi_residual': cod}
+    witness = hint = lam = None
+    if fd.order == 0:
+        tag = CaseTag.GEODESIC_NORMAL
+        lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)))
+        residuals['eigen_membership'] = memb
+    elif fd.order == 1:
+        tag = CaseTag.CIRCLE_NORMAL
+        hint = fd.curvatures[0] * (M.gram @ fd.frame[1])
+        residuals['character_annihilation'] = float(
+            np.abs(np.einsum('k,ijk->ij', hint, M.algebra.structure_constants)).max())
+    elif fd.order == 2:
+        tag = CaseTag.HELIX_ORDER_TWO
+        witness = helix_witness(M, T)
+        residuals.update(witness.residuals)
+    else:
+        tag = CaseTag.HIGHER_ORDER
+    return ClassificationReport(tag, fd, witness, hint, lam, residuals)

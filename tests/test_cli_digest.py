@@ -55,7 +55,9 @@ def test_algebra_files_are_seeded_and_labelled_once():
     files = cli_digest.algebra_files()
     assert json.dumps(files) == json.dumps(cli_digest.algebra_files())
     labels = [label for label, _, _ in files]
-    assert len(labels) == len(set(labels)) == 2 * len(cli_digest.BASES) * len(cli_digest.SEEDS)
+    # rot and spd per base and seed, then the one abelian:3 SPD file
+    assert len(labels) == len(set(labels)) == 2 * len(cli_digest.BASES) * len(cli_digest.SEEDS) + 1
+    assert labels[-1] == "abelian3-spd.json"
     for _, data, sub in files:
         assert len(sub.split(";")) == 2
         assert all(len(v.split(",")) == data["dim"] for v in sub.split(";"))

@@ -1,6 +1,7 @@
 """Property tests over random points of the catalog charts, over planted
 case-(c) algebras, and over random command lines."""
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -10,14 +11,16 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (SL2_PLANE, direct_sum, distinct_rounding, merge_loops, random_orthogonal,
-                     refuse, rotate_constants, subspace_check_loops, table, wedge_eigen_loops)
+from helpers import (SL2_PLANE, classify_oracle, direct_sum, distinct_rounding, merge_loops,
+                     random_orthogonal, refuse, rotate_constants, subspace_check_loops, table,
+                     wedge_eigen_loops)
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
 from tgkit.coord_engine import (ScalarField, _christoffel_from, _spray, build_warped_product,
                                 christoffel, twisting_phi)
+from tgkit.errors import TgkitError
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace, levi_civita
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -572,3 +575,76 @@ def test_search_merge_matches_the_merge_loops(name):
         assert len(got) > 0
         assert [x.tobytes() for x in got.normals] == [x.tobytes() for x, _ in want]
         assert got.residuals == [r for _, r in want]
+
+
+# classify_case against helpers.classify_oracle, which calls the public
+# per-normal functions on T, bit for bit: the tag, every residual, the Frenet
+# data, the witness, the eigenvalue and the character hint, or the same
+# refusal.  Algebras of dimension 2 to 6: sl2 + R^k (helix normals), the
+# nonhomo type h x| R^m with [z, y] = mu y on R^m and h = R or R x| R^2
+# (circle normals), and abelian continua (geodesic normals), each in a
+# rotated basis, in a general basis B with the gram B^T B of the same metric
+# (a dense frame, so every rounding of T shows), or in its own basis with a
+# random SPD gram.  The normals: the planted one (in R^m for the nonhomo
+# type; TG but for the SPD gram), the first search normals and a random unit
+# vector, which is refused.
+def _bits(x):
+    """x as nested tuples of bytes, on which == is equality bit for bit."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple(sorted((k, _bits(v)) for k, v in x.items()))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_bits, x))
+    if isinstance(x, (float, np.ndarray)):
+        a = np.asarray(x)
+        return a.dtype.str, a.shape, a.tobytes()
+    return x
+
+
+def _classified(classify, M, T):
+    try:
+        return _bits(classify(M, T))
+    except TgkitError as e:
+        return type(e), _bits(vars(e)), str(e)
+
+
+PLANTED_TAG = {"sl2": ta.CaseTag.HELIX_ORDER_TWO, "nonhomo": ta.CaseTag.CIRCLE_NORMAL,
+               "abelian": ta.CaseTag.GEODESIC_NORMAL}
+
+
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(kind=st.sampled_from(sorted(PLANTED_TAG)), n=st.integers(2, 6),
+                  basis=st.sampled_from(["rotated", "general", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+@hypothesis.example(kind="sl2", n=4, basis="general", seed=0)
+@hypothesis.example(kind="nonhomo", n=5, basis="general", seed=0)
+@hypothesis.example(kind="abelian", n=3, basis="spd", seed=0)
+def test_classify_case_matches_the_public_call_chain(kind, n, basis, seed):
+    hypothesis.assume(kind != "sl2" or n >= 3)
+    rng = np.random.default_rng(seed)
+    if kind == "sl2":
+        c = direct_sum(catalog.sl2(*rng.uniform(0.5, 2.0, 2)).algebra.structure_constants,
+                       np.zeros((n - 3,) * 3))
+    elif kind == "nonhomo":
+        p = 2 if n >= 4 else 0
+        A = np.eye(n - 1) * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        A[:p, :p] = rng.standard_normal((p, p))
+        c = _semidirect(A)
+    else:
+        c = np.zeros((n, n, n))
+    B = {"rotated": random_orthogonal(rng, n), "spd": np.eye(n),
+         "general": random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n))
+         @ random_orthogonal(rng, n)}[basis]
+    c = np.einsum('ia,jb,ijk,dk->abd', B, B, c, np.linalg.inv(B))
+    a = rng.standard_normal((n, n))
+    gram = {"rotated": None, "general": B.T @ B, "spd": a @ a.T + 0.5 * np.eye(n)}[basis]
+    M = MetricLieAlgebra(LieAlgebra(0.5 * (c - c.transpose(1, 0, 2))), gram)
+    planted = np.linalg.inv(B)[:, n - 1 if kind == "nonhomo" else 0]
+    planted = planted / M.norm(planted)
+    random_unit = rng.standard_normal(n)
+    normals = [planted, *ta.search_tg_hyperplanes(M).normals[:4], random_unit / M.norm(random_unit)]
+    for T in normals:
+        assert _classified(ta.classify_case, M, T) == _classified(classify_oracle, M, T)
+    if basis != "spd" or kind == "abelian":
+        assert ta.classify_case(M, planted).case_tag is PLANTED_TAG[kind]

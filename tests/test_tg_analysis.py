@@ -265,8 +265,17 @@ def test_classify_helix_order_two():
 
 
 def test_classify_requires_certification():
-    with pytest.raises(NotTotallyGeodesic):
-        classify_case(catalog.nonhomo(), E4[:, 1])
+    # the gates in order: unit norm, then the TG residual, then Codazzi
+    M = catalog.nonhomo()
+    with pytest.raises(NotTotallyGeodesic) as e:
+        classify_case(M, E4[:, 1])
+    assert e.value.label == "tg_residual"
+    assert np.float64(e.value.residual).tobytes() == \
+        np.float64(hyperplane_tg_residual(M, E4[:, 1])).tobytes()
+    # a non-unit normal, TG direction or not, never reaches a residual gate
+    for T in (2 * E4[:, 1], 0.5 * E4[:, 1], 2 * E4[:, 3], E4[:, 1] + E4[:, 3]):
+        with pytest.raises(NonUnitVector):
+            classify_case(M, T)
 
 
 def test_classify_rejects_non_finite_normal():

@@ -8,9 +8,10 @@ The first form runs `tgkit.cli.run` in-process, from this checkout's src/,
 on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
 nonhomo, aff(1) + aff(1), H3, H2 + R, H3 + R, su(2) + R, sl2 x| R^2,
-aff(1) + sl2 and Bianchi IV: search, then frenet and
-classify on each normal the search prints, and tg-check on a generic
-subspace; the same on rotated sl2(1e3, 2e3) and on sl2(1e200, 1e200)),
+aff(1) + sl2 and Bianchi IV, and abelian:3 with an SPD gram: search, then
+frenet and classify on each normal the search prints, and tg-check on a
+generic subspace; the same on rotated sl2(1e3, 2e3) and on
+sl2(1e200, 1e200)),
 and writes each argv's exit code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
@@ -87,25 +88,32 @@ def _file(label, c, gram, rng):
     return label, data, ";".join(_vec(v) for v in rng.standard_normal((2, n)))
 
 
+def _spd(rng, n):
+    A = rng.standard_normal((n, n))
+    gram = A @ A.T + 0.5 * np.eye(n)
+    return (0.5 * (gram + gram.T)).tolist()
+
+
 def algebra_files(seeds=SEEDS):
     """[(label, algebra file object, generic subspace text)]: each base in
     a random orthonormal basis with identity gram ('rot') and in its own
-    basis with a random SPD gram ('spd'), per seed."""
+    basis with a random SPD gram ('spd'), per seed; then abelian:3 with an
+    SPD gram, whose search prints a continuum, so that classify runs on
+    each of its normals under a dense frame."""
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         for base, make in BASES.items():
             for variant in ("rot", "spd"):
                 c = make(rng)
-                n = c.shape[0]
                 gram = None
                 if variant == "rot":
                     c = _rotated(c, rng)
                 else:
-                    A = rng.standard_normal((n, n))
-                    gram = A @ A.T + 0.5 * np.eye(n)
-                    gram = (0.5 * (gram + gram.T)).tolist()
+                    gram = _spd(rng, c.shape[0])
                 out.append(_file(f"{base}-{variant}-{seed}.json", c, gram, rng))
+    rng = np.random.default_rng(0)
+    out.append(_file("abelian3-spd.json", np.zeros((3, 3, 3)), _spd(rng, 3), rng))
     return out
 
 
