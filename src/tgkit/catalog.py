@@ -127,18 +127,11 @@ def nonhomo_metric():
     return _diagonal_metric(4, coeffs)
 
 
-def _coordinate_gradient(k, n):
-    """Gradient of the coordinate x^k: e_k at every point, read-only."""
-    e = np.eye(n)[k]
-    e.setflags(write=False)
-    return lambda x: e if x.ndim == 1 else np.broadcast_to(e, x.shape)
-
-
 def twisted_h2(kappa=1.0) -> TwistedProductSpec:
     """Twisted product over the polar hyperbolic plane with alpha = r,
     beta = theta, k = 1, anchored at the origin."""
-    alpha = ScalarField(lambda u: u[..., 0], grad=_coordinate_gradient(0, 2))
-    beta = ScalarField(lambda u: u[..., 1], grad=_coordinate_gradient(1, 2))
+    alpha = ScalarField(lambda u: u[0], grad=lambda u: (1.0, 0.0))
+    beta = ScalarField(lambda u: u[1], grad=lambda u: (0.0, 1.0))
     return TwistedProductSpec(hyperbolic_plane(), alpha, beta,
                               float(kappa), 1.0, np.zeros(2))
 
@@ -443,8 +436,8 @@ def _verify_twisted(params, tol, grid):
     # the leaf's k2 is a norm, |kappa|
     rows.append(_row("orbit_frenet", _curvature_error(fr, 1.0, abs(kappa)), tol.leaf_frenet))
     rows.append(_row("orbit_closure", fr.truncation_residual, tol.leaf_k3))
-    leaf = ScalarField(lambda x: x[..., 0], grad=_coordinate_gradient(0, 3),
-                       hess=lambda x: np.zeros(x.shape + (3,)))
+    leaf = ScalarField(lambda x: x[0], grad=lambda x: (1.0, 0.0, 0.0),
+                       hess=lambda x: ((0.0,) * 3,) * 3)
     worst = 0.0
     for r in (0.4, 1.1):
         for th in (0.2, 2.5):

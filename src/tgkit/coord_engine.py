@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 import typing
 
 import numpy as np
@@ -73,36 +74,44 @@ def mathlib(x, _elementwise=_Elementwise()):
 class ScalarField:
     """Scalar function with optional exact gradient / Hessian evaluators.
 
-    fn, grad and hess take points (..., n) and return (...), (..., n) and
-    (..., n, n); value gives a float at one point.  Missing derivatives fall
-    back to central differences with one Richardson extrapolation level.
+    fn, grad and hess take coordinates(x), n floats at one point or n arrays
+    over a stack (..., n), transcendentals through mathlib, and return the
+    value, the n partials and n rows of n, each a float or an array.  value,
+    gradient and hessian take points (..., n) and return (...), (..., n) and
+    (..., n, n), a float value at one point.  Missing derivatives fall back
+    to central differences with one Richardson extrapolation level.
     """
 
     def __init__(self, fn, grad=None, hess=None):
-        self.fn = fn
-        self._grad = grad
-        self._hess = hess
+        self.fn, self.grad, self.hess = fn, grad, hess
 
     @property
     def has_grad(self):
-        return self._grad is not None
+        return self.grad is not None
 
     def value(self, x):
-        v = self.fn(np.asarray(x, float))
-        return float(v) if getattr(v, 'ndim', 0) == 0 else np.asarray(v, float)
+        x = np.asarray(x, float)
+        v = self.fn(coordinates(x))
+        return float(v) if x.ndim == 1 else np.broadcast_to(np.asarray(v, float), x.shape[:-1])
 
     def gradient(self, x):
         x = np.asarray(x, float)
-        if self._grad is not None:
-            return np.asarray(self._grad(x), float)
-        return _richardson(self.fn, x, _FD_STEP)
+        if self.grad is None:
+            return _richardson(self.value, x, _FD_STEP)
+        return _last_axis(self.grad(coordinates(x)), x.shape[:-1])
 
     def hessian(self, x):
         x = np.asarray(x, float)
-        if self._hess is not None:
-            return np.asarray(self._hess(x), float)
+        if self.hess is not None:
+            rows = self.hess(coordinates(x))
+            return np.stack([_last_axis(row, x.shape[:-1]) for row in rows], -2)
         H = _richardson(self.gradient, x, _FD_STEP)
         return 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
+def _last_axis(parts, shape):
+    """The entries parts, floats or arrays over shape, on a new last axis."""
+    return np.stack([np.broadcast_to(np.asarray(p, float), shape) for p in parts], -1)
 
 
 # ------------------------------------------------------------------- metrics
@@ -250,8 +259,13 @@ def _generic_stage(CM, x, v):
 def _solve(g, b):
     """g^-1 b on Python floats, for a positive definite gram g given as
     dim^2 floats in row-major order: Gaussian elimination, which needs no
-    pivoting here; a singular g raises ZeroDivisionError."""
+    pivoting here; a singular g raises ZeroDivisionError.  At dim 2 (the
+    catalog's product bases) the same operations are written out."""
     n = len(b)
+    if n == 2:
+        f = g[2] / g[0]
+        y = (b[1] - f * b[0]) / (g[3] - f * g[1])
+        return [(b[0] - g[1] * y) / g[0], y]
     a, y = list(g), list(b)
     for k in range(n):
         for i in range(k + 1, n):
@@ -392,19 +406,19 @@ def second_fundamental_form(CM: CoordinateMetric, h: ScalarField, x) -> np.ndarr
 def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetric:
     """diag(w(x) I_m, base(u)) on x = (v, u), the m flat coordinates first.
 
-    weight(v, u) -> w from the flat coordinates v (floats at one point) and
-    the base points u (..., base.dim); weight(v, u, True) -> (w, dw), dw[k] =
-    d w / d x^k, which is called for only when exact is true (otherwise the
-    partials are finite differences).  The base gram is evaluated ungated: a
-    block-diagonal gram is finite, symmetric and positive definite exactly
-    when each block is, so the one gate on the composite covers the base.
+    weight(v, u) -> w from coordinates(v) and coordinates(u) of the flat
+    and base parts; weight(v, u, True) -> (w, dw), dw[k] = d w / d x^k, which
+    is called for only when exact is true (otherwise the partials are finite
+    differences).  The base gram is evaluated ungated: a block-diagonal gram
+    is finite, symmetric and positive definite exactly when each block is,
+    so the one gate on the composite covers the base.
     """
     dim = m + base.dim
     flat = slice(0, m * (dim + 1), dim + 1)    # entries (a, a), a < m, of a raveled gram
 
     def gram_at(x):
         g = np.zeros(x.shape[:-1] + (dim, dim))
-        w = weight(coordinates(x[..., :m]), x[..., m:])
+        w = weight(coordinates(x[..., :m]), coordinates(x[..., m:]))
         g.reshape(x.shape[:-1] + (-1,))[..., flat] = np.asarray(w)[..., None]
         g[..., m:, m:] = _eval_gram(base, x[..., m:])
         return g
@@ -413,31 +427,32 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
     if exact and base.partials_at is not None:
         def partials_at(x):
             dg = np.zeros(x.shape[:-1] + (dim, dim, dim))
-            dw = weight(coordinates(x[..., :m]), x[..., m:], True)[1]
+            dw = weight(coordinates(x[..., :m]), coordinates(x[..., m:]), True)[1]
             dg.reshape(x.shape[:-1] + (dim, -1))[..., flat] = np.stack(
                 np.broadcast_arrays(*dw), -1)[..., None]
             dg[..., m:, m:, m:] = base.partials_at(x[..., m:])
             return dg
 
     if exact and base.stage_at is not None:
-        nb = base.dim
-        block = [(m + i) * dim + m + j for i in range(nb) for j in range(nb)]
+        # the raveled gram picked from (0, w, *base gram): 1 on the flat
+        # diagonal, 2 + the base entry's index in the base block, else 0
+        pick = operator.itemgetter(*[
+            1 if i == j < m else 2 + (i - m) * base.dim + j - m if min(i, j) >= m else 0
+            for i in range(dim) for j in range(dim)])
 
         def stage_at(x, v):
             # warped and twisted product connection (O'Neill 1983, ch. 7;
             # Ponge and Reckziegel 1993): with f = |v_flat|^2 / 2, the flat
             # rows are (f d_a w - (dw . v) v_a) / w, the base rows the base
             # spray plus f g_B^-1 d_u w
-            w, dw = weight(x[:m], np.array(x[m:]), True)
-            gB, aB = base.stage_at(x[m:], v[m:])
-            f = 0.5 * sum([c * c for c in v[:m]])
-            dv = sum([d * c for d, c in zip(dw, v)])
-            g = [0.0] * (dim * dim)
-            g[flat] = [w] * m
-            for k, c in zip(block, gB):
-                g[k] = c
-            a = [(f * d - dv * c) / w for d, c in zip(dw, v[:m])]
-            return g, a + [p + f * y for p, y in zip(aB, _solve(gB, dw[m:]))]
+            u, vf = x[m:], v[:m]
+            w, dw = weight(x[:m], u, True)
+            gB, aB = base.stage_at(u, v[m:])
+            f = 0.5 * sum(map(operator.mul, vf, vf))
+            dv = sum(map(operator.mul, dw, v))
+            a = [(f * d - dv * c) / w for d, c in zip(dw, vf)]
+            a += [p + f * y for p, y in zip(aB, _solve(gB, dw[m:]))]
+            return pick((0.0, w, *gB)), a
 
     return CoordinateMetric(dim, gram_at, partials_at, stage_at)
 
@@ -448,9 +463,9 @@ def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> C
         raise BadParams("flat factor dimension must be at least 1")
 
     def weight(v, u, grad=False):
-        w = 2.0 * logf.value(u)
+        w = 2.0 * logf.fn(u)
         w = mathlib(w).exp(w)
-        return (w, [0.0] * m + [2.0 * w * d for d in coordinates(logf.gradient(u))]) if grad else w
+        return (w, [0.0] * m + [2.0 * w * d for d in logf.grad(u)]) if grad else w
 
     return _product_metric(m, base, weight, logf.has_grad)
 
@@ -482,21 +497,22 @@ class TwistedProductSpec:
 
 
 def _twist(spec: TwistedProductSpec, t, u):
-    """(F, F_t, sinh alpha, cosh alpha, angle, mathlib) at t and u (..., n), with
-    F = e^{-phi} = sinh(alpha) cos(angle) + cosh(alpha), angle = kappa t + beta."""
-    a, ang = spec.alpha.value(u), spec.kappa * t + spec.beta.value(u)
+    """(F, F_t, sinh alpha, cosh alpha, cos a, sin a, mathlib) at t and base
+    coordinates u, a = kappa t + beta, F = e^{-phi} = sinh(alpha) cos a + cosh(alpha)."""
+    a, ang = spec.alpha.fn(u), spec.kappa * t + spec.beta.fn(u)
     m = mathlib(ang)
-    sa, ca = m.sinh(a), m.cosh(a)
-    F = sa * m.cos(ang) + ca
+    sa, ca, c, s = m.sinh(a), m.cosh(a), m.cos(ang), m.sin(ang)
+    F = sa * c + ca
     if (F <= 0).any() if isinstance(F, np.ndarray) else F <= 0:     # impossible for real alpha
         raise TgkitError(f"e^{{-phi}} = {np.min(F):.3e} <= 0")
-    return F, -spec.kappa * sa * m.sin(ang), sa, ca, ang, m
+    return F, -spec.kappa * sa * s, sa, ca, c, s, m
 
 
 def twisting_phi(spec: TwistedProductSpec, t, u):
-    """(phi, phi_t, phi_tt) of the closed-form twisting function, at (t, u) as in _twist."""
-    F, Ft, sa, _, ang, m = _twist(spec, t, u)
-    Ftt = -(spec.kappa * spec.kappa) * sa * m.cos(ang)
+    """(phi, phi_t, phi_tt) of the closed-form twisting function at times t
+    and base points u (..., n)."""
+    F, Ft, sa, _, c, _, m = _twist(spec, t, coordinates(np.asarray(u, float)))
+    Ftt = -(spec.kappa * spec.kappa) * sa * c
     q = Ft / F
     return -m.log(F), -q, -Ftt / F + q * q
 
@@ -504,13 +520,13 @@ def twisting_phi(spec: TwistedProductSpec, t, u):
 def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
     """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi} = F^-2, base block-diagonal."""
     def weight(v, u, grad=False):
-        F, Ft, sa, ca, ang, m = _twist(spec, v[0], u)
+        F, Ft, sa, ca, c, s, m = _twist(spec, v[0], u)
         if not grad:
             return m.pow(F, -2.0)
         m3 = -2.0 * m.pow(F, -3.0)
-        da, db = m3 * (ca * m.cos(ang) + sa), m3 * sa * m.sin(ang)
+        da, db = m3 * (ca * c + sa), m3 * sa * s
         return m.pow(F, -2.0), [m3 * Ft] + [da * p - db * q for p, q in zip(
-            coordinates(spec.alpha.gradient(u)), coordinates(spec.beta.gradient(u)))]
+            spec.alpha.grad(u), spec.beta.grad(u))]
 
     return _product_metric(1, spec.base, weight, spec.alpha.has_grad and spec.beta.has_grad)
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from tgkit.coord_engine import ScalarField
 from tgkit.errors import NotHelixOrderTwo, NotTotallyGeodesic
 from tgkit.lie_core import MetricLieAlgebra, curvature_tensor
 from tgkit.tg_analysis import (_EPS, CaseTag, ClassificationReport, FrenetData,
@@ -16,10 +17,17 @@ from tgkit.tg_analysis import (_EPS, CaseTag, ClassificationReport, FrenetData,
 
 
 def constant(value):
-    """Chart or field evaluator returning value at every point of a stack
-    (..., n), as evaluators take points on the last axis."""
+    """Chart evaluator returning value at every point of a stack (..., n),
+    as chart evaluators take points on the last axis."""
     value = np.asarray(value, float)
     return lambda x: np.broadcast_to(value, np.shape(x)[:-1] + value.shape)
+
+
+def coordinate_field(k, n):
+    """The coordinate x^k of R^n as a ScalarField: exact gradient e_k and
+    Hessian 0, as floats at one point and over a stack alike."""
+    e = tuple(float(i == k) for i in range(n))
+    return ScalarField(lambda x: x[k], grad=lambda x: e, hess=lambda x: ((0.0,) * n,) * n)
 
 
 def koszul_loops(c):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 
 from tgkit import catalog
-from tgkit.coord_engine import (ScalarField, build_twisted_product, christoffel,
+from tgkit.coord_engine import (build_twisted_product, christoffel,
                                 eikonal_residuals, frenet_numeric,
                                 geodesic_integrate, second_fundamental_form,
                                 sectional_at, twisting_ode_residual)
@@ -15,7 +15,7 @@ from tgkit.tg_analysis import (CaseTag, SearchConfig, classify_case,
                                hyperplane_tg_residual, search_tg_hyperplanes,
                                tg_subspace_check)
 
-from helpers import (constant, direct_sum, normal_curvature_identity, random_orthogonal,
+from helpers import (coordinate_field, direct_sum, normal_curvature_identity, random_orthogonal,
                      random_spd, rotate_constants, second_normal_identity)
 
 AB_GRID = (0.5, 1.0, 2.0)
@@ -51,9 +51,7 @@ def test_02_solvable_example_rejection_and_slice():
     assert np.array_equal(check.witness.component, [0.0, -1.0, 0.0, 0.0])
 
     CM = catalog.nonhomo_metric()  # coordinates (z, y, x1, x2)
-    h = ScalarField(lambda x: x[..., 2],
-                    grad=constant([0.0, 0.0, 1.0, 0.0]),
-                    hess=constant(np.zeros((4, 4))))
+    h = coordinate_field(2, 4)
     rng = np.random.default_rng(0)
     for _ in range(20):
         p = rng.uniform(0.0, 1.0, size=4)
@@ -125,9 +123,7 @@ def test_05_twisted_product_instance():
     t_grid = np.linspace(0.0, 6.0, 50)
     u_grid = np.stack([np.linspace(0.1, 2.0, 50),
                        np.linspace(0.0, 6.0, 50)], axis=1)
-    slice_field = ScalarField(lambda x: x[..., 0],
-                              grad=constant([1.0, 0.0, 0.0]),
-                              hess=constant(np.zeros((3, 3))))
+    slice_field = coordinate_field(0, 3)
     for kappa in (0.5, 1.0, 2.0):
         spec = catalog.twisted_h2(kappa)
         assert twisting_ode_residual(spec, t_grid, u_grid) < 1e-10

@@ -55,9 +55,10 @@ def test_algebra_files_are_seeded_and_labelled_once():
     files = cli_digest.algebra_files()
     assert json.dumps(files) == json.dumps(cli_digest.algebra_files())
     labels = [label for label, _, _ in files]
-    # rot and spd per base and seed, then the one abelian:3 SPD file
-    assert len(labels) == len(set(labels)) == 2 * len(cli_digest.BASES) * len(cli_digest.SEEDS) + 1
-    assert labels[-1] == "abelian3-spd.json"
+    # rot and spd per base and seed, then the abelian:3 SPD file and the
+    # general-basis sl2 + R^2 file
+    assert len(labels) == len(set(labels)) == 2 * len(cli_digest.BASES) * len(cli_digest.SEEDS) + 2
+    assert labels[-2:] == ["abelian3-spd.json", "sl2+R2-general.json"]
     for _, data, sub in files:
         assert len(sub.split(";")) == 2
         assert all(len(v.split(",")) == data["dim"] for v in sub.split(";"))

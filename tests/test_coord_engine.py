@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import constant, geodesic_per_stage
+from helpers import constant, coordinate_field, geodesic_per_stage
 
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (_GATE_STEPS, CoordinateMetric, ScalarField, _gate_grams, christoffel,
@@ -23,7 +23,7 @@ EUC3 = catalog.euclidean_metric(3)
 # ------------------------------------------------------------ scalar fields
 
 def test_scalar_field_fd_derivatives():
-    f = ScalarField(lambda x: np.sinh(x[..., 0]) * np.cos(x[..., 1]))
+    f = ScalarField(lambda x: np.sinh(x[0]) * np.cos(x[1]))
     x = np.array([0.7, -0.4])
     want_grad = np.array([np.cosh(0.7) * np.cos(-0.4),
                           -np.sinh(0.7) * np.sin(-0.4)])
@@ -33,7 +33,7 @@ def test_scalar_field_fd_derivatives():
         [-np.cosh(0.7) * np.sin(-0.4), -np.sinh(0.7) * np.cos(-0.4)]])
     assert np.abs(f.hessian(x) - want_hess).max() < 1e-5
     assert not f.has_grad
-    g = ScalarField(lambda x: x[..., 0], grad=constant([1.0, 0.0]))
+    g = coordinate_field(0, 2)
     assert g.has_grad
 
 
@@ -276,9 +276,9 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 def test_sphere_second_fundamental_form():
     R = 2.0
-    h = ScalarField(lambda x: (x * x).sum(-1) - R * R,
-                    grad=lambda x: 2.0 * x,
-                    hess=constant(2.0 * np.eye(3)))
+    h = ScalarField(lambda x: sum(c * c for c in x) - R * R,
+                    grad=lambda x: [2.0 * c for c in x],
+                    hess=lambda x: 2.0 * np.eye(3))
     rng = np.random.default_rng(4)
     for _ in range(5):
         p = rng.normal(size=3)
@@ -288,9 +288,7 @@ def test_sphere_second_fundamental_form():
 
 
 def test_flat_slice_of_nonhomo_chart():
-    h = ScalarField(lambda x: x[..., 2],
-                    grad=constant([0.0, 0.0, 1.0, 0.0]),
-                    hess=constant(np.zeros((4, 4))))
+    h = coordinate_field(2, 4)
     rng = np.random.default_rng(8)
     for _ in range(20):
         p = rng.uniform(0.0, 1.0, size=4)
@@ -299,11 +297,11 @@ def test_flat_slice_of_nonhomo_chart():
 
 
 def test_sff_gates():
-    h = ScalarField(lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 1.0,
-                    grad=lambda x: 2 * x * [1.0, 1.0, 0.0])
+    h = ScalarField(lambda x: x[0] ** 2 + x[1] ** 2 - 1.0,
+                    grad=lambda x: (2 * x[0], 2 * x[1], 0.0))
     with pytest.raises(BadParams):
         second_fundamental_form(EUC3, h, np.array([2.0, 0.0, 0.0]))
-    flat = ScalarField(lambda x: x[..., 0] ** 2, grad=lambda x: 2 * x * [1.0, 0.0, 0.0])
+    flat = ScalarField(lambda x: x[0] ** 2, grad=lambda x: (2 * x[0], 0.0, 0.0))
     with pytest.raises(MetricDegenerate):
         second_fundamental_form(EUC3, flat, np.array([0.0, 0.5, 0.5]))
 
@@ -399,8 +397,7 @@ def _solvable_base():
 
 def test_warped_product_reproduces_solvable_chart():
     base = _solvable_base()
-    logf = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
-    W = build_warped_product(2, base, logf)
+    W = build_warped_product(2, base, coordinate_field(0, 2))
     assert W.dim == 4
     perm = [2, 3, 0, 1]     # (x1, x2, z, y) -> (z, y, x1, x2)
     rng = np.random.default_rng(12)
@@ -413,6 +410,28 @@ def test_warped_product_reproduces_solvable_chart():
         dw = W.partials(xw, exact=True)
         dc = NH.partials(xc, exact=True)
         assert np.abs(dw - dc[np.ix_(perm, perm, perm)]).max() < 1e-12
+
+
+def test_warped_product_is_the_nonhomo_chart():
+    # case (b) from its builder: e^{2z} (dx1^2 + dx2^2) over dz^2 + e^{4z} dy^2,
+    # on the stage path of a diagonal base, is nonhomo_metric permuted
+    def coeffs(z, m):
+        e4 = m.exp(4.0 * z)
+        return (1.0, e4), (0.0, 4.0 * e4)
+
+    W = build_warped_product(2, catalog._diagonal_metric(2, coeffs), coordinate_field(0, 2))
+    perm = [2, 3, 0, 1]     # (x1, x2, z, y) -> (z, y, x1, x2)
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        xw = rng.uniform(-0.5, 0.5, size=4)
+        xc = xw[perm]
+        assert np.array_equal(W.gram(xw), NH.gram(xc)[np.ix_(perm, perm)])
+        assert np.array_equal(christoffel(W, xw), christoffel(NH, xc)[np.ix_(perm, perm, perm)])
+    xw, vw = np.array([0.1, -0.2, 0.15, 0.3]), np.array([0.2, 0.1, -0.3, 0.25])
+    tw = geodesic_integrate(W, xw, vw, 1.0, 1e-3)
+    tc = geodesic_integrate(NH, xw[perm], vw[perm], 1.0, 1e-3)
+    assert np.abs(tw.points[-1] - tc.points[-1][perm]).max() <= 1e-12
+    assert np.abs(tw.velocities[-1] - tc.velocities[-1][perm]).max() <= 1e-12
 
 
 def test_warped_base_curvature():
@@ -441,8 +460,7 @@ def _counted_gates(monkeypatch):
 
 
 def _warped_over_hyperbolic():
-    logf = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
-    return build_warped_product(2, HYP, logf)
+    return build_warped_product(2, HYP, coordinate_field(0, 2))
 
 
 def test_product_gram_is_gated_once(monkeypatch):
@@ -489,8 +507,8 @@ def test_degenerate_base_names_the_composite_point():
 
 def test_sff_and_riemann_gate_the_point_once(monkeypatch):
     seen = _counted_gates(monkeypatch)
-    h = ScalarField(lambda x: (x * x).sum(-1) - 4.0, grad=lambda x: 2 * x,
-                    hess=constant(2 * np.eye(3)))
+    h = ScalarField(lambda x: sum(c * c for c in x) - 4.0, grad=lambda x: [2 * c for c in x],
+                    hess=lambda x: 2 * np.eye(3))
     x = np.array([0.0, 2.0, 0.0])
     second_fundamental_form(EUC3, h, x)
     assert seen == [[tuple(x)]]

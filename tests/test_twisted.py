@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cart_coeffs_series, constant
+from helpers import cart_coeffs_series, coordinate_field
 
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (ScalarField, TwistedProductSpec, build_twisted_product,
@@ -16,7 +16,7 @@ U_GRID = np.stack([np.linspace(0.1, 2.0, 50), np.linspace(0.0, 6.0, 50)], axis=1
 
 
 def _beta():
-    return ScalarField(lambda u: u[..., 1], grad=constant([0.0, 1.0]))
+    return coordinate_field(1, 2)
 
 
 # --------------------------------------------------------------- twisting ODE
@@ -70,7 +70,7 @@ def test_eikonal_residuals_closed_form():
 
 
 def test_eikonal_detects_wrong_alpha():
-    alpha2 = ScalarField(lambda u: 2.0 * u[..., 0], grad=constant([2.0, 0.0]))
+    alpha2 = ScalarField(lambda u: 2.0 * u[0], grad=lambda u: (2.0, 0.0))
     bad = TwistedProductSpec(catalog.hyperbolic_plane(), alpha2, _beta(),
                              1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(bad, U_GRID)
@@ -80,8 +80,8 @@ def test_eikonal_detects_wrong_alpha():
 def test_eikonal_nan_term_is_nan():
     # the NaN alpha gradient sits at the last grid point, after finite terms
     last = U_GRID[-1]
-    alpha = ScalarField(lambda u: u[..., 0], grad=lambda u: np.where(
-        (u == last).all(-1, keepdims=True), [np.nan, 0.0], [1.0, 0.0]))
+    alpha = ScalarField(lambda u: u[0], grad=lambda u: (
+        np.where((u[0] == last[0]) & (u[1] == last[1]), np.nan, 1.0), 0.0))
     spec = TwistedProductSpec(catalog.hyperbolic_plane(), alpha, _beta(),
                               1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(spec, U_GRID)
@@ -101,7 +101,7 @@ def test_eikonal_gates_base_grams_in_one_batch(monkeypatch):
 
 
 def test_eikonal_beta_not_applicable_for_zero_alpha():
-    az = ScalarField(constant(0.0), grad=constant(np.zeros(2)))
+    az = ScalarField(lambda u: 0.0, grad=lambda u: (0.0, 0.0))
     spec = TwistedProductSpec(catalog.hyperbolic_plane(), az, _beta(),
                               1.0, 1.0, np.zeros(2))
     out = eikonal_residuals(spec, U_GRID)
@@ -117,7 +117,7 @@ def test_spec_gates():
         catalog.twisted_h2(0.0)
     with pytest.raises(BadParams):
         catalog.twisted_h2_cartesian(0.0)
-    alpha = ScalarField(lambda u: u[..., 0], grad=constant([1.0, 0.0]))
+    alpha = coordinate_field(0, 2)
     with pytest.raises(BadParams):
         TwistedProductSpec(catalog.hyperbolic_plane(), alpha, _beta(),
                            1.0, -1.0, np.zeros(2))
@@ -153,9 +153,7 @@ def test_anchor_leaf_in_cartesian_chart():
 
 def test_slices_are_totally_geodesic():
     CM = build_twisted_product(catalog.twisted_h2(1.0))
-    h = ScalarField(lambda x: x[..., 0],
-                    grad=constant([1.0, 0.0, 0.0]),
-                    hess=constant(np.zeros((3, 3))))
+    h = coordinate_field(0, 3)
     for r in (0.3, 0.8, 1.5):
         for th in (0.2, 2.1):
             out = second_fundamental_form(CM, h, np.array([0.0, r, th]))

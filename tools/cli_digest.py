@@ -8,11 +8,11 @@ The first form runs `tgkit.cli.run` in-process, from this checkout's src/,
 on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
 nonhomo, aff(1) + aff(1), H3, H2 + R, H3 + R, su(2) + R, sl2 x| R^2,
-aff(1) + sl2 and Bianchi IV, and abelian:3 with an SPD gram: search, then
-frenet and classify on each normal the search prints, and tg-check on a
-generic subspace; the same on rotated sl2(1e3, 2e3) and on
-sl2(1e200, 1e200)),
-and writes each argv's exit code, stdout and stderr.  An argv
+aff(1) + sl2 and Bianchi IV, abelian:3 with an SPD gram, and sl2 + R^2 in
+a general basis: search, then frenet and classify on each normal the
+search prints, and tg-check on a generic subspace; the same on rotated
+sl2(1e3, 2e3) and on sl2(1e200, 1e200)), and writes each argv's exit
+code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
 only one digest has, and exits 1 if there is one.  Standard library plus
@@ -69,11 +69,14 @@ BASES = {
 }
 
 
+def _orthogonal(rng, n):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
 def _rotated(c, rng):
     """c in a random orthonormal basis, antisymmetrized."""
-    n = c.shape[0]
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
-    Q = Q * np.sign(np.diag(R))
+    Q = _orthogonal(rng, c.shape[0])
     c = np.einsum('ia,jb,kd,ijk->abd', Q, Q, Q, c)
     return 0.5 * (c - c.transpose(1, 0, 2))
 
@@ -99,7 +102,9 @@ def algebra_files(seeds=SEEDS):
     a random orthonormal basis with identity gram ('rot') and in its own
     basis with a random SPD gram ('spd'), per seed; then abelian:3 with an
     SPD gram, whose search prints a continuum, so that classify runs on
-    each of its normals under a dense frame."""
+    each of its normals under a dense frame; then sl2 + R^2 in a general
+    basis B with the gram B^T B, whose geodesic normals see a nonzero
+    curvature operator under a dense frame."""
     out = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -114,6 +119,13 @@ def algebra_files(seeds=SEEDS):
                 out.append(_file(f"{base}-{variant}-{seed}.json", c, gram, rng))
     rng = np.random.default_rng(0)
     out.append(_file("abelian3-spd.json", np.zeros((3, 3, 3)), _spd(rng, 3), rng))
+    rng = np.random.default_rng(1)
+    B = _orthogonal(rng, 5) @ np.diag(rng.uniform(0.5, 2.0, 5)) @ _orthogonal(rng, 5)
+    # the table in the basis f_a = B_ia e_i of an orthonormal basis e; gram B^T B
+    c = np.einsum('ia,jb,ijk,dk->abd', B, B, _sl2(*rng.uniform(0.5, 2.0, 2), n=5),
+                  np.linalg.inv(B))
+    c = 0.5 * (c - c.transpose(1, 0, 2))
+    out.append(_file("sl2+R2-general.json", c, (B.T @ B).tolist(), rng))
     return out
 
 
@@ -156,6 +168,9 @@ CATALOG_ARGVS = [
                            ("euclidean", "0.1,0.2", "1,-1"),
                            ("twisted-h2", "0,1,0.5", "0.3,0.2,0.1"),
                            ("nonhomo", "0,0.1,0.2,0.3", "0.2,0.1,0,1"))],
+    # the product stage off the anchor and off theta = 0, over two time units
+    *[["geodesic", "--builtin", name, "--x0", "0.4,0.9,2.2", "--v0", "0.3,-0.2,0.25",
+       "--tmax", "2", "--json"] for name in ("twisted-h2:0.5", "twisted-h2:2.5")],
 ]
 
 
