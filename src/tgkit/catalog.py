@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec,
-                           build_twisted_product, christoffel, coordinates,
+                           _product_metric, build_twisted_product, christoffel, coordinates,
                            eikonal_residuals, frenet_numeric, geodesic_integrate,
                            mathlib, second_fundamental_form, sectional_at,
                            twisting_ode_residual)
@@ -138,119 +138,57 @@ def twisted_h2(kappa=1.0) -> TwistedProductSpec:
 
 # ---- cartesian chart of the twisted build (regular across the polar axis)
 
-_CART_TERMS = 12
-# per term m: the float values the series divides by and multiplies with,
-# (2m+1)!, (2m+2)!, (2m+4)!, 2^(2m+1), 2^(2m+3), 2m, 2^(2m+2) m, 2^(2m+4) m
-_CART_SERIES = tuple(
-    (float(math.factorial(2 * m + 1)), float(math.factorial(2 * m + 2)),
-     float(math.factorial(2 * m + 4)), 2.0 ** (2 * m + 1), 2.0 ** (2 * m + 3),
-     float(2 * m), 2.0 ** (2 * m + 2) * m, 2.0 ** (2 * m + 4) * m)
-    for m in range(_CART_TERMS))
+def _hyperboloid_plane():
+    """The hyperbolic plane in the coordinates q = (x, y) of its hyperboloid
+    point (sqrt(1 + |q|^2), q), q = sinh(r) (cos theta, sin theta):
+    gram I - q q^T / (1 + |q|^2), whose inverse is I + q q^T."""
+    def gram_at(p):
+        x, y = coordinates(p)
+        d = 1.0 + x * x + y * y
+        xy = -x * y / d
+        return np.stack([np.stack([1.0 - x * x / d, xy], -1),
+                         np.stack([xy, 1.0 - y * y / d], -1)], -2)
 
+    def partials_at(p):
+        # d_k g_ij = (2 q_i q_j q_k / d - delta_ki q_j - delta_kj q_i) / d
+        q = np.asarray(p, float)
+        d = (1.0 + q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1])[..., None, None, None]
+        qi, qj, qk = q[..., None, :, None], q[..., None, None, :], q[..., :, None, None]
+        e = np.eye(2)
+        return (2.0 * qk * qi * qj / d - e[:, :, None] * qj - e[:, None, :] * qi) / d
 
-def _cart_coeffs(u):
-    """(S, S1, a, b, A, B) as functions of u = x^2 + y^2, floats or arrays.
+    def stage_at(p, v):
+        # hyperboloid geodesics: q'' = <q', q'>_g q
+        (x, y), (vx, vy) = p, v
+        d = 1.0 + x * x + y * y
+        s, xy = x * vx + y * vy, -x * y / d
+        c = vx * vx + vy * vy - s * s / d
+        return (1.0 - x * x / d, xy, xy, 1.0 - y * y / d), [c * x, c * y]
 
-    S = sinh(r)/r, S1 = 2 dS/du, a = S^2, b = (1 - a)/u, A = 2 da/du,
-    B = 2 db/du, all with r = sqrt(u).  Power series below u = 0.25,
-    closed forms above; both branches agree to machine precision there.
-    An array is mapped point by point, so its rows equal the float results.
-    """
-    if isinstance(u, float):
-        return _cart_series(u) if u < 0.25 else _cart_closed(u)
-    rows = np.array([_cart_coeffs(v) for v in np.ravel(u).tolist()], float)
-    return tuple(np.moveaxis(rows.reshape(np.shape(u) + (6,)), -1, 0))
-
-
-def _cart_series(u):
-    S = S1 = a = b = A = B = 0.0
-    up = 1.0        # u^m
-    um = 0.0        # u^{m-1}, only consumed for m >= 1
-    for f1, f2, f4, p1, p3, m2, p2m, p4m in _CART_SERIES:
-        S += up / f1
-        a += p1 * up / f2
-        b -= p3 * up / f4
-        if m2:      # m >= 1
-            S1 += m2 * um / f1
-            A += p2m * um / f2
-            B -= p4m * um / f4
-        um, up = up, up * u
-    return S, S1, a, b, A, B
-
-
-def _cart_closed(u):
-    r = math.sqrt(u)
-    sh, ch = math.sinh(r), math.cosh(r)
-    S = sh / r
-    S1 = (r * ch - sh) / (r * r * r)
-    a = S * S
-    b = (1.0 - a) / u
-    A = 2.0 * S * S1
-    B = -(A + 2.0 * b) / u
-    return S, S1, a, b, A, B
+    return CoordinateMetric(2, gram_at, partials_at, stage_at)
 
 
 def twisted_h2_cartesian(kappa=1.0):
     """Same geometry as build_twisted_product(twisted_h2(kappa)) in
-    coordinates (t, x, y) with x = r cos(theta), y = r sin(theta); smooth at
-    the axis r = 0, where the polar chart degenerates."""
+    coordinates (t, x, y) with (x, y) = sinh(r) (cos theta, sin theta); smooth
+    at the axis r = 0, where the polar chart degenerates.  There
+    e^{-phi} = F = x cos(kappa t) - y sin(kappa t) + sqrt(1 + x^2 + y^2)."""
     kappa = float(kappa)
     if kappa == 0:
         raise BadParams("kappa must be nonzero")
 
-    def pieces(t, x, y):
-        # (x, y, a, b, A, B, F, dF) at (t, x, y), dF the gradient of F; floats or arrays
-        u, m = x * x + y * y, mathlib(t)
-        S, S1, a, b, A, B = _cart_coeffs(u)
-        cs, sn = m.cos(kappa * t), m.sin(kappa * t)
-        w = x * cs - y * sn
-        dF = (-kappa * S * (x * sn + y * cs), S1 * x * w + S * cs + S * x,
-              S1 * y * w - S * sn + S * y)
-        return x, y, a, b, A, B, S * w + m.cosh(m.sqrt(u)), dF
+    def weight(v, u, grad=False):
+        (t,), (x, y) = v, u
+        m = mathlib(t)
+        cs, sn, h = m.cos(kappa * t), m.sin(kappa * t), m.sqrt(1.0 + x * x + y * y)
+        F = x * cs - y * sn + h
+        if not grad:
+            return m.pow(F, -2.0)
+        m3 = -2.0 * m.pow(F, -3.0)
+        return m.pow(F, -2.0), [m3 * d for d in (-kappa * (x * sn + y * cs),
+                                                  cs + x / h, y / h - sn)]
 
-    def gram_at(p):
-        x, y, a, b, _, _, F, _ = pieces(*coordinates(p))
-        g = np.zeros(p.shape[:-1] + (3, 3))
-        g[..., 0, 0] = mathlib(F).pow(F, -2.0)
-        g[..., 1, 1] = a + b * x * x
-        g[..., 2, 2] = a + b * y * y
-        g[..., 1, 2] = g[..., 2, 1] = b * x * y
-        return g
-
-    def partials_at(p):
-        x, y, _, b, A, B, F, dF = pieces(*coordinates(p))
-        m3 = -2.0 * mathlib(F).pow(F, -3.0)
-        dg = np.zeros(p.shape[:-1] + (3, 3, 3))
-        dg[..., :, 0, 0] = np.stack([m3 * d for d in dF], -1)
-        # d_k (a delta_ij + b x_i x_j)
-        #   = A x_k delta_ij + B x_k x_i x_j + b (delta_ki x_j + x_i delta_kj)
-        bxy = B * x * y
-        dg[..., 1, 1, 1] = (A + B * x * x + 2.0 * b) * x
-        dg[..., 1, 1, 2] = dg[..., 1, 2, 1] = bxy * x + b * y
-        dg[..., 1, 2, 2] = (A + B * y * y) * x
-        dg[..., 2, 1, 1] = (A + B * x * x) * y
-        dg[..., 2, 1, 2] = dg[..., 2, 2, 1] = bxy * y + b * x
-        dg[..., 2, 2, 2] = (A + B * y * y + 2.0 * b) * y
-        return dg
-
-    def stage_at(p, v):
-        # the twisted product formula over the base G = a I + b q q^T on
-        # q = (x, y), where G^-1 = (I - b q q^T) / a since a + b u = 1; with
-        # v = (vx, vy) and s = q . v, (d_v G) v - 1/2 dG(v, v) is
-        # A s v + (B s^2 / 2 + (b - A / 2) |v|^2) q
-        x, y, a, b, A, B, F, dF = pieces(*p)
-        W, m3 = F ** -2, -2.0 * F ** -3
-        vt, vx, vy = v
-        f, s = 0.5 * vt * vt * m3, x * vx + y * vy
-        c = 0.5 * B * s * s + (b - 0.5 * A) * (vx * vx + vy * vy)
-        zx = f * dF[1] - A * s * vx - c * x
-        zy = f * dF[2] - A * s * vy - c * y
-        bz = b * (x * zx + y * zy)
-        dv = m3 * (dF[0] * vt + dF[1] * vx + dF[2] * vy)
-        return ((W, 0.0, 0.0, 0.0, a + b * x * x, b * x * y, 0.0, b * x * y, a + b * y * y),
-                [(f * dF[0] - dv * vt) / W, (zx - bz * x) / a, (zy - bz * y) / a])
-
-    return CoordinateMetric(3, gram_at, partials_at, stage_at)
+    return _product_metric(1, _hyperboloid_plane(), weight, True)
 
 
 # ----------------------------------------------------------------- dispatch
@@ -258,7 +196,7 @@ def twisted_h2_cartesian(kappa=1.0):
 def catalog_lookup(name, params=None, kind=None, tol=DEFAULT):
     """Builtin by name, its algebra forms admitted under `tol`.  params is a
     dict of per-entry settings; kind picks between forms when an entry has
-    more than one:
+    more than one, and must be None on the others:
 
       nonhomo:    'algebra' (default) or 'coordinate'
       twisted-h2: 'chart' (default, polar), 'cartesian', or 'spec'; without
@@ -285,6 +223,8 @@ def _lookup(name, params, kind, tol):
             raise BadParams(f"unknown parameters for {name}: {sorted(params)}")
         return obj, used
 
+    if kind is not None and name in CATALOG_NAMES and name not in ("nonhomo", "twisted-h2"):
+        raise BadParams(f"{name} has no kind {kind!r}")
     if name == "sl2":
         return done(sl2(take("a", 1.0, float), take("b", 1.0, float), tol))
     if name == "nonhomo":

@@ -321,7 +321,7 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
         except Exception as exc:
             _grams(CM, np.array(stage_x + [x]))
             if isinstance(exc, _NOT_FINITE):
-                raise MetricDegenerate(f"gram not finite at {np.array(x).tolist()}") from None
+                raise MetricDegenerate(f"metric derivatives not finite at {x}") from None
             raise
         stage_x.append(x)
         stage_g.append(g)
@@ -419,7 +419,7 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
     def gram_at(x):
         g = np.zeros(x.shape[:-1] + (dim, dim))
         w = weight(coordinates(x[..., :m]), coordinates(x[..., m:]))
-        g.reshape(x.shape[:-1] + (-1,))[..., flat] = np.asarray(w)[..., None]
+        g.reshape(x.shape[:-1] + (dim * dim,))[..., flat] = np.asarray(w)[..., None]
         g[..., m:, m:] = _eval_gram(base, x[..., m:])
         return g
 
@@ -428,7 +428,7 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
         def partials_at(x):
             dg = np.zeros(x.shape[:-1] + (dim, dim, dim))
             dw = weight(coordinates(x[..., :m]), coordinates(x[..., m:]), True)[1]
-            dg.reshape(x.shape[:-1] + (dim, -1))[..., flat] = np.stack(
+            dg.reshape(x.shape[:-1] + (dim, dim * dim))[..., flat] = np.stack(
                 np.broadcast_arrays(*dw), -1)[..., None]
             dg[..., m:, m:, m:] = base.partials_at(x[..., m:])
             return dg

@@ -318,29 +318,6 @@ def geodesic_per_stage(CM, x0, v0, tmax, h):
     return points, vels, drift
 
 
-def cart_coeffs_series(u, terms=12):
-    """Series branch of catalog._cart_coeffs with the factorials and powers
-    of two computed inside the loop."""
-    from math import factorial
-    S = S1 = a = b = A = B = 0.0
-    up = 1.0
-    um = 0.0
-    for m in range(terms):
-        f1 = factorial(2 * m + 1)
-        f2 = factorial(2 * m + 2)
-        f4 = factorial(2 * m + 4)
-        S += up / f1
-        a += 2.0 ** (2 * m + 1) * up / f2
-        b -= 2.0 ** (2 * m + 3) * up / f4
-        if m >= 1:
-            S1 += 2 * m * um / f1
-            A += 2.0 ** (2 * m + 2) * m * um / f2
-            B -= 2.0 ** (2 * m + 4) * m * um / f4
-        um = up
-        up *= u
-    return S, S1, a, b, A, B
-
-
 def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
     """Residual of <T,[X,T]> = k1 <N1, X> over the basis (0 when k1 = 0)."""
     fd = fd or frenet_orbit(M, T)

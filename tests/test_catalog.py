@@ -89,6 +89,11 @@ def test_lookup_rejects_bad_input():
         catalog.catalog_lookup("heisenberg", {"n": 4})
     with pytest.raises(BadParams):
         catalog.catalog_lookup("nonhomo", kind="matrix")
+    # an entry with one form takes no kind, not even the name of its own
+    for name in ("sl2", "heisenberg", "abelian", "hyperbolic2", "euclidean"):
+        for kind in ("algebra", "coordinate", "chart"):
+            with pytest.raises(BadParams, match=f"^{name} has no kind '{kind}'$"):
+                catalog.catalog_lookup(name, kind=kind)
     with pytest.raises(BadParams):
         catalog.catalog_lookup("twisted-h2", {"chart": "spherical"})
     with pytest.raises(BadParams):

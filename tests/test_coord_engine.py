@@ -8,7 +8,7 @@ from helpers import constant, coordinate_field, geodesic_per_stage
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (_GATE_STEPS, CoordinateMetric, ScalarField, _gate_grams, christoffel,
                                 export_trajectory_csv, frenet_numeric,
-                                geodesic_integrate, riemann_at,
+                                geodesic_integrate, mathlib, riemann_at,
                                 second_fundamental_form, sectional_at,
                                 build_twisted_product, build_warped_product)
 from tgkit.errors import (BadParams, DegeneratePlane, DimensionMismatch,
@@ -484,14 +484,26 @@ def test_polar_twisted_gate_counts(monkeypatch):
     assert len(seen) == 1       # one stack serves the full and half sampling
 
 
-def test_cartesian_stage_evaluates_the_coefficients_once(monkeypatch):
-    calls = []
-    coeffs = catalog._cart_coeffs
-    monkeypatch.setattr(catalog, "_cart_coeffs", lambda u: calls.append(u) or coeffs(u))
-    CM = catalog.twisted_h2_cartesian(1.0)
-    geodesic_integrate(CM, [0.5, 0.3, 0.2], [0.3, 0.1, 0.1], 1.0, 1e-3)
-    # one per RK4 stage, plus the gated grams of the first and last point
-    assert len(calls) == 4002
+def test_product_builds_take_an_empty_stack():
+    # as the diagonal charts do: no points give no grams and no symbols
+    twisted = build_twisted_product(catalog.twisted_h2(1.0))
+    for CM in (HYP, twisted, _warped_over_hyperbolic()):
+        x = np.empty((0, CM.dim))
+        assert CM.gram(x).shape == (0, CM.dim, CM.dim)
+        for exact in (True, False):
+            assert christoffel(CM, x, exact=exact).shape == (0,) + (CM.dim,) * 3
+
+
+def test_stage_error_at_a_gated_gram_names_the_derivatives():
+    # e^{2 logf} = 1 at r = 1 while d logf / dr = 1 / (2 sqrt(r - 1)) divides by 0
+    root = ScalarField(lambda u: mathlib(u[0]).sqrt(u[0] - 1.0),
+                       grad=lambda u: (0.5 / mathlib(u[0]).sqrt(u[0] - 1.0), 0.0))
+    CM = build_warped_product(1, HYP, root)
+    x0 = [0.0, 1.0, 0.5]
+    assert CM.gram(np.array(x0))[0, 0] == 1.0      # gated: finite and positive definite
+    with pytest.raises(MetricDegenerate) as err:
+        geodesic_integrate(CM, x0, [1.0, 0.0, 0.0], 1.0)
+    assert str(err.value) == "metric derivatives not finite at [0.0, 1.0, 0.5]"
 
 
 def test_degenerate_base_names_the_composite_point():

@@ -644,9 +644,17 @@ PLANTED_TAG = {"sl2": ta.CaseTag.HELIX_ORDER_TWO, "nonhomo": ta.CaseTag.CIRCLE_N
 @hypothesis.given(kind=st.sampled_from(sorted(PLANTED_TAG)), n=st.integers(2, 6),
                   basis=st.sampled_from(["rotated", "general", "spd"]),
                   seed=st.integers(0, 2 ** 32 - 1))
+# one example per (kind, basis) pair, so each runs whatever the draws
 @hypothesis.example(kind="sl2", n=4, basis="general", seed=0)
+@hypothesis.example(kind="sl2", n=3, basis="rotated", seed=0)
+@hypothesis.example(kind="sl2", n=5, basis="rotated", seed=1)
+@hypothesis.example(kind="sl2", n=6, basis="spd", seed=2)
 @hypothesis.example(kind="nonhomo", n=5, basis="general", seed=0)
+@hypothesis.example(kind="nonhomo", n=4, basis="rotated", seed=3)
+@hypothesis.example(kind="nonhomo", n=3, basis="spd", seed=4)
 @hypothesis.example(kind="abelian", n=3, basis="spd", seed=0)
+@hypothesis.example(kind="abelian", n=4, basis="rotated", seed=5)
+@hypothesis.example(kind="abelian", n=2, basis="general", seed=6)
 def test_classify_case_matches_the_public_call_chain(kind, n, basis, seed):
     hypothesis.assume(kind != "sl2" or n >= 3)
     rng = np.random.default_rng(seed)

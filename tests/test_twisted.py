@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import cart_coeffs_series, coordinate_field
+from helpers import coordinate_field
 
 from tgkit import catalog, coord_engine
 from tgkit.coord_engine import (ScalarField, TwistedProductSpec, build_twisted_product,
@@ -162,36 +162,37 @@ def test_slices_are_totally_geodesic():
 
 # ------------------------------------------------------------ chart matching
 
+def _to_cartesian(t, r, th):
+    """The cartesian twisted-h2 point of the polar one (t, r, th), the Jacobian
+    J = d(t, x, y) / d(t, r, theta) of (x, y) = sinh(r) (cos theta, sin theta)
+    there, and its partials dJ[k] = d J / d(t, r, theta)^k."""
+    c, s, sh, ch = np.cos(th), np.sin(th), np.sinh(r), np.cosh(r)
+    J = np.array([[1.0, 0.0, 0.0], [0.0, ch * c, -sh * s], [0.0, ch * s, sh * c]])
+    dJ = np.zeros((3, 3, 3))
+    dJ[1, 1:, 1:] = [[sh * c, -ch * s], [sh * s, ch * c]]
+    dJ[2, 1:, 1:] = [[-ch * s, -sh * c], [ch * c, -sh * s]]
+    return np.array([t, sh * c, sh * s]), J, dJ
+
+
 def test_cartesian_chart_matches_polar_gram():
     kappa = 2.0
     CMp = build_twisted_product(catalog.twisted_h2(kappa))
     CMc = catalog.twisted_h2_cartesian(kappa)
     th = 0.7
-    # r grid straddles the series / closed-form switch in the cartesian chart
     for r in (0.1, 0.4, 0.4999, 0.5001, 1.2):
-        xp = np.array([0.3, r, th])
-        xc = np.array([0.3, r * np.cos(th), r * np.sin(th)])
-        J = np.array([[1.0, 0.0, 0.0],
-                      [0.0, np.cos(th), -r * np.sin(th)],
-                      [0.0, np.sin(th), r * np.cos(th)]])
-        assert np.abs(J.T @ CMc.gram(xc) @ J - CMp.gram(xp)).max() < 1e-12
+        xc, J, _ = _to_cartesian(0.3, r, th)
+        assert np.abs(J.T @ CMc.gram(xc) @ J - CMp.gram(np.array([0.3, r, th]))).max() < 1e-12
 
 
 def test_cartesian_chart_matches_polar_partials():
-    # g_polar = J^T g_cart J with J = d(t, x, y) / d(t, r, theta), so
+    # g_polar = J^T g_cart J, so
     # d_k g_polar = dJ_k^T g J + J^T g dJ_k + J^T (sum_l J[l, k] d_l g) J
     kappa = 2.0
     CMp = build_twisted_product(catalog.twisted_h2(kappa))
     CMc = catalog.twisted_h2_cartesian(kappa)
     for th in (0.7, 2.5):
-        c, s = np.cos(th), np.sin(th)
-        # r grid straddles the series / closed-form switch in the cartesian chart
         for r in (0.1, 0.4, 0.4999, 0.5001, 1.2):
-            xc = np.array([0.3, r * c, r * s])
-            J = np.array([[1.0, 0.0, 0.0], [0.0, c, -r * s], [0.0, s, r * c]])
-            dJ = np.zeros((3, 3, 3))
-            dJ[1, 1:, 2] = -s, c
-            dJ[2, 1:, 1:] = [[-s, -r * c], [c, -r * s]]
+            xc, J, dJ = _to_cartesian(0.3, r, th)
             g, dg = CMc.gram(xc), CMc.partials(xc)
             pushed = (np.einsum('kai,ab,bj->kij', dJ, g, J)
                       + np.einsum('ai,ab,kbj->kij', J, g, dJ)
@@ -204,12 +205,8 @@ def test_cartesian_chart_matches_polar_sectionals():
     kappa = 2.0
     CMp = build_twisted_product(catalog.twisted_h2(kappa))
     CMc = catalog.twisted_h2_cartesian(kappa)
-    t0, r0, th0 = 0.4, 0.7, 0.5
-    xp = np.array([t0, r0, th0])
-    xc = np.array([t0, r0 * np.cos(th0), r0 * np.sin(th0)])
-    J = np.array([[1.0, 0.0, 0.0],
-                  [0.0, np.cos(th0), -r0 * np.sin(th0)],
-                  [0.0, np.sin(th0), r0 * np.cos(th0)]])
+    xp = np.array([0.4, 0.7, 0.5])
+    xc, J, _ = _to_cartesian(*xp)
     e = np.eye(3)
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
         Kp = sectional_at(CMp, xp, e[i], e[j])
@@ -242,22 +239,12 @@ def test_anchor_curvature_matches_algebra_model(kappa):
         assert abs(Kc - Ka) < 1e-6
 
 
-def test_cartesian_series_tables_match_factorial_loop():
-    # the series branch (u < 0.25) with its coefficient tables built at
-    # import must round as the loop that computes them term by term
-    for u in np.linspace(0.0, 0.25, 2000, endpoint=False):
-        assert catalog._cart_coeffs(u) == cart_coeffs_series(u)
-
-
 def test_cartesian_stacks_equal_the_per_point_results():
-    # rows at the axis u = 0 and on either side of the series / closed-form
-    # switch at u = 0.25 round as the float path at each point
+    # rows at the axis q = 0, on either coordinate axis and off both round
+    # as the float path at each point
     CM = catalog.twisted_h2_cartesian(1.5)
-    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
-    pts = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.2, below, 0.0],
-                    [-0.4, 0.0, below], [1.1, above, 0.0], [0.3, 0.0, -above]])
-    u = pts[:, 1] ** 2 + pts[:, 2] ** 2
-    assert (u[:2] == 0.0).all() and (u[2:4] < 0.25).all() and (u[4:] > 0.25).all()
+    pts = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.2, 0.5, 0.0],
+                    [-0.4, 0.0, -0.5], [1.1, -2.0, 0.3], [0.3, 0.4, -3.0]])
     for f in (CM.gram_at, CM.partials_at):
         stacked = f(pts)
         assert np.array_equal(stacked, np.stack([f(p) for p in pts]))

@@ -171,6 +171,10 @@ CATALOG_ARGVS = [
     # the product stage off the anchor and off theta = 0, over two time units
     *[["geodesic", "--builtin", name, "--x0", "0.4,0.9,2.2", "--v0", "0.3,-0.2,0.25",
        "--tmax", "2", "--json"] for name in ("twisted-h2:0.5", "twisted-h2:2.5")],
+    # the cartesian chart from its axis q = 0 and off it
+    *[["geodesic", "--builtin", f"twisted-h2:kappa={kappa},chart=cartesian", "--x0", x0,
+       "--v0", "0.3,-0.2,0.25", "--tmax", "2", "--json"]
+      for kappa in ("0.5", "2.5") for x0 in ("0,0,0", "0.4,0.9,-1.3")],
 ]
 
 
