@@ -240,8 +240,8 @@ def test_anchor_curvature_matches_algebra_model(kappa):
 
 
 def test_cartesian_stacks_equal_the_per_point_results():
-    # rows at the axis q = 0, on either coordinate axis and off both round
-    # as the float path at each point
+    # rows at the axis q = 0, on a coordinate axis and off both equal the
+    # float path's at each point
     CM = catalog.twisted_h2_cartesian(1.5)
     pts = np.array([[0.0, 0.0, 0.0], [0.7, 0.0, 0.0], [0.2, 0.5, 0.0],
                     [-0.4, 0.0, -0.5], [1.1, -2.0, 0.3], [0.3, 0.4, -3.0]])
