@@ -9,6 +9,7 @@ curves, and pointwise curvature for cross-engine comparisons.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -138,7 +139,8 @@ class CoordinateMetric:
 
     def partials(self, x, exact=None):
         """dg[..., k, i, j] at x (..., dim); exact=None auto-selects, True/False
-        forces a path.  An evaluator error of _NOT_FINITE: a gram not finite at x."""
+        forces a path.  An evaluator error of _NOT_FINITE gates the grams at x,
+        then raises MetricDegenerate naming the derivatives."""
         x = np.asarray(x, float)
         use_exact = self.partials_at is not None if exact is None else exact
         if use_exact and self.partials_at is None:
@@ -149,7 +151,8 @@ class CoordinateMetric:
                     return np.asarray(self.partials_at(x), float)
                 return _richardson(lambda y: np.asarray(self.gram_at(y), float), x, _FD_STEP)
         except _NOT_FINITE:
-            raise MetricDegenerate(f"gram not finite at {x.tolist()}") from None
+            _grams(self, x)
+            raise MetricDegenerate(f"metric derivatives not finite at {x.tolist()}") from None
 
 
 # float kernels raise these where numpy returns inf or NaN: math.sinh(1e3), math.cos(inf)
@@ -249,11 +252,11 @@ def _spray(g, dg, v):
 
 
 def _generic_stage(CM, x, v):
-    """The RK4 stage of a chart without stage_at: its gram, not gated, and
+    """The RK4 stage of a chart without stage_at: its gram as floats, not gated, and
     the _spray solve from its partials."""
     x = np.array(x)
     g = _eval_gram(CM, x)
-    return g.ravel(), _spray(g, CM.partials(x), np.array(v)).tolist()
+    return g.ravel().tolist(), _spray(g, CM.partials(x), np.array(v)).tolist()
 
 
 def _solve(g, b):
@@ -280,6 +283,46 @@ def _solve(g, b):
     return y
 
 
+@functools.cache
+def _rk4_step(n):
+    """make(stage, push_x, push_g, h, hh, h6) -> step(xv), one RK4 step of
+    geodesic_integrate at dimension n, from x + v as 2n floats to the next
+    x + v, generated once per n as dataclasses generates __init__.  Each
+    stage point goes to push_x before its stage call, each gram to push_g."""
+    def each(fmt, sep=", "):
+        return sep.join(fmt.format(i=i) for i in range(n))
+    src = f"""\
+def make(stage, push_x, push_g, h, hh, h6):
+    def step(xv):
+        {each('x{i}')}, {each('v{i}')}, = xv
+        y = [{each('x{i}')}]
+        push_x(y)
+        g, ({each('k1v{i}')},) = stage(y, [{each('v{i}')}])
+        push_g(g)
+        {each('k2x{i} = v{i} + hh * k1v{i}', '; ')}
+        y = [{each('x{i} + hh * v{i}')}]
+        push_x(y)
+        g, ({each('k2v{i}')},) = stage(y, [{each('k2x{i}')}])
+        push_g(g)
+        {each('k3x{i} = v{i} + hh * k2v{i}', '; ')}
+        y = [{each('x{i} + hh * k2x{i}')}]
+        push_x(y)
+        g, ({each('k3v{i}')},) = stage(y, [{each('k3x{i}')}])
+        push_g(g)
+        {each('k4x{i} = v{i} + h * k3v{i}', '; ')}
+        y = [{each('x{i} + h * k3x{i}')}]
+        push_x(y)
+        g, ({each('k4v{i}')},) = stage(y, [{each('k4x{i}')}])
+        push_g(g)
+        return [{each('x{i} + h6 * (v{i} + 2 * k2x{i} + 2 * k3x{i} + k4x{i})')},
+                {each('v{i} + h6 * (k1v{i} + 2 * k2v{i} + 2 * k3v{i} + k4v{i})')}]
+    return step
+"""
+    scope = {}
+    exec(src, scope)
+    return scope["make"]
+
+
 def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
                        tol: Tolerances = DEFAULT) -> GeodesicTrajectory:
     """Fixed-step RK4 on the geodesic equation, on Python floats.
@@ -287,10 +330,10 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     A stage is one CM.stage_at call, or, on a chart without one, one
     gram_at call, one partials call and one _spray solve.  The stage grams
     are gated together, _GATE_STEPS steps at a time; a stage that raises
-    sends the pending points and its own through _grams, so a degenerate
-    gram raises MetricDegenerate at its point before any later error.
+    sends the pending points, its own the last, through _grams, so a
+    degenerate gram raises MetricDegenerate at its point before any later error.
     """
-    x0, v0 = np.asarray(x0, float), np.asarray(v0, float)
+    x0, v0 = _one_point(CM, x0), _one_point(CM, v0, "velocity")
     g0 = CM.gram(x0)
     with np.errstate(over='ignore', invalid='ignore'):
         s0 = float(np.sqrt(v0 @ g0 @ v0))
@@ -311,47 +354,33 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     n = CM.dim
     stage = CM.stage_at or (lambda x, v: _generic_stage(CM, x, v))
     stage_x, stage_g, ends = [], [], []     # pending stage points and grams, step ends
-
-    def gate_pending():
-        return _gate_grams(stage_x, np.array(stage_g, float).reshape(-1, n, n))
-
-    def accel(x, v):
-        try:
-            g, a = stage(x, v)
-        except Exception as exc:
-            _grams(CM, np.array(stage_x + [x]))
-            if isinstance(exc, _NOT_FINITE):
-                raise MetricDegenerate(f"metric derivatives not finite at {x}") from None
-            raise
-        stage_x.append(x)
-        stage_g.append(g)
-        return a
+    step = _rk4_step(n)(stage, stage_x.append, stage_g.append, h, 0.5 * h, h / 6.0)
 
     times = np.arange(nsteps + 1) * h
     points = np.empty((nsteps + 1, n))
     vels = np.empty((nsteps + 1, n))
     grams = np.empty((nsteps + 1, n, n))    # point i is step i's first stage
     points[0], vels[0] = x0, v0
-    x, v = x0.tolist(), v0.tolist()
-    hh, h6 = 0.5 * h, h / 6.0
+    xv = x0.tolist() + v0.tolist()
     # huge but finite partials overflow a stage's spray; the gram gate or the
     # divergence check below reports it, so numpy stays quiet for the loop
     with np.errstate(over='ignore', invalid='ignore'):
         for i in range(nsteps):
-            k1v = accel(x, v)
-            k2x = [a + hh * b for a, b in zip(v, k1v)]
-            k2v = accel([a + hh * b for a, b in zip(x, v)], k2x)
-            k3x = [a + hh * b for a, b in zip(v, k2v)]
-            k3v = accel([a + hh * b for a, b in zip(x, k2x)], k3x)
-            k4x = [a + h * b for a, b in zip(v, k3v)]
-            k4v = accel([a + h * b for a, b in zip(x, k3x)], k4x)
-            x = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(x, v, k2x, k3x, k4x)]
-            v = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(v, k1v, k2v, k3v, k4v)]
-            ends.append(x + v)
-            if len(stage_x) == 4 * _GATE_STEPS or i == nsteps - 1:
+            try:
+                xv = step(xv)
+            except Exception as exc:
+                _grams(CM, np.array(stage_x))   # the failing stage's point is the last
+                if isinstance(exc, _NOT_FINITE):
+                    raise MetricDegenerate(
+                        f"metric derivatives not finite at {stage_x[-1]}") from None
+                raise
+            ends.append(xv)
+            if len(ends) == _GATE_STEPS or i == nsteps - 1:
                 k = len(ends)
-                grams[i + 1 - k:i + 1] = gate_pending()[::4]
-                points[i + 2 - k:i + 2], vels[i + 2 - k:i + 2] = np.split(np.array(ends), 2, 1)
+                g = np.fromiter(itertools.chain.from_iterable(stage_g), float)
+                grams[i + 1 - k:i + 1] = _gate_grams(stage_x, g.reshape(len(stage_x), n, n))[::4]
+                xv_ends = np.array(ends)
+                points[i + 2 - k:i + 2], vels[i + 2 - k:i + 2] = xv_ends[:, :n], xv_ends[:, n:]
                 del stage_x[:], stage_g[:], ends[:]
     if not (np.isfinite(points).all() and np.isfinite(vels).all()):
         raise TgkitError(f"geodesic integration diverged (step {h:.3e})")
@@ -580,10 +609,10 @@ def eikonal_residuals(spec: TwistedProductSpec, u_points) -> EikonalResiduals:
 
 # ------------------------------------------------------- pointwise curvature
 
-def _one_point(CM, x):
+def _one_point(CM, x, what="point"):
     x = np.asarray(x, float)
     if x.shape != (CM.dim,):
-        raise DimensionMismatch(f"point has shape {x.shape}, expected ({CM.dim},)")
+        raise DimensionMismatch(f"{what} has shape {x.shape}, expected ({CM.dim},)")
     return x
 
 

@@ -318,6 +318,53 @@ def geodesic_per_stage(CM, x0, v0, tmax, h):
     return points, vels, drift
 
 
+def geodesic_list_loop(CM, x0, v0, tmax, h):
+    """RK4 on the chart's stages with a list comprehension per vector, no gate.
+
+    The loop geodesic_integrate ran before its step was generated per
+    dimension, the same float operations in the same order, kept as a
+    bit-for-bit oracle.  Returns (points, velocities, speed drift).
+    """
+    from tgkit.coord_engine import _generic_stage
+    x0 = np.asarray(x0, float)
+    v0 = np.asarray(v0, float)
+    s0 = float(np.sqrt(v0 @ CM.gram(x0) @ v0))
+    nsteps = max(1, round(tmax / h))
+    h = tmax / nsteps
+    n = CM.dim
+    stage = CM.stage_at or (lambda x, v: _generic_stage(CM, x, v))
+    stage_g = []
+
+    def accel(x, v):
+        g, a = stage(x, v)
+        stage_g.append(g)
+        return a
+
+    times = np.arange(nsteps + 1) * h
+    x, v = x0.tolist(), v0.tolist()
+    points, vels = [x], [v]
+    hh, h6 = 0.5 * h, h / 6.0
+    for _ in range(nsteps):
+        k1v = accel(x, v)
+        k2x = [a + hh * b for a, b in zip(v, k1v)]
+        k2v = accel([a + hh * b for a, b in zip(x, v)], k2x)
+        k3x = [a + hh * b for a, b in zip(v, k2v)]
+        k3v = accel([a + hh * b for a, b in zip(x, k2x)], k3x)
+        k4x = [a + h * b for a, b in zip(v, k3v)]
+        k4v = accel([a + h * b for a, b in zip(x, k3x)], k4x)
+        x = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(x, v, k2x, k3x, k4x)]
+        v = [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(v, k1v, k2v, k3v, k4v)]
+        points.append(x)
+        vels.append(v)
+    points, vels = np.array(points), np.array(vels)
+    grams = np.empty((nsteps + 1, n, n))
+    grams[:-1] = np.array(stage_g, float).reshape(-1, n, n)[::4]
+    grams[-1] = CM.gram(points[-1])
+    speeds = np.sqrt(np.einsum('ni,nij,nj->n', vels, grams, vels))
+    rel = np.abs(speeds - s0) / s0
+    return points, vels, float((rel[1:] / np.maximum(times[1:], h)).max())
+
+
 def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:
     """Residual of <T,[X,T]> = k1 <N1, X> over the basis (0 when k1 = 0)."""
     fd = fd or frenet_orbit(M, T)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -217,10 +218,11 @@ def _degenerate_point(exc):
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_GRAMS))
-@pytest.mark.parametrize("threshold", [0.22, 7.02])
+@pytest.mark.parametrize("threshold", [0.22, 0.27, 7.02, 7.07])
 def test_geodesic_degenerate_stage_raises_as_per_stage_oracle(bad, threshold):
     # along x = (t, 0) with h = 0.1 the first point past the threshold is a
-    # step's second stage point, x_i + h/2 (in the second gate block for 7.02)
+    # step's second stage point, x_i + h/2, for 0.22 and 7.02, and its fourth,
+    # x_i + h, for 0.27 and 7.07 (in the second gate block from 7.0 on)
     CM = _turning_metric(threshold, BAD_GRAMS[bad])
     x0, v0 = [0.0, 0.0], [1.0, 0.0]
     with np.errstate(invalid='ignore'):
@@ -244,6 +246,60 @@ def test_degenerate_stage_wins_over_a_later_error(threshold):
         geodesic_integrate(CM, x0, v0, 10.0, 0.1)
     assert str(got.value) == str(want.value)
     assert "positive definite" in str(got.value)
+
+
+def _error_point(exc):
+    return json.loads(str(exc).split(" at ")[1])
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_GRAMS))
+@pytest.mark.parametrize("threshold, third", [(0.281, 0.2825), (31.901, 31.9025)])
+def test_degenerate_third_stage_is_named(bad, threshold, third):
+    # a stage spray of (1, 0) from v = (1, 0) gives x = t + t^2 / 2, so a
+    # step's third stage, x_i + h/2 (v_i + h/2), lies past its second,
+    # x_i + h/2 v_i: the first stage past the threshold is step 2's third
+    # (step 70's, in the second gate block, for 31.901)
+    CM = _turning_metric(threshold, BAD_GRAMS[bad])
+    CM.stage_at = lambda x, v: (CM.gram_at(np.array(x)).ravel().tolist(), [1.0, 0.0])
+    with np.errstate(invalid='ignore'):
+        with pytest.raises(MetricDegenerate) as got:
+            geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 10.0, 0.1)
+        with pytest.raises(MetricDegenerate) as want:
+            CM.gram(np.array(_error_point(got.value)))
+    assert str(got.value) == str(want.value)
+    assert abs(_degenerate_point(got.value) - third) < 1e-9
+
+
+def _flat_stage_raising(threshold, error):
+    """The flat plane whose stage raises error past x^0 = threshold."""
+    def stage_at(x, v):
+        if x[0] > threshold:
+            raise error
+        return [1.0, 0.0, 0.0, 1.0], [0.0, 0.0]
+    return CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at, stage_at)
+
+
+@pytest.mark.parametrize("threshold", [0.22, 0.27, 7.02, 7.07])
+def test_stage_float_error_names_its_stage_point(threshold):
+    # the second stage (0.22, 7.02) or the fourth (0.27, 7.07), as above
+    CM = _flat_stage_raising(threshold, OverflowError("math range error"))
+    with pytest.raises(MetricDegenerate) as err:
+        geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 10.0, 0.1)
+    assert str(err.value).startswith("metric derivatives not finite at [")
+    assert _error_point(err.value)[1] == 0.0
+    assert abs(_degenerate_point(err.value) - (threshold + 0.03)) < 1e-9
+
+
+def test_stage_tgkit_error_comes_back_unchanged(monkeypatch):
+    seen = _counted_gates(monkeypatch)
+    error = TgkitError("chart ends")
+    with pytest.raises(TgkitError) as err:
+        geodesic_integrate(_flat_stage_raising(7.02, error), [0.0, 0.0], [1.0, 0.0], 10.0, 0.1)
+    assert err.value is error
+    # x0, the first gate block, then steps 64-69 and step 70's first two
+    # stages, the raising one at 7.05 last
+    assert [len(points) for points in seen] == [1, 4 * _GATE_STEPS, 4 * 6 + 2]
+    assert abs(seen[-1][-1][0] - 7.05) < 1e-9
 
 
 def test_gram_stack_gate_raises_at_first_failing_point():
@@ -494,16 +550,35 @@ def test_product_builds_take_an_empty_stack():
             assert christoffel(CM, x, exact=exact).shape == (0,) + (CM.dim,) * 3
 
 
-def test_stage_error_at_a_gated_gram_names_the_derivatives():
-    # e^{2 logf} = 1 at r = 1 while d logf / dr = 1 / (2 sqrt(r - 1)) divides by 0
+def _root_warped():
+    """A line warped over HYP by logf = sqrt(r - 1): at x = (0, 1, 0.5) the
+    gram is e^{2 logf} = 1 while d logf / dr = 1 / (2 sqrt(r - 1)) divides by 0."""
     root = ScalarField(lambda u: mathlib(u[0]).sqrt(u[0] - 1.0),
                        grad=lambda u: (0.5 / mathlib(u[0]).sqrt(u[0] - 1.0), 0.0))
-    CM = build_warped_product(1, HYP, root)
-    x0 = [0.0, 1.0, 0.5]
+    return build_warped_product(1, HYP, root)
+
+
+def test_stage_error_at_a_gated_gram_names_the_derivatives():
+    CM, x0 = _root_warped(), [0.0, 1.0, 0.5]
     assert CM.gram(np.array(x0))[0, 0] == 1.0      # gated: finite and positive definite
     with pytest.raises(MetricDegenerate) as err:
         geodesic_integrate(CM, x0, [1.0, 0.0, 0.0], 1.0)
     assert str(err.value) == "metric derivatives not finite at [0.0, 1.0, 0.5]"
+
+
+def test_partials_error_at_a_gated_gram_names_the_derivatives():
+    CM, x = _root_warped(), np.array([0.0, 1.0, 0.5])
+    for call in (lambda: christoffel(CM, x), lambda: christoffel(CM, x, exact=False),
+                 lambda: second_fundamental_form(CM, coordinate_field(0, 3), x)):
+        with pytest.raises(MetricDegenerate) as err:
+            call()
+        assert str(err.value) == "metric derivatives not finite at [0.0, 1.0, 0.5]"
+
+
+def test_geodesic_start_shapes_are_checked():
+    for x0, v0 in (([1.0, 0.5], [0.3, 0.2, 0.1]), ([1.0, 0.5], 0.3), ([[1.0, 0.5]], [0.3, 0.2])):
+        with pytest.raises(DimensionMismatch, match=r"has shape \(.*\), expected \(2,\)"):
+            geodesic_integrate(HYP, x0, v0, 1.0)
 
 
 def test_degenerate_base_names_the_composite_point():

@@ -11,15 +11,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (SL2_PLANE, classify_oracle, direct_sum, distinct_rounding, merge_loops,
-                     random_orthogonal, refuse, rotate_constants, subspace_check_loops, table,
+from helpers import (SL2_PLANE, classify_oracle, direct_sum, distinct_rounding,
+                     geodesic_list_loop, merge_loops, random_orthogonal, refuse,
+                     rotate_constants, subspace_check_loops, table,
                      wedge_eigen_loops)
 
 from tgkit import catalog
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
-from tgkit.coord_engine import (ScalarField, _christoffel_from, _spray, build_warped_product,
-                                christoffel, mathlib, twisting_phi)
+from tgkit.coord_engine import (ScalarField, CoordinateMetric, _christoffel_from, _spray,
+                                build_warped_product, christoffel, geodesic_integrate, mathlib,
+                                twisting_phi)
 from tgkit.errors import TgkitError
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace, levi_civita
 
@@ -91,6 +93,33 @@ def test_exact_partials_match_richardson_partials(cube):
         fd = CM.partials(x, exact=False)
         # relative to max |dg|, the bound the fixed-point Christoffel check uses
         assert np.abs(exact - fd).max() <= 1e-6 * np.abs(exact).max()
+
+
+# charts for the RK4 oracle: every dimension of the generated step from 1 to
+# 8, each catalog stage, and a chart without stage_at (the _generic_stage path)
+_HYP = catalog.hyperbolic_plane()
+RK4_CHARTS = ([catalog.euclidean_metric(n) for n in range(1, 9)]
+              + [_HYP, catalog.nonhomo_metric(), CHARTS["twisted-h2-polar"][0],
+                 CHARTS["twisted-h2-cartesian"][0],
+                 CoordinateMetric(2, _HYP.gram_at, _HYP.partials_at)])
+
+
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(cube=st.lists(unit, min_size=8, max_size=8),
+                  vel=st.lists(st.one_of(st.floats(-0.3, -0.05), st.floats(0.05, 0.3)),
+                               min_size=8, max_size=8),
+                  h=st.floats(1e-3, 1e-2))
+def test_generated_rk4_step_matches_the_list_loop_bit_for_bit(cube, vel, h):
+    # step counts on both sides of the _GATE_STEPS = 64 block edges; starts
+    # in [0.5, 1.5]^n keep the polar radius off the axis
+    for CM in RK4_CHARTS:
+        x0, v0 = [0.5 + c for c in cube[:CM.dim]], vel[:CM.dim]
+        for nsteps in (1, 63, 64, 65, 129):
+            tr = geodesic_integrate(CM, x0, v0, nsteps * h, h)
+            points, vels, drift = geodesic_list_loop(CM, x0, v0, nsteps * h, h)
+            assert len(points) == nsteps + 1
+            assert np.array_equal(tr.points, points) and np.array_equal(tr.velocities, vels)
+            assert tr.speed_drift == drift
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))

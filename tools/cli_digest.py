@@ -175,6 +175,14 @@ CATALOG_ARGVS = [
     *[["geodesic", "--builtin", f"twisted-h2:kappa={kappa},chart=cartesian", "--x0", x0,
        "--v0", "0.3,-0.2,0.25", "--tmax", "2", "--json"]
       for kappa in ("0.5", "2.5") for x0 in ("0,0,0", "0.4,0.9,-1.3")],
+    # the RK4 step at dimensions 1, 5 and 8, and a run ending in a partial gate block
+    *[["geodesic", "--builtin", name, "--x0", x0, "--v0", v0, "--json"]
+      for name, x0, v0 in (("euclidean:1", "0.3", "1"),
+                           ("euclidean:5", "0.1,0.2,0.3,0.4,0.5", "1,-1,0.5,0.25,2"),
+                           ("euclidean:8", "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7",
+                            "1,-1,0.5,0.25,2,0,-0.3,0.7"))],
+    ["geodesic", "--builtin", "hyperbolic2", "--x0", "1,0.5", "--v0", "0.6,0.4",
+     "--step", "0.013", "--json"],
 ]
 
 
