@@ -9,13 +9,14 @@ geodesic stages.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .config import DEFAULT
-from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec,
-                           _product_metric, build_twisted_product, christoffel, coordinates,
+from .coord_engine import (CoordinateMetric, ScalarField, TwistedProductSpec, _compiled,
+                           _each, _product_metric, build_twisted_product, christoffel, coordinates,
                            eikonal_residuals, frenet_numeric, geodesic_integrate,
                            mathlib, second_fundamental_form, sectional_at,
                            twisting_ode_residual)
@@ -85,19 +86,24 @@ def _diagonal_metric(n, coeffs):
             dg[..., 0, k, k] = c
         return dg
 
-    diag = slice(0, n * n, n + 1)
+    return CoordinateMetric(n, gram_at, partials_at, _diagonal_stage(n)(coeffs))
 
+
+@functools.cache
+def _diagonal_stage(n):
+    """make(coeffs) -> stage_at of _diagonal_metric, generated once per n: for j > 0,
+    Gamma^0_00 = g_0'/(2 g_0), Gamma^0_jj = -g_j'/(2 g_0), Gamma^j_0j = g_j'/(2 g_j), else 0."""
+    N = range(n)
+    return _compiled(f"""\
+def make(coeffs):
     def stage_at(x, v):
-        # Gamma^0_00 = g_0' / (2 g_0); for j > 0, Gamma^0_jj = -g_j' / (2 g_0)
-        # and Gamma^j_0j = g_j' / (2 g_j); all others vanish
-        d, dd = coeffs(x[0], math)
-        g = [0.0] * (n * n)
-        g[diag] = d
-        a = [-(v[0] * p * c) / q for p, c, q in zip(dd, v, d)]
-        a[0] = (0.5 * sum([p * c * c for p, c in zip(dd, v)]) - v[0] * dd[0] * v[0]) / d[0]
-        return g, a
-
-    return CoordinateMetric(n, gram_at, partials_at, stage_at)
+        ({_each('d{i}', N)},), ({_each('p{i}', N)},) = coeffs(x[0], math)
+        {_each('v{i}', N)}, = v
+        return [{', '.join(f'd{i // n}' if i % (n + 1) == 0 else '0.0' for i in range(n * n))}], [
+            (0.5 * (0 + {_each('p{i} * v{i} * v{i}', N, ' + ')}) - v0 * p0 * v0) / d0,
+            {_each('-(v0 * p{i} * v{i}) / d{i}', range(1, n))}]
+    return stage_at
+""", math=math)
 
 
 def euclidean_metric(n=2):

@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import operator
 import typing
 
 import numpy as np
@@ -125,7 +124,7 @@ class CoordinateMetric:
     exactly; all take points (..., dim).  stage_at(x, v), when given, takes
     Python floats and returns the RK4 stage of geodesic_integrate from one
     evaluation of the chart's coefficients: the ungated gram at x as dim^2
-    floats, row-major (equal to gram_at(x)), and the spray -Gamma(v, v).
+    floats, row-major (equal to gram_at(x)), and the spray -Gamma(v, v), dim floats.
     """
 
     def __init__(self, dim, gram_at, partials_at=None, stage_at=None):
@@ -259,28 +258,14 @@ def _generic_stage(CM, x, v):
     return g.ravel().tolist(), _spray(g, CM.partials(x), np.array(v)).tolist()
 
 
-def _solve(g, b):
-    """g^-1 b on Python floats, for a positive definite gram g given as
-    dim^2 floats in row-major order: Gaussian elimination, which needs no
-    pivoting here; a singular g raises ZeroDivisionError.  At dim 2 (the
-    catalog's product bases) the same operations are written out."""
-    n = len(b)
-    if n == 2:
-        f = g[2] / g[0]
-        y = (b[1] - f * b[0]) / (g[3] - f * g[1])
-        return [(b[0] - g[1] * y) / g[0], y]
-    a, y = list(g), list(b)
-    for k in range(n):
-        for i in range(k + 1, n):
-            f = a[i * n + k] / a[k * n + k]
-            for j in range(k + 1, n):
-                a[i * n + j] -= f * a[k * n + j]
-            y[i] -= f * y[k]
-    for k in reversed(range(n)):
-        for j in range(k + 1, n):
-            y[k] -= a[k * n + j] * y[j]
-        y[k] /= a[k * n + k]
-    return y
+def _each(fmt, idx, sep=", "):
+    return sep.join(fmt.format(i=i) for i in idx)
+
+
+def _compiled(src, **scope):
+    """The function make defined by the generated source src, the names scope its globals."""
+    exec(src, scope)
+    return scope["make"]
 
 
 @functools.cache
@@ -290,8 +275,8 @@ def _rk4_step(n):
     x + v, generated once per n as dataclasses generates __init__.  Each
     stage point goes to push_x before its stage call, each gram to push_g."""
     def each(fmt, sep=", "):
-        return sep.join(fmt.format(i=i) for i in range(n))
-    src = f"""\
+        return _each(fmt, range(n), sep)
+    return _compiled(f"""\
 def make(stage, push_x, push_g, h, hh, h6):
     def step(xv):
         {each('x{i}')}, {each('v{i}')}, = xv
@@ -317,10 +302,7 @@ def make(stage, push_x, push_g, h, hh, h6):
         return [{each('x{i} + h6 * (v{i} + 2 * k2x{i} + 2 * k3x{i} + k4x{i})')},
                 {each('v{i} + h6 * (k1v{i} + 2 * k2v{i} + 2 * k3v{i} + k4v{i})')}]
     return step
-"""
-    scope = {}
-    exec(src, scope)
-    return scope["make"]
+""")
 
 
 def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
@@ -353,6 +335,13 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     h = tmax / nsteps
     n = CM.dim
     stage = CM.stage_at or (lambda x, v: _generic_stage(CM, x, v))
+    try:    # the stage contract, once; a stage's own error comes from the loop, at its point
+        lengths = tuple(map(len, CM.stage_at(x0.tolist(), v0.tolist()))) if CM.stage_at else None
+    except Exception:
+        lengths = None
+    if lengths not in (None, (n * n, n)):
+        raise DimensionMismatch(f"stage_at returned (gram, spray) of {lengths} floats; a "
+                                f"{n}-dim chart needs n^2 = {n * n} and n = {n}")
     stage_x, stage_g, ends = [], [], []     # pending stage points and grams, step ends
     step = _rk4_step(n)(stage, stage_x.append, stage_g.append, h, 0.5 * h, h / 6.0)
 
@@ -463,27 +452,47 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
             return dg
 
     if exact and base.stage_at is not None:
-        # the raveled gram picked from (0, w, *base gram): 1 on the flat
-        # diagonal, 2 + the base entry's index in the base block, else 0
-        pick = operator.itemgetter(*[
-            1 if i == j < m else 2 + (i - m) * base.dim + j - m if min(i, j) >= m else 0
-            for i in range(dim) for j in range(dim)])
-
-        def stage_at(x, v):
-            # warped and twisted product connection (O'Neill 1983, ch. 7;
-            # Ponge and Reckziegel 1993): with f = |v_flat|^2 / 2, the flat
-            # rows are (f d_a w - (dw . v) v_a) / w, the base rows the base
-            # spray plus f g_B^-1 d_u w
-            u, vf = x[m:], v[:m]
-            w, dw = weight(x[:m], u, True)
-            gB, aB = base.stage_at(u, v[m:])
-            f = 0.5 * sum(map(operator.mul, vf, vf))
-            dv = sum(map(operator.mul, dw, v))
-            a = [(f * d - dv * c) / w for d, c in zip(dw, vf)]
-            a += [p + f * y for p, y in zip(aB, _solve(gB, dw[m:]))]
-            return pick((0.0, w, *gB)), a
-
+        stage_at = _product_stage(m, base.dim)(weight, base.stage_at)
     return CoordinateMetric(dim, gram_at, partials_at, stage_at)
+
+
+@functools.cache
+def _product_stage(m, nb):
+    """make(weight, base_stage) -> stage_at of _product_metric, generated once
+    per (m, base dim nb) on locals.  Warped and twisted product connection
+    (O'Neill 1983, ch. 7; Ponge and Reckziegel 1993): with f = |v_flat|^2 / 2,
+    the flat rows are (f d_a w - (dw . v) v_a) / w, the base rows the base
+    spray s plus f g^-1 d_u w, by Gaussian elimination on the base gram g
+    unrolled (g is positive definite, so no pivoting; a singular g raises
+    ZeroDivisionError).  Sums start at 0, so -0.0 terms sum to 0.0."""
+    X, flat, base, B = range(m + nb), range(m), range(m, m + nb), range(nb)
+    gram = ["w" if i == j < m else f"g{(i - m) * nb + j - m}" if min(i, j) >= m else "0.0"
+            for i in X for j in X]
+    solve = []
+    for k in B:
+        for i in range(k + 1, nb):
+            solve += [f"e = g{i * nb + k} / g{k * nb + k}"]
+            solve += [f"g{i * nb + j} -= e * g{k * nb + j}" for j in range(k + 1, nb)]
+            solve += [f"y{i} -= e * y{k}"]
+    for k in reversed(B):
+        solve += [f"y{k} -= g{k * nb + j} * y{j}" for j in range(k + 1, nb)]
+        solve += [f"y{k} /= g{k * nb + k}"]
+    return _compiled(f"""\
+def make(weight, base_stage):
+    def stage_at(x, v):
+        ({_each('x{i}', X)},), ({_each('v{i}', X)},) = x, v
+        w, ({_each('dw{i}', X)},) = weight([{_each('x{i}', flat)}], [{_each('x{i}', base)}], True)
+        ({_each('g{i}', range(nb * nb))},), ({_each('s{i}', B)},) = base_stage(
+            [{_each('x{i}', base)}], [{_each('v{i}', base)}])
+        gram = [{', '.join(gram)}]
+        f = 0.5 * (0 + {_each('v{i} * v{i}', flat, ' + ')})
+        dv = 0 + {_each('dw{i} * v{i}', X, ' + ')}
+        {_each('r{i}', flat)}, = {_each('(f * dw{i} - dv * v{i}) / w', flat)},
+        {_each('y{i}', B)}, = {_each('dw{i}', base)},
+        {'; '.join(solve)}
+        return gram, [{_each('r{i}', flat)}, {_each('s{i} + f * y{i}', B)}]
+    return stage_at
+""")
 
 
 def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> CoordinateMetric:

@@ -5,6 +5,7 @@ the vectorized library code cannot hide in a shared einsum.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -363,6 +364,70 @@ def geodesic_list_loop(CM, x0, v0, tmax, h):
     speeds = np.sqrt(np.einsum('ni,nij,nj->n', vels, grams, vels))
     rel = np.abs(speeds - s0) / s0
     return points, vels, float((rel[1:] / np.maximum(times[1:], h)).max())
+
+
+def diagonal_stage_loop(n):
+    """make(coeffs) -> stage_at, the stage catalog._diagonal_metric had before
+    it was generated per dimension: a list comprehension per vector, the same
+    float operations in the same order, kept as a bit-for-bit oracle."""
+    diag = slice(0, n * n, n + 1)
+
+    def make(coeffs):
+        def stage_at(x, v):
+            d, dd = coeffs(x[0], math)
+            g = [0.0] * (n * n)
+            g[diag] = d
+            a = [-(v[0] * p * c) / q for p, c, q in zip(dd, v, d)]
+            a[0] = (0.5 * sum([p * c * c for p, c in zip(dd, v)]) - v[0] * dd[0] * v[0]) / d[0]
+            return g, a
+        return stage_at
+    return make
+
+
+def solve_loop(g, b):
+    """g^-1 b on Python floats for a gram g given as n^2 floats, row-major:
+    Gaussian elimination without pivoting, with the dim-2 case written out."""
+    n = len(b)
+    if n == 2:
+        f = g[2] / g[0]
+        y = (b[1] - f * b[0]) / (g[3] - f * g[1])
+        return [(b[0] - g[1] * y) / g[0], y]
+    a, y = list(g), list(b)
+    for k in range(n):
+        for i in range(k + 1, n):
+            f = a[i * n + k] / a[k * n + k]
+            for j in range(k + 1, n):
+                a[i * n + j] -= f * a[k * n + j]
+            y[i] -= f * y[k]
+    for k in reversed(range(n)):
+        for j in range(k + 1, n):
+            y[k] -= a[k * n + j] * y[j]
+        y[k] /= a[k * n + k]
+    return y
+
+
+def product_stage_loop(m, nb):
+    """make(weight, base_stage) -> stage_at, the stage coord_engine._product_metric
+    had before it was generated per (m, nb): the gram picked from
+    (0, w, *base gram) by an itemgetter table, map/sum and list comprehensions,
+    and solve_loop, kept as a bit-for-bit oracle."""
+    dim = m + nb
+    pick = operator.itemgetter(*[
+        1 if i == j < m else 2 + (i - m) * nb + j - m if min(i, j) >= m else 0
+        for i in range(dim) for j in range(dim)])
+
+    def make(weight, base_stage):
+        def stage_at(x, v):
+            u, vf = x[m:], v[:m]
+            w, dw = weight(x[:m], u, True)
+            gB, aB = base_stage(u, v[m:])
+            f = 0.5 * sum(map(operator.mul, vf, vf))
+            dv = sum(map(operator.mul, dw, v))
+            a = [(f * d - dv * c) / w for d, c in zip(dw, vf)]
+            a += [p + f * y for p, y in zip(aB, solve_loop(gB, dw[m:]))]
+            return pick((0.0, w, *gB)), a
+        return stage_at
+    return make
 
 
 def normal_curvature_identity(M: MetricLieAlgebra, T, fd: FrenetData = None) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tgkit import catalog
+from tgkit import catalog, coord_engine
 from tgkit.coord_engine import CoordinateMetric, TwistedProductSpec
 from tgkit.errors import BadParams, UnknownName
 from tgkit.lie_core import DIM_RANGE, MetricLieAlgebra
@@ -119,3 +119,25 @@ def test_builtin_dimensions_are_bounded_before_allocation():
 def test_catalog_names_all_resolve():
     for name in catalog.CATALOG_NAMES:
         assert catalog.catalog_lookup(name) is not None
+
+
+def test_stages_are_generated_once_per_shape(monkeypatch):
+    sources, compiled = [], coord_engine._compiled
+
+    def counted(src, **scope):
+        sources.append(src)
+        return compiled(src, **scope)
+    monkeypatch.setattr(coord_engine, "_compiled", counted)
+    monkeypatch.setattr(catalog, "_compiled", counted)
+    catalog._diagonal_stage.cache_clear()
+    coord_engine._product_stage.cache_clear()
+    look = catalog.catalog_lookup
+    polar, cart = ([look("twisted-h2", {"kappa": k}, kind) for k in (0.5, 2.0)]
+                   for kind in ("chart", "cartesian"))
+    e3 = [look("euclidean", {"n": 3}) for _ in range(2)]
+    e2 = [look("euclidean"), look("hyperbolic2")]
+    # one product stage over a dim-2 base, one diagonal stage per dimension
+    assert len(sources) == 3
+    for s, t in (polar, cart, (polar[0], cart[0]), e3, e2):
+        assert s.stage_at is not t.stage_at and s.stage_at.__code__ is t.stage_at.__code__
+    assert e3[0].stage_at.__code__ is not e2[0].stage_at.__code__

@@ -581,6 +581,40 @@ def test_geodesic_start_shapes_are_checked():
             geodesic_integrate(HYP, x0, v0, 1.0)
 
 
+@pytest.mark.parametrize("gram, spray", [([1.0, 0.0, 0.0, 1.0], [0.0]),
+                                         ([1.0, 0.0, 1.0], [0.0, 0.0])])
+def test_stage_lengths_are_checked_once(gram, spray):
+    # a spray one entry short, a gram of 3 floats on the plane
+    starts = []
+
+    def stage_at(x, v):
+        starts.append(x)
+        return gram, spray
+    CM = CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at, stage_at)
+    with pytest.raises(DimensionMismatch, match=r"needs n\^2 = 4 and n = 2") as err:
+        geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 1.0, 0.1)
+    assert f"({len(gram)}, {len(spray)}) floats" in str(err.value)
+    assert starts == [[0.0, 0.0]]
+
+
+def test_stage_contract_check_is_one_call():
+    calls = []
+
+    def stage_at(x, v):
+        calls.append(x)
+        return [1.0, 0.0, 0.0, 1.0], [0.0, 0.0]
+    CM = CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at, stage_at)
+    geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 1.0, 0.1)
+    assert len(calls) == 1 + 4 * 10 and calls[0] == calls[1] == [0.0, 0.0]
+
+
+def test_stage_error_at_the_start_is_named_as_in_the_loop():
+    # the contract check's stage call raises; the loop's first stage raises it again
+    CM = _flat_stage_raising(-1.0, OverflowError("math range error"))
+    with pytest.raises(MetricDegenerate, match=r"^metric derivatives not finite at \[0.0, 0.0\]$"):
+        geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 1.0, 0.1)
+
+
 def test_degenerate_base_names_the_composite_point():
     # the polar hyperbolic base degenerates on the axis r = 0
     twisted = build_twisted_product(catalog.twisted_h2(1.0))

@@ -5,18 +5,19 @@ import dataclasses
 import io
 import itertools
 import os
+import struct
 import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from helpers import (SL2_PLANE, classify_oracle, direct_sum, distinct_rounding,
-                     geodesic_list_loop, merge_loops, random_orthogonal, refuse,
-                     rotate_constants, subspace_check_loops, table,
+from helpers import (SL2_PLANE, classify_oracle, diagonal_stage_loop, direct_sum,
+                     distinct_rounding, geodesic_list_loop, merge_loops, product_stage_loop,
+                     random_orthogonal, refuse, rotate_constants, subspace_check_loops, table,
                      wedge_eigen_loops)
 
-from tgkit import catalog
+from tgkit import catalog, coord_engine
 from tgkit import tg_analysis as ta
 from tgkit.cli import run
 from tgkit.coord_engine import (ScalarField, CoordinateMetric, _christoffel_from, _spray,
@@ -120,6 +121,62 @@ def test_generated_rk4_step_matches_the_list_loop_bit_for_bit(cube, vel, h):
             assert len(points) == nsteps + 1
             assert np.array_equal(tr.points, points) and np.array_equal(tr.velocities, vels)
             assert tr.speed_drift == drift
+
+
+def _stage_charts():
+    """Every catalog chart (euclidean:1 to 8), a diagonal chart whose g_00
+    varies, and warped products with m = 1 and 2 flat coordinates over the
+    dim-2 bases hyperbolic2 and the dense hyperboloid plane and the dim-3
+    cartesian twisted-h2 chart."""
+    def logf(k):
+        return ScalarField(lambda u: 0.3 * u[0] + 0.2 * mathlib(u[-1]).sin(u[-1]),
+                           grad=lambda u: (0.3,) + (0.0,) * (k - 2)
+                           + (0.2 * mathlib(u[-1]).cos(u[-1]),))
+    charts = [catalog.euclidean_metric(n) for n in range(1, 9)]
+    charts += [catalog.hyperbolic_plane(), catalog.nonhomo_metric(),
+               catalog.catalog_lookup("twisted-h2", {"kappa": 1.5}),
+               catalog.catalog_lookup("twisted-h2", {"kappa": -0.5}),
+               catalog.twisted_h2_cartesian(1.5), catalog.twisted_h2_cartesian(-0.5),
+               catalog._diagonal_metric(3, lambda z, m: ((m.exp(z), 2.0 - m.sin(z), 1.0 + z * z),
+                                                         (m.exp(z), -m.cos(z), 2.0 * z)))]
+    for base in (catalog.hyperbolic_plane(), catalog._hyperboloid_plane(),
+                 catalog.twisted_h2_cartesian(1.5)):
+        charts += [build_warped_product(m, base, logf(base.dim)) for m in (1, 2)]
+    return charts
+
+
+# the same charts with the list-comprehension stages the generated ones replaced
+STAGE_CHARTS = _stage_charts()
+with mock.patch.object(catalog, "_diagonal_stage", diagonal_stage_loop), \
+        mock.patch.object(coord_engine, "_product_stage", product_stage_loop):
+    LOOP_STAGE_CHARTS = _stage_charts()
+
+
+def _stage_bits(stage, x, v):
+    """The stage's gram and spray as bytes, so the sign of zero counts, or
+    the type and message of its error."""
+    try:
+        g, a = stage(x, v)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return struct.pack(f"{len(g)}d", *g), struct.pack(f"{len(a)}d", *a)
+
+
+signed_zero = st.sampled_from((0.0, -0.0))
+
+
+# zero coordinates put the polar charts on their axis, where the stages raise
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@hypothesis.given(x=st.lists(st.one_of(signed_zero, st.floats(-2.0, 2.0)), min_size=8, max_size=8),
+                  v=st.lists(st.one_of(signed_zero, speed), min_size=8, max_size=8),
+                  flip=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_generated_stages_match_the_list_comprehension_stages_bit_for_bit(x, v, flip):
+    flipped = [-c if f else c for c, f in zip(v, flip)]
+    for new, old in zip(STAGE_CHARTS, LOOP_STAGE_CHARTS):
+        assert new.stage_at.__code__ is not old.stage_at.__code__
+        n = new.dim
+        for w in (v[:n], flipped[:n]):
+            assert _stage_bits(new.stage_at, x[:n], w) == _stage_bits(old.stage_at, x[:n], w)
 
 
 @pytest.mark.parametrize("name", sorted(CHARTS))
