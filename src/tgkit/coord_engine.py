@@ -263,7 +263,7 @@ def _each(fmt, idx, sep=", "):
 
 
 def _compiled(src, **scope):
-    """The function make defined by the generated source src, the names scope its globals."""
+    """The function make that the generated source src defines, with scope as its globals."""
     exec(src, scope)
     return scope["make"]
 
