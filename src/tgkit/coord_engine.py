@@ -335,13 +335,17 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     h = tmax / nsteps
     n = CM.dim
     stage = CM.stage_at or (lambda x, v: _generic_stage(CM, x, v))
-    try:    # the stage contract, once; a stage's own error comes from the loop, at its point
-        lengths = tuple(map(len, CM.stage_at(x0.tolist(), v0.tolist()))) if CM.stage_at else None
-    except Exception:
-        lengths = None
-    if lengths not in (None, (n * n, n)):
-        raise DimensionMismatch(f"stage_at returned (gram, spray) of {lengths} floats; a "
-                                f"{n}-dim chart needs n^2 = {n * n} and n = {n}")
+    chart = CM      # the stage contract, once, on the chart and on a product chart's base;
+    while chart is not None and chart.stage_at:     # a stage's own error comes from the loop
+        k = chart.dim
+        try:
+            lengths = tuple(map(len, chart.stage_at(x0.tolist()[-k:], v0.tolist()[-k:])))
+        except Exception:
+            lengths = None
+        if lengths not in (None, (k * k, k)):
+            raise DimensionMismatch(f"stage_at returned (gram, spray) of {lengths} floats; a "
+                                    f"{k}-dim chart needs n^2 = {k * k} and n = {k}")
+        chart = getattr(chart.stage_at, 'base', None)
     stage_x, stage_g, ends = [], [], []     # pending stage points and grams, step ends
     step = _rk4_step(n)(stage, stage_x.append, stage_g.append, h, 0.5 * h, h / 6.0)
 
@@ -453,6 +457,7 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
 
     if exact and base.stage_at is not None:
         stage_at = _product_stage(m, base.dim)(weight, base.stage_at)
+        stage_at.base = base    # for geodesic_integrate's stage contract check
     return CoordinateMetric(dim, gram_at, partials_at, stage_at)
 
 

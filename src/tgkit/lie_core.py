@@ -193,7 +193,7 @@ class MetricLieAlgebra:
             raise TgkitError(f"eigendecomposition reconstruction off ({rec:.3e})")
         R.setflags(write=False)
         op.setflags(write=False)
-        return CurvatureData(R, op, vals, vecs, tuple(zip(i.tolist(), j.tolist())))
+        return CurvatureData(R, op, vals, vecs, tuple(zip(i.tolist(), j.tolist())), scale)
 
     @property
     def dim(self):
@@ -271,6 +271,7 @@ class CurvatureData:
     eigenvalues: np.ndarray         # ascending
     eigenvectors: np.ndarray        # columns, orthonormal
     pairs: tuple
+    scale: float                    # max(1, max|R|), the round-off scale of its gates
 
 
 def curvature_tensor(M: MetricLieAlgebra) -> CurvatureData:

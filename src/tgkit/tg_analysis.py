@@ -565,8 +565,9 @@ def codazzi_residual(M: MetricLieAlgebra, T) -> float:
 
 
 def _codazzi(R, t, Q):
-    """codazzi_residual at the unit frame vector t, Q = complement_onb(t)."""
-    return float(np.abs(np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)).max())
+    """codazzi_residual at unit frame t, Q = complement_onb(t): R t, then Q on each index."""
+    W = Q.T @ ((R.reshape(-1, len(t)) @ t).reshape(R.shape[:3]) @ Q)
+    return float(np.abs(Q.T @ W.reshape(len(t), -1)).max())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -579,11 +580,10 @@ class ClassificationReport:
     residuals: dict
 
 
-def _wedge_eigen_lambda(M, t_onb):
-    # every T^X must live in one eigenspace of the curvature operator,
-    # with a single eigenvalue shared across X
-    # C-ordered rows, on which rowdot and _matvecs give the 1-D products' bits
-    W = np.ascontiguousarray(wedge_coords(t_onb, complement_onb(t_onb).T))
+def _wedge_eigen_lambda(M, t, Q):
+    # each t^X, X a column of Q = complement_onb(t), must live in one eigenspace of the
+    # curvature operator, one eigenvalue for all X; C-ordered rows give the 1-D products' bits
+    W = np.ascontiguousarray(wedge_coords(t, Q.T))
     RW = _matvecs(curvature_tensor(M).operator_matrix, W)
     li = rowdot(W, RW)          # |w| = 1 for orthonormal T, X
     D = RW - li[:, None] * W
@@ -612,15 +612,14 @@ def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
     if not res < tol.tg_residual:
         raise NotTotallyGeodesic(res)
     cod = _codazzi(curvature_tensor(M).components, t, Q)
-    scale = max(1.0, float(np.abs(curvature_tensor(M).components).max()))
-    if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * scale):
+    if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * curvature_tensor(M).scale):
         raise NotTotallyGeodesic(cod, 'codazzi_residual')
     fd = _frenet(M, t)
     residuals = {'tg_residual': res, 'codazzi_residual': cod}
     witness = hint = lam = None
     if fd.order == 0:
         tag = CaseTag.GEODESIC_NORMAL
-        lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)))
+        lam, memb = _wedge_eigen_lambda(M, t, Q)
         residuals['eigen_membership'] = memb
     elif fd.order == 1:
         tag = CaseTag.CIRCLE_NORMAL

@@ -11,7 +11,7 @@ import numpy as np
 
 from tgkit.coord_engine import ScalarField
 from tgkit.errors import NotHelixOrderTwo, NotTotallyGeodesic
-from tgkit.lie_core import MetricLieAlgebra, curvature_tensor
+from tgkit.lie_core import MetricLieAlgebra, complement_onb, curvature_tensor
 from tgkit.tg_analysis import (_EPS, CaseTag, ClassificationReport, FrenetData,
                                _wedge_eigen_lambda, codazzi_residual, frenet_orbit,
                                helix_witness, hyperplane_tg_residual)
@@ -114,7 +114,6 @@ def wedge_eigen_loops(M: MetricLieAlgebra, t):
     """(lambda, residual) of tg_analysis._wedge_eigen_lambda, one wedge t^X
     at a time over the Householder complement of the unit frame vector t:
     the residual runs up to the first X whose eigenvalue leaves the first."""
-    from tgkit.lie_core import complement_onb, curvature_tensor
     op = curvature_tensor(M).operator_matrix
     Q = complement_onb(t)
     n = len(t)
@@ -130,6 +129,12 @@ def wedge_eigen_loops(M: MetricLieAlgebra, t):
         elif abs(li - lam) > M.tol.eigen_membership:
             return None, max(worst, abs(li - lam))
     return (lam if worst <= M.tol.eigen_membership else None), worst
+
+
+def codazzi_einsum(R, t, Q):
+    """tg_analysis._codazzi as the one 5-operand einsum it replaced:
+    max |R(X, Y, Z, t)| over the columns X, Y, Z of Q = complement_onb(t)."""
+    return float(np.abs(np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)).max())
 
 
 def distinct_rounding(t, err, scale):
@@ -474,7 +479,8 @@ def classify_oracle(M: MetricLieAlgebra, T) -> ClassificationReport:
     witness = hint = lam = None
     if fd.order == 0:
         tag = CaseTag.GEODESIC_NORMAL
-        lam, memb = _wedge_eigen_lambda(M, M.to_onb(np.asarray(T, float) / M.norm(T)))
+        t = M.to_onb(np.asarray(T, float))
+        lam, memb = _wedge_eigen_lambda(M, t, complement_onb(t))
         residuals['eigen_membership'] = memb
     elif fd.order == 1:
         tag = CaseTag.CIRCLE_NORMAL

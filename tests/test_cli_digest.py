@@ -48,7 +48,39 @@ def test_compare_exits_1_on_a_difference(tmp_path, capsys):
     changed["verify sl2 --json"]["exit"] = 2
     b.write_text(json.dumps(changed))
     assert cli_digest.main(["--compare", str(a), str(b)]) == 1
-    assert capsys.readouterr().out == "verify sl2 --json\n3 argvs, 1 differ\n"
+    assert capsys.readouterr().out == "verify sl2 --json\n3 argvs, 1 differ\nverify exit 1\n"
+
+
+def test_field_counts_name_each_differing_json_path_per_subcommand(tmp_path, capsys):
+    def classify(lam, cod, extra=None):
+        out = {"command": "classify", "residuals": {"codazzi_residual": cod, "tg_residual": 0.0},
+               "result": {"eigenvalue_lambda": lam, "frenet": {"curvatures": [2.0, cod]}}}
+        return {"exit": 0, "stdout": json.dumps(dict(out, **(extra or {}))) + "\n", "stderr": ""}
+    a = {"classify --normal=1,0,0 --json": classify(1.0, 0.0),
+         "classify --normal=0,1,0 --json": classify(None, 1e-12),
+         "classify --normal=0,0,1 --json": classify(None, 2e-12),
+         "verify": {"exit": 0, "stdout": "ok\n", "stderr": ""}}
+    b = copy.deepcopy(a)
+    b["classify --normal=1,0,0 --json"] = classify(1.0 + 2e-16, 3e-17)
+    b["classify --normal=0,1,0 --json"] = classify(None, 5e-13, {"ok": True})
+    b["verify"] = {"exit": 1, "stdout": "failed\n", "stderr": "x\n"}
+    b["info --json"] = a["verify"]
+    assert cli_digest.field_counts(a, b) == {
+        ("classify", ".residuals.codazzi_residual"): 2,
+        ("classify", ".result.frenet.curvatures[]"): 2,
+        ("classify", ".result.eigenvalue_lambda"): 1, ("classify", ".ok"): 1,
+        ("verify", "exit"): 1, ("verify", "stdout"): 1, ("verify", "stderr"): 1,
+        ("info", "record"): 1}
+    assert cli_digest.field_counts(a, copy.deepcopy(a)) == {}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert cli_digest.main(["--compare", str(pa), str(pb)]) == 1
+    assert capsys.readouterr().out.splitlines()[-9:] == [
+        "5 argvs, 4 differ",
+        "classify .ok 1", "classify .residuals.codazzi_residual 2",
+        "classify .result.eigenvalue_lambda 1", "classify .result.frenet.curvatures[] 2",
+        "info record 1", "verify exit 1", "verify stderr 1", "verify stdout 1"]
 
 
 def test_algebra_files_are_seeded_and_labelled_once():

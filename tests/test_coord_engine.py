@@ -597,6 +597,26 @@ def test_stage_lengths_are_checked_once(gram, spray):
     assert starts == [[0.0, 0.0]]
 
 
+def test_product_base_stage_lengths_are_checked():
+    # a flat plane whose stage returns a 1-float spray, alone and as the base
+    # of a warped product: both raise the base's DimensionMismatch before any
+    # step, the product after one product stage call and one base stage call
+    starts = []
+
+    def stage_at(x, v):
+        starts.append(x)
+        return [1.0, 0.0, 0.0, 1.0], [0.0]
+    base = CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at, stage_at)
+    warped = build_warped_product(1, base, coordinate_field(0, 2))
+    for CM, x0 in ((base, [0.5, 0.5]), (warped, [0.0, 0.5, 0.5])):
+        starts.clear()
+        with pytest.raises(DimensionMismatch) as err:
+            geodesic_integrate(CM, x0, np.eye(CM.dim)[0], 1.0, 0.1)
+        assert str(err.value) == ("stage_at returned (gram, spray) of (4, 1) floats; "
+                                  "a 2-dim chart needs n^2 = 4 and n = 2")
+        assert starts == [[0.5, 0.5]] * (CM.dim - 1)
+
+
 def test_stage_contract_check_is_one_call():
     calls = []
 

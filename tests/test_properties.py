@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (SL2_PLANE, classify_oracle, diagonal_stage_loop, direct_sum,
+from helpers import (SL2_PLANE, classify_oracle, codazzi_einsum, diagonal_stage_loop, direct_sum,
                      distinct_rounding, geodesic_list_loop, merge_loops, product_stage_loop,
                      random_orthogonal, refuse, rotate_constants, subspace_check_loops, table,
                      wedge_eigen_loops)
@@ -24,7 +24,8 @@ from tgkit.coord_engine import (ScalarField, CoordinateMetric, _christoffel_from
                                 build_warped_product, christoffel, geodesic_integrate, mathlib,
                                 twisting_phi)
 from tgkit.errors import TgkitError
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace, levi_civita
+from tgkit.lie_core import (LieAlgebra, MetricLieAlgebra, Subspace, complement_onb,
+                            curvature_tensor, levi_civita)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -604,7 +605,7 @@ def test_stacked_subspace_check_and_wedge_eigen_match_loops(n, kind, basis, dim,
     t = rng.standard_normal(n)
     t /= np.linalg.norm(t)
     for T in (t, np.eye(n)[0]):
-        assert ta._wedge_eigen_lambda(M, T) == wedge_eigen_loops(M, T)
+        assert ta._wedge_eigen_lambda(M, T, complement_onb(T)) == wedge_eigen_loops(M, T)
 
 
 # the one dedup rule, ta._first_of_each, against the two it replaced
@@ -722,6 +723,21 @@ def _classified(classify, M, T):
         return type(e), _bits(vars(e)), str(e)
 
 
+def _in_basis(c, basis, rng):
+    """(M, B): the table c in the basis f_a = B_ia e_i with the gram of the
+    same metric, B random orthogonal ('rotated', identity gram) or general
+    ('general', gram B^T B), or c in its own basis with a random SPD gram
+    ('spd', B = I)."""
+    n = len(c)
+    B = {"rotated": random_orthogonal(rng, n), "spd": np.eye(n),
+         "general": random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n))
+         @ random_orthogonal(rng, n)}[basis]
+    c = np.einsum('ia,jb,ijk,dk->abd', B, B, c, np.linalg.inv(B))
+    a = rng.standard_normal((n, n))
+    gram = {"rotated": None, "general": B.T @ B, "spd": a @ a.T + 0.5 * np.eye(n)}[basis]
+    return MetricLieAlgebra(LieAlgebra(0.5 * (c - c.transpose(1, 0, 2))), gram), B
+
+
 PLANTED_TAG = {"sl2": ta.CaseTag.HELIX_ORDER_TWO, "nonhomo": ta.CaseTag.CIRCLE_NORMAL,
                "abelian": ta.CaseTag.GEODESIC_NORMAL}
 
@@ -754,13 +770,7 @@ def test_classify_case_matches_the_public_call_chain(kind, n, basis, seed):
         c = _semidirect(A)
     else:
         c = np.zeros((n, n, n))
-    B = {"rotated": random_orthogonal(rng, n), "spd": np.eye(n),
-         "general": random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n))
-         @ random_orthogonal(rng, n)}[basis]
-    c = np.einsum('ia,jb,ijk,dk->abd', B, B, c, np.linalg.inv(B))
-    a = rng.standard_normal((n, n))
-    gram = {"rotated": None, "general": B.T @ B, "spd": a @ a.T + 0.5 * np.eye(n)}[basis]
-    M = MetricLieAlgebra(LieAlgebra(0.5 * (c - c.transpose(1, 0, 2))), gram)
+    M, B = _in_basis(c, basis, rng)
     planted = np.linalg.inv(B)[:, n - 1 if kind == "nonhomo" else 0]
     planted = planted / M.norm(planted)
     random_unit = rng.standard_normal(n)
@@ -769,3 +779,38 @@ def test_classify_case_matches_the_public_call_chain(kind, n, basis, seed):
         assert _classified(ta.classify_case, M, T) == _classified(classify_oracle, M, T)
     if basis != "spd" or kind == "abelian":
         assert ta.classify_case(M, planted).case_tag is PLANTED_TAG[kind]
+
+
+# the staged Codazzi contraction against the one einsum it replaced
+# (helpers.codazzi_einsum), within the round-off floor 4 n eps max(1, max|R|)
+# that classify_case gates on, at a random unit frame vector and at e_0 (the
+# Householder complement's sign edge): random R x| R^(n-1), sl2 + R^(n-3) and
+# abelian algebras of dimension 2 to 8, in a rotated basis, in a general
+# basis B with the gram B^T B, or with a random SPD gram.  On the abelian
+# algebras R is 0 and both read exactly 0.0.
+@hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@hypothesis.given(kind=st.sampled_from(["semidirect", "sl2", "abelian"]), n=st.integers(2, 8),
+                  basis=st.sampled_from(["rotated", "general", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+@hypothesis.example(kind="semidirect", n=8, basis="general", seed=0)
+@hypothesis.example(kind="sl2", n=8, basis="spd", seed=1)
+@hypothesis.example(kind="abelian", n=8, basis="rotated", seed=2)
+def test_staged_codazzi_matches_the_einsum(kind, n, basis, seed):
+    hypothesis.assume(kind != "sl2" or n >= 3)
+    rng = np.random.default_rng(seed)
+    if kind == "sl2":
+        c = direct_sum(catalog.sl2(*rng.uniform(0.5, 2.0, 2)).algebra.structure_constants,
+                       np.zeros((n - 3,) * 3))
+    elif kind == "semidirect":
+        c = _semidirect(rng.standard_normal((n - 1, n - 1)))
+    else:
+        c = np.zeros((n, n, n))
+    cd = curvature_tensor(_in_basis(c, basis, rng)[0])
+    assert cd.scale == max(1.0, float(np.abs(cd.components).max()))
+    u = rng.standard_normal(n)
+    for t in (u / np.linalg.norm(u), np.eye(n)[0]):
+        Q = complement_onb(t)
+        got, want = ta._codazzi(cd.components, t, Q), codazzi_einsum(cd.components, t, Q)
+        assert abs(got - want) <= 4 * n * ta._EPS * cd.scale
+        if kind == "abelian":
+            assert got == want == 0.0

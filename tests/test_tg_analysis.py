@@ -293,8 +293,8 @@ def test_classify_gates_the_codazzi_residual():
 
 
 def test_codazzi_gate_admits_rotated_sl2_at_scale():
-    # rotated sl2(1e3, 2e3): Codazzi residuals 4.7e-10 to 3.0e-8, the larger
-    # of each rotation's two above codazzi = 1e-9, read at most 0.70 of the
+    # rotated sl2(1e3, 2e3): Codazzi residuals 8.8e-10 to 2.8e-8, the larger
+    # of each rotation's two above codazzi = 1e-9, read at most 0.66 of the
     # round-off floor 4 n eps max|R| (3.1e-8 to 4.3e-8); on nonhomo that
     # floor is 1.4e-14, below the 1.2e-9 above
     for s in range(20):

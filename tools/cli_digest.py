@@ -15,12 +15,14 @@ sl2(1e3, 2e3) and on sl2(1e200, 1e200)), and writes each argv's exit
 code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
-only one digest has, and exits 1 if there is one.  Standard library plus
-numpy.
+only one digest has, then, per subcommand, each differing field path with
+its number of argvs (for example `classify .residuals.codazzi_residual
+601`), and exits 1 if there is a difference.  Standard library plus numpy.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import io
 import json
@@ -221,6 +223,42 @@ def compare(a, b):
     return [argv for argv in list(a) + [k for k in b if k not in a] if a.get(argv) != b.get(argv)]
 
 
+def _json_paths(x, y, path):
+    """The leaf paths at which the JSON values x and y differ: .key for an
+    object field, [] for every list index, '.' for the whole value; a key
+    that only one side has, or lists of two lengths, differ as a whole."""
+    if isinstance(x, dict) and isinstance(y, dict):
+        paths = {f"{path}.{k}" for k in x.keys() ^ y.keys()}
+        for k in x.keys() & y.keys():
+            paths |= _json_paths(x[k], y[k], f"{path}.{k}")
+        return paths
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return {p for u, v in zip(x, y) for p in _json_paths(u, v, path + "[]")}
+    return set() if json.dumps(x) == json.dumps(y) else {path or "."}
+
+
+def _record_paths(ra, rb):
+    """The fields at which two records of one argv differ: 'exit', 'stderr',
+    'stdout' or, when both stdouts are JSON, its leaf paths; 'record' when
+    one digest lacks the argv."""
+    if ra is None or rb is None:
+        return {"record"}
+    paths = {key for key in ("exit", "stderr") if ra[key] != rb[key]}
+    if ra["stdout"] != rb["stdout"]:
+        try:
+            paths |= _json_paths(json.loads(ra["stdout"]), json.loads(rb["stdout"]), "")
+        except json.JSONDecodeError:
+            paths.add("stdout")
+    return paths
+
+
+def field_counts(a, b):
+    """{(subcommand, field path): number of argvs differing there} over the
+    argvs that compare returns."""
+    return collections.Counter((argv.split()[0], path) for argv in compare(a, b)
+                               for path in _record_paths(a.get(argv), b.get(argv)))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="digest file to write")
@@ -232,6 +270,8 @@ def main(argv=None):
         for line in bad:
             print(line)
         print(f"{len(set(a) | set(b))} argvs, {len(bad)} differ")
+        for (cmd, path), count in sorted(field_counts(a, b).items()):
+            print(cmd, path, count)
         return 1 if bad else 0
     if not args.out:
         ap.error("give --out FILE or --compare A B")
