@@ -47,9 +47,13 @@ def _sanitize(obj):
     return obj
 
 
+def _dumps(obj) -> str:
+    """Canonical JSON of an object that is already JSON-safe."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    return _dumps(_sanitize(obj))
 
 
 def _digest(desc) -> str:
@@ -310,8 +314,10 @@ def _cmd_search(args, tol, grid):
     result = {"count": len(res.normals),
               "normals": [v.tolist() for v in res.normals],
               "residuals": list(res.residuals),
+              "components": [{"kind": "kernel_sphere", "basis": K.tolist(), "residual": r}
+                             for K, r in zip(res.components, res.component_residuals)],
               "continuum": res.continuum}
-    worst = max(res.residuals) if res.residuals else None
+    worst = max(res.residuals + res.component_residuals, default=None)
     return result, {"max_residual": worst}, None, 0, desc
 
 
@@ -389,8 +395,9 @@ _SUBCOMMANDS = {
                  _cmd_tg_check),
     "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",), _cmd_frenet),
     "classify": ("case analysis of a certified normal", _INPUT + ("--normal",), _cmd_classify),
-    "search": ("certified hyperplane normals (exact starts on Hofmann's R, aff(1) and "
-               "sl2 families, else seeded multistart)", _INPUT + ("--seed",), _cmd_search),
+    "search": ("certified hyperplane normals and kernel spheres (exact on Hofmann's R, "
+               "aff(1) and sl2 families, else seeded multistart)", _INPUT + ("--seed",),
+               _cmd_search),
     "geodesic": ("integrate a chart geodesic", ("--builtin", "--x0", "--v0", "--tmax", "--step"),
                  _cmd_geodesic),
     "verify": ("run the residual ledger over catalog entries", ("name",), _cmd_verify),
@@ -409,6 +416,10 @@ def _build_parser():
     return parser
 
 
+# each override takes the type of its field's default: float, or int
+_TOL_KINDS = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
+
+
 def _parse_tols(pairs):
     overrides = {}
     for item in pairs:
@@ -423,19 +434,17 @@ def _parse_tols(pairs):
         values = {k: float(v) for k, v in overrides.items()}
     except (ValueError, OverflowError) as exc:
         raise BadParams(f"bad tolerance value: {exc}")
-    # each override takes the type of its field's default: float, or int
-    kinds = {f.name: type(f.default) for f in dataclasses.fields(Tolerances)}
-    bad = sorted(set(values) - set(kinds))
+    bad = sorted(set(values) - set(_TOL_KINDS))
     if bad:
         raise BadParams(f"unknown tolerance names: {bad}")
-    bad = sorted(k for k, v in values.items() if kinds[k] is int and not v.is_integer())
+    bad = sorted(k for k, v in values.items() if _TOL_KINDS[k] is int and not v.is_integer())
     if bad:
         raise BadParams(f"integer tolerances need integral values: {bad}")
-    tol = DEFAULT.replace(**{k: kinds[k](v) for k, v in values.items()})
-    bad = sorted(k for k, v in dataclasses.asdict(tol).items() if not np.isfinite(v))
+    # every default is finite, so only an override can be non-finite
+    bad = sorted(k for k, v in values.items() if not np.isfinite(v))
     if bad:
         raise BadParams(f"tolerances must be finite: {bad}")
-    return tol, grid, overrides
+    return DEFAULT.replace(**{k: _TOL_KINDS[k](v) for k, v in values.items()}), grid, overrides
 
 
 def _human(report, code):
@@ -455,9 +464,9 @@ def _human(report, code):
                              f" (tol {row['tolerance']:.3e})")
     else:
         for key, val in sorted(result.items()):
-            lines.append(f"{key}: {json.dumps(_sanitize(val))}")
+            lines.append(f"{key}: {json.dumps(val)}")
     if report["residuals"]:
-        parts = ", ".join(f"{k}={json.dumps(_sanitize(v))}"
+        parts = ", ".join(f"{k}={json.dumps(v)}"
                           for k, v in sorted(report["residuals"].items()))
         lines.append(f"residuals: {parts}")
     lines.append(f"exit: {code}")
@@ -481,7 +490,7 @@ def run(argv=None) -> int:
             "input_digest": _digest(desc),
             "result": _sanitize(result),
             "residuals": _sanitize(residuals),
-            "tolerances_used": dict(sorted(dataclasses.asdict(tol).items())),
+            "tolerances_used": dict(sorted(vars(tol).items())),
             "case_tag": case_tag,
         }
         if args.out and args.out.endswith(".csv"):
@@ -490,12 +499,12 @@ def run(argv=None) -> int:
             export_trajectory_csv(traj, args.out)
         elif args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(report) + "\n")
+                fh.write(_dumps(report) + "\n")
     except (TgkitError, OSError) as exc:
         print(f"tgkit: error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(canonical_json(report))
+        print(_dumps(report))
     else:
         print(_human(report, code))
     return code

@@ -41,7 +41,7 @@ class Tolerances:
     # hyperplane search
     search_residual: float = 1e-10
     dedup_angle: float = 1e-4
-    continuum_minima: int = 20
+    continuum_minima: int = 20          # multistart fallback: more normals flag a continuum
 
     # coordinate engine
     fd_vs_exact: float = 1e-6

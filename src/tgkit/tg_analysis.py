@@ -110,9 +110,9 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
     """n_starts and seed are read only where _family_starts returns None and
-    the search falls back to seeded multistart; the exact families draw no
-    start.  residual_threshold is not settable: the search reads
-    M.tol.search_residual."""
+    the search falls back to seeded multistart; the exact families and the
+    kernel spheres draw no start.  residual_threshold is not settable: the
+    search reads M.tol.search_residual."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = dataclasses.field(default=DEFAULT.search_residual, init=False)
@@ -120,9 +120,14 @@ class SearchConfig:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
+    """The isolated normals with their TG residuals, and the continuum
+    components (kernel spheres), each as its gram-orthonormal rows in the
+    input basis, with the residual bound that certifies its whole sphere."""
     normals: list
     residuals: list
     continuum: bool
+    components: list
+    component_residuals: list
 
     def __iter__(self):
         return iter(self.normals)
@@ -293,38 +298,38 @@ def _curve_starts(G, F, rows, scale):
 
 
 def _family_starts(c, G):
-    """Exact starts, as unit rows (frame coordinates), or None for the
-    seeded multistart.
+    """(exact starts as unit rows, kernel spheres as orthonormal row blocks),
+    both in frame coordinates, or None for the seeded multistart.
 
     If t^perp = h is a subalgebra of codimension one and N is the largest
     ideal of g inside h, g/N is R, aff(1) or sl2(R) (K. H. Hofmann, Illinois
     J. Math. 9, 1965), and t lies in N^perp.  g/N = R: t lies in U =
     (g')^perp, where M(t) = G.t is symmetric with M(t) t = 0, so t is TG iff
     G.t = 0: the R-family normals are the unit vectors of the kernel K of
-    u -> G.u on U.  g/N = sl2(R) when g'' = g' != 0 (then g'/g'' = 0 and no
-    aff(1) quotient exists): N contains the radical, the Killing-orthogonal
-    of g', so t lies in F = rad^perp, the row space of g' times the Killing
-    form; if dim F = 3, part (a) of the TG condition is the conic
-    s^T S s = 0, S the symmetric part of Milnor's L in [X, Y] = L(X x Y) for
-    the quotient table on F, and empty when S is definite (su(2)).  g/N =
-    aff(1) when g'' < g': the quotient map is alpha a + phi b, with alpha a
-    character (a vector in U) and phi on g' a real joint eigenvector theta,
-    of weight alpha, of U acting on (g'/g'')* (g'/g'' represented by W = g'
-    cap (g'')^perp); phi on U solves phi([u_k, u_l]) = alpha_k phi(u_l) -
-    alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself for n = 2).
-    The starts are K and the _curve_starts of each family, where the TG
-    residual is small.  None when dim K >= 2 (a whole sphere of TG
-    normals), the Levi factor is not 3-dim, g is not solvable and
+    u -> G.u on U, a start when dim K = 1 and a whole sphere, returned as
+    the rows of K, when dim K >= 2.  g/N = sl2(R) when g'' = g' != 0 (then
+    g'/g'' = 0 and no aff(1) quotient exists): N contains the radical, the
+    Killing-orthogonal of g', so t lies in F = rad^perp, the row space of g'
+    times the Killing form; if dim F = 3, part (a) of the TG condition is
+    the conic s^T S s = 0, S the symmetric part of Milnor's L in
+    [X, Y] = L(X x Y) for the quotient table on F, and empty when S is
+    definite (su(2)).  g/N = aff(1) when g'' < g': the quotient map is
+    alpha a + phi b, with alpha a character (a vector in U) and phi on g' a
+    real joint eigenvector theta, of weight alpha, of U acting on
+    (g'/g'')* (g'/g'' represented by W = g' cap (g'')^perp); phi on U solves
+    phi([u_k, u_l]) = alpha_k phi(u_l) - alpha_l phi(u_k), and t lies in
+    span{alpha, phi} (g itself for n = 2).  The starts are the _curve_starts
+    of each family, and K when it is a line, where the TG residual is
+    small.  None when the Levi factor is not 3-dim, g is not solvable and
     g'' < g', a real weight's eigenspace is not a line, or a family's forms
     vanish identically.
     """
     n = c.shape[0]
     D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
     K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U if len(U) else U
-    if len(K) >= 2:
-        return None
+    spheres = [K] if len(K) >= 2 else []
     scale = max(1.0, float(np.abs(G).max()))
-    points, curves = [K], []
+    points, curves = [K[:0] if spheres else K], []
     D = D2 = _span_split(_brackets(c, D1, D1))[0]
     if len(D1) and len(D2) == len(D1):              # g'' = g': the sl2 family
         F = _span_split(D1 @ np.einsum('ilm,jml->ij', c, c))[0]
@@ -375,7 +380,7 @@ def _family_starts(c, G):
             return None
         points.append(found)
     t = _unit_rows(np.concatenate(points))
-    return _distinct(t, _tg_residuals(G, t, complement_onb(t)), scale)
+    return _distinct(t, _tg_residuals(G, t, complement_onb(t)), scale), spheres
 
 
 # A normal's sign comes from its first coordinate above this.  A normal at a
@@ -393,17 +398,24 @@ def _sign_normalize(v):
 
 
 def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> SearchResult:
-    """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt.
+    """Unit normals of TG hyperplanes, polished by Levenberg-Marquardt, and
+    the kernel spheres of TG normals.
 
     The starts are the exact points of _family_starts on Hofmann's R,
     aff(1) and sl2 families, in every dimension.  Where it returns None (a
     Levi factor of dim 6 or 8, a non-solvable g with g'' < g', a weight
-    space of dim >= 2) or a continuum is possible (dim K >= 2, a family
-    whose forms vanish), config.n_starts seeded random starts.  All starts
-    run together as one array through _batch_lm and are certified as one
-    stack by _tg_residuals.
+    space of dim >= 2, a family whose forms vanish), config.n_starts seeded
+    random starts, and continuum means more than tol.continuum_minima
+    normals.  All starts run together as one array through _batch_lm and
+    are certified as one stack by _tg_residuals.
 
-    Deterministic for a fixed config.seed; results are sign-normalized,
+    A kernel K of dim >= 2 is one component: M(t) = G.t is linear in t, so
+    on its unit sphere the TG residual is at most sqrt(dim K) max_i |G.k_i|
+    (Frobenius) over its orthonormal rows k_i.  That bound is gated on
+    tol.search_residual and reported; a normal within tol.dedup_angle of a
+    component's span is not listed apart, and continuum means a component.
+
+    Deterministic for a fixed config.seed; normals are sign-normalized,
     deduplicated, lexicographically sorted, and expressed in the input
     basis.
     """
@@ -411,25 +423,33 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     config = config or SearchConfig()
     n = M.dim
     G = levi_civita(M).coefficients
-    starts = _family_starts(M.onb_constants, G)
-    if starts is None:
+    family = _family_starts(M.onb_constants, G)
+    starts, spheres = family or (None, [])
+    if family is None:
         seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
         starts = _unit_rows(np.array(
             [np.random.Generator(np.random.PCG64(s)).standard_normal(n)
              for s in seeds]).reshape(-1, n))
+    bounds = [math.sqrt(len(K)) * float(np.linalg.norm(K @ G.reshape(n * n, n).T, axis=1).max())
+              for K in spheres]
+    spheres = [(K, r) for K, r in zip(spheres, bounds) if r < tol.search_residual]
     ts = _batch_lm(_residual_jacobian(G), starts) if len(starts) else starts
     X = M.from_onb(ts.T).T
     X = X / np.sqrt(rowdot(X @ M.gram, X))[:, None]
     t = M.to_onb(X.T).T
     res = _tg_residuals(G, t, complement_onb(t))
-    keep = np.flatnonzero(res < tol.search_residual)
+    isolated = res < tol.search_residual
+    for K, _ in spheres:
+        isolated &= np.linalg.norm(t @ K.T, axis=1) < math.cos(tol.dedup_angle)
+    keep = np.flatnonzero(isolated)
     Y = np.array([_sign_normalize(X[i]) for i in keep]).reshape(-1, n)
     # sign classes closer than the dedup angle merge into the smallest residual
     reps = _first_of_each(Y, res[keep], M.gram, math.cos(tol.dedup_angle))
     merged = sorted(((Y[i], float(res[keep[i]])) for i in reps),
                     key=lambda pair: tuple(np.round(pair[0], 6)))
     return SearchResult([x for x, _ in merged], [r for _, r in merged],
-                        len(merged) > tol.continuum_minima)
+                        len(merged) > tol.continuum_minima if family is None else bool(spheres),
+                        [M.from_onb(K.T).T for K, _ in spheres], [r for _, r in spheres])
 
 
 # ------------------------------------------------------------------- frenet

@@ -174,6 +174,19 @@ def test_search_abelian_continuum(capsys):
     assert rep["result"]["continuum"] is True
 
 
+def test_search_continuum_is_a_component_whatever_continuum_minima(capsys):
+    # a kernel sphere is a continuum whatever the sample count: abelian:3 is
+    # one certified 3-dim component and no isolated normal
+    code, rep = _json_out(capsys, ["search", "--builtin", "abelian:3", "--tol",
+                                   "continuum_minima=100"])
+    assert code == 0
+    result = rep["result"]
+    assert result["continuum"] is True and result["count"] == 0
+    comp, = result["components"]
+    assert comp["kind"] == "kernel_sphere" and len(comp["basis"]) == 3
+    assert comp["residual"] <= rep["tolerances_used"]["search_residual"]
+
+
 def test_verify_single_entry(capsys):
     code, rep = _json_out(capsys, ["verify", "heisenberg"])
     assert code == 0

@@ -567,12 +567,73 @@ def test_levi_and_jordan_families_agree_with_multistart(kind, weights, basis, se
 @pytest.mark.parametrize("seed", range(3))
 def test_a_kernel_plane_leaves_the_family_starts(seed):
     # heisenberg + R^2 (K the 2-dim centre part of U, under any gram) and
-    # e(2) + R (K = U): a sphere of TG normals, left to multistart
+    # e(2) + R (K = U): a sphere of TG normals, returned apart from the
+    # starts as one 2-dim block of orthonormal rows on which G.k vanishes
     rng = np.random.default_rng(seed)
     heis_plane = direct_sum(HEIS, np.zeros((2, 2, 2)))
     for M in (_basis_change(heis_plane, "rotated", rng), _basis_change(heis_plane, "spd", rng),
               _basis_change(direct_sum(_algebra3("e2"), LINE), "rotated", rng)):
-        assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is None
+        G = levi_civita(M).coefficients
+        starts, spheres = ta._family_starts(M.onb_constants, G)
+        assert starts.shape == (0, M.dim) and [len(K) for K in spheres] == [2]
+        K, = spheres
+        assert np.abs(K @ K.T - np.eye(2)).max() < 1e-14
+        assert np.abs(np.einsum('ijk,ak->aij', G, K)).max() < 1e-14
+
+
+# kernel spheres against 256 forced multistart starts, on algebras with a
+# kernel K of dim >= 2: R^k + h (h = R x| R^m with a random ad z, m = 1, 2),
+# sl2(a, b) + R^k, heisenberg + R^k and e(2) + R, in a rotated basis, in a
+# general basis B with the gram B^T B of the same metric, or in their own
+# basis with a random SPD gram on each summand (a product metric; e(2) + R
+# only keeps its flat e(2) in the first two).  Every multistart normal lies
+# on a component or on an isolated normal, and every isolated normal is
+# found by multistart
+def _kernel_sphere_table(kind, k, rng):
+    """(structure constants, dim of the first summand)."""
+    h = {"R^k+h": lambda: _semidirect(rng.standard_normal((rng.integers(1, 3),) * 2)),
+         "sl2+R^k": lambda: catalog.sl2(*rng.uniform(0.3, 2.0, 2)).algebra.structure_constants,
+         "heis+R^k": lambda: HEIS, "e2+R": lambda: _algebra3("e2")}[kind]()
+    k = 1 if kind == "e2+R" else k
+    return direct_sum(h, np.zeros((k, k, k))), len(h)
+
+
+def _gram_distance(M, y, B):
+    """Gram distance from y to the span of the gram-orthonormal rows B."""
+    r = y - (B @ M.gram @ y) @ B
+    return float(np.sqrt(max(r @ M.gram @ r, 0.0)))
+
+
+@pytest.mark.parametrize("kind", ["R^k+h", "sl2+R^k", "heis+R^k", "e2+R"])
+@hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@hypothesis.given(k=st.integers(2, 3), basis=st.sampled_from(["rotated", "general", "product"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_spheres_agree_with_multistart(kind, k, basis, seed):
+    hypothesis.assume(kind != "e2+R" or basis != "product")
+    rng = np.random.default_rng(seed)
+    c, m = _kernel_sphere_table(kind, k, rng)
+    if basis == "product":
+        n = len(c)
+        gram = np.zeros((n, n))
+        for lo, hi in ((0, m), (m, n)):
+            a = rng.standard_normal((hi - lo, hi - lo))
+            gram[lo:hi, lo:hi] = a @ a.T + 0.5 * np.eye(hi - lo)
+        M = MetricLieAlgebra(LieAlgebra(c), gram)
+    else:
+        M = _in_basis(c, basis, rng)[0]
+    exact = ta.search_tg_hyperplanes(M)
+    assert exact.continuum and exact.components
+    for B, r in zip(exact.components, exact.component_residuals):
+        assert len(B) >= 2 and np.abs(B @ M.gram @ B.T - np.eye(len(B))).max() < 1e-12
+        assert r <= M.tol.search_residual
+    with mock.patch.object(ta, "_family_starts", lambda c, G: None):
+        multi = ta.search_tg_hyperplanes(M, ta.SearchConfig(n_starts=256))
+    for y in multi.normals:
+        on_sphere = min(_gram_distance(M, y, B) for B in exact.components) <= 1e-7
+        assert on_sphere or min((min(np.abs(x - y).max(), np.abs(x + y).max())
+                                 for x in exact.normals), default=1.0) <= 1e-8, y
+    for x in exact.normals:
+        assert min(min(np.abs(x - y).max(), np.abs(x + y).max()) for y in multi.normals) <= 1e-8
 
 
 # the stacked subspace check and wedge eigenvalue test against their loop
@@ -680,9 +741,11 @@ def test_search_merge_matches_the_merge_loops(name):
     def record(Y, err, inner, cos):
         calls.append((Y.copy(), err.copy()))
         return first_of_each(Y, err, inner, cos)
+    # multistart, forced: abelian and e(2) + R are kernel spheres on the exact path
     for seed in range(6):
         calls.clear()
-        with mock.patch.object(ta, "_first_of_each", record):
+        with mock.patch.object(ta, "_first_of_each", record), \
+                mock.patch.object(ta, "_family_starts", lambda c, G: None):
             got = ta.search_tg_hyperplanes(M, ta.SearchConfig(seed=seed))
         (Y, err), = calls                  # multistart: the merge is the only call
         want = merge_loops(list(zip(Y, err.tolist())), M.gram, M.tol.dedup_angle)
@@ -700,8 +763,8 @@ def test_search_merge_matches_the_merge_loops(name):
 # rotated basis, in a general basis B with the gram B^T B of the same metric
 # (a dense frame, so every rounding of T shows), or in its own basis with a
 # random SPD gram.  The normals: the planted one (in R^m for the nonhomo
-# type; TG but for the SPD gram), the first search normals and a random unit
-# vector, which is refused.
+# type; TG but for the SPD gram), the first search normals, the first row
+# of each kernel sphere and a random unit vector, which is refused.
 def _bits(x):
     """x as nested tuples of bytes, on which == is equality bit for bit."""
     if dataclasses.is_dataclass(x):
@@ -774,7 +837,9 @@ def test_classify_case_matches_the_public_call_chain(kind, n, basis, seed):
     planted = np.linalg.inv(B)[:, n - 1 if kind == "nonhomo" else 0]
     planted = planted / M.norm(planted)
     random_unit = rng.standard_normal(n)
-    normals = [planted, *ta.search_tg_hyperplanes(M).normals[:4], random_unit / M.norm(random_unit)]
+    found = ta.search_tg_hyperplanes(M)
+    normals = [planted, *found.normals[:4], *(K[0] for K in found.components),
+               random_unit / M.norm(random_unit)]
     for T in normals:
         assert _classified(ta.classify_case, M, T) == _classified(classify_oracle, M, T)
     if basis != "spd" or kind == "abelian":

@@ -9,7 +9,7 @@ import pytest
 from helpers import (BIANCHI4, SL2_PLANE, SU2, direct_sum, lm_one, random_orthogonal,
                      random_spd, refuse, rotate_constants)
 
-from tgkit import catalog
+from tgkit import catalog, tg_analysis
 from tgkit.cli import run
 from tgkit.config import DEFAULT
 from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
@@ -61,10 +61,13 @@ def test_search_with_config_reads_the_algebras_threshold():
 
 
 def test_abelian_continuum_flag():
+    # every unit vector of R^3 is a TG normal: one 3-dim kernel sphere, no
+    # isolated normal, certified at 0 since G = 0
     got = search_tg_hyperplanes(catalog.abelian(3))
     assert got.continuum
-    assert len(got) > 20
-    assert max(got.residuals) == 0.0
+    assert len(got) == 0
+    assert [K.shape for K in got.components] == [(3, 3)]
+    assert got.component_residuals == [0.0]
 
 
 def test_search_deterministic_under_seed():
@@ -174,13 +177,19 @@ def _e3_index(normals):
     return [i for i, x in enumerate(normals) if np.abs(x - np.eye(4)[2]).max() < 1e-7]
 
 
+def _multistart(M, config=None):
+    """search_tg_hyperplanes through the seeded multistart fallback."""
+    with mock.patch.object(tg_analysis, "_family_starts", lambda c, G: None):
+        return search_tg_hyperplanes(M, config)
+
+
 def test_sign_rule_ignores_round_off_coordinates():
-    # e(2) + R: the e3 normal sits at a double zero, so multistart lands
-    # about 2e-8 off it; the sign comes from its third coordinate, not from
-    # that round-off
+    # e(2) + R: the e3 normal sits at a double zero, so multistart (forced;
+    # the exact path reports the kernel sphere) lands about 2e-8 off it; the
+    # sign comes from its third coordinate, not from that round-off
     M = _e2_plus_line()
     for seed in range(4):
-        got = search_tg_hyperplanes(M, SearchConfig(seed=seed))
+        got = _multistart(M, SearchConfig(seed=seed))
         assert got.continuum
         assert len(_e3_index(got.normals)) == 1, seed
     assert np.array_equal(_sign_normalize(np.array([2e-8, -1e-8, -1.0, 0.5])),
@@ -190,10 +199,11 @@ def test_sign_rule_ignores_round_off_coordinates():
 def test_sort_key_ignores_round_off_coordinates():
     # the sort key is rounded at the sign floor's 6 digits, so the e3 normal
     # sorts where (0, 0, 1, 0) itself does, whatever the sign of the ~2e-8
-    # round-off in its first coordinates (negative on 22 of these seeds)
+    # round-off in its first coordinates (negative on 22 of these seeds),
+    # under forced multistart
     M = _e2_plus_line()
     for seed in range(40):
-        got = search_tg_hyperplanes(M, SearchConfig(seed=seed))
+        got = _multistart(M, SearchConfig(seed=seed))
         k = _e3_index(got.normals)
         others = [tuple(np.round(x, 6)) for i, x in enumerate(got.normals) if i not in k]
         assert k == [sum(key < (0.0, 0.0, 1.0, 0.0) for key in others)], seed
@@ -257,13 +267,13 @@ def test_exact_census_on_the_sl2_grid(monkeypatch):
 def test_heisenberg_and_su2_census_is_a_certificate(monkeypatch):
     # heisenberg: K is empty and the one weight is 0; su(2): S is definite.
     # No start, so neither LM nor multistart runs
-    from tgkit import tg_analysis
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     monkeypatch.setattr(tg_analysis, "_batch_lm", refuse)
     for M in (catalog.heisenberg(), MetricLieAlgebra(LieAlgebra(SU2))):
-        assert _family_starts(M.onb_constants, levi_civita(M).coefficients).shape == (0, 3)
+        starts, spheres = _family_starts(M.onb_constants, levi_civita(M).coefficients)
+        assert starts.shape == (0, 3) and spheres == []
         got = search_tg_hyperplanes(M)
-        assert len(got) == 0 and not got.continuum
+        assert len(got) == 0 and not got.continuum and got.components == []
 
 
 def test_exact_census_on_levi_dim_3_and_jordan_blocks(monkeypatch):
@@ -360,17 +370,26 @@ def test_exact_census_on_wide_r_families(monkeypatch):
 
 def test_continuum_and_wide_r_family_print_the_multistart_bytes(tmp_path):
     # e(2) + R: the R family's kernel is all of U = span{e2, e3}; heisenberg
-    # + R^2: U is 4-dim and its kernel the 2-dim centre part.  Both are
-    # continua and keep the seeded multistart's bytes
-    from tgkit import tg_analysis
+    # + R^2: U is 4-dim and its kernel the 2-dim centre part.  Both print
+    # one 2-dim kernel sphere and no isolated normal; forced multistart
+    # prints the seeded multistart's normals, rerun for rerun
     heis = direct_sum(catalog.heisenberg().algebra.structure_constants, np.zeros((2, 2, 2)))
     for c in (_e2_plus_line().algebra.structure_constants, heis):
         M = MetricLieAlgebra(LieAlgebra(c))
-        assert tg_analysis._family_starts(M.onb_constants, levi_civita(M).coefficients) is None
+        starts, spheres = _family_starts(M.onb_constants, levi_civita(M).coefficients)
+        assert len(starts) == 0 and [len(K) for K in spheres] == [2]
         argv = ["--algebra", _algebra_file(tmp_path, c), "--seed", "3"]
-        text = _search_json(argv)
+        rep = json.loads(_search_json(argv))["result"]
+        assert rep["count"] == 0 and rep["continuum"]
+        assert [(x["kind"], len(x["basis"])) for x in rep["components"]] == [("kernel_sphere", 2)]
         with mock.patch.object(tg_analysis, "_family_starts", lambda c, G: None):
+            text = _search_json(argv)
             assert _search_json(argv) == text
+        rep = json.loads(text)["result"]
+        want = _multistart(M, SearchConfig(seed=3))
+        assert rep["continuum"] and rep["components"] == []
+        assert rep["normals"] == [x.tolist() for x in want.normals]
+        assert rep["residuals"] == want.residuals
 
 
 def _h3_file(tmp_path, gram=None):
@@ -392,25 +411,33 @@ def _search_json(argv):
 
 
 def test_abelian_and_h3_return_to_multistart(tmp_path):
+    # abelian:3 is one 3-dim kernel sphere with no isolated normal; the H^3
+    # algebra (a weight space of dim 2) stays on multistart, 64 normals
+    text = _search_json(["--builtin", "abelian:3"])
+    assert _search_json(["--builtin", "abelian:3"]) == text
+    rep = json.loads(text)["result"]
+    assert rep["continuum"] and rep["count"] == 0 and rep["normals"] == []
+    assert rep["components"] == [{"kind": "kernel_sphere", "basis": np.eye(3).tolist(),
+                                  "residual": 0.0}]
     spd = [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.0]]
-    for argv in (["--builtin", "abelian:3"], ["--algebra", _h3_file(tmp_path)],
-                 ["--algebra", _h3_file(tmp_path, spd)]):
+    for argv in (["--algebra", _h3_file(tmp_path)], ["--algebra", _h3_file(tmp_path, spd)]):
         text = _search_json(argv)
         assert _search_json(argv) == text
         rep = json.loads(text)["result"]
-        assert rep["continuum"] and rep["count"] == 64, argv
+        assert rep["continuum"] and rep["count"] == 64 and rep["components"] == [], argv
         assert max(rep["residuals"]) < 1e-14, argv
-    M = catalog.abelian(3)
-    assert _family_starts(M.onb_constants, levi_civita(M).coefficients) is None
-    # G = 0, so no start moves: the normals are the seeded draws themselves,
-    # sign-normalized and sorted, as every earlier multistart printed them
+    # forced multistart on abelian:3: G = 0, so no start moves, and the
+    # normals are the seeded draws themselves, sign-normalized and sorted,
+    # as every earlier multistart printed them
     want = []
     for seq in np.random.SeedSequence(0).spawn(64):
         s = np.random.Generator(np.random.PCG64(seq)).standard_normal(3)
         t = s / np.linalg.norm(s)
         want.append(_sign_normalize(t / np.sqrt(t @ t)))
     want.sort(key=lambda v: tuple(np.round(v, 9)))
-    rep = json.loads(_search_json(["--builtin", "abelian:3"]))["result"]
+    with mock.patch.object(tg_analysis, "_family_starts", lambda c, G: None):
+        rep = json.loads(_search_json(["--builtin", "abelian:3"]))["result"]
+    assert rep["count"] == 64 and rep["continuum"]
     assert rep["normals"] == [v.tolist() for v in want]
     assert rep["residuals"] == [0.0] * 64
 

@@ -6,11 +6,19 @@
 
 The first form runs the census op of `perfbench/workloads.py` (search, then
 classify each normal) on every algebra that `perfbench/generate.py` makes
-for each seed, and writes each op's count, continuum flag, case tags and
-normals.  The second applies the census rule to two such files: equal
-counts, flags and tags, and normals within 1e-9; it prints each mismatch
-and exits 1 if there is one.  Standard library plus numpy; it imports
-perfbench/ and leaves it as it is.
+for each seed, and writes each op's count, continuum flag, case tags,
+isolated normals and continuum components (each as the gram projector
+B^T B gram onto the span of its gram-orthonormal rows B).  The second
+applies the census rule to two such files: equal counts, flags and tags,
+isolated normals within 1e-9, and equal component spans (projectors
+within 1e-9); it prints each mismatch and exits 1 if there is one.  A
+normal of one file that lies in a component span of the other (P y = y
+within 1e-9) is a sample of that component, as the multistart that once
+answered for kernel spheres printed them, and is set aside with its tag
+before the counts are compared; spans are compared where both files
+record components.
+Standard library plus numpy; it imports perfbench/ and leaves it as it
+is.
 """
 from __future__ import annotations
 
@@ -18,6 +26,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 NORMAL_TOL = 1e-9
@@ -33,13 +43,24 @@ def digest(seeds):
     ops = []
     for seed in seeds:
         for index, item in enumerate(generate.algebras(seed)):
-            res, reports = census.op(tg, (item, workloads.build_algebra(tg, item)))
+            M = workloads.build_algebra(tg, item)
+            res, reports = census.op(tg, (item, M))
             ops.append({"seed": seed, "index": index, "kind": item["kind"],
                         "base": item["base"], "count": len(res),
                         "continuum": bool(res.continuum),
                         "tags": [rep.case_tag.value for rep in reports],
-                        "normals": [[float(x) for x in v] for v in res.normals]})
+                        "normals": [[float(x) for x in v] for v in res.normals],
+                        "components": [(B.T @ B @ M.gram).tolist() for B in res.components]})
     return {"seeds": list(seeds), "ops": ops}
+
+
+def _isolated(op, projectors):
+    """op with the normals (and their tags) that lie in the span of one of
+    projectors set aside: samples of a component, not isolated normals."""
+    keep = [k for k, y in enumerate(op["normals"])
+            if not any(np.abs(np.array(P) @ y - y).max() <= NORMAL_TOL for P in projectors)]
+    return dict(op, count=len(keep), normals=[op["normals"][k] for k in keep],
+                tags=[op["tags"][k] for k in keep])
 
 
 def compare(a, b):
@@ -50,6 +71,8 @@ def compare(a, b):
     out = []
     for x, y in zip(a["ops"], b["ops"]):
         where = f"seed {x['seed']} op {x['index']} ({x['kind']} {x['base']})"
+        P, Q = x.get("components", []), y.get("components", [])
+        x, y = _isolated(x, Q), _isolated(y, P)
         for key in ("seed", "index", "count", "continuum", "tags"):
             if x[key] != y[key]:
                 out.append(f"{where}: {key} {x[key]} vs {y[key]}")
@@ -58,6 +81,15 @@ def compare(a, b):
                 d = max(abs(p - q) for p, q in zip(u, v))
                 if not d <= NORMAL_TOL:
                     out.append(f"{where}: normal {k} differs by {d:.3e}")
+        # a digest written before components were reported has no such key
+        if "components" not in x or "components" not in y:
+            continue
+        if len(P) != len(Q):
+            out.append(f"{where}: components {len(P)} vs {len(Q)}")
+        for k, (u, v) in enumerate(zip(P, Q)):
+            d = float(np.abs(np.subtract(u, v)).max())
+            if not d <= NORMAL_TOL:
+                out.append(f"{where}: component {k} span differs by {d:.3e}")
     return out
 
 

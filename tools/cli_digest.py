@@ -9,8 +9,8 @@ on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
 nonhomo, aff(1) + aff(1), H3, H2 + R, H3 + R, su(2) + R, sl2 x| R^2,
 aff(1) + sl2 and Bianchi IV, abelian:3 with an SPD gram, and sl2 + R^2 in
-a general basis: search, then frenet and classify on each normal the
-search prints, and tg-check on a generic subspace; the same on rotated
+a general basis: search, then frenet and classify on each normal and
+each kernel-sphere basis row the search prints, and tg-check on a generic subspace; the same on rotated
 sl2(1e3, 2e3) and on sl2(1e200, 1e200)), and writes each argv's exit
 code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
@@ -103,8 +103,8 @@ def algebra_files(seeds=SEEDS):
     """[(label, algebra file object, generic subspace text)]: each base in
     a random orthonormal basis with identity gram ('rot') and in its own
     basis with a random SPD gram ('spd'), per seed; then abelian:3 with an
-    SPD gram, whose search prints a continuum, so that classify runs on
-    each of its normals under a dense frame; then sl2 + R^2 in a general
+    SPD gram, whose search prints a kernel sphere, so that classify runs on
+    its basis rows under a dense frame; then sl2 + R^2 in a general
     basis B with the gram B^T B, whose geodesic normals see a nonzero
     curvature operator under a dense frame."""
     out = []
@@ -210,8 +210,9 @@ def digest():
                 records[" ".join([cmd, "--algebra", label, *rest])] = rec
                 return rec
             found = record("search", "--json")
-            normals = json.loads(found["stdout"])["result"]["normals"] if not found["exit"] else []
-            for normal in normals:
+            result = {} if found["exit"] else json.loads(found["stdout"])["result"]
+            rows = [row for comp in result.get("components", []) for row in comp["basis"]]
+            for normal in result.get("normals", []) + rows:
                 for cmd in ("frenet", "classify"):
                     record(cmd, "--normal=" + _vec(normal), "--json")
             record("tg-check", "--subspace=" + sub, "--json")
