@@ -32,7 +32,6 @@ class Tolerances:
     # Frenet / helix
     eps_k: float = 1e-8                 # zero threshold for curvatures
     eps_k_warn: float = 1e-10           # [eps_k_warn, eps_k) flags borderline
-    frenet_recursion: float = 1e-9
     bracket_table: float = 1e-9
     ideal: float = 1e-9
     sl2_match: float = 1e-8

@@ -109,10 +109,10 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
-    """n_starts and seed are read only where _family_starts returns None and
-    the search falls back to seeded multistart; the exact families and the
-    kernel spheres draw no start.  residual_threshold is not settable: the
-    search reads M.tol.search_residual."""
+    """n_starts and seed are read only where _family_starts returns None (a
+    weight space of dim >= 2, a family whose forms vanish) and the search
+    falls back to seeded multistart; exact families and kernel spheres draw
+    no start.  residual_threshold is read-only: the search reads M.tol."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = dataclasses.field(default=DEFAULT.search_residual, init=False)
@@ -251,11 +251,12 @@ def _distinct(t, err, scale):
     return t[_first_of_each(t, err, np.eye(t.shape[-1]), math.cos(1e-6))]
 
 
-def _span_split(rows):
+def _span_split(rows, ref=1.0):
     """Orthonormal rows spanning the row space of rows, and orthonormal rows
-    spanning its orthogonal complement (SVD, rank relative to 1e-10)."""
+    spanning its orthogonal complement (SVD, rank relative to 1e-10 of the
+    larger of ref and the top singular value)."""
     _, sv, vt = np.linalg.svd(rows)
-    rank = int((sv > 1e-10 * max(1.0, sv[0] if len(sv) else 1.0)).sum())
+    rank = int((sv > 1e-10 * max(ref, sv[0] if len(sv) else ref)).sum())
     return vt[:rank], vt[rank:]
 
 
@@ -297,6 +298,17 @@ def _curve_starts(G, F, rows, scale):
     return np.concatenate([np.vander(w, len(rows), increasing=True) @ rows, rows[-1:]]) @ F
 
 
+def _eigenspaces(mats, tol):
+    """Orthonormal rows spanning the eigenspace of each real eigenvalue (one
+    per cluster within tol) of a fixed generic combination A of the
+    mats[k]^T: as the mats commute, a line is a common left eigenvector."""
+    A = np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(mats) + 2)), mats)
+    lam = np.linalg.eigvals(A)
+    lam = lam.real[np.abs(lam.imag) <= tol]
+    return [_span_split(A - x * np.eye(len(A)))[1]
+            for i, x in enumerate(lam) if not (np.abs(lam[:i] - x) <= tol).any()]
+
+
 def _family_starts(c, G):
     """(exact starts as unit rows, kernel spheres as orthonormal row blocks),
     both in frame coordinates, or None for the seeded multistart.
@@ -307,22 +319,23 @@ def _family_starts(c, G):
     (g')^perp, where M(t) = G.t is symmetric with M(t) t = 0, so t is TG iff
     G.t = 0: the R-family normals are the unit vectors of the kernel K of
     u -> G.u on U, a start when dim K = 1 and a whole sphere, returned as
-    the rows of K, when dim K >= 2.  g/N = sl2(R) when g'' = g' != 0 (then
-    g'/g'' = 0 and no aff(1) quotient exists): N contains the radical, the
-    Killing-orthogonal of g', so t lies in F = rad^perp, the row space of g'
-    times the Killing form; if dim F = 3, part (a) of the TG condition is
-    the conic s^T S s = 0, S the symmetric part of Milnor's L in
-    [X, Y] = L(X x Y) for the quotient table on F, and empty when S is
-    definite (su(2)).  g/N = aff(1) when g'' < g': the quotient map is
-    alpha a + phi b, with alpha a character (a vector in U) and phi on g' a
-    real joint eigenvector theta, of weight alpha, of U acting on
-    (g'/g'')* (g'/g'' represented by W = g' cap (g'')^perp); phi on U solves
-    phi([u_k, u_l]) = alpha_k phi(u_l) - alpha_l phi(u_k), and t lies in
-    span{alpha, phi} (g itself for n = 2).  The starts are the _curve_starts
-    of each family, and K when it is a line, where the TG residual is
-    small.  None when the Levi factor is not 3-dim, g is not solvable and
-    g'' < g', a real weight's eigenspace is not a line, or a family's forms
-    vanish identically.
+    the rows of K, when dim K >= 2.  g/N = sl2(R): N holds the radical, the
+    Killing-orthogonal of g', and all simple ideals s_j of g/rad but one, so
+    t lies in F_i = (rad + sum_j s_j)^perp, a 3-dim left eigenspace of a
+    generic element of the centroid of the quotient table on F = rad^perp
+    (F itself when dim F = 3; sl2(C) has complex eigenvalues, sl3, su3 and
+    su(2,1) 8-dim ones).  On F_i part (a) of the TG condition is the conic
+    s^T S s = 0, S the symmetric part of Milnor's L in [X, Y] = L(X x Y) for
+    the quotient table on F_i, and empty when S is definite (su(2)).
+    g/N = aff(1) needs g'' < g': the quotient map is alpha a + phi b, with
+    alpha a character (a vector in U) and phi on g' a real joint
+    eigenvector theta, of weight alpha, of U acting on (g'/g'')* (g'/g''
+    represented by W = g' cap (g'')^perp; g' acts on it as 0, so on any g
+    the actions commute); phi on U solves phi([u_k, u_l]) = alpha_k
+    phi(u_l) - alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself
+    for n = 2).  The starts are the _curve_starts of each family, and K when
+    it is a line, where the TG residual is small.  None when a real weight's
+    eigenspace is not a line or a family's forms vanish identically.
     """
     n = c.shape[0]
     D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
@@ -330,11 +343,19 @@ def _family_starts(c, G):
     spheres = [K] if len(K) >= 2 else []
     scale = max(1.0, float(np.abs(G).max()))
     points, curves = [K[:0] if spheres else K], []
-    D = D2 = _span_split(_brackets(c, D1, D1))[0]
-    if len(D1) and len(D2) == len(D1):              # g'' = g': the sl2 family
-        F = _span_split(D1 @ np.einsum('ilm,jml->ij', c, c))[0]
-        if len(F) != 3:
-            return None
+    D2 = _span_split(_brackets(c, D1, D1))[0]
+    # rad^perp, rank cut relative to |c|^2, the Killing scale: on a solvable g
+    # this product is round-off, and on a nilpotent g the Killing form is too
+    F = _span_split(D1 @ np.einsum('ilm,jml->ij', c, c), float((c * c).sum()))[0]
+    ideals = [F] if len(F) == 3 else []
+    if len(F) > 3:                                  # the centroid of the table on F
+        m, eye = len(F), np.eye(len(F))
+        q = (_brackets(c, F, F) @ F.T).reshape(m, m, m)
+        # rows of C ad_a - ad_a C, ad_a = q[a]^T; a QR spares the SVD the m^3 rows
+        comm = np.einsum('pP,arQ->aprPQ', eye, q) - np.einsum('aPp,Qr->aprPQ', q, eye)
+        cent = _span_split(np.linalg.qr(comm.reshape(m ** 3, m * m), mode='r'))[1]
+        ideals = [P @ F for P in _eigenspaces(cent.reshape(-1, m, m), 1e-6) if len(P) == 3]
+    for F in ideals:                                # the sl2 families
         q = np.einsum('ai,bj,ijk,ck->abc', F, F, c, F)
         L = np.stack([q[2, 1], q[0, 2], q[1, 0]])
         lam, V = np.linalg.eigh(0.5 * (L + L.T))
@@ -342,27 +363,14 @@ def _family_starts(c, G):
             u = (V / np.sqrt(np.abs(lam))).T
             i, j, m = (1, 2, 0) if lam[1] > 0 else (0, 1, 2)
             curves.append((F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]])))
-    else:
-        while len(D):                               # does the derived series reach 0?
-            nxt = _span_split(_brackets(c, D, D))[0]
-            if len(nxt) == len(D):
-                return None
-            D = nxt
+    if len(D2) < len(D1):                           # g'' < g': the aff(1) families
         tol = 1e-6 * scale
         W = _span_split(D1 - D1 @ D2.T @ D2)[0]
         A = np.einsum('ki,qj,ijl,pl->kpq', U, W, c, W)  # A[k]: ad u_k on g'/g'', basis W
-        # a fixed generic combination of the A[k]^T: as the A[k] commute, a
-        # real eigenvalue whose eigenspace is a line has a joint eigenvector
-        Abar = np.einsum('k,kpq->qp', np.sqrt(np.arange(2.0, len(U) + 2)), A)
-        lam = np.linalg.eigvals(Abar)
-        lam = lam.real[np.abs(lam.imag) <= tol]
         k, l = _pair_index(len(U))
-        for i, x in enumerate(lam):
-            if (np.abs(lam[:i] - x) <= tol).any():
-                continue                            # a repeated weight: one eigenspace
-            null = _span_split(Abar - x * np.eye(len(Abar)))[1]
+        for null in _eigenspaces(A, tol):
             if len(null) != 1:
-                return None
+                return None                         # a weight with a plane of eigenvectors
             th = null[0]
             alpha = A @ th @ th
             if not np.linalg.norm(alpha) > tol:
@@ -402,8 +410,7 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     the kernel spheres of TG normals.
 
     The starts are the exact points of _family_starts on Hofmann's R,
-    aff(1) and sl2 families, in every dimension.  Where it returns None (a
-    Levi factor of dim 6 or 8, a non-solvable g with g'' < g', a weight
+    aff(1) and sl2 families, on any g.  Where it returns None (a weight
     space of dim >= 2, a family whose forms vanish), config.n_starts seeded
     random starts, and continuum means more than tol.continuum_minima
     normals.  All starts run together as one array through _batch_lm and
@@ -477,7 +484,7 @@ def _frenet(M, t):
     """frenet_orbit at the unit frame vector t."""
     tol = M.tol
     G = levi_civita(M).coefficients
-    frame, ks, ws = [t], [], []     # ws: the w_s behind each accepted k_s
+    frame, ks = [t], []
     trunc, borderline = float('nan'), False
     for s in range(1, M.dim):
         w = np.einsum('ijk,i,j->k', G, frame[0], frame[-1])
@@ -489,19 +496,13 @@ def _frenet(M, t):
             borderline = k >= tol.eps_k_warn
             break
         ks.append(k)
-        ws.append(w)
         frame.append(w / k)
-    # the frame's orthonormality and the recursion identity; round-off can
-    # break the first when the curvatures are far apart (rotated
-    # sl2(1e-4, 40) reads 2.3e-10)
+    # the frame's orthonormality; round-off can break it when the curvatures
+    # are far apart (rotated sl2(1e-4, 40) reads 2.3e-10)
     F = np.stack(frame, axis=1)
     onb_res = np.abs(F.T @ F - np.eye(len(frame))).max()
     if not onb_res <= 1e-10:
         raise TgkitError(f"Frenet frame lost orthonormality ({onb_res:.3e})")
-    for w, k, e in zip(ws, ks, frame[1:]):
-        res = np.linalg.norm(w - k * e)
-        if not res <= tol.frenet_recursion:
-            raise TgkitError(f"Frenet recursion residual {res:.3e}")
     return FrenetData(len(ks), tuple(ks),
                       tuple(M.from_onb(v) for v in frame),
                       trunc, borderline)

@@ -189,16 +189,31 @@ def sl2_rep_constants(a, b):
     Solves the 4x3 linear system per bracket with lstsq, which is an
     independent route from the package's triangular expansion.
     """
-    E = [a * np.array([[0., 1.], [-1., 0.]]),
-         2 * b * np.array([[0., 1.], [0., 0.]]),
-         b * np.array([[1., 0.], [0., -1.]])]
+    return matrix_constants([a * np.array([[0., 1.], [-1., 0.]]),
+                             2 * b * np.array([[0., 1.], [0., 0.]]),
+                             b * np.array([[1., 0.], [0., -1.]])])
+
+
+def matrix_constants(E):
+    """Structure constants of the span of the matrices E, which the
+    commutator must preserve, in that basis (lstsq per bracket)."""
     M = np.stack([e.ravel() for e in E], axis=1)
-    c = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
+    c = np.zeros((len(E),) * 3)
+    for i in range(len(E)):
+        for j in range(len(E)):
             br = (E[i] @ E[j] - E[j] @ E[i]).ravel()
             c[i, j], _, _, _ = np.linalg.lstsq(M, br, rcond=None)
     return c
+
+
+def realified(c):
+    """A complex Lie algebra with structure constants c as a real one, in
+    the basis x_1 .. x_n, i x_1 .. i x_n."""
+    n = len(c)
+    r = np.zeros((2 * n,) * 3)
+    r[:n, :n, :n] = r[:n, n:, n:] = r[n:, :n, n:] = c
+    r[n:, n:, :n] = -c
+    return r
 
 
 def refuse(*args, **kwargs):
@@ -222,6 +237,12 @@ SU2 = table(3, {(1, 2, 0): 1.0, (2, 0, 1): 1.0, (0, 1, 2): 1.0})
 SL2_PLANE = table(5, {(0, 1, 1): 2.0, (0, 2, 2): -2.0, (1, 2, 0): 1.0, (0, 3, 3): 1.0,
                       (0, 4, 4): -1.0, (1, 4, 3): 1.0, (2, 3, 4): 1.0})
 BIANCHI4 = table(3, {(0, 1, 1): 1.0, (0, 2, 1): 1.0, (0, 2, 2): 1.0})
+# two simple algebras without a codimension-one subalgebra: sl2(C) = su(2)
+# complexified, as a real algebra, and sl3(R) (Cartan, then off-diagonal units)
+SL2C = realified(SU2)
+SL3 = matrix_constants([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])]
+                       + [np.outer(np.eye(3)[i], np.eye(3)[j])
+                          for i in range(3) for j in range(3) if i != j])
 
 
 def rotate_constants(c, Q):

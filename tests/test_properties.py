@@ -12,10 +12,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (SL2_PLANE, classify_oracle, codazzi_einsum, diagonal_stage_loop, direct_sum,
-                     distinct_rounding, geodesic_list_loop, merge_loops, product_stage_loop,
-                     random_orthogonal, refuse, rotate_constants, subspace_check_loops, table,
-                     wedge_eigen_loops)
+from helpers import (SL2_PLANE, SL2C, classify_oracle, codazzi_einsum, diagonal_stage_loop,
+                     direct_sum, distinct_rounding, geodesic_list_loop, merge_loops,
+                     product_stage_loop, random_orthogonal, random_spd, refuse, rotate_constants,
+                     subspace_check_loops, table, wedge_eigen_loops)
 
 from tgkit import catalog, coord_engine
 from tgkit import tg_analysis as ta
@@ -524,10 +524,14 @@ def test_r_family_kernel_agrees_with_multistart(kind, weights, basis, seed):
         assert min(np.abs(x - y).max() for y in multi.normals) <= 1e-8
 
 
-# the family starts against 512 seeded starts on algebras with a 3-dim Levi
-# factor, sl2(a, b) + R, su(2) + R, sl2 x| R^2 and its + R, and on Jordan
-# weights, R x| R^k with ad z = J2(w0), J2(w0) + R, J3(w0) and J2(w0) + (w1),
-# in a rotated or an SPD basis
+# the family starts against 512 seeded starts on algebras with a Levi
+# factor, sl2(a, b) + R, su(2) + R, sl2 x| R^2 and its + R, two simple
+# ideals (sl2 + sl2, su(2) + sl2, su(2) + su(2), sl2 + sl2 + R), sl2(C),
+# and g'' < g' on a non-solvable g (aff(1) + sl2, nonhomo + sl2), and on
+# Jordan weights, R x| R^k with ad z = J2(w0), J2(w0) + R, J3(w0) and
+# J2(w0) + (w1), in a rotated or an SPD basis, or in their own basis with a
+# random SPD gram on the first summand, whose frame is then no longer the
+# catalog basis
 def _jordan(k, w, mu=None):
     A = w * np.eye(k) + np.eye(k, k=1)
     if mu is not None:
@@ -535,28 +539,56 @@ def _jordan(k, w, mu=None):
     return _semidirect(A)
 
 
+def _sl2(w, i=0):
+    return catalog.sl2(abs(w[i]), abs(w[i + 1])).algebra.structure_constants
+
+
+def _su2(w, i=0):
+    return table(3, dict(zip([(1, 2, 0), (2, 0, 1), (0, 1, 2)], np.abs(w[i:i + 3]))))
+
+
+# (structure constants from the weights, dim of the first summand)
 LEVI_JORDAN = {
-    "sl2+R": lambda w: direct_sum(
-        catalog.sl2(abs(w[0]), abs(w[1])).algebra.structure_constants, LINE),
-    "su2+R": lambda w: direct_sum(table(3, dict(zip([(1, 2, 0), (2, 0, 1), (0, 1, 2)],
-                                                    np.abs(w[:3])))), LINE),
-    "sl2xR2": lambda w: SL2_PLANE,
-    "sl2xR2+R": lambda w: direct_sum(SL2_PLANE, LINE),
-    "jordan2": lambda w: _jordan(2, w[0]),
-    "jordan2+R": lambda w: direct_sum(_jordan(2, w[0]), LINE),
-    "jordan3": lambda w: _jordan(3, w[0]),
-    "jordan2+mu": lambda w: _jordan(3, w[0], w[1]),
+    "sl2+R": (lambda w: direct_sum(_sl2(w), LINE), 3),
+    "su2+R": (lambda w: direct_sum(_su2(w), LINE), 3),
+    "sl2xR2": (lambda w: SL2_PLANE, 5),
+    "sl2xR2+R": (lambda w: direct_sum(SL2_PLANE, LINE), 5),
+    "sl2+sl2": (lambda w: direct_sum(_sl2(w), _sl2(w, 2)), 3),
+    "su2+sl2": (lambda w: direct_sum(_su2(w), _sl2(w, 3)), 3),
+    "su2+su2": (lambda w: direct_sum(_su2(w), _su2(w, 3)), 3),
+    "sl2C": (lambda w: SL2C, 6),
+    "aff+sl2": (lambda w: direct_sum(AFF, _sl2(w)), 2),
+    "nonhomo+sl2": (lambda w: direct_sum(catalog.nonhomo().algebra.structure_constants,
+                                         _sl2(w)), 4),
+    "sl2+sl2+R": (lambda w: direct_sum(direct_sum(_sl2(w), _sl2(w, 2)), LINE), 3),
+    "jordan2": (lambda w: _jordan(2, w[0]), 3),
+    "jordan2+R": (lambda w: direct_sum(_jordan(2, w[0]), LINE), 3),
+    "jordan3": (lambda w: _jordan(3, w[0]), 4),
+    "jordan2+mu": (lambda w: _jordan(3, w[0], w[1]), 4),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(LEVI_JORDAN))
 @hypothesis.settings(max_examples=3, deadline=None, derandomize=True, database=None)
-@hypothesis.given(weights=st.permutations(WEIGHTS), basis=st.sampled_from(["rotated", "spd"]),
+@hypothesis.given(weights=st.permutations(WEIGHTS),
+                  basis=st.sampled_from(["rotated", "spd", "product"]),
                   seed=st.integers(0, 2 ** 32 - 1))
 def test_levi_and_jordan_families_agree_with_multistart(kind, weights, basis, seed):
-    M = _basis_change(LEVI_JORDAN[kind](weights), basis, np.random.default_rng(seed))
-    assert ta._family_starts(M.onb_constants, levi_civita(M).coefficients) is not None
-    exact = ta.search_tg_hyperplanes(M)
+    make, m = LEVI_JORDAN[kind]
+    c, rng = make(weights), np.random.default_rng(seed)
+    if basis == "product":
+        gram = np.eye(len(c))
+        gram[:m, :m] = random_spd(rng, m)
+        M = MetricLieAlgebra(LieAlgebra(c), gram)
+    else:
+        M = _basis_change(c, basis, rng)
+    with mock.patch.object(np.random, "SeedSequence", refuse):     # the search is exact
+        exact = ta.search_tg_hyperplanes(M)
+    if kind in ("su2+su2", "sl2C") and basis != "rotated":
+        # no subalgebra of codimension one, so no TG normal under any metric;
+        # the 512-start oracle, 0.5 s here, runs on the rotated draws
+        assert len(exact) == 0 and not exact.continuum
+        return
     with mock.patch.object(ta, "_family_starts", lambda c, G: None):
         multi = ta.search_tg_hyperplanes(M, ta.SearchConfig(n_starts=512))
     assert (len(exact), exact.continuum) == (len(multi), multi.continuum)
@@ -583,18 +615,22 @@ def test_a_kernel_plane_leaves_the_family_starts(seed):
 
 # kernel spheres against 256 forced multistart starts, on algebras with a
 # kernel K of dim >= 2: R^k + h (h = R x| R^m with a random ad z, m = 1, 2),
-# sl2(a, b) + R^k, heisenberg + R^k and e(2) + R, in a rotated basis, in a
-# general basis B with the gram B^T B of the same metric, or in their own
-# basis with a random SPD gram on each summand (a product metric; e(2) + R
-# only keeps its flat e(2) in the first two).  Every multistart normal lies
-# on a component or on an isolated normal, and every isolated normal is
-# found by multistart
+# sl2(a, b) + R^k, sl2(a, b) + sl2(a', b') + R^k, heisenberg + R^k and
+# e(2) + R, in a rotated basis, in a general basis B with the gram B^T B of
+# the same metric, or in their own basis with a random SPD gram on each
+# summand (a product metric, under which the two sl2 ideals are not
+# orthogonal; e(2) + R only keeps its flat e(2) in the first two).  Every
+# multistart normal lies on a component or on an isolated normal, and every
+# isolated normal is found by multistart
 def _kernel_sphere_table(kind, k, rng):
     """(structure constants, dim of the first summand)."""
     h = {"R^k+h": lambda: _semidirect(rng.standard_normal((rng.integers(1, 3),) * 2)),
          "sl2+R^k": lambda: catalog.sl2(*rng.uniform(0.3, 2.0, 2)).algebra.structure_constants,
+         "sl2+sl2+R^k": lambda: direct_sum(
+             catalog.sl2(*rng.uniform(0.3, 2.0, 2)).algebra.structure_constants,
+             catalog.sl2(*rng.uniform(0.3, 2.0, 2)).algebra.structure_constants),
          "heis+R^k": lambda: HEIS, "e2+R": lambda: _algebra3("e2")}[kind]()
-    k = 1 if kind == "e2+R" else k
+    k = {"e2+R": 1, "sl2+sl2+R^k": 2}.get(kind, k)      # dimension 8 at most
     return direct_sum(h, np.zeros((k, k, k))), len(h)
 
 
@@ -604,7 +640,7 @@ def _gram_distance(M, y, B):
     return float(np.sqrt(max(r @ M.gram @ r, 0.0)))
 
 
-@pytest.mark.parametrize("kind", ["R^k+h", "sl2+R^k", "heis+R^k", "e2+R"])
+@pytest.mark.parametrize("kind", ["R^k+h", "sl2+R^k", "sl2+sl2+R^k", "heis+R^k", "e2+R"])
 @hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @hypothesis.given(k=st.integers(2, 3), basis=st.sampled_from(["rotated", "general", "product"]),
                   seed=st.integers(0, 2 ** 32 - 1))

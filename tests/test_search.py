@@ -6,8 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (BIANCHI4, SL2_PLANE, SU2, direct_sum, lm_one, random_orthogonal,
-                     random_spd, refuse, rotate_constants)
+from helpers import (BIANCHI4, SL2_PLANE, SL2C, SL3, SU2, direct_sum, lm_one, random_orthogonal,
+                     random_spd, refuse, rotate_constants, table)
 
 from tgkit import catalog, tg_analysis
 from tgkit.cli import run
@@ -276,21 +276,39 @@ def test_heisenberg_and_su2_census_is_a_certificate(monkeypatch):
         assert len(got) == 0 and not got.continuum and got.components == []
 
 
+def _sl2(a, b):
+    return catalog.sl2(a, b).algebra.structure_constants
+
+
+def _borel_normals(a, b, at, n):
+    """The two Borel normals of sl2(a, b), at coordinates at .. at + 2 of R^n."""
+    rows = np.zeros((2, n))
+    rows[:, at:at + 3] = [[a / np.hypot(a, 2 * b), 2 * b / np.hypot(a, 2 * b), 0.0],
+                          [1.0, 0.0, 0.0]]
+    return rows
+
+
 def test_exact_census_on_levi_dim_3_and_jordan_blocks(monkeypatch):
     # sl2(a, b) + R: the R line and the two Borel normals of the sl2 conic;
     # su(2) + R: the R line alone (S definite); sl2 x| R^2: none; Bianchi IV
-    # (one Jordan weight): none, and the R line with + R.  In the catalog
-    # basis and a rotated one, with multistart refused
+    # (one Jordan weight): none, and the R line with + R.  Two simple ideals:
+    # sl2 + sl2, the Borel normals of each; aff(1) + sl2 (g'' < g' on a
+    # non-solvable g), its b and the Borel normals.  sl2(C) and sl3: none.
+    # In the catalog basis and a rotated one, with multistart refused
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
     rng = np.random.default_rng(59)
     line, e4 = np.zeros((1, 1, 1)), np.eye(4)[[3]]
-    cases = [(direct_sum(catalog.sl2(a, b).algebra.structure_constants, line),
-              np.array([[0, 0, 0, 1.0], [a, 2 * b, 0, 0], [1.0, 0, 0, 0]])
-              / [[1.0], [np.hypot(a, 2 * b)], [1.0]])
+    cases = [(direct_sum(_sl2(a, b), line), np.concatenate([e4, _borel_normals(a, b, 0, 4)]))
              for a, b in ((1.0, 1.0), (0.5, 3.0), (2.0, 0.25))]
     cases += [(direct_sum(SU2, line), e4), (SL2_PLANE, np.zeros((0, 5))),
-              (BIANCHI4, np.zeros((0, 3))), (direct_sum(BIANCHI4, line), e4)]
+              (BIANCHI4, np.zeros((0, 3))), (direct_sum(BIANCHI4, line), e4),
+              (direct_sum(_sl2(1.0, 1.0), _sl2(0.5, 3.0)),
+               np.concatenate([_borel_normals(1.0, 1.0, 0, 6), _borel_normals(0.5, 3.0, 3, 6)])),
+              (direct_sum(table(2, {(0, 1, 1): 1.0}), _sl2(2.0, 0.25)),
+               np.concatenate([np.eye(5)[[1]], _borel_normals(2.0, 0.25, 2, 5)])),
+              (SL2C, np.zeros((0, 6))), (SL3, np.zeros((0, 8)))]
     for c, want in cases:
+        want = want[np.lexsort(want.T[::-1])]   # the search sorts lexicographically
         got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(c)))
         assert len(got) == len(want) and not got.continuum
         assert np.abs(np.reshape(got.normals, want.shape) - want).max(initial=0.0) < 1e-12
@@ -301,6 +319,40 @@ def test_exact_census_on_levi_dim_3_and_jordan_blocks(monkeypatch):
         for x in want @ Q:                      # the normals in the rotated basis
             assert min(min(np.abs(y - x).max(), np.abs(y + x).max())
                        for y in got.normals) < 1e-12
+
+
+def test_levi_factor_plus_a_plane_prints_its_kernel_sphere(tmp_path, monkeypatch):
+    # sl2 + sl2 + R^2: the 4 Borel normals stay isolated and R^2 is one
+    # 2-dim kernel sphere, with no multistart sample of it
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    sl2 = catalog.sl2(1.0, 1.0).algebra.structure_constants
+    c = direct_sum(direct_sum(sl2, sl2), np.zeros((2, 2, 2)))
+    rep = json.loads(_search_json(["--algebra", _algebra_file(tmp_path, c)]))["result"]
+    assert rep["count"] == 4 and rep["continuum"]
+    assert [(x["kind"], x["basis"]) for x in rep["components"]] == [
+        ("kernel_sphere", np.eye(8)[6:].tolist())]
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e4])
+def test_killing_rank_cut_is_relative_on_a_scaled_solvable_table(scale, monkeypatch):
+    # rotated nonhomo times 1e3 or 1e4: g' times the Killing form is
+    # round-off of order 1e-16 scale^2, which a plain 1e-10 rank cut reads
+    # as a 2-dim (1e3) or 3-dim (1e4) rad^perp, the latter a false sl2
+    # family; the cut is relative to |c|^2.  Only the aff(1) weight step may
+    # run: one eigenspace call and one 2-dim family, and the census is Y
+    calls, eig, curve = [], tg_analysis._eigenspaces, tg_analysis._curve_starts
+    monkeypatch.setattr(tg_analysis, "_eigenspaces",
+                        lambda mats, tol: calls.append("eig") or eig(mats, tol))
+    monkeypatch.setattr(tg_analysis, "_curve_starts",
+                        lambda G, F, rows, scale: calls.append(len(F)) or curve(G, F, rows, scale))
+    c = catalog.nonhomo().algebra.structure_constants * scale
+    for seed in range(3):
+        Q = random_orthogonal(np.random.default_rng(seed), 4)
+        calls.clear()
+        got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(rotate_constants(c, Q))))
+        assert calls == ["eig", 2]
+        assert len(got) == 1
+        assert min(np.abs(got.normals[0] - s * Q[3]).max() for s in (1, -1)) < 1e-9
 
 
 # --------------------------------------------- exact starts on solvable algebras

@@ -8,9 +8,10 @@ The first form runs `tgkit.cli.run` in-process, from this checkout's src/,
 on every subcommand over the catalog entries and on `--algebra` files that
 a seeded numpy generator writes (rotated and SPD-gram sl2, sl2 + R,
 nonhomo, aff(1) + aff(1), H3, H2 + R, H3 + R, su(2) + R, sl2 x| R^2,
-aff(1) + sl2 and Bianchi IV, abelian:3 with an SPD gram, and sl2 + R^2 in
-a general basis: search, then frenet and classify on each normal and
-each kernel-sphere basis row the search prints, and tg-check on a generic subspace; the same on rotated
+aff(1) + sl2, Bianchi IV, sl2 + sl2 and su(2) + sl2, abelian:3 with an
+SPD gram, and sl2 + R^2 in a general basis: search, then frenet and
+classify on each normal and each kernel-sphere basis row the search
+prints, and tg-check on a generic subspace; the same on rotated
 sl2(1e3, 2e3) and on sl2(1e200, 1e200)), and writes each argv's exit
 code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
@@ -68,6 +69,12 @@ BASES = {
     "aff1+sl2": lambda rng: _table(5, {(0, 1, 1): 1.0}) + np.pad(
         _sl2(*rng.uniform(0.5, 2.0, 2)), ((2, 0), (2, 0), (2, 0))),
     "bianchi4": lambda rng: _table(3, {(0, 1, 1): 1.0, (0, 2, 1): 1.0, (0, 2, 2): 1.0}),
+    # two simple ideals: the search splits them through the centroid
+    "sl2+sl2": lambda rng: _sl2(*rng.uniform(0.5, 2.0, 2), n=6)
+    + np.pad(_sl2(*rng.uniform(0.5, 2.0, 2)), ((3, 0),) * 3),
+    "su2+sl2": lambda rng: _table(6, dict(zip([(1, 2, 0), (2, 0, 1), (0, 1, 2)],
+                                              rng.uniform(0.5, 2.0, 3))))
+    + np.pad(_sl2(*rng.uniform(0.5, 2.0, 2)), ((3, 0),) * 3),
 }
 
 
