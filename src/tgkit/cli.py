@@ -268,7 +268,7 @@ def _cmd_tg_check(args, tol, grid):
                 0 if check.ok else 2, desc)
     T, desc = _unit_normal(M, args, desc, "tg-check needs --subspace or --normal")
     res = hyperplane_tg_residual(M, T)
-    ok = res < tol.tg_residual
+    ok = res <= tol.tg_residual
     result = {"ok": ok, "residual": res, "witness": None,
               "subspace_dim": M.dim - 1}
     return result, {"tg_residual": res}, None, 0 if ok else 2, desc
@@ -434,16 +434,16 @@ def _parse_tols(pairs):
         values = {k: float(v) for k, v in overrides.items()}
     except (ValueError, OverflowError) as exc:
         raise BadParams(f"bad tolerance value: {exc}")
-    bad = sorted(set(values) - set(_TOL_KINDS))
-    if bad:
-        raise BadParams(f"unknown tolerance names: {bad}")
-    bad = sorted(k for k, v in values.items() if _TOL_KINDS[k] is int and not v.is_integer())
-    if bad:
-        raise BadParams(f"integer tolerances need integral values: {bad}")
-    # every default is finite, so only an override can be non-finite
-    bad = sorted(k for k, v in values.items() if not np.isfinite(v))
-    if bad:
-        raise BadParams(f"tolerances must be finite: {bad}")
+    # a tolerance below 0 would pass what its gate refuses; past pi/2 all normals would merge
+    for failed, what in ((lambda k, v: k not in _TOL_KINDS, "unknown tolerance names"),
+                         (lambda k, v: _TOL_KINDS[k] is int and not v.is_integer(),
+                          "integer tolerances need integral values"),
+                         (lambda k, v: not np.isfinite(v), "tolerances must be finite"),
+                         (lambda k, v: v < 0 or k == "dedup_angle" and v > np.pi / 2,
+                          "tolerances must be >= 0, dedup_angle <= pi/2")):
+        bad = sorted(k for k, v in values.items() if failed(k, v))
+        if bad:
+            raise BadParams(f"{what}: {bad}")
     return DEFAULT.replace(**{k: _TOL_KINDS[k](v) for k, v in values.items()}), grid, overrides
 
 

@@ -74,7 +74,7 @@ def tg_subspace_check(M: MetricLieAlgebra, S: Subspace) -> SubspaceCheck:
         kind, (i, j) = (('bracket', (bi[k - 1], bj[k - 1])) if k <= b
                         else ('connection', divmod(k - 1 - b, m)))
         witness = SubspaceWitness(kind, int(i), int(j), M.from_onb(perp[k - 1]))
-    return SubspaceCheck(float(r[k]) < M.tol.tg_residual, float(r[k]), witness)
+    return SubspaceCheck(float(r[k]) <= M.tol.tg_residual, float(r[k]), witness)
 
 
 def _unit_onb(M: MetricLieAlgebra, T):
@@ -110,9 +110,8 @@ def hyperplane_tg_residual(M: MetricLieAlgebra, T) -> float:
 @dataclasses.dataclass(frozen=True)
 class SearchConfig:
     """n_starts and seed are read only where _family_starts returns None (a
-    weight space of dim >= 2, a family whose forms vanish) and the search
-    falls back to seeded multistart; exact families and kernel spheres draw
-    no start.  residual_threshold is read-only: the search reads M.tol."""
+    real weight whose eigenspace has dim >= 2) for seeded multistart; no
+    other input draws a start.  residual_threshold is read-only (M.tol)."""
     n_starts: int = 64
     seed: int = 0
     residual_threshold: float = dataclasses.field(default=DEFAULT.search_residual, init=False)
@@ -217,12 +216,9 @@ def _batch_lm(rj, t):
 
 def _real_roots(coef, floor):
     """Near-real roots of the columns of coef (coefficients, highest first)
-    above floor, or None if none is, from one batched eigvals over companion
-    matrices built as np.roots does; a negligible leading coefficient sends
-    its root past 1e8, where it is dropped."""
+    above floor, by one batched eigvals of np.roots' companion matrices; a
+    negligible leading coefficient sends its root past 1e8, which is dropped."""
     big = np.abs(coef).max(axis=0) > floor
-    if not big.any():
-        return None
     P = coef[:, big].T / np.abs(coef[:, big]).max(axis=0)[:, None]
     d = P.shape[1] - 1
     comp = np.zeros((len(P), d, d))
@@ -265,37 +261,28 @@ def _brackets(c, A, B):
     return np.einsum('ai,bj,ijk->abk', A, B, c).reshape(-1, c.shape[0])
 
 
-# s @ _CROSS[k], reshaped k x (k - 1), is J s (k = 2) or [s]x^T (k = 3):
-# columns spanning s^perp
-_CROSS = {2: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-          3: np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)}
+# s @ _CROSS, reshaped 3 x 3, is [s]x^T: columns spanning s^perp
+_CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
 
 
-def _curve_starts(G, F, rows, scale):
-    """Points t = s(w) F of a curve s(w) = sum_j w^j rows[j] (a line for two
-    rows, a conic for three) in the coordinates s of a k-dim family F
-    (orthonormal rows, k = 2 or 3) at which every entry of B^T M(t) B
-    vanishes, B = [I - F^T F | F^T X(s)] with X(s) = J s (k = 2) or [s]x
-    (k = 3), so the columns of B span t^perp.  The forms are cubic in s, so
-    of degree 3 on a line and 6 on a conic; the starts are their near-real
-    roots in w, and w = inf.  None when they all vanish identically, where a
-    continuum is possible."""
-    d = 3 * (len(rows) - 1)
-    nodes = np.cos(np.pi * np.arange(d + 1) / d)    # Chebyshev points fix the degree d
-    S = np.vander(nodes, len(rows), increasing=True) @ rows
-    X = (S @ _CROSS[len(F)]).reshape(d + 1, len(F), -1)
-    B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (d + 1,) + G.shape[1:]),
-                        F.T @ X], axis=-1)
+def _conic_starts(G, F, rows, scale):
+    """Points t = s(w) F of the conic s(w) = sum_j w^j rows[j] in the
+    coordinates s of a 3-dim family F (orthonormal rows) at which all of
+    B^T M(t) B vanishes, B = [I - F^T F | F^T [s]x] (columns spanning
+    t^perp): the near-real roots of these sextics in w, and w = inf.  They
+    never all vanish (lemma 2 of _family_starts)."""
+    nodes = np.cos(np.pi * np.arange(7) / 6)        # Chebyshev points fix the degree 6
+    S = np.vander(nodes, 3, increasing=True) @ rows
+    B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (7,) + G.shape[1:]),
+                        F.T @ (S @ _CROSS).reshape(7, 3, 3)], axis=-1)
     forms = np.swapaxes(B, -1, -2) @ np.einsum('ijk,...k->...ij', G, S @ F) @ B
     # symmetric parts on and above the diagonal, antisymmetric below; on a
     # conic of subalgebras the antisymmetric ones vanish and are not solved
     forms = np.where(np.tri(B.shape[-1], k=-1, dtype=bool), forms - np.swapaxes(forms, -1, -2),
                      forms + np.swapaxes(forms, -1, -2))
-    w = _real_roots(np.linalg.solve(np.vander(nodes), forms.reshape(d + 1, -1)),
+    w = _real_roots(np.linalg.solve(np.vander(nodes), forms.reshape(7, -1)),
                     1e-12 * scale * np.abs(S).max() ** 3)
-    if w is None:
-        return None
-    return np.concatenate([np.vander(w, len(rows), increasing=True) @ rows, rows[-1:]]) @ F
+    return np.concatenate([np.vander(w, 3, increasing=True) @ rows, rows[-1:]]) @ F
 
 
 def _eigenspaces(mats, tol):
@@ -332,17 +319,25 @@ def _family_starts(c, G):
     eigenvector theta, of weight alpha, of U acting on (g'/g'')* (g'/g''
     represented by W = g' cap (g'')^perp; g' acts on it as 0, so on any g
     the actions commute); phi on U solves phi([u_k, u_l]) = alpha_k
-    phi(u_l) - alpha_l phi(u_k), and t lies in span{alpha, phi} (g itself
-    for n = 2).  The starts are the _curve_starts of each family, and K when
-    it is a line, where the TG residual is small.  None when a real weight's
-    eigenspace is not a line or a family's forms vanish identically.
+    phi(u_l) - alpha_l phi(u_k); t lies in span{alpha, phi} (g itself for
+    n = 2) and is the unit phi orthogonal to alpha (lemma 1).  The starts are
+    these, the _conic_starts and K when it is a line, where the TG residual is
+    small; None only for a real weight whose eigenspace is not a line.
+
+    Lemma 1: t is orthogonal to alpha.  <[t, X], X> = <nabla_X X, t> = 0
+    on X = s + N (s the unit vector of h cap N^perp), with [t, N] in N,
+    gives [t, s] = kappa t; kappa != 0, as g/N is not abelian, and
+    alpha([t, s]) = 0.  Lemma 2: a conic's sextics never all vanish, else
+    each Borel plane of the quotient on F_i is TG (Koszul reads only F_i
+    parts), so by Codazzi each Borel normal is a Ricci eigenvector and Ric
+    = lambda I, which no left-invariant metric on SL(2)~ has (Milnor 1976).
     """
     n = c.shape[0]
     D1, U = _span_split(c.reshape(n * n, n))        # g' and U = (g')^perp
     K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U if len(U) else U
     spheres = [K] if len(K) >= 2 else []
     scale = max(1.0, float(np.abs(G).max()))
-    points, curves = [K[:0] if spheres else K], []
+    points = [K[:0] if spheres else K]
     D2 = _span_split(_brackets(c, D1, D1))[0]
     # rad^perp, rank cut relative to |c|^2, the Killing scale: on a solvable g
     # this product is round-off, and on a nilpotent g the Killing form is too
@@ -362,7 +357,8 @@ def _family_starts(c, G):
         if lam[0] < 0 < lam[2]:                     # u_i (1 - w^2) + u_j 2w + u_m (1 + w^2)
             u = (V / np.sqrt(np.abs(lam))).T
             i, j, m = (1, 2, 0) if lam[1] > 0 else (0, 1, 2)
-            curves.append((F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]])))
+            points.append(_conic_starts(G, F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]]),
+                                        scale))
     if len(D2) < len(D1):                           # g'' < g': the aff(1) families
         tol = 1e-6 * scale
         W = _span_split(D1 - D1 @ D2.T @ D2)[0]
@@ -381,12 +377,7 @@ def _family_starts(c, G):
             a = alpha @ U / np.linalg.norm(alpha)
             phi = th @ W + np.linalg.lstsq(E, rhs, rcond=None)[0] @ U
             phi -= (phi @ a) * a
-            curves.append((np.stack([a, phi / np.linalg.norm(phi)]), np.eye(2)))
-    for F, rows in curves:
-        found = _curve_starts(G, F, rows, scale)
-        if found is None:
-            return None
-        points.append(found)
+            points.append(phi[None] / np.linalg.norm(phi))    # lemma 1
     t = _unit_rows(np.concatenate(points))
     return _distinct(t, _tg_residuals(G, t, complement_onb(t)), scale), spheres
 
@@ -410,11 +401,11 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
     the kernel spheres of TG normals.
 
     The starts are the exact points of _family_starts on Hofmann's R,
-    aff(1) and sl2 families, on any g.  Where it returns None (a weight
-    space of dim >= 2, a family whose forms vanish), config.n_starts seeded
-    random starts, and continuum means more than tol.continuum_minima
-    normals.  All starts run together as one array through _batch_lm and
-    are certified as one stack by _tg_residuals.
+    aff(1) and sl2 families, on any g.  Where it returns None (a real
+    weight whose eigenspace has dim >= 2), config.n_starts seeded random
+    starts, and continuum means more than tol.continuum_minima normals.
+    All starts run together as one array through _batch_lm and are
+    certified as one stack by _tg_residuals.
 
     A kernel K of dim >= 2 is one component: M(t) = G.t is linear in t, so
     on its unit sphere the TG residual is at most sqrt(dim K) max_i |G.k_i|
@@ -439,13 +430,13 @@ def search_tg_hyperplanes(M: MetricLieAlgebra, config: SearchConfig = None) -> S
              for s in seeds]).reshape(-1, n))
     bounds = [math.sqrt(len(K)) * float(np.linalg.norm(K @ G.reshape(n * n, n).T, axis=1).max())
               for K in spheres]
-    spheres = [(K, r) for K, r in zip(spheres, bounds) if r < tol.search_residual]
+    spheres = [(K, r) for K, r in zip(spheres, bounds) if r <= tol.search_residual]
     ts = _batch_lm(_residual_jacobian(G), starts) if len(starts) else starts
     X = M.from_onb(ts.T).T
     X = X / np.sqrt(rowdot(X @ M.gram, X))[:, None]
     t = M.to_onb(X.T).T
     res = _tg_residuals(G, t, complement_onb(t))
-    isolated = res < tol.search_residual
+    isolated = res <= tol.search_residual
     for K, _ in spheres:
         isolated &= np.linalg.norm(t @ K.T, axis=1) < math.cos(tol.dedup_angle)
     keep = np.flatnonzero(isolated)
@@ -630,7 +621,7 @@ def classify_case(M: MetricLieAlgebra, T) -> ClassificationReport:
     t = _unit_onb(M, T)
     Q = complement_onb(t)
     res = float(_tg_residuals(G, t, Q))
-    if not res < tol.tg_residual:
+    if not res <= tol.tg_residual:
         raise NotTotallyGeodesic(res)
     cod = _codazzi(curvature_tensor(M).components, t, Q)
     if not cod <= max(tol.codazzi, 4 * M.dim * _EPS * curvature_tensor(M).scale):

@@ -107,7 +107,7 @@ def subspace_check_loops(M: MetricLieAlgebra, S):
         r = float(np.linalg.norm(perp))
         if r > best:
             best, witness = r, (kind, i, j, M.from_onb(perp))
-    return best < M.tol.tg_residual, best, witness
+    return best <= M.tol.tg_residual, best, witness
 
 
 def wedge_eigen_loops(M: MetricLieAlgebra, t):
@@ -489,7 +489,7 @@ def classify_oracle(M: MetricLieAlgebra, T) -> ClassificationReport:
     its Frenet orbit), with the gates in the same order."""
     tol = M.tol
     res = hyperplane_tg_residual(M, T)
-    if not res < tol.tg_residual:
+    if not res <= tol.tg_residual:
         raise NotTotallyGeodesic(res)
     cod = codazzi_residual(M, T)
     scale = max(1.0, float(np.abs(curvature_tensor(M).components).max()))

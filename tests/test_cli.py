@@ -230,6 +230,40 @@ def test_non_finite_tolerances_exit_1(argv, capsys):
     assert err.startswith("tgkit: error:") and "must be finite" in err
 
 
+def test_exact_ties_pass_every_tg_gate(capsys):
+    # abelian: every TG residual is exactly 0, so tg_residual=0 is a tie,
+    # which classify, tg-check and the verify ledger all pass
+    argvs = (["classify", "--builtin", "abelian", "--normal", "1,0,0"],
+             ["tg-check", "--builtin", "abelian", "--normal", "1,0,0"],
+             ["verify", "abelian"])
+    classify, tg_check, verify = (_json_out(capsys, argv + ["--tol", "tg_residual=0"])
+                                  for argv in argvs)
+    assert [code for code, _ in (classify, tg_check, verify)] == [0, 0, 0]
+    assert classify[1]["case_tag"] == "GeodesicNormal"
+    assert tg_check[1]["result"]["ok"] is True and tg_check[1]["result"]["residual"] == 0.0
+    rows = {row["check"]: row for row in verify[1]["result"]["entries"][0]["checks"]}
+    assert rows["all_hyperplanes_tg"]["ok"] and rows["all_hyperplanes_tg"]["residual"] == 0.0
+
+
+def test_negative_and_out_of_range_tolerances_exit_1(tmp_path, capsys):
+    # spd_min_eig=-1 would let an indefinite gram on to the Cholesky step,
+    # and dedup_angle=10 would merge the two Borel sign classes of sl2
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps({"dim": 3, "gram": np.diag([1.0, -0.5, 1.0]).tolist()}))
+    for argv, name in ((["info", "--algebra", str(path), "--tol", "spd_min_eig=-1"],
+                        "spd_min_eig"),
+                       (["search", "--builtin", "sl2", "--tol", "dedup_angle=10", "--json"],
+                        "dedup_angle")):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tgkit: error: tolerances must be >= 0, dedup_angle <= pi/2: " \
+                               f"['{name}']\n"
+    # the bounds themselves are admitted
+    assert run(["search", "--builtin", "sl2", "--tol", f"dedup_angle={np.pi / 2!r}",
+                "--tol", "spd_min_eig=0"]) == 0
+
+
 def test_verify_twisted_with_grid(capsys):
     code = run(["verify", "twisted-h2", "--tol", "grid=50"])
     out = capsys.readouterr().out

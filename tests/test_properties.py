@@ -596,6 +596,69 @@ def test_levi_and_jordan_families_agree_with_multistart(kind, weights, basis, se
         assert min(np.abs(x - y).max() for y in multi.normals) <= 1e-8
 
 
+# lemma 1 of _family_starts, on answers that never used it: every
+# CircleNormal T that forced multistart finds satisfies [alpha#, T] =
+# |alpha|^2 T, alpha the character hint and alpha# = gram^-1 alpha.  On
+# nonhomo and sums with aff(1), in a rotated or an SPD basis (which leaves
+# a normal only on aff(1) itself), or with a diagonal gram on nonhomo and
+# an SPD gram on the aff(1) summand, which keep the circle normals
+AFF_SUMS = {"nonhomo": catalog.nonhomo().algebra.structure_constants, "aff": AFF,
+            "aff+aff": direct_sum(AFF, AFF), "aff+sl2": direct_sum(AFF, _sl2([1.0, 0.7])),
+            "aff+R": direct_sum(AFF, LINE)}
+
+
+@pytest.mark.parametrize("kind", sorted(AFF_SUMS))
+@pytest.mark.parametrize("basis", ["rotated", "spd", "product"])
+def test_aff1_circle_normals_are_weight_vectors_of_the_character(kind, basis):
+    c, circles = AFF_SUMS[kind], 0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        if basis != "product":
+            M = _basis_change(c, basis, rng)
+        elif kind == "nonhomo":
+            M = MetricLieAlgebra(LieAlgebra(c), np.diag(rng.uniform(0.3, 3.0, 4)))
+        else:
+            gram = np.eye(len(c))
+            gram[:2, :2] = random_spd(rng, 2)
+            M = MetricLieAlgebra(LieAlgebra(c), gram)
+        with mock.patch.object(ta, "_family_starts", lambda c, G: None):
+            found = ta.search_tg_hyperplanes(M, ta.SearchConfig(n_starts=256))
+        scale = np.abs(M.algebra.structure_constants).max() ** 2
+        for T in found:
+            rep = ta.classify_case(M, T)
+            if rep.case_tag is ta.CaseTag.CIRCLE_NORMAL:
+                alpha = rep.character_hint
+                sharp = np.linalg.solve(M.gram, alpha)
+                gap = M.algebra.bracket(sharp, T) - (alpha @ sharp) * T
+                assert np.abs(gap).max() <= 1e-12 * scale, (seed, T)
+                circles += 1
+    assert circles >= (0 if basis == "spd" and kind != "aff" else 3)
+
+
+# lemma 2 of _family_starts: no conic is TG at every point, so its sextics
+# never all vanish.  On metric sl2 tables at scales 1e-3 to 1e4, plus R^k,
+# in a rotated or an SPD basis, the largest coefficient of the one conic's
+# forms clears the floor of _conic_starts by a factor of 1e6 or more
+@hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@hypothesis.given(a=st.floats(0.05, 20.0), b=st.floats(0.05, 20.0), scale=st.floats(-3.0, 4.0),
+                  k=st.integers(0, 2), basis=st.sampled_from(["rotated", "spd"]),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_conic_forms_clear_their_floor(a, b, scale, k, basis, seed):
+    c = catalog.sl2(a, b).algebra.structure_constants * 10.0 ** scale
+    for _ in range(k):
+        c = direct_sum(c, LINE)
+    M = _basis_change(c, basis, np.random.default_rng(seed))
+    ratios, roots = [], ta._real_roots
+
+    def spy(coef, floor):
+        ratios.append(np.abs(coef).max() / floor)
+        return roots(coef, floor)
+
+    with mock.patch.object(ta, "_real_roots", spy):
+        ta.search_tg_hyperplanes(M)
+    assert len(ratios) == 1 and ratios[0] >= 1e6
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_a_kernel_plane_leaves_the_family_starts(seed):
     # heisenberg + R^2 (K the 2-dim centre part of U, under any gram) and

@@ -339,18 +339,19 @@ def test_killing_rank_cut_is_relative_on_a_scaled_solvable_table(scale, monkeypa
     # round-off of order 1e-16 scale^2, which a plain 1e-10 rank cut reads
     # as a 2-dim (1e3) or 3-dim (1e4) rad^perp, the latter a false sl2
     # family; the cut is relative to |c|^2.  Only the aff(1) weight step may
-    # run: one eigenspace call and one 2-dim family, and the census is Y
-    calls, eig, curve = [], tg_analysis._eigenspaces, tg_analysis._curve_starts
+    # run: one eigenspace call and no conic (a false sl2 family would solve
+    # one), and the census is Y
+    calls, eig, conic = [], tg_analysis._eigenspaces, tg_analysis._conic_starts
     monkeypatch.setattr(tg_analysis, "_eigenspaces",
                         lambda mats, tol: calls.append("eig") or eig(mats, tol))
-    monkeypatch.setattr(tg_analysis, "_curve_starts",
-                        lambda G, F, rows, scale: calls.append(len(F)) or curve(G, F, rows, scale))
+    monkeypatch.setattr(tg_analysis, "_conic_starts",
+                        lambda G, F, rows, scale: calls.append(len(F)) or conic(G, F, rows, scale))
     c = catalog.nonhomo().algebra.structure_constants * scale
     for seed in range(3):
         Q = random_orthogonal(np.random.default_rng(seed), 4)
         calls.clear()
         got = search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(rotate_constants(c, Q))))
-        assert calls == ["eig", 2]
+        assert calls == ["eig"]
         assert len(got) == 1
         assert min(np.abs(got.normals[0] - s * Q[3]).max() for s in (1, -1)) < 1e-9
 
