@@ -153,18 +153,22 @@ def _residual_jacobian(G):
     def koszul(x):
         return np.einsum('ijk,...k->...ij', G, x)
 
-    def rj(t):
-        Q = complement_onb(t)
-        D = np.swapaxes(Q, -1, -2)                     # rows are the d
+    def parts(t):
         P = eye - t[..., :, None] * t[..., None, :]
         Mm = koszul(t)
         PM = P @ Mm
+        return P, Mm, PM, (PM @ P).reshape(t.shape[:-1] + (n * n,))
+
+    def rj(t):
+        Q = complement_onb(t)
+        D = np.swapaxes(Q, -1, -2)                     # rows are the d
+        P, Mm, PM, r = parts(t)
         dP = -(D[..., :, :, None] * t[..., None, None, :]
                + t[..., None, :, None] * D[..., :, None, :])
         Pd = P[..., None, :, :]
         dR = dP @ (Mm @ P)[..., None, :, :] + Pd @ koszul(D) @ Pd + PM[..., None, :, :] @ dP
-        lead = t.shape[:-1]
-        return (PM @ P).reshape(lead + (n * n,)), dR.reshape(lead + (n - 1, n * n)), Q
+        return r, dR.reshape(t.shape[:-1] + (n - 1, n * n)), Q
+    rj.residual = lambda t: parts(t)[3]               # r alone, the bits of rj(t)[0]
     rj.f_stop = max(1e-32, (4 * n * _EPS * max(1.0, float(np.abs(G).max()))) ** 2)
     return rj
 
@@ -186,9 +190,12 @@ def _batch_lm(rj, t):
     start retires when f reaches the round-off rj.f_stop, when lam > 1e12
     (f has plateaued), when J vanishes, or after _LM_ITER steps.
     lam >= _LM_FLOOR keeps the damped system nonsingular on every live row,
-    so one stacked solve serves all.
+    so one stacked solve serves all.  A stack all at round-off builds no J.
     """
     t = t.copy()
+    r = rj.residual(t)
+    if (rowdot(r, r) < rj.f_stop).all():
+        return t
     r, J, Q = rj(t)
     f = rowdot(r, r)
     lam = np.full(len(t), 1e-3)
@@ -263,24 +270,26 @@ def _brackets(c, A, B):
 
 # s @ _CROSS, reshaped 3 x 3, is [s]x^T: columns spanning s^perp
 _CROSS = np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)
+_NODES = np.cos(np.pi * np.arange(7) / 6)          # Chebyshev points fix the degree 6
+_VANDER2, _VANDER6 = np.vander(_NODES, 3, increasing=True), np.vander(_NODES)
 
 
 def _conic_starts(G, F, rows, scale):
     """Points t = s(w) F of the conic s(w) = sum_j w^j rows[j] in the
     coordinates s of a 3-dim family F (orthonormal rows) at which all of
     B^T M(t) B vanishes, B = [I - F^T F | F^T [s]x] (columns spanning
-    t^perp): the near-real roots of these sextics in w, and w = inf.  They
-    never all vanish (lemma 2 of _family_starts)."""
-    nodes = np.cos(np.pi * np.arange(7) / 6)        # Chebyshev points fix the degree 6
-    S = np.vander(nodes, 3, increasing=True) @ rows
-    B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (7,) + G.shape[1:]),
-                        F.T @ (S @ _CROSS).reshape(7, 3, 3)], axis=-1)
+    t^perp; F^T [s]x alone if F = g): the near-real roots of these sextics
+    in w, and w = inf.  They never all vanish (lemma 2 of _family_starts)."""
+    S = _VANDER2 @ rows
+    B = F.T @ (S @ _CROSS).reshape(7, 3, 3)
+    if len(G) > 3:
+        B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (7,) + G.shape[1:]), B], -1)
     forms = np.swapaxes(B, -1, -2) @ np.einsum('ijk,...k->...ij', G, S @ F) @ B
     # symmetric parts on and above the diagonal, antisymmetric below; on a
     # conic of subalgebras the antisymmetric ones vanish and are not solved
     forms = np.where(np.tri(B.shape[-1], k=-1, dtype=bool), forms - np.swapaxes(forms, -1, -2),
                      forms + np.swapaxes(forms, -1, -2))
-    w = _real_roots(np.linalg.solve(np.vander(nodes), forms.reshape(7, -1)),
+    w = _real_roots(np.linalg.solve(_VANDER6, forms.reshape(7, -1)),
                     1e-12 * scale * np.abs(S).max() ** 3)
     return np.concatenate([np.vander(w, 3, increasing=True) @ rows, rows[-1:]]) @ F
 
@@ -337,7 +346,7 @@ def _family_starts(c, G):
     K = _span_split(G.reshape(n * n, n) @ U.T)[1] @ U if len(U) else U
     spheres = [K] if len(K) >= 2 else []
     scale = max(1.0, float(np.abs(G).max()))
-    points = [K[:0] if spheres else K]
+    points, aff = [K[:0] if spheres else K], []     # the conic points, then the aff(1) ones
     D2 = _span_split(_brackets(c, D1, D1))[0]
     # rad^perp, rank cut relative to |c|^2, the Killing scale: on a solvable g
     # this product is round-off, and on a nilpotent g the Killing form is too
@@ -350,15 +359,6 @@ def _family_starts(c, G):
         comm = np.einsum('pP,arQ->aprPQ', eye, q) - np.einsum('aPp,Qr->aprPQ', q, eye)
         cent = _span_split(np.linalg.qr(comm.reshape(m ** 3, m * m), mode='r'))[1]
         ideals = [P @ F for P in _eigenspaces(cent.reshape(-1, m, m), 1e-6) if len(P) == 3]
-    for F in ideals:                                # the sl2 families
-        q = np.einsum('ai,bj,ijk,ck->abc', F, F, c, F)
-        L = np.stack([q[2, 1], q[0, 2], q[1, 0]])
-        lam, V = np.linalg.eigh(0.5 * (L + L.T))
-        if lam[0] < 0 < lam[2]:                     # u_i (1 - w^2) + u_j 2w + u_m (1 + w^2)
-            u = (V / np.sqrt(np.abs(lam))).T
-            i, j, m = (1, 2, 0) if lam[1] > 0 else (0, 1, 2)
-            points.append(_conic_starts(G, F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]]),
-                                        scale))
     if len(D2) < len(D1):                           # g'' < g': the aff(1) families
         tol = 1e-6 * scale
         W = _span_split(D1 - D1 @ D2.T @ D2)[0]
@@ -377,8 +377,17 @@ def _family_starts(c, G):
             a = alpha @ U / np.linalg.norm(alpha)
             phi = th @ W + np.linalg.lstsq(E, rhs, rcond=None)[0] @ U
             phi -= (phi @ a) * a
-            points.append(phi[None] / np.linalg.norm(phi))    # lemma 1
-    t = _unit_rows(np.concatenate(points))
+            aff.append(phi[None] / np.linalg.norm(phi))       # lemma 1
+    for F in ideals:                                # the sl2 families
+        q = np.einsum('ai,bj,ijk,ck->abc', F, F, c, F)
+        L = np.stack([q[2, 1], q[0, 2], q[1, 0]])
+        lam, V = np.linalg.eigh(0.5 * (L + L.T))
+        if lam[0] < 0 < lam[2]:                     # u_i (1 - w^2) + u_j 2w + u_m (1 + w^2)
+            u = (V / np.sqrt(np.abs(lam))).T
+            i, j, m = (1, 2, 0) if lam[1] > 0 else (0, 1, 2)
+            points.append(_conic_starts(G, F, np.stack([u[i] + u[m], 2 * u[j], u[m] - u[i]]),
+                                        scale))
+    t = _unit_rows(np.concatenate(points + aff))
     return _distinct(t, _tg_residuals(G, t, complement_onb(t)), scale), spheres
 
 
@@ -501,6 +510,10 @@ def _frenet(M, t):
 
 # ------------------------------------------------------------- helix witness
 
+_WITNESS_INDEX = np.ravel_multi_index(np.ix_(*[[0, 2, 1]] * 3), (3, 3, 3))
+_WITNESS_SIGNS = np.einsum('a,b,d->abd', *[[1.0, -1.0, 1.0]] * 3)
+
+
 @dataclasses.dataclass(frozen=True)
 class HelixWitness:
     Lambda: Subspace            # span(T, N1, N2), the sl2 lift
@@ -533,11 +546,10 @@ def _helix_witness(M, fd: FrenetData) -> HelixWitness:
     c = M.onb_constants
     # the frame as n x 3 in C order (the ideal einsum below rounds by layout);
     # the quotient span(T, N1, N2) modulo the complement, in that basis,
-    # against sl2(k2/2, k1/2) in the basis (E1, -E3, E2)
+    # against sl2(k2/2, k1/2) in the basis (E1, -E3, E2): axes (0, 2, 1), signs (1, -1, 1)
     B = np.ascontiguousarray(_matvecs(M._onb_inv, np.array(fd.frame)).T)
     q = np.einsum('ip,jq,ijk,km->pqm', B, B, c, B)
-    P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-    target = np.einsum('ia,jb,ijk,kd->abd', P, P, _sl2_closed(k2 / 2, k1 / 2), P)
+    target = _sl2_closed(k2 / 2, k1 / 2).take(_WITNESS_INDEX) * _WITNESS_SIGNS
     table_res = float(np.abs(q - target).max())
     I_basis = _span_split(B.T)[1].T                           # n x (n-3)
     ideal_res = 0.0

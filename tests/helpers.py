@@ -11,9 +11,9 @@ import numpy as np
 
 from tgkit.coord_engine import ScalarField
 from tgkit.errors import NotHelixOrderTwo, NotTotallyGeodesic
-from tgkit.lie_core import MetricLieAlgebra, complement_onb, curvature_tensor
-from tgkit.tg_analysis import (_EPS, CaseTag, ClassificationReport, FrenetData,
-                               _wedge_eigen_lambda, codazzi_residual, frenet_orbit,
+from tgkit.lie_core import MetricLieAlgebra, _sl2_closed, complement_onb, curvature_tensor
+from tgkit.tg_analysis import (_CROSS, _EPS, CaseTag, ClassificationReport, FrenetData,
+                               _real_roots, _wedge_eigen_lambda, codazzi_residual, frenet_orbit,
                                helix_witness, hyperplane_tg_residual)
 
 
@@ -137,6 +137,30 @@ def codazzi_einsum(R, t, Q):
     return float(np.abs(np.einsum('ia,jb,kc,ijkl,l->abc', Q, Q, Q, R, t)).max())
 
 
+def conic_starts_projector(G, F, rows, scale):
+    """tg_analysis._conic_starts with the projector block I - F^T F in B on
+    every family, F = g included, where it is round-off, and its Chebyshev
+    nodes and Vandermondes built on each call, as the search first ran it."""
+    nodes = np.cos(np.pi * np.arange(7) / 6)
+    S = np.vander(nodes, 3, increasing=True) @ rows
+    B = np.concatenate([np.broadcast_to(np.eye(len(G)) - F.T @ F, (7,) + G.shape[1:]),
+                        F.T @ (S @ _CROSS).reshape(7, 3, 3)], axis=-1)
+    forms = np.swapaxes(B, -1, -2) @ np.einsum('ijk,...k->...ij', G, S @ F) @ B
+    forms = np.where(np.tri(B.shape[-1], k=-1, dtype=bool), forms - np.swapaxes(forms, -1, -2),
+                     forms + np.swapaxes(forms, -1, -2))
+    w = _real_roots(np.linalg.solve(np.vander(nodes), forms.reshape(7, -1)),
+                    1e-12 * scale * np.abs(S).max() ** 3)
+    return np.concatenate([np.vander(w, 3, increasing=True) @ rows, rows[-1:]]) @ F
+
+
+def witness_target_einsum(a, b):
+    """The helix witness's target table as the change of basis it replaced:
+    sl2(a, b) in the basis (E1, -E3, E2), one 4-operand einsum with the
+    signed permutation matrix P on each index."""
+    P = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    return np.einsum('ia,jb,ijk,kd->abd', P, P, _sl2_closed(a, b), P)
+
+
 def distinct_rounding(t, err, scale):
     """The search's start dedup with its own rule: the unit rows t with
     err <= 1e-6 scale in increasing err (stable), the sign of each row's
@@ -217,9 +241,9 @@ def realified(c):
 
 
 def refuse(*args, **kwargs):
-    """Stand-in for np.random.SeedSequence or _batch_lm where a test
-    requires that neither runs."""
-    raise AssertionError("multistart or LM called")
+    """Stand-in for np.random.SeedSequence, _batch_lm, _conic_starts or a
+    full rj call where a test requires that it does not run."""
+    raise AssertionError("a refused function was called")
 
 
 def table(n, entries):

@@ -6,13 +6,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from helpers import (BIANCHI4, SL2_PLANE, SL2C, SL3, SU2, direct_sum, lm_one, random_orthogonal,
-                     random_spd, refuse, rotate_constants, table)
+from helpers import (BIANCHI4, SL2_PLANE, SL2C, SL3, SU2, conic_starts_projector, direct_sum,
+                     lm_one, random_orthogonal, random_spd, refuse, rotate_constants, table)
 
 from tgkit import catalog, tg_analysis
 from tgkit.cli import run
 from tgkit.config import DEFAULT
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita
+from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, levi_civita, rowdot
 from tgkit.tg_analysis import (CaseTag, SearchConfig, _batch_lm, _family_starts,
                                _residual_jacobian, _sign_normalize, classify_case,
                                hyperplane_tg_residual, search_tg_hyperplanes)
@@ -162,6 +162,67 @@ def test_batched_lm_matches_one_start_at_a_time():
         rj = _residual_jacobian(levi_civita(M).coefficients)
         T = rng.normal(size=(8, M.dim))
         T /= np.linalg.norm(T, axis=1)[:, None]
+        for t, got in zip(T, _batch_lm(rj, T)):
+            assert np.array_equal(lm_one(rj, t), got)
+
+
+def _exact_start_algebras(rng):
+    """The sl2(a, b) acceptance grid, three rotated nonhomo and two sl2 + R."""
+    line = np.zeros((1, 1, 1))
+    return ([catalog.sl2(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
+            + [_rotated_nonhomo(rng) for _ in range(3)]
+            + [MetricLieAlgebra(LieAlgebra(direct_sum(_sl2(a, b), line)))
+               for a, b in ((1.0, 1.0), (0.5, 3.0))])
+
+
+def _residual_only(rj):
+    """rj with its residual and round-off, refusing the full call (the Jacobian)."""
+    refused = mock.Mock(side_effect=refuse)
+    refused.residual, refused.f_stop = rj.residual, rj.f_stop
+    return refused
+
+
+def test_exact_starts_retire_on_the_residual_alone():
+    # where every exact start sits below the round-off f_stop, LM reads the
+    # residual alone, builds no Jacobian and returns its input bit for bit,
+    # and the search makes no full rj call either.  On sl2(0.5, 2) the lower
+    # Borel start reads 6.2 f_stop: the full loop runs, one step, as lm_one
+    rng = np.random.default_rng(43)
+    make, retired = _residual_jacobian, []
+    for M in _exact_start_algebras(rng):
+        G = levi_civita(M).coefficients
+        rj = make(G)
+        starts, _ = _family_starts(M.onb_constants, G)
+        r = rj.residual(starts)
+        if (rowdot(r, r) < rj.f_stop).all():
+            got = _batch_lm(_residual_only(rj), starts)
+            assert got is not starts and got.tobytes() == starts.tobytes()
+            with mock.patch.object(tg_analysis, "_residual_jacobian",
+                                   lambda G: _residual_only(make(G))):
+                assert len(search_tg_hyperplanes(M)) == len(starts)
+            retired.append(M)
+        else:
+            for t, got in zip(starts, _batch_lm(rj, starts)):
+                assert np.array_equal(lm_one(rj, t), got)
+    assert len(retired) == 13
+
+
+def test_lm_on_a_stack_with_a_start_at_round_off_matches_one_start_at_a_time():
+    # one exact start amid seeded random ones: the stack is not at round-off,
+    # so the full loop runs, and every row, the exact one too, is lm_one's;
+    # rj.residual reads the bits of rj's residual
+    rng = np.random.default_rng(47)
+    for M in (catalog.sl2(1, 2), _rotated_nonhomo(rng),
+              MetricLieAlgebra(LieAlgebra(direct_sum(_sl2(2.0, 0.25), np.zeros((1, 1, 1)))))):
+        G = levi_civita(M).coefficients
+        rj = _residual_jacobian(G)
+        T = rng.normal(size=(6, M.dim))
+        T /= np.linalg.norm(T, axis=1)[:, None]
+        T = np.concatenate([T[:3], _family_starts(M.onb_constants, G)[0][:1], T[3:]])
+        r = rj.residual(T)
+        assert r.tobytes() == rj(T)[0].tobytes()
+        f = rowdot(r, r)
+        assert f[3] < rj.f_stop and (np.delete(f, 3) >= rj.f_stop).all()
         for t, got in zip(T, _batch_lm(rj, T)):
             assert np.array_equal(lm_one(rj, t), got)
 
@@ -331,6 +392,44 @@ def test_levi_factor_plus_a_plane_prints_its_kernel_sphere(tmp_path, monkeypatch
     assert rep["count"] == 4 and rep["continuum"]
     assert [(x["kind"], x["basis"]) for x in rep["components"]] == [
         ("kernel_sphere", np.eye(8)[6:].tolist())]
+
+
+def test_a_plane_weight_returns_before_any_conic_is_solved(monkeypatch):
+    # H^3 + sl2(1, 0.7): the H^3 weight has a plane of eigenvectors, so the
+    # search is multistart, and _family_starts says so before it solves the
+    # sl2 conic; the answer is the forced multistart's, bit for bit
+    h3 = table(3, {(0, 1, 1): 1.0, (0, 2, 2): 1.0})
+    M = MetricLieAlgebra(LieAlgebra(direct_sum(h3, _sl2(1.0, 0.7))))
+    want = _multistart(M)
+    monkeypatch.setattr(tg_analysis, "_conic_starts", refuse)
+    assert _family_starts(M.onb_constants, levi_civita(M).coefficients) is None
+    got = search_tg_hyperplanes(M)
+    assert len(got) == len(want) > 0 and got.continuum == want.continuum
+    assert np.array(got.normals).tobytes() == np.array(want.normals).tobytes()
+    assert got.residuals == want.residuals
+
+
+def test_conic_starts_match_the_projector_oracle_bit_for_bit(monkeypatch):
+    # on 3-dim sl2, F = g and B drops the round-off block I - F^T F; the
+    # roots it gave fell below the floor, so the starts keep every bit.  On
+    # the acceptance grid, six rotations, sl2(1e3, 2e3), sl2(1e-4, 40), and
+    # for n > 3, where the block stays, sl2 + R and sl2 x| R^2 (whose block
+    # forms do not vanish)
+    calls, conic = [], tg_analysis._conic_starts
+    monkeypatch.setattr(tg_analysis, "_conic_starts",
+                        lambda *args: calls.append(args) or conic(*args))
+    rng = np.random.default_rng(61)
+    grid = [(a, b) for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0)]
+    cs = [_sl2(a, b) for a, b in grid + [(1e3, 2e3), (1e-4, 40.0)]]
+    cs += [rotate_constants(_sl2(*grid[k]), random_orthogonal(rng, 3)) for k in range(6)]
+    cs += [direct_sum(_sl2(1.0, 2.0), np.zeros((1, 1, 1))), SL2_PLANE]
+    for c in cs:
+        search_tg_hyperplanes(MetricLieAlgebra(LieAlgebra(c)))
+    assert [len(args[0]) for args in calls] == [3] * 17 + [4, 5]
+    for args in calls:
+        got = conic(*args)
+        assert len(got) >= 3
+        assert got.tobytes() == conic_starts_projector(*args).tobytes()
 
 
 @pytest.mark.parametrize("scale", [1e3, 1e4])
@@ -511,7 +610,7 @@ def test_lm_stops_at_the_round_off_floor():
             out = rj(t)
             f.append(float(out[0][0] @ out[0][0]))
             return out
-        counting.f_stop = rj.f_stop
+        counting.residual, counting.f_stop = rj.residual, rj.f_stop
         _batch_lm(counting, (s / np.linalg.norm(s))[None])
         best = f[0]
         for k, fc in enumerate(f[1:], 1):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (direct_sum, normal_curvature_identity, random_orthogonal,
-                     random_spd, rotate_constants, second_normal_identity)
+                     random_spd, rotate_constants, second_normal_identity,
+                     witness_target_einsum)
 
 from tgkit import catalog
 from tgkit.config import DEFAULT
@@ -221,6 +222,30 @@ def test_helix_recognition_runs_no_search(monkeypatch):
     T[0] = 1.0
     w = helix_witness(sl2_plus_r2(1.0, 2.0), T)
     assert (w.recovered_a, w.recovered_b) == (1.0, 2.0)
+
+
+def test_witness_target_matches_the_einsum_oracle_bit_for_bit():
+    # the target is sl2(k2/2, k1/2) under a signed permutation, and the
+    # einsum it replaced only multiplied by 0 and +-1: table_res keeps its
+    # bits at every Borel normal of the grid, six rotations, sl2(1e3, 2e3)
+    # and sl2(1e-4, 40).  The table gate is opened: at the lower Borel
+    # normal of sl2(1e-4, 40) table_res reads 6.7e-9, past bracket_table
+    tol = DEFAULT.replace(bracket_table=1.0)
+    rng = np.random.default_rng(67)
+    cs = [catalog.sl2(a, b).algebra.structure_constants
+          for a, b in GRID + [(1e3, 2e3), (1e-4, 40.0)]]
+    cs += [rotate_constants(catalog.sl2(*GRID[k]).algebra.structure_constants,
+                            random_orthogonal(rng, 3)) for k in range(6)]
+    algebras = [MetricLieAlgebra(LieAlgebra(c, tol), None, tol) for c in cs]
+    seen = 0
+    for M in algebras:
+        for T in search_tg_hyperplanes(M).normals:
+            w = helix_witness(M, T)
+            want = witness_target_einsum(w.recovered_a, w.recovered_b)
+            assert w.residuals['bracket_table_residual'] == float(
+                np.abs(w.quotient_constants - want).max())
+            seen += 1
+    assert seen == 2 * len(algebras)
 
 
 def test_helix_witness_rejects_wrong_order():
