@@ -188,11 +188,11 @@ def twisted_h2_cartesian(kappa=1.0):
         m = mathlib(t)
         cs, sn, h = m.cos(kappa * t), m.sin(kappa * t), m.sqrt(1.0 + x * x + y * y)
         F = x * cs - y * sn + h
+        w = m.pow(F, -2.0)
         if not grad:
-            return m.pow(F, -2.0)
+            return w
         m3 = -2.0 * m.pow(F, -3.0)
-        return m.pow(F, -2.0), [m3 * d for d in (-kappa * (x * sn + y * cs),
-                                                  cs + x / h, y / h - sn)]
+        return w, m3 * (-kappa * (x * sn + y * cs)), m3 * (cs + x / h), m3 * (y / h - sn)
 
     return _product_metric(1, _hyperboloid_plane(), weight, True)
 

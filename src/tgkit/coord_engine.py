@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import struct
 import typing
 
 import numpy as np
@@ -30,7 +31,7 @@ MAX_RK4_STEPS = 10**6
 MAX_GRID = 1000
 # RK4 steps whose stage grams geodesic_integrate gates in one pass; bounds
 # the pending stage buffer at 4 * _GATE_STEPS grams.
-_GATE_STEPS = 64
+_GATE_STEPS = 256
 # Relative finite-difference steps: first derivatives of fields and grams,
 # and the derivative of the Christoffel symbols in riemann_at.
 _FD_STEP = 1e-5
@@ -197,6 +198,12 @@ def _gate_grams(points, grams):
     return grams
 
 
+def _packed(floats):
+    """The list floats as a float array, bit for bit, from one struct.pack:
+    faster than np.fromiter or np.array on a long flat list."""
+    return np.frombuffer(struct.pack(f"{len(floats)}d", *floats))
+
+
 def _grams(CM, points):
     """Gated grams at points (..., dim), from one gram_at call; if it raises, one
     call per point, each gating those before it first: the earliest one wins."""
@@ -273,7 +280,8 @@ def _rk4_step(n):
     """make(stage, push_x, push_g, h, hh, h6) -> step(xv), one RK4 step of
     geodesic_integrate at dimension n, from x + v as 2n floats to the next
     x + v, generated once per n as dataclasses generates __init__.  Each
-    stage point goes to push_x before its stage call, each gram to push_g."""
+    stage point goes to push_x before its stage call, each gram's n^2 floats
+    to push_g after it."""
     def each(fmt, sep=", "):
         return _each(fmt, range(n), sep)
     return _compiled(f"""\
@@ -311,7 +319,8 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
 
     A stage is one CM.stage_at call, or, on a chart without one, one
     gram_at call, one partials call and one _spray solve.  The stage grams
-    are gated together, _GATE_STEPS steps at a time; a stage that raises
+    and step ends gather in flat float lists, packed and gated together
+    _GATE_STEPS steps at a time; a stage that raises
     sends the pending points, its own the last, through _grams, so a
     degenerate gram raises MetricDegenerate at its point before any later error.
     """
@@ -346,8 +355,8 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
             raise DimensionMismatch(f"stage_at returned (gram, spray) of {lengths} floats; a "
                                     f"{k}-dim chart needs n^2 = {k * k} and n = {k}")
         chart = getattr(chart.stage_at, 'base', None)
-    stage_x, stage_g, ends = [], [], []     # pending stage points and grams, step ends
-    step = _rk4_step(n)(stage, stage_x.append, stage_g.append, h, 0.5 * h, h / 6.0)
+    stage_x, stage_g, ends = [], [], []     # pending stage points; stage grams, step ends flat
+    step = _rk4_step(n)(stage, stage_x.append, stage_g.extend, h, 0.5 * h, h / 6.0)
 
     times = np.arange(nsteps + 1) * h
     points = np.empty((nsteps + 1, n))
@@ -358,23 +367,23 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     # huge but finite partials overflow a stage's spray; the gram gate or the
     # divergence check below reports it, so numpy stays quiet for the loop
     with np.errstate(over='ignore', invalid='ignore'):
-        for i in range(nsteps):
-            try:
-                xv = step(xv)
-            except Exception as exc:
-                _grams(CM, np.array(stage_x))   # the failing stage's point is the last
-                if isinstance(exc, _NOT_FINITE):
-                    raise MetricDegenerate(
-                        f"metric derivatives not finite at {stage_x[-1]}") from None
-                raise
-            ends.append(xv)
-            if len(ends) == _GATE_STEPS or i == nsteps - 1:
-                k = len(ends)
-                g = np.fromiter(itertools.chain.from_iterable(stage_g), float)
-                grams[i + 1 - k:i + 1] = _gate_grams(stage_x, g.reshape(len(stage_x), n, n))[::4]
-                xv_ends = np.array(ends)
-                points[i + 2 - k:i + 2], vels[i + 2 - k:i + 2] = xv_ends[:, :n], xv_ends[:, n:]
-                del stage_x[:], stage_g[:], ends[:]
+        for start in range(0, nsteps, _GATE_STEPS):
+            stop = min(start + _GATE_STEPS, nsteps)
+            for _ in range(start, stop):
+                try:
+                    xv = step(xv)
+                except Exception as exc:
+                    _grams(CM, np.array(stage_x))   # the failing stage's point is the last
+                    if isinstance(exc, _NOT_FINITE):
+                        raise MetricDegenerate(
+                            f"metric derivatives not finite at {stage_x[-1]}") from None
+                    raise
+                ends.extend(xv)
+            g = _packed(stage_g).reshape(len(stage_x), n, n)
+            grams[start:stop] = _gate_grams(stage_x, g)[::4]
+            xv_ends = _packed(ends).reshape(stop - start, 2 * n)
+            points[start + 1:stop + 1], vels[start + 1:stop + 1] = xv_ends[:, :n], xv_ends[:, n:]
+            del stage_x[:], stage_g[:], ends[:]
     if not (np.isfinite(points).all() and np.isfinite(vels).all()):
         raise TgkitError(f"geodesic integration diverged (step {h:.3e})")
     grams[-1] = CM.gram(points[-1])
@@ -429,11 +438,12 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
     """diag(w(x) I_m, base(u)) on x = (v, u), the m flat coordinates first.
 
     weight(v, u) -> w from coordinates(v) and coordinates(u) of the flat
-    and base parts; weight(v, u, True) -> (w, dw), dw[k] = d w / d x^k, which
-    is called for only when exact is true (otherwise the partials are finite
-    differences).  The base gram is evaluated ungated: a block-diagonal gram
-    is finite, symmetric and positive definite exactly when each block is,
-    so the one gate on the composite covers the base.
+    and base parts; weight(v, u, True) -> the flat jet (w, d_0 w, ...,
+    d_{dim-1} w), d_k w = d w / d x^k, which is called for only when exact
+    is true (otherwise the partials are finite differences).  The base gram
+    is evaluated ungated: a block-diagonal gram is finite, symmetric and
+    positive definite exactly when each block is, so the one gate on the
+    composite covers the base.
     """
     dim = m + base.dim
     flat = slice(0, m * (dim + 1), dim + 1)    # entries (a, a), a < m, of a raveled gram
@@ -449,7 +459,7 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
     if exact and base.partials_at is not None:
         def partials_at(x):
             dg = np.zeros(x.shape[:-1] + (dim, dim, dim))
-            dw = weight(coordinates(x[..., :m]), coordinates(x[..., m:]), True)[1]
+            dw = weight(coordinates(x[..., :m]), coordinates(x[..., m:]), True)[1:]
             dg.reshape(x.shape[:-1] + (dim, dim * dim))[..., flat] = np.stack(
                 np.broadcast_arrays(*dw), -1)[..., None]
             dg[..., m:, m:, m:] = base.partials_at(x[..., m:])
@@ -464,7 +474,8 @@ def _product_metric(m, base: CoordinateMetric, weight, exact) -> CoordinateMetri
 @functools.cache
 def _product_stage(m, nb):
     """make(weight, base_stage) -> stage_at of _product_metric, generated once
-    per (m, base dim nb) on locals.  Warped and twisted product connection
+    per (m, base dim nb) on locals, with the weight's flat jet unpacked into
+    w, dw0, dw1 and so on.  Warped and twisted product connection
     (O'Neill 1983, ch. 7; Ponge and Reckziegel 1993): with f = |v_flat|^2 / 2,
     the flat rows are (f d_a w - (dw . v) v_a) / w, the base rows the base
     spray s plus f g^-1 d_u w, by Gaussian elimination on the base gram g
@@ -486,7 +497,7 @@ def _product_stage(m, nb):
 def make(weight, base_stage):
     def stage_at(x, v):
         ({_each('x{i}', X)},), ({_each('v{i}', X)},) = x, v
-        w, ({_each('dw{i}', X)},) = weight([{_each('x{i}', flat)}], [{_each('x{i}', base)}], True)
+        w, {_each('dw{i}', X)}, = weight([{_each('x{i}', flat)}], [{_each('x{i}', base)}], True)
         ({_each('g{i}', range(nb * nb))},), ({_each('s{i}', B)},) = base_stage(
             [{_each('x{i}', base)}], [{_each('v{i}', base)}])
         gram = [{', '.join(gram)}]
@@ -508,7 +519,7 @@ def build_warped_product(m: int, base: CoordinateMetric, logf: ScalarField) -> C
     def weight(v, u, grad=False):
         w = 2.0 * logf.fn(u)
         w = mathlib(w).exp(w)
-        return (w, [0.0] * m + [2.0 * w * d for d in logf.grad(u)]) if grad else w
+        return (w, *[0.0] * m, *[2.0 * w * d for d in logf.grad(u)]) if grad else w
 
     return _product_metric(m, base, weight, logf.has_grad)
 
@@ -560,17 +571,31 @@ def twisting_phi(spec: TwistedProductSpec, t, u):
     return -m.log(F), -q, -Ftt / F + q * q
 
 
-def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
-    """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi} = F^-2, base block-diagonal."""
+@functools.cache
+def _twisted_weight(nb):
+    """make(spec, alpha_grad, beta_grad) -> the weight of build_twisted_product
+    over a base of dim nb, generated once per nb on locals: F^-2 and its flat
+    jet, -2 F^-3 F_t and -2 F^-3 (F_alpha d_k alpha + F_beta d_k beta)."""
+    B = range(nb)
+    return _compiled(f"""\
+def make(spec, alpha_grad, beta_grad):
     def weight(v, u, grad=False):
         F, Ft, sa, ca, c, s, m = _twist(spec, v[0], u)
+        w = m.pow(F, -2.0)
         if not grad:
-            return m.pow(F, -2.0)
+            return w
         m3 = -2.0 * m.pow(F, -3.0)
         da, db = m3 * (ca * c + sa), m3 * sa * s
-        return m.pow(F, -2.0), [m3 * Ft] + [da * p - db * q for p, q in zip(
-            spec.alpha.grad(u), spec.beta.grad(u))]
+        {_each('a{i}', B)}, = alpha_grad(u)
+        {_each('b{i}', B)}, = beta_grad(u)
+        return w, m3 * Ft, {_each('da * a{i} - db * b{i}', B)}
+    return weight
+""", _twist=_twist)
 
+
+def build_twisted_product(spec: TwistedProductSpec) -> CoordinateMetric:
+    """Coordinates (t, u^1..u^{n-1}); g_tt = e^{2 phi} = F^-2, base block-diagonal."""
+    weight = _twisted_weight(spec.base.dim)(spec, spec.alpha.grad, spec.beta.grad)
     return _product_metric(1, spec.base, weight, spec.alpha.has_grad and spec.beta.has_grad)
 
 
@@ -633,8 +658,12 @@ def _one_point(CM, x, what="point"):
 def riemann_at(CM: CoordinateMetric, x):
     """R[i][j][k][l] = <R(d_i, d_j) d_k, d_l> at one point x (FD of a Christoffel stack)."""
     x = _one_point(CM, x)
+    return _riemann(CM, x, CM.gram(x))
+
+
+def _riemann(CM, x, g):
+    """riemann_at at one point x whose gram g is gated."""
     dG = _richardson(lambda y: christoffel(CM, y), x, _RIEMANN_STEP)
-    g = CM.gram(x)
     G = _christoffel_from(g, CM.partials(x))
     # R^l_{ijk} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
     Rup = (np.einsum('iljk->lijk', dG[:, :, :, :])
@@ -651,7 +680,7 @@ def sectional_at(CM: CoordinateMetric, x, u, v, tol: Tolerances = DEFAULT) -> fl
     den = (u @ g @ u) * (v @ g @ v) - (u @ g @ v) ** 2
     if not den > tol.degenerate_plane:
         raise DegeneratePlane(f"Gram determinant {den:.3e}")
-    R = riemann_at(CM, x)
+    R = _riemann(CM, x, g)
     return float(np.einsum('ijkl,i,j,k,l->', R, u, v, v, u) / den)
 
 

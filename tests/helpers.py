@@ -469,7 +469,7 @@ def product_stage_loop(m, nb):
     def make(weight, base_stage):
         def stage_at(x, v):
             u, vf = x[m:], v[:m]
-            w, dw = weight(x[:m], u, True)
+            w, *dw = weight(x[:m], u, True)
             gB, aB = base_stage(u, v[m:])
             f = 0.5 * sum(map(operator.mul, vf, vf))
             dv = sum(map(operator.mul, dw, v))

@@ -188,7 +188,8 @@ ORACLE_STARTS = {
 
 @pytest.mark.parametrize("name", sorted(ORACLE_STARTS))
 def test_geodesic_matches_per_stage_oracle(name):
-    # 250 steps: three full gate blocks and a partial one
+    # 250 steps, one partial gate block; the gate block edges are pinned bit
+    # for bit in test_properties.py
     CM, x0, v0 = ORACLE_STARTS[name]
     tr = geodesic_integrate(CM, x0, v0, 1.0, 4e-3)
     points, vels, drift = geodesic_per_stage(CM, x0, v0, 1.0, 4e-3)
@@ -222,7 +223,7 @@ def _degenerate_point(exc):
 def test_geodesic_degenerate_stage_raises_as_per_stage_oracle(bad, threshold):
     # along x = (t, 0) with h = 0.1 the first point past the threshold is a
     # step's second stage point, x_i + h/2, for 0.22 and 7.02, and its fourth,
-    # x_i + h, for 0.27 and 7.07 (in the second gate block from 7.0 on)
+    # x_i + h, for 0.27 and 7.07 (step 70's)
     CM = _turning_metric(threshold, BAD_GRAMS[bad])
     x0, v0 = [0.0, 0.0], [1.0, 0.0]
     with np.errstate(invalid='ignore'):
@@ -258,7 +259,7 @@ def test_degenerate_third_stage_is_named(bad, threshold, third):
     # a stage spray of (1, 0) from v = (1, 0) gives x = t + t^2 / 2, so a
     # step's third stage, x_i + h/2 (v_i + h/2), lies past its second,
     # x_i + h/2 v_i: the first stage past the threshold is step 2's third
-    # (step 70's, in the second gate block, for 31.901)
+    # (step 70's for 31.901)
     CM = _turning_metric(threshold, BAD_GRAMS[bad])
     CM.stage_at = lambda x, v: (CM.gram_at(np.array(x)).ravel().tolist(), [1.0, 0.0])
     with np.errstate(invalid='ignore'):
@@ -293,13 +294,17 @@ def test_stage_float_error_names_its_stage_point(threshold):
 def test_stage_tgkit_error_comes_back_unchanged(monkeypatch):
     seen = _counted_gates(monkeypatch)
     error = TgkitError("chart ends")
+    # along x = (t, 0) with h = 0.1, step B + 6's second stage, at
+    # 0.1 (B + 6) + 0.05, is the first past the threshold, B = _GATE_STEPS
+    raising = 0.1 * (_GATE_STEPS + 6) + 0.05
     with pytest.raises(TgkitError) as err:
-        geodesic_integrate(_flat_stage_raising(7.02, error), [0.0, 0.0], [1.0, 0.0], 10.0, 0.1)
+        geodesic_integrate(_flat_stage_raising(raising - 0.03, error), [0.0, 0.0], [1.0, 0.0],
+                           0.2 * _GATE_STEPS, 0.1)
     assert err.value is error
-    # x0, the first gate block, then steps 64-69 and step 70's first two
-    # stages, the raising one at 7.05 last
+    # x0, the first gate block, then steps B to B + 5 and step B + 6's first
+    # two stages, the raising one last
     assert [len(points) for points in seen] == [1, 4 * _GATE_STEPS, 4 * 6 + 2]
-    assert abs(seen[-1][-1][0] - 7.05) < 1e-9
+    assert abs(seen[-1][-1][0] - raising) < 1e-9
 
 
 def test_gram_stack_gate_raises_at_first_failing_point():

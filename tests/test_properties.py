@@ -98,11 +98,13 @@ def test_exact_partials_match_richardson_partials(cube):
 
 
 # charts for the RK4 oracle: every dimension of the generated step from 1 to
-# 8, each catalog stage, and a chart without stage_at (the _generic_stage path)
+# 8, each catalog stage, both warped products (the warped weight's flat jet),
+# and a chart without stage_at (the _generic_stage path)
 _HYP = catalog.hyperbolic_plane()
 RK4_CHARTS = ([catalog.euclidean_metric(n) for n in range(1, 9)]
               + [_HYP, catalog.nonhomo_metric(), CHARTS["twisted-h2-polar"][0],
-                 CHARTS["twisted-h2-cartesian"][0],
+                 CHARTS["twisted-h2-cartesian"][0], CHARTS["warped-h2"][0],
+                 CHARTS["warped-cartesian"][0],
                  CoordinateMetric(2, _HYP.gram_at, _HYP.partials_at)])
 
 
@@ -112,11 +114,14 @@ RK4_CHARTS = ([catalog.euclidean_metric(n) for n in range(1, 9)]
                                min_size=8, max_size=8),
                   h=st.floats(1e-3, 1e-2))
 def test_generated_rk4_step_matches_the_list_loop_bit_for_bit(cube, vel, h):
-    # step counts on both sides of the _GATE_STEPS = 64 block edges; starts
-    # in [0.5, 1.5]^n keep the polar radius off the axis
+    # step counts on both sides of the gate block edges B and 2B, B =
+    # _GATE_STEPS; h is scaled so that a run spans at most 1.29 time units,
+    # which with starts in [0.5, 1.5]^n keeps the polar radius off the axis
+    B = coord_engine._GATE_STEPS
+    h *= 129 / (2 * B + 1)
     for CM in RK4_CHARTS:
         x0, v0 = [0.5 + c for c in cube[:CM.dim]], vel[:CM.dim]
-        for nsteps in (1, 63, 64, 65, 129):
+        for nsteps in (1, B - 1, B, B + 1, 2 * B + 1):
             tr = geodesic_integrate(CM, x0, v0, nsteps * h, h)
             points, vels, drift = geodesic_list_loop(CM, x0, v0, nsteps * h, h)
             assert len(points) == nsteps + 1
