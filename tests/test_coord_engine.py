@@ -186,10 +186,17 @@ ORACLE_STARTS = {
 }
 
 
+@pytest.fixture
+def blocks_of_64(monkeypatch):
+    """Gate 64 RK4 steps at a time, so that the runs below reach a gate block
+    after a full one: geodesic_integrate reads _GATE_STEPS at each call."""
+    monkeypatch.setattr(coord_engine, "_GATE_STEPS", 64)
+
+
+@pytest.mark.usefixtures("blocks_of_64")
 @pytest.mark.parametrize("name", sorted(ORACLE_STARTS))
 def test_geodesic_matches_per_stage_oracle(name):
-    # 250 steps, one partial gate block; the gate block edges are pinned bit
-    # for bit in test_properties.py
+    # 250 steps: three full gate blocks and a partial one
     CM, x0, v0 = ORACLE_STARTS[name]
     tr = geodesic_integrate(CM, x0, v0, 1.0, 4e-3)
     points, vels, drift = geodesic_per_stage(CM, x0, v0, 1.0, 4e-3)
@@ -218,12 +225,13 @@ def _degenerate_point(exc):
     return float(str(exc).split("[")[1].split(",")[0])
 
 
+@pytest.mark.usefixtures("blocks_of_64")
 @pytest.mark.parametrize("bad", sorted(BAD_GRAMS))
 @pytest.mark.parametrize("threshold", [0.22, 0.27, 7.02, 7.07])
 def test_geodesic_degenerate_stage_raises_as_per_stage_oracle(bad, threshold):
     # along x = (t, 0) with h = 0.1 the first point past the threshold is a
     # step's second stage point, x_i + h/2, for 0.22 and 7.02, and its fourth,
-    # x_i + h, for 0.27 and 7.07 (step 70's)
+    # x_i + h, for 0.27 and 7.07 (in the second gate block from 6.4 on)
     CM = _turning_metric(threshold, BAD_GRAMS[bad])
     x0, v0 = [0.0, 0.0], [1.0, 0.0]
     with np.errstate(invalid='ignore'):
@@ -235,6 +243,7 @@ def test_geodesic_degenerate_stage_raises_as_per_stage_oracle(bad, threshold):
     assert abs(_degenerate_point(got.value) - (threshold + 0.03)) < 1e-9
 
 
+@pytest.mark.usefixtures("blocks_of_64")
 @pytest.mark.parametrize("threshold", [0.22, 7.02])
 def test_degenerate_stage_wins_over_a_later_error(threshold):
     # the gram turns indefinite at x^0 = threshold + 0.03, gram_at raises
@@ -253,13 +262,14 @@ def _error_point(exc):
     return json.loads(str(exc).split(" at ")[1])
 
 
+@pytest.mark.usefixtures("blocks_of_64")
 @pytest.mark.parametrize("bad", sorted(BAD_GRAMS))
 @pytest.mark.parametrize("threshold, third", [(0.281, 0.2825), (31.901, 31.9025)])
 def test_degenerate_third_stage_is_named(bad, threshold, third):
     # a stage spray of (1, 0) from v = (1, 0) gives x = t + t^2 / 2, so a
     # step's third stage, x_i + h/2 (v_i + h/2), lies past its second,
     # x_i + h/2 v_i: the first stage past the threshold is step 2's third
-    # (step 70's for 31.901)
+    # (step 70's, in the second gate block, for 31.901)
     CM = _turning_metric(threshold, BAD_GRAMS[bad])
     CM.stage_at = lambda x, v: (CM.gram_at(np.array(x)).ravel().tolist(), [1.0, 0.0])
     with np.errstate(invalid='ignore'):
@@ -280,6 +290,7 @@ def _flat_stage_raising(threshold, error):
     return CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at, stage_at)
 
 
+@pytest.mark.usefixtures("blocks_of_64")
 @pytest.mark.parametrize("threshold", [0.22, 0.27, 7.02, 7.07])
 def test_stage_float_error_names_its_stage_point(threshold):
     # the second stage (0.22, 7.02) or the fourth (0.27, 7.07), as above
