@@ -24,7 +24,7 @@ from .lie_core import gram_schmidt
 from .tg_analysis import FrenetData
 
 # Largest step count geodesic_integrate accepts: the trajectory and its
-# grams are held in memory, (2n + 1 + n^2) floats per step.
+# speeds are held in memory, (2n + 2) floats per step.
 MAX_RK4_STEPS = 10**6
 # Largest verify sampling density (--tol grid): twisting_ode_residual
 # evaluates a grid x grid stack of (t, u) points at once.
@@ -206,20 +206,15 @@ def _packed(floats):
 
 def _grams(CM, points):
     """Gated grams at points (..., dim), from one gram_at call; if it raises, one
-    call per point, each gating those before it first: the earliest one wins."""
+    call per point, each gated before the next: the earliest failure wins."""
     if points.shape[-1:] != (CM.dim,):
         raise DimensionMismatch(f"point has shape {points.shape}, metric dim {CM.dim}")
     flat = points.reshape(-1, CM.dim)
     try:    # a single point evaluates as one, on the charts' float path
         grams = _eval_gram(CM, points).reshape(-1, CM.dim, CM.dim)
     except Exception:
-        grams = np.empty((len(flat), CM.dim, CM.dim))
-        for i, x in enumerate(flat):
-            try:
-                grams[i] = _eval_gram(CM, x)
-            except Exception:
-                _gate_grams(flat[:i], grams[:i])
-                raise
+        grams = np.reshape([_gate_grams([x], _eval_gram(CM, x)[None]) for x in flat],
+                           (-1, CM.dim, CM.dim))
     return _gate_grams(flat, grams).reshape(points.shape + (CM.dim,))
 
 
@@ -318,16 +313,15 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     """Fixed-step RK4 on the geodesic equation, on Python floats.
 
     A stage is one CM.stage_at call, or, on a chart without one, one
-    gram_at call, one partials call and one _spray solve.  The stage grams
-    and step ends gather in flat float lists, packed and gated together
-    _GATE_STEPS steps at a time; a stage that raises
-    sends the pending points, its own the last, through _grams, so a
-    degenerate gram raises MetricDegenerate at its point before any later error.
+    gram_at call, one partials call and one _spray solve.  Stage grams and
+    step ends gather in flat float lists, packed and gated _GATE_STEPS steps
+    at a time; each step's speed comes from its first stage's gram, and no gram
+    outlives its block.  A stage that raises sends the pending points, its own
+    the last, through _grams: a degenerate gram raises at its point first.
     """
     x0, v0 = _one_point(CM, x0), _one_point(CM, v0, "velocity")
-    g0 = CM.gram(x0)
     with np.errstate(over='ignore', invalid='ignore'):
-        s0 = float(np.sqrt(v0 @ g0 @ v0))
+        s0 = float(np.sqrt(v0 @ CM.gram(x0) @ v0))
     if not math.isfinite(s0):
         raise BadParams("initial velocity length overflows float range"
                         if np.isfinite(v0).all() else "initial velocity is not finite")
@@ -361,7 +355,7 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
     times = np.arange(nsteps + 1) * h
     points = np.empty((nsteps + 1, n))
     vels = np.empty((nsteps + 1, n))
-    grams = np.empty((nsteps + 1, n, n))    # point i is step i's first stage
+    speeds = np.empty(nsteps + 1)
     points[0], vels[0] = x0, v0
     xv = x0.tolist() + v0.tolist()
     # huge but finite partials overflow a stage's spray; the gram gate or the
@@ -379,15 +373,16 @@ def geodesic_integrate(CM: CoordinateMetric, x0, v0, tmax, h=1e-3,
                             f"metric derivatives not finite at {stage_x[-1]}") from None
                     raise
                 ends.extend(xv)
-            g = _packed(stage_g).reshape(len(stage_x), n, n)
-            grams[start:stop] = _gate_grams(stage_x, g)[::4]
+            g = _gate_grams(stage_x, _packed(stage_g).reshape(len(stage_x), n, n))
             xv_ends = _packed(ends).reshape(stop - start, 2 * n)
             points[start + 1:stop + 1], vels[start + 1:stop + 1] = xv_ends[:, :n], xv_ends[:, n:]
+            v = vels[start:stop]    # step i's first stage is at vels[i]: read after the write
+            speeds[start:stop] = np.sqrt(np.einsum('ni,nij,nj->n', v, g[::4], v))
             del stage_x[:], stage_g[:], ends[:]
     if not (np.isfinite(points).all() and np.isfinite(vels).all()):
         raise TgkitError(f"geodesic integration diverged (step {h:.3e})")
-    grams[-1] = CM.gram(points[-1])
-    speeds = np.sqrt(np.einsum('ni,nij,nj->n', vels, grams, vels))
+    v = vels[-1:]
+    speeds[-1:] = np.sqrt(np.einsum('ni,nij,nj->n', v, CM.gram(points[-1])[None], v))
     rel = np.abs(speeds - s0) / s0
     with np.errstate(divide='ignore'):
         rates = rel[1:] / np.maximum(times[1:], h)

@@ -190,12 +190,14 @@ def _batch_lm(rj, t):
     start retires when f reaches the round-off rj.f_stop, when lam > 1e12
     (f has plateaued), when J vanishes, or after _LM_ITER steps.
     lam >= _LM_FLOOR keeps the damped system nonsingular on every live row,
-    so one stacked solve serves all.  A stack all at round-off builds no J.
+    so one stacked solve serves all.  Rows at round-off come back as given.
     """
-    t = t.copy()
+    out = t.copy()
     r = rj.residual(t)
-    if (rowdot(r, r) < rj.f_stop).all():
-        return t
+    rows = ~(rowdot(r, r) < rj.f_stop)
+    if not rows.any():
+        return out
+    t = t[rows]
     r, J, Q = rj(t)
     f = rowdot(r, r)
     lam = np.full(len(t), 1e-3)
@@ -218,7 +220,8 @@ def _batch_lm(rj, t):
         t[won], r[won], J[won], Q[won], f[won] = (cand[down], rc[down], Jc[down],
                                                   Qc[down], fc[down])
         lam[live] = np.where(down, np.maximum(lam[live] / 10, _LM_FLOOR), lam[live] * 10)
-    return t
+    out[rows] = t
+    return out
 
 
 def _real_roots(coef, floor):
@@ -531,7 +534,8 @@ def helix_witness(M: MetricLieAlgebra, T) -> HelixWitness:
     Raises NotHelixOrderTwo unless the orbit's Frenet order is exactly 2,
     IdealResidualExceeded when the orthogonal complement of the helix span
     fails to be an ideal (which falsifies the TG hypothesis for T), and
-    NotRecognized when the quotient misses the sl2(k2/2, k1/2) table.
+    NotRecognized when the quotient misses the sl2(k2/2, k1/2) table by
+    more than bracket_table max(1, max|table|).
     """
     return _helix_witness(M, frenet_orbit(M, T))
 
@@ -559,7 +563,7 @@ def _helix_witness(M, fd: FrenetData) -> HelixWitness:
         ideal_res = float(np.abs(lam_comp).max())
     if not ideal_res <= tol.ideal:
         raise IdealResidualExceeded(ideal_res)
-    if not table_res <= tol.bracket_table:
+    if not table_res <= tol.bracket_table * max(1.0, float(np.abs(target).max())):
         raise NotRecognized(f"quotient bracket table residual {table_res:.3e}")
     return HelixWitness(
         Lambda=Subspace(n, np.stack(fd.frame, axis=1)),

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -144,6 +145,36 @@ def test_rk4_halving_ratio():
             for h in (4e-3, 2e-3, 1e-3)]
     ratio = np.linalg.norm(ends[0] - ends[1]) / np.linalg.norm(ends[1] - ends[2])
     assert 8.0 <= ratio <= 32.0
+
+
+def test_geodesic_memory_is_its_output_plus_a_gate_block(monkeypatch):
+    # no per-step gram store: a 2000-step geodesic in dimension 8 peaks
+    # within twice its output and a fixed allowance for the pending block of
+    # 8 steps, where n^2 grams per step would add 1 MB.  Short, since tracing
+    # every allocation slows the float loop about 60-fold
+    monkeypatch.setattr(coord_engine, "_GATE_STEPS", 8)
+    x0, v0 = np.linspace(0.1, 0.8, 8), np.linspace(0.3, -0.4, 8)
+    tracemalloc.start()
+    try:
+        tr = geodesic_integrate(catalog.euclidean_metric(8), x0, v0, 2.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = tr.times.nbytes + tr.points.nbytes + tr.velocities.nbytes
+    assert peak < 2 * out + 2**18
+
+
+def test_gram_falls_back_to_one_point_at_a_time():
+    # a gram_at that takes one point only gives the stacked grams, and an
+    # empty stack keeps its shape
+    def one_point(x):
+        if x.ndim != 1:
+            raise TgkitError("one point at a time")
+        return HYP.gram_at(x)
+    CM = CoordinateMetric(2, one_point)
+    x = np.array([[[1.0, 0.5], [0.2, 0.3]], [[0.7, 0.1], [1.5, 2.0]]])
+    assert np.array_equal(CM.gram(x), HYP.gram(x))
+    assert CM.gram(np.empty((0, 2))).shape == (0, 2, 2)
 
 
 def test_geodesic_gates():

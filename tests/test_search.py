@@ -207,6 +207,27 @@ def test_exact_starts_retire_on_the_residual_alone():
     assert len(retired) == 13
 
 
+def test_lm_builds_no_jacobian_for_a_row_at_round_off():
+    # the exact starts of sl2(0.5, 2) read f / f_stop = (0.117, 6.2): the
+    # first row never enters a full rj call, and both rows are lm_one's
+    M = catalog.sl2(0.5, 2)
+    G = levi_civita(M).coefficients
+    rj = _residual_jacobian(G)
+    starts, _ = _family_starts(M.onb_constants, G)
+    r = rj.residual(starts)
+    assert (rowdot(r, r) < rj.f_stop).tolist() == [True, False]
+    rows = []
+
+    def counted(t):
+        rows.extend(np.atleast_2d(t).tolist())
+        return rj(t)
+    counted.residual, counted.f_stop = rj.residual, rj.f_stop
+    got = _batch_lm(counted, starts)
+    assert rows and starts[0].tolist() not in rows
+    for t, row in zip(starts, got):
+        assert np.array_equal(lm_one(rj, t), row)
+
+
 def test_lm_on_a_stack_with_a_start_at_round_off_matches_one_start_at_a_time():
     # one exact start amid seeded random ones: the stack is not at round-off,
     # so the full loop runs, and every row, the exact one too, is lm_one's;

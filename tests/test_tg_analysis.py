@@ -228,15 +228,13 @@ def test_witness_target_matches_the_einsum_oracle_bit_for_bit():
     # the target is sl2(k2/2, k1/2) under a signed permutation, and the
     # einsum it replaced only multiplied by 0 and +-1: table_res keeps its
     # bits at every Borel normal of the grid, six rotations, sl2(1e3, 2e3)
-    # and sl2(1e-4, 40).  The table gate is opened: at the lower Borel
-    # normal of sl2(1e-4, 40) table_res reads 6.7e-9, past bracket_table
-    tol = DEFAULT.replace(bracket_table=1.0)
+    # and sl2(1e-4, 40)
     rng = np.random.default_rng(67)
     cs = [catalog.sl2(a, b).algebra.structure_constants
           for a, b in GRID + [(1e3, 2e3), (1e-4, 40.0)]]
     cs += [rotate_constants(catalog.sl2(*GRID[k]).algebra.structure_constants,
                             random_orthogonal(rng, 3)) for k in range(6)]
-    algebras = [MetricLieAlgebra(LieAlgebra(c, tol), None, tol) for c in cs]
+    algebras = [MetricLieAlgebra(LieAlgebra(c)) for c in cs]
     seen = 0
     for M in algebras:
         for T in search_tg_hyperplanes(M).normals:
@@ -246,6 +244,23 @@ def test_witness_target_matches_the_einsum_oracle_bit_for_bit():
                 np.abs(w.quotient_constants - want).max())
             seen += 1
     assert seen == 2 * len(algebras)
+
+
+def test_helix_table_gate_is_relative_to_the_table():
+    # curvatures (80, 2e-4): at the lower Borel normal of sl2(1e-4, 40) the
+    # table residual is round-off of entries up to 80, past the absolute
+    # bracket_table, and within bracket_table max(1, max|table|)
+    M = catalog.sl2(1e-4, 40)
+    normals = search_tg_hyperplanes(M).normals
+    assert len(normals) == 2
+    table_res = []
+    for T in normals:
+        report = classify_case(M, T)
+        assert report.case_tag is CaseTag.HELIX_ORDER_TWO
+        w = report.witness
+        assert max(abs(w.recovered_a - 1e-4), abs(w.recovered_b - 40)) <= DEFAULT.sl2_match
+        table_res.append(w.residuals['bracket_table_residual'])
+    assert max(table_res) > DEFAULT.bracket_table
 
 
 def test_helix_witness_rejects_wrong_order():

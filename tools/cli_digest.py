@@ -12,8 +12,8 @@ aff(1) + sl2, Bianchi IV, sl2 + sl2 and su(2) + sl2, abelian:3 with an
 SPD gram, and sl2 + R^2 in a general basis: search, then frenet and
 classify on each normal and each kernel-sphere basis row the search
 prints, and tg-check on a generic subspace; the same on rotated
-sl2(1e3, 2e3) and on sl2(1e200, 1e200)), and writes each argv's exit
-code, stdout and stderr.  An argv
+sl2(1e3, 2e3), on sl2(1e200, 1e200) and on sl2(1e-4, 40)), and writes
+each argv's exit code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
 only one digest has, then, per subcommand, each differing field path with
@@ -139,12 +139,15 @@ def algebra_files(seeds=SEEDS):
 
 
 def fixed_files():
-    """Two inputs at the ends of float range, as algebra_files entries:
+    """Three inputs at scale extremes, as algebra_files entries:
     sl2(1e3, 2e3) rotated, whose normals carry Codazzi round-off above
-    1e-9, and sl2(1e200, 1e200), whose Jacobi sum overflows."""
+    1e-9; sl2(1e200, 1e200), whose Jacobi sum overflows; and
+    sl2(1e-4, 40), whose Frenet curvatures 80 and 2e-4 leave quotient-table
+    round-off above 1e-9 at its lower Borel normal."""
     rng = np.random.default_rng(0)
     return [_file("sl2-1e3-rot.json", _rotated(_sl2(1e3, 2e3), rng), None, rng),
-            _file("sl2-1e200.json", _sl2(1e200, 1e200), None, rng)]
+            _file("sl2-1e200.json", _sl2(1e200, 1e200), None, rng),
+            _file("sl2-1e-4-40.json", _sl2(1e-4, 40), None, rng)]
 
 
 def _vec(v):
