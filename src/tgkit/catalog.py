@@ -211,6 +211,11 @@ def catalog_lookup(name, params=None, kind=None, tol=DEFAULT):
     return _lookup(name, params, kind, tol)[0]
 
 
+# the parameters that `name:p1,p2` gives by position, in order
+POSITIONAL_PARAMS = {"sl2": ("a", "b"), "abelian": ("n",),
+                     "euclidean": ("n",), "twisted-h2": ("kappa",)}
+
+
 def _lookup(name, params, kind, tol):
     """(builtin, the parameter values it was built from, defaults included)."""
     params = dict(params or {})

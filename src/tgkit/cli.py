@@ -120,10 +120,6 @@ def parse_algebra_file(data, tol: Tolerances = DEFAULT) -> tuple:
     return M, basis
 
 
-_POSITIONAL_PARAMS = {"sl2": ("a", "b"), "abelian": ("n",),
-                      "euclidean": ("n",), "twisted-h2": ("kappa",)}
-
-
 def _coerce(tok):
     for cast in (int, float):
         try:
@@ -146,7 +142,7 @@ def parse_builtin(text):
             params[key] = _coerce(val)
         else:
             pos.append(_coerce(tok))
-    slots = _POSITIONAL_PARAMS.get(name, ())
+    slots = catalog.POSITIONAL_PARAMS.get(name, ())
     if len(pos) > len(slots):
         raise BadParams(f"{name} takes at most {len(slots)} positional parameters")
     for key, val in zip(slots, pos):
@@ -168,19 +164,18 @@ def _parse_vector(text, dim=None):
     return v
 
 
-def _unit_normal(M, args, desc, missing):
-    """(--normal scaled to unit length, desc recording it); BadParams with
-    the message `missing` when there is no --normal."""
-    if not args.normal:
+def _unit_normal(M, text, missing):
+    """--normal text as a unit vector; BadParams(missing) when it is empty."""
+    if not text:
         raise BadParams(missing)
-    T = _parse_vector(args.normal, M.dim)
+    T = _parse_vector(text, M.dim)
     with np.errstate(over='ignore', invalid='ignore'):
         nrm = M.norm(T)
     if not np.isfinite(nrm):
         raise BadParams("normal vector length overflows float range")
     if nrm <= 1e-12:
         raise BadParams("normal vector has zero length")
-    return T / nrm, dict(desc, normal=args.normal)
+    return T / nrm
 
 
 def _parse_subspace(text, dim):
@@ -190,50 +185,54 @@ def _parse_subspace(text, dim):
     return Subspace(dim, np.stack(cols, axis=1))
 
 
-def _lookup_builtin(text, tol):
-    """(catalog entry admitted under tol, canonical input description)."""
-    name, params = parse_builtin(text)
-    return catalog.catalog_lookup(name, params, tol=tol), {"builtin": name, "params": params}
-
-
-def _load_algebra(args, tol, entry=None):
-    """(MetricLieAlgebra, basis names, canonical input description); entry
-    is the builtin's _lookup_builtin pair when the caller already has it."""
-    if entry is None and args.algebra:
+def _load_algebra(args, tol, charts=False):
+    """(MetricLieAlgebra, basis names) from --algebra or --builtin; a
+    builtin chart takes the algebra's place when `charts` allows it."""
+    if args.algebra:
         with open(args.algebra, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise AlgebraFileError(f"invalid JSON: {exc}")
-        M, names = parse_algebra_file(data, tol)
-        return M, names, {"algebra_file": data}
-    M, desc = entry or _lookup_builtin(args.builtin, tol)
-    if not isinstance(M, MetricLieAlgebra):
-        raise BadParams(f"builtin {desc['builtin']!r} is a chart, not an algebra")
-    return M, [f"e{i}" for i in range(M.dim)], desc
+        return parse_algebra_file(data, tol), {"algebra_file": data}
+    name, params = parse_builtin(args.builtin)
+    M = catalog.catalog_lookup(name, params, tol=tol)
+    if not (isinstance(M, MetricLieAlgebra) or charts and isinstance(M, CoordinateMetric)):
+        raise BadParams(f"builtin {name!r} is a chart, not an algebra")
+    return (M, [f"e{i}" for i in range(M.dim)]), {"builtin": name, "params": params}
 
 
-def _load_chart(args):
+def _load_chart(args, tol):
     if args.builtin is None:
         raise BadParams("geodesic needs --builtin NAME")
     name, params = parse_builtin(args.builtin)
     kind = "coordinate" if name == "nonhomo" else None
-    obj = catalog.catalog_lookup(name, params, kind=kind)
-    if not isinstance(obj, CoordinateMetric):
+    CM = catalog.catalog_lookup(name, params, kind=kind, tol=tol)
+    if not isinstance(CM, CoordinateMetric):
         raise BadParams(f"builtin {name!r} has no chart form")
-    return obj, {"builtin": name, "params": params, "kind": kind}
+    return CM, {"builtin": name, "params": params, "kind": kind}
+
+
+def _load_ledger(args, tol):
+    """[(ledger entry name, params)]: the named entry, or the whole catalog."""
+    if not args.name:
+        return [(n, {}) for n in catalog.CATALOG_NAMES], {"verify": "all"}
+    name, params = parse_builtin(args.name)
+    if name not in catalog.LEDGER:
+        catalog.catalog_lookup(name)        # raises the catalog's UnknownName
+    return [(name, params)], {"verify": args.name}
 
 
 # ----------------------------------------------------------------- commands
+# Each takes (loaded input, args, tol, grid) and returns (result, residuals,
+# case tag, exit code, trajectory for --out .csv).
 
-def _cmd_info(args, tol, grid):
-    entry = _lookup_builtin(args.builtin, tol) if args.builtin else None
-    if entry and isinstance(entry[0], CoordinateMetric):
-        CM, desc = entry
-        result = {"kind": "chart", "dim": CM.dim,
-                  "exact_partials": CM.partials_at is not None}
-        return result, {}, None, 0, desc
-    M, names, desc = _load_algebra(args, tol, entry)
+def _cmd_info(alg, args, tol, grid):
+    M, names = alg
+    if isinstance(M, CoordinateMetric):
+        result = {"kind": "chart", "dim": M.dim,
+                  "exact_partials": M.partials_at is not None}
+        return result, {}, None, 0, None
     brackets = []
     c = M.algebra.structure_constants
     for i in range(M.dim):
@@ -244,52 +243,49 @@ def _cmd_info(args, tol, grid):
               "nonzero_brackets": brackets,
               "gram": M.gram.tolist()}
     residuals = {"jacobi": jacobi_residual(M.algebra), "onb": M.onb_residual}
-    return result, residuals, None, 0, desc
+    return result, residuals, None, 0, None
 
 
-def _cmd_curvature(args, tol, grid):
-    M, names, desc = _load_algebra(args, tol)
-    data = curvature_tensor(M)
+def _cmd_curvature(alg, args, tol, grid):
+    data = curvature_tensor(alg[0])
     result = {"pairs": [list(p) for p in data.pairs],
               "eigenvalues": data.eigenvalues.tolist(),
               "operator": data.operator_matrix.tolist(),
               "coordinate_plane_sectionals": np.diag(data.operator_matrix).tolist()}
-    return result, {}, None, 0, desc
+    return result, {}, None, 0, None
 
 
-def _cmd_tg_check(args, tol, grid):
-    M, names, desc = _load_algebra(args, tol)
+def _cmd_tg_check(alg, args, tol, grid):
+    M = alg[0]
     if args.subspace:
         S = _parse_subspace(args.subspace, M.dim)
-        desc = dict(desc, subspace=args.subspace)
         check = tg_subspace_check(M, S)
         result = dict(dataclasses.asdict(check), subspace_dim=S.dim)
         return (result, {"tg_residual": check.residual}, None,
-                0 if check.ok else 2, desc)
-    T, desc = _unit_normal(M, args, desc, "tg-check needs --subspace or --normal")
+                0 if check.ok else 2, None)
+    T = _unit_normal(M, args.normal, "tg-check needs --subspace or --normal")
     res = hyperplane_tg_residual(M, T)
     ok = res <= tol.tg_residual
     result = {"ok": ok, "residual": res, "witness": None,
               "subspace_dim": M.dim - 1}
-    return result, {"tg_residual": res}, None, 0 if ok else 2, desc
+    return result, {"tg_residual": res}, None, 0 if ok else 2, None
 
 
-def _cmd_frenet(args, tol, grid):
-    M, names, desc = _load_algebra(args, tol)
-    T, desc = _unit_normal(M, args, desc, "frenet needs --normal")
-    fr = frenet_orbit(M, T)
+def _cmd_frenet(alg, args, tol, grid):
+    M = alg[0]
+    fr = frenet_orbit(M, _unit_normal(M, args.normal, "frenet needs --normal"))
     residuals = {"truncation_residual": fr.truncation_residual}
-    return dataclasses.asdict(fr), residuals, None, 0, desc
+    return dataclasses.asdict(fr), residuals, None, 0, None
 
 
-def _cmd_classify(args, tol, grid):
-    M, names, desc = _load_algebra(args, tol)
-    T, desc = _unit_normal(M, args, desc, "classify needs --normal")
+def _cmd_classify(alg, args, tol, grid):
+    M = alg[0]
+    T = _unit_normal(M, args.normal, "classify needs --normal")
     try:
         report = classify_case(M, T)
     except NotTotallyGeodesic as exc:
         result = {"error": str(exc), "ok": False}
-        return result, {exc.label: exc.residual}, None, 2, desc
+        return result, {exc.label: exc.residual}, None, 2, None
     result = {"case_tag": report.case_tag.value,
               "frenet": dataclasses.asdict(report.frenet),
               "eigenvalue_lambda": report.eigenvalue_lambda,
@@ -301,16 +297,13 @@ def _cmd_classify(args, tol, grid):
             "recovered_a": w.recovered_a, "recovered_b": w.recovered_b,
             "quotient_constants": w.quotient_constants.tolist(),
             "residuals": dict(w.residuals)}
-    return result, dict(report.residuals), report.case_tag.value, 0, desc
+    return result, dict(report.residuals), report.case_tag.value, 0, None
 
 
-def _cmd_search(args, tol, grid):
+def _cmd_search(alg, args, tol, grid):
     if args.seed < 0:
         raise BadParams(f"--seed must be non-negative, got {args.seed}")
-    M, names, desc = _load_algebra(args, tol)
-    config = SearchConfig(seed=args.seed)
-    desc = dict(desc, seed=args.seed)
-    res = search_tg_hyperplanes(M, config)
+    res = search_tg_hyperplanes(alg[0], SearchConfig(seed=args.seed))
     result = {"count": len(res.normals),
               "normals": [v.tolist() for v in res.normals],
               "residuals": list(res.residuals),
@@ -318,36 +311,24 @@ def _cmd_search(args, tol, grid):
                              for K, r in zip(res.components, res.component_residuals)],
               "continuum": res.continuum}
     worst = max(res.residuals + res.component_residuals, default=None)
-    return result, {"max_residual": worst}, None, 0, desc
+    return result, {"max_residual": worst}, None, 0, None
 
 
-def _cmd_geodesic(args, tol, grid):
-    CM, desc = _load_chart(args)
+def _cmd_geodesic(CM, args, tol, grid):
     if not (args.x0 and args.v0):
         raise BadParams("geodesic needs --x0 and --v0")
     x0 = _parse_vector(args.x0, CM.dim)
     v0 = _parse_vector(args.v0, CM.dim)
-    desc = dict(desc, x0=args.x0, v0=args.v0, tmax=args.tmax, step=args.step)
     traj = geodesic_integrate(CM, x0, v0, args.tmax, args.step, tol)
     result = {"endpoint": traj.points[-1].tolist(),
               "end_velocity": traj.velocities[-1].tolist(),
               "samples": len(traj.times),
               "step": traj.step,
               "speed_drift": traj.speed_drift}
-    return result, {"speed_drift": traj.speed_drift}, None, 0, desc, traj
+    return result, {"speed_drift": traj.speed_drift}, None, 0, traj
 
 
-# ------------------------------------------------------------------- verify
-
-def _cmd_verify(args, tol, grid):
-    if args.name:
-        name, params = parse_builtin(args.name)
-        if name not in catalog.LEDGER:
-            raise BadParams(
-                f"no builtin named {name!r}; choices: {', '.join(catalog.CATALOG_NAMES)}")
-        targets = [(name, params)]
-    else:
-        targets = [(n, {}) for n in catalog.CATALOG_NAMES]
+def _cmd_verify(targets, args, tol, grid):
     entries = []
     for name, params in targets:
         rows = catalog.LEDGER[name](params, tol, grid)
@@ -359,8 +340,7 @@ def _cmd_verify(args, tol, grid):
               and np.isfinite(r["residual"])]
     result = {"entries": entries, "ok": all_ok}
     residuals = {"max_residual": max(finite) if finite else None}
-    desc = {"verify": args.name or "all", "grid": grid}
-    return result, residuals, None, 0 if all_ok else 2, desc
+    return result, residuals, None, 0 if all_ok else 2, None
 
 
 # ------------------------------------------------------------------- driver
@@ -386,22 +366,31 @@ _OPTIONS = {
                   help="tolerance override"),
     "--json": dict(action="store_true", help="canonical JSON on stdout"),
 }
-# each subcommand: help, the options its handler reads, the handler
-_INPUT = ("--algebra", "--builtin")
+# each subcommand: help, the options it reads ("a|b": a and b exclude each
+# other), its loader, which returns (input, canonical input description),
+# and its handler
+_INPUT = ("--algebra|--builtin",)
 _SUBCOMMANDS = {
-    "info": ("dimensions, brackets, and residual summary", _INPUT, _cmd_info),
-    "curvature": ("curvature operator eigenvalues on coordinate pairs", _INPUT, _cmd_curvature),
-    "tg-check": ("certify a subspace or hyperplane normal", _INPUT + ("--subspace", "--normal"),
-                 _cmd_tg_check),
-    "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",), _cmd_frenet),
-    "classify": ("case analysis of a certified normal", _INPUT + ("--normal",), _cmd_classify),
+    "info": ("dimensions, brackets, and residual summary", _INPUT,
+             functools.partial(_load_algebra, charts=True), _cmd_info),
+    "curvature": ("curvature operator eigenvalues on coordinate pairs", _INPUT, _load_algebra,
+                  _cmd_curvature),
+    "tg-check": ("certify a subspace or hyperplane normal", _INPUT + ("--subspace|--normal",),
+                 _load_algebra, _cmd_tg_check),
+    "frenet": ("orbit curvatures of a unit normal", _INPUT + ("--normal",), _load_algebra,
+               _cmd_frenet),
+    "classify": ("case analysis of a certified normal", _INPUT + ("--normal",), _load_algebra,
+                 _cmd_classify),
     "search": ("certified hyperplane normals and kernel spheres (exact on Hofmann's R, "
                "aff(1) and sl2 families, else seeded multistart)", _INPUT + ("--seed",),
-               _cmd_search),
+               _load_algebra, _cmd_search),
     "geodesic": ("integrate a chart geodesic", ("--builtin", "--x0", "--v0", "--tmax", "--step"),
-                 _cmd_geodesic),
-    "verify": ("run the residual ledger over catalog entries", ("name",), _cmd_verify),
+                 _load_chart, _cmd_geodesic),
+    "verify": ("run the residual ledger over catalog entries", ("name",), _load_ledger,
+               _cmd_verify),
 }
+# the loader describes the input options; output options stay out of input_digest
+_UNDESCRIBED = {"algebra", "builtin", "name", "out", "tol", "json"}
 
 
 @functools.lru_cache(maxsize=None)     # one grammar per process; parsing leaves it as is
@@ -409,10 +398,13 @@ def _build_parser():
     parser = _Parser(prog="tgkit",
                      description="Totally geodesic hypersurface toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, flags, _) in _SUBCOMMANDS.items():
+    for name, (help_, flags, _, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        for flag in flags + ("--out", "--tol", "--json"):
-            p.add_argument(flag, **_OPTIONS[flag])
+        for spec in flags + ("--out", "--tol", "--json"):
+            group = spec.split("|")
+            target = p.add_mutually_exclusive_group() if len(group) > 1 else p
+            for flag in group:
+                target.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -481,10 +473,11 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tol, grid, overrides = _parse_tols(args.tol)
-        out = _SUBCOMMANDS[args.command][2](args, tol, grid)
-        result, residuals, case_tag, code, desc = out[:5]
-        traj = out[5] if len(out) > 5 else None
-        desc = dict(desc, command=args.command, tol=overrides, grid=grid)
+        _, _, load, handle = _SUBCOMMANDS[args.command]
+        loaded, desc = load(args, tol)
+        result, residuals, case_tag, code, traj = handle(loaded, args, tol, grid)
+        desc.update({k: v for k, v in vars(args).items()
+                     if v is not None and k not in _UNDESCRIBED}, tol=overrides, grid=grid)
         report = {
             "command": args.command,
             "input_digest": _digest(desc),

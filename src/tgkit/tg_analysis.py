@@ -500,11 +500,12 @@ def _frenet(M, t):
             break
         ks.append(k)
         frame.append(w / k)
-    # the frame's orthonormality; round-off can break it when the curvatures
-    # are far apart (rotated sl2(1e-4, 40) reads 2.3e-10)
+    # the frame's orthonormality, within 1e-10 or its round-off floor: each step
+    # divides by a curvature (rotated sl2(1e-4, 40) reads 2.3e-10)
     F = np.stack(frame, axis=1)
     onb_res = np.abs(F.T @ F - np.eye(len(frame))).max()
-    if not onb_res <= 1e-10:
+    if not (onb_res <= 1e-10
+            or onb_res * min(ks, default=1.0) <= 4 * M.dim * _EPS * max(1.0, np.abs(G).max())):
         raise TgkitError(f"Frenet frame lost orthonormality ({onb_res:.3e})")
     return FrenetData(len(ks), tuple(ks),
                       tuple(M.from_onb(v) for v in frame),

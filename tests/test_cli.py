@@ -564,6 +564,50 @@ def test_algebra_file_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "top level must be a JSON object"),
+    ({"dim": 1}, "dim must be an integer in [2, 8], got 1"),
+    ({"dim": 3, "basis": ["x", "y"]}, "basis must be 3 strings"),
+    ({"dim": 3, "brackets": [[0, 1]]}, "brackets[0] must be an object"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 1], "k": 2}]},
+     "brackets[0] has unknown keys: ['k']"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1}]}, "brackets[0] missing key 'coeffs'"),
+    ({"dim": 3, "brackets": [{"i": 0.0, "j": 1, "coeffs": [0, 0, 1]}]},
+     "brackets[0]: i, j must be integers"),
+    ({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 1]}]},
+     "brackets[0]: coeffs must be 3 numbers"),
+])
+def test_each_algebra_file_refusal_exits_1_with_its_message(data, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["info", "--algebra", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"tgkit: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tg-check", "--builtin", "sl2", "--subspace", ";"], "empty subspace"),
+    (["info", "--builtin", "sl2", "--tol", "jacobi"], "--tol expects NAME=VALUE, got 'jacobi'"),
+])
+def test_empty_subspace_and_bare_tol_exit_1_with_their_message(argv, message, capsys):
+    assert run(argv) == 1
+    assert capsys.readouterr() == ("", f"tgkit: error: {message}\n")
+
+
+def test_options_that_exclude_each_other_exit_1(tmp_path, capsys):
+    # both options of a pair is a usage error, never a silent choice of one
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps({"dim": 3, "brackets": [{"i": 0, "j": 1, "coeffs": [0, 0, 2]}]}))
+    both = ["--algebra", str(path), "--builtin", "sl2"]
+    argvs = [[cmd] + both for cmd in ("info", "curvature", "search")]
+    argvs += [[cmd] + both + ["--normal", "1,0,0"] for cmd in ("tg-check", "frenet", "classify")]
+    argvs.append(["tg-check", "--builtin", "sl2", "--subspace", "0,1,0;0,0,1",
+                  "--normal", "1,0,0"])
+    for argv in argvs:
+        assert run(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err, argv
+
+
 def test_non_finite_algebra_file_exits_1(tmp_path, capsys):
     for key, data in (
             ("structure constants", {"dim": 2, "brackets": [

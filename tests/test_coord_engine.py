@@ -675,6 +675,15 @@ def test_stage_contract_check_is_one_call():
     assert len(calls) == 1 + 4 * 10 and calls[0] == calls[1] == [0.0, 0.0]
 
 
+def test_overflowing_spray_under_a_constant_gram_diverges():
+    # every stage gram passes its gate, so the end check names the divergence
+    CM = CoordinateMetric(2, EUC2.gram_at, EUC2.partials_at,
+                          lambda x, v: ([1.0, 0.0, 0.0, 1.0], [1e308, 0.0]))
+    with pytest.raises(TgkitError) as err:
+        geodesic_integrate(CM, [0.0, 0.0], [1.0, 0.0], 1.0, 0.1)
+    assert str(err.value) == "geodesic integration diverged (step 1.000e-01)"
+
+
 def test_stage_error_at_the_start_is_named_as_in_the_loop():
     # the contract check's stage call raises; the loop's first stage raises it again
     CM = _flat_stage_raising(-1.0, OverflowError("math range error"))
@@ -747,6 +756,13 @@ def test_numeric_frenet_gates():
     pts = np.stack([ts, ts], axis=1)
     with pytest.raises(IrregularCurve):
         frenet_numeric(EUC2, ts, pts)
+    ts = np.linspace(0.0, 1.0, 60)
+    with pytest.raises(DimensionMismatch) as err:
+        frenet_numeric(EUC2, ts, np.zeros((60, 3)))
+    assert str(err.value) == "points must be samples x dim"
+    with pytest.raises(IrregularCurve) as err:      # a curve at rest
+        frenet_numeric(EUC2, ts, np.zeros((60, 2)))
+    assert str(err.value) == "speed drops to 0.000e+00"
 
 
 def test_frenet_evaluates_each_sample_gram_once():

@@ -74,6 +74,10 @@ def test_dimension_range():
         LieAlgebra(np.zeros((1, 1, 1)))
     with pytest.raises(DimensionMismatch):
         LieAlgebra(np.zeros((9, 9, 9)))
+    for shape in ((3, 3), (3, 3, 2)):
+        with pytest.raises(DimensionMismatch) as err:
+            LieAlgebra(np.zeros(shape))
+        assert str(err.value) == f"structure constants must be n*n*n, got shape {shape}"
 
 
 def test_jacobi_gate_and_residual_value():
@@ -345,6 +349,9 @@ def test_subspace_gates():
         Subspace(3, np.ones((4, 2)))
     with pytest.raises(DimensionMismatch):
         Subspace(3, np.column_stack([np.ones(3), np.ones(3)]))
+    with pytest.raises(DimensionMismatch) as err:
+        Subspace(2, np.eye(2, 3))
+    assert str(err.value) == "basis has 3 columns"
     s = Subspace(3, np.zeros((3, 0)))
     assert s.dim == 0
 

@@ -10,7 +10,7 @@ from tgkit.config import DEFAULT
 from tgkit.errors import (DimensionMismatch, IdealResidualExceeded,
                           NonUnitVector, NotHelixOrderTwo, NotRecognized,
                           NotTotallyGeodesic, TgkitError)
-from tgkit.lie_core import LieAlgebra, MetricLieAlgebra, Subspace
+from tgkit.lie_core import ConnectionTable, LieAlgebra, MetricLieAlgebra, Subspace
 from tgkit.tg_analysis import (CaseTag, classify_case,
                                codazzi_residual, frenet_orbit, helix_witness,
                                hyperplane_tg_residual, search_tg_hyperplanes,
@@ -172,12 +172,23 @@ def test_helix_and_frenet_gates_reject_nan(field, error):
         helix_witness(M, E3[:, 0])
 
 
-def test_frenet_orthonormality_gate_is_reachable():
+def test_frenet_orthonormality_gate_is_reachable(monkeypatch):
     # curvatures (80, 2e-4) in a rotated basis: round-off leaves the frame
-    # 2.3e-10 from orthonormal, past the fixed 1e-10 bound
+    # 2.3e-10 from orthonormal, past 1e-10 but under its round-off floor
+    # 4 n eps max(1, max|G|) / min k
     Q = random_orthogonal(np.random.default_rng(1), 3)
     c = rotate_constants(catalog.sl2(1e-4, 40).algebra.structure_constants, Q)
     M = MetricLieAlgebra(LieAlgebra(0.5 * (c - np.transpose(c, (1, 0, 2)))))
+    fd = frenet_orbit(M, Q[0])
+    assert fd.order == 2
+    assert np.allclose(fd.curvatures, (80.0, 2e-4), rtol=1e-9, atol=0.0)
+    # a connection 1e-6 off skew breaks the frame far past that floor
+    from tgkit import tg_analysis
+    conn = M.connection
+    P = 1e-6 * np.random.default_rng(2).standard_normal((3, 3, 3))
+    off_skew = ConnectionTable(conn.coefficients + P + np.transpose(P, (0, 2, 1)),
+                               conn.torsion_residual, conn.compat_residual)
+    monkeypatch.setattr(tg_analysis, "levi_civita", lambda _: off_skew)
     with pytest.raises(TgkitError, match="Frenet frame lost orthonormality"):
         frenet_orbit(M, Q[0])
 

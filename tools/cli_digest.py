@@ -12,7 +12,8 @@ aff(1) + sl2, Bianchi IV, sl2 + sl2 and su(2) + sl2, abelian:3 with an
 SPD gram, and sl2 + R^2 in a general basis: search, then frenet and
 classify on each normal and each kernel-sphere basis row the search
 prints, and tg-check on a generic subspace; the same on rotated
-sl2(1e3, 2e3), on sl2(1e200, 1e200) and on sl2(1e-4, 40)), and writes
+sl2(1e3, 2e3), on sl2(1e200, 1e200), on sl2(1e-4, 40) and on
+sl2(1e-3, 1e3)), and writes
 each argv's exit code, stdout and stderr.  An argv
 names an algebra file by its generator label, so digests of two checkouts
 compare.  The second form lists every argv whose record differs or that
@@ -139,15 +140,18 @@ def algebra_files(seeds=SEEDS):
 
 
 def fixed_files():
-    """Three inputs at scale extremes, as algebra_files entries:
+    """Four inputs at scale extremes, as algebra_files entries:
     sl2(1e3, 2e3) rotated, whose normals carry Codazzi round-off above
-    1e-9; sl2(1e200, 1e200), whose Jacobi sum overflows; and
-    sl2(1e-4, 40), whose Frenet curvatures 80 and 2e-4 leave quotient-table
-    round-off above 1e-9 at its lower Borel normal."""
+    1e-9; sl2(1e200, 1e200), whose Jacobi sum overflows; sl2(1e-4, 40),
+    whose Frenet curvatures 80 and 2e-4 leave quotient-table round-off
+    above 1e-9 at its lower Borel normal; and sl2(1e-3, 1e3), whose lower
+    Borel normal (curvatures 2e3 and 2e-3) leaves Frenet-frame round-off
+    above 1e-10."""
     rng = np.random.default_rng(0)
     return [_file("sl2-1e3-rot.json", _rotated(_sl2(1e3, 2e3), rng), None, rng),
             _file("sl2-1e200.json", _sl2(1e200, 1e200), None, rng),
-            _file("sl2-1e-4-40.json", _sl2(1e-4, 40), None, rng)]
+            _file("sl2-1e-4-40.json", _sl2(1e-4, 40), None, rng),
+            _file("sl2-1e-3-1e3.json", _sl2(1e-3, 1e3), None, rng)]
 
 
 def _vec(v):
